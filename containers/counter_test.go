@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"onefile/internal/core"
+	"onefile/internal/dcas"
 	"onefile/internal/tm"
 )
 
@@ -120,14 +121,19 @@ func (p plainEngine) Close() error                        { return p.e.Close() }
 
 // TestCounterIncAllocFree pins the zero-allocation contract of Counter.Inc
 // on the fast path (ISSUE 10 satellite: containers ride the fast path with
-// 0 allocs/op).
+// 0 allocs/op) — beyond, on the pointer-emulated TM word (race builds), the
+// one fresh pair its DCAS installs.
 func TestCounterIncAllocFree(t *testing.T) {
+	want := 0.0
+	if !dcas.Native {
+		want = 1
+	}
 	e := core.NewLF(testOpts...)
 	c := NewCounter(e, 0)
 	for i := 0; i < 1000; i++ {
 		c.Inc()
 	}
-	if avg := testing.AllocsPerRun(500, func() { c.Inc() }); avg != 0 {
-		t.Fatalf("Counter.Inc allocs/op = %v, want 0", avg)
+	if avg := testing.AllocsPerRun(500, func() { c.Inc() }); avg != want {
+		t.Fatalf("Counter.Inc allocs/op = %v, want %v", avg, want)
 	}
 }

@@ -212,7 +212,7 @@ func BatchSoloLatency(name string, cfg BatchConfig, iters, reps int) (direct, co
 			}
 			return time.Since(start)
 		}
-		run(iters / 10) // warm-up: slot claim, pair pool, scratch growth
+		run(iters / 10) // warm-up: slot claim, scratch growth
 		runtime.GC()    // keep engine-construction garbage out of the window
 		return float64(run(iters).Nanoseconds()) / float64(iters)
 	}

@@ -40,21 +40,20 @@ type FastPoint struct {
 	FencePerOp float64 // pfence+pdrain per op (0 when volatile)
 }
 
-// RawDCAS measures the baseline: one emulated DCAS (snapshot + pair CAS)
-// per operation on a private word, the floor cost any commit route pays per
+// RawDCAS measures the baseline: one DCAS (load + double-word CAS) per
+// operation on a private TM word, the floor cost any commit route pays per
 // written word. Returns ns/op.
 func RawDCAS(iters, reps int) float64 {
 	if reps <= 0 {
 		reps = 1
 	}
-	var w dcas.Word
-	w.Store(0, 0) // give the word a real pair so CAS takes the normal route
+	w := &dcas.NewSlab(1)[0]
 	samples := make([]float64, 0, reps)
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			p := w.Snapshot()
-			if !w.CompareAndSwap(p, p.Val+1, p.Seq+1) {
+			val, seq := w.Load()
+			if !w.CompareAndSwap(val, seq, val+1, seq+1) {
 				panic("bench: uncontended DCAS failed")
 			}
 		}
@@ -126,7 +125,7 @@ func fastpathRep(e tm.Engine, path string, cfg FastConfig) (nsOp float64, d tm.S
 	if err != nil {
 		return 0, d, err
 	}
-	// Warm up: slot claims, pair pool, era table.
+	// Warm up: slot claims, log regions.
 	for i := 0; i < 128; i++ {
 		op()
 	}

@@ -47,7 +47,7 @@ import (
 // write-set growth per transaction.
 const combineBatchMax = 256
 
-// combineLinger is the gather window (in boundary yields) used while other
+// combineLinger is the gather window (in yields) used while other
 // BatchUpdate submitters are in flight.
 const combineLinger = 4
 
@@ -475,7 +475,7 @@ func (e *Engine) combineSession() {
 
 // gather drains the queue into the combiner's scratch buffer in submission
 // order. When the contention layer reports a busy engine it waits up to
-// combineWindow boundary yields for more submissions to land — the
+// combineWindow yields for more submissions to land — the
 // adaptive drain window. A quiet engine has window 0, so a solo submitter
 // never waits for a batch that is not forming.
 func (e *Engine) gather() []*combReq {

@@ -5,39 +5,32 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"onefile/internal/he"
 	"onefile/internal/obs"
 	"onefile/internal/tm"
 )
 
 // This file is the engine's contention-management layer. The paper's
 // evaluation runs one worker per hardware thread; a Go service runs
-// goroutines ≫ cores, where the seed's behaviour collapsed in three ways:
+// goroutines ≫ cores, where the seed's behaviour collapsed in two ways:
 //
 //  1. acquire() spun unboundedly (one Gosched per scan) while every slot was
 //     busy, timeslicing against the very workers it was waiting on;
 //  2. every goroutine that observed a committed-but-unapplied transaction
-//     re-executed the whole apply phase — per-word DCAS scan, pair-retire
-//     bookkeeping and (persistent) flush traffic — even though §III-E's
-//     progress bound only needs *some* thread to finish it;
-//  3. the Go scheduler async-preempts a CPU-bound worker at an arbitrary
-//     point, which is almost always mid-transaction — where the worker
-//     announces a hazard era. A preempted worker pins that era for its
-//     whole ~10ms off-CPU stretch, so pair reclamation stalls, the live
-//     pair population balloons, and every pair dereference on the running
-//     workers degrades into a cache miss (measured: per-commit applyWord
-//     cost grows ~5× at 4 workers on one proc, with aborts/helps ≈ 0).
+//     re-executed the whole apply phase — per-word DCAS scan and
+//     (persistent) flush traffic — even though §III-E's progress bound only
+//     needs *some* thread to finish it.
 //
 // The fixes: slot admission parks excess goroutines on a FIFO wait list
 // (release wakes exactly one); helpers deduplicate through a CAS-claimed
 // per-slot help ticket with a *bounded* backoff that falls back to full
-// helping (preserving lock-/wait-freedom; see DESIGN.md); release()
-// voluntarily yields every yieldEvery-th transaction *at the boundary* —
-// slot freed, era cleared — so the scheduler rotates oversubscribed workers
-// at points where they pin nothing, which keeps reclamation tight without
-// async preemption ever firing mid-transaction; and all budgets adapt to
-// observed signals (help/abort rate, sampled era staleness) instead of
-// being constants tuned for dedicated cores.
+// helping (preserving lock-/wait-freedom; see DESIGN.md); and all budgets
+// adapt to the observed help/abort rate instead of being constants tuned
+// for dedicated cores.
+//
+// Nothing here rotates workers at transaction boundaries: with flat TM words
+// a worker preempted mid-transaction pins nothing other workers' reads
+// depend on (DESIGN.md §9, EXPERIMENTS.md "Oversubscription without the
+// boundary yield").
 
 // Bounds of the adaptive budgets. Initial values are sized from GOMAXPROCS
 // in contention.init; maybeTune moves them within these bounds at runtime.
@@ -57,26 +50,11 @@ const (
 	retryPauseMax = 4
 	// tuneEvery is how many slot releases pass between budget re-tunes.
 	tuneEvery = 256
-	// yieldEveryMin/Max bound the boundary-yield period (release yields
-	// every yieldEvery-th transaction). The max is deliberately small
-	// enough that on typical transaction sizes the yields come well inside
-	// the runtime's ~10ms forced-preemption interval — keeping async
-	// preemption from ever firing mid-transaction — while still costing
-	// only one Gosched (~100ns against an empty run queue) per 1Ki
-	// commits when the engine is not oversubscribed.
-	yieldEveryMin = 32
-	yieldEveryMax = 1024
-	// combineWindowMax bounds the group-commit drain window (boundary
-	// yields the combiner waits for more submissions to land; see
-	// combine.go). Small on purpose: each pass is one Gosched, and the
-	// window only opens when tune() sees real contention.
+	// combineWindowMax bounds the group-commit drain window (yields the
+	// combiner waits for more submissions to land; see combine.go). Small
+	// on purpose: each pass is one Gosched, and the window only opens when
+	// tune() sees real contention.
 	combineWindowMax = 8
-	// yieldStaleSeqs is the era-staleness threshold (in transaction
-	// sequence numbers) above which tune() treats a sampled MinProtected
-	// as evidence of a mid-transaction preemption and tightens the
-	// boundary-yield period. Workers legitimately announce eras a handful
-	// of sequences old; only a descheduled one falls ~thousands behind.
-	yieldStaleSeqs = 1024
 )
 
 // contention is the engine's contention-management state: adaptive spin
@@ -90,13 +68,8 @@ type contention struct {
 	// helpBackoff is how many request-recheck rounds a helper that lost
 	// the help-ticket race waits before falling back to full helping.
 	helpBackoff atomic.Uint32
-	// yieldEvery is the boundary-yield period: every yieldEvery-th
-	// release the releasing goroutine calls Gosched with no slot claimed
-	// and no era announced, so oversubscribed workers rotate at points
-	// where being descheduled pins nothing (collapse mode 3 above).
-	yieldEvery atomic.Uint32
-	// combineWindow is the group-commit drain window: how many boundary
-	// yields a combiner that found work waits for further submissions
+	// combineWindow is the group-commit drain window: how many yields a
+	// combiner that found work waits for further submissions
 	// before executing (combine.go). Zero while the engine is quiet, so a
 	// solo submitter never waits for a batch that is not forming.
 	combineWindow atomic.Uint32
@@ -104,8 +77,7 @@ type contention struct {
 	// list; release skips the park mutex entirely while it is zero.
 	waiters atomic.Int32
 	_       [48]byte
-	// releases counts release() calls; it drives both the boundary yield
-	// and re-tuning (every tuneEvery-th release).
+	// releases counts release() calls; every tuneEvery-th re-tunes.
 	releases atomic.Uint32
 	_        [60]byte
 
@@ -132,7 +104,6 @@ func (c *contention) init(procs int) {
 	}
 	c.spinBudget.Store(clampU32(spin, acquireSpinMin, acquireSpinMax))
 	c.helpBackoff.Store(clampU32(uint32(32*procs), helpBackoffMin, helpBackoffMax))
-	c.yieldEvery.Store(256)
 }
 
 func clampU32(v, lo, hi uint32) uint32 {
@@ -282,22 +253,12 @@ func (e *Engine) contendedPause(round int) {
 }
 
 // tune re-sizes the adaptive budgets (called every tuneEvery releases) from
-// two observed signals.
-//
-// Help/abort rate, summed from the per-slot counters: a storming engine
+// the help/abort rate, summed from the per-slot counters: a storming engine
 // (many helps/aborts per commit) wants admission to park sooner — spinning
 // acquirers only steal timeslices from the workers they wait on — and
 // helpers to wait longer before duplicating an apply phase; a quiet engine
 // wants the opposite. GOMAXPROCS enters through the initial sizing
 // (contention.init).
-//
-// Era staleness, sampled as curTx's sequence minus MinProtected: a worker
-// descheduled mid-transaction leaves its announced era thousands of
-// sequences behind, which stalls pair reclamation and cools the cache
-// (collapse mode 3). The response is fast-attack/slow-decay: a stale sample
-// cuts the boundary-yield period by 8× so workers start rotating at
-// transaction boundaries within a few tune periods; fresh samples double it
-// back toward the (never fully off) maximum.
 func (e *Engine) tune() {
 	c := &e.cm
 	if !c.tuneMu.TryLock() {
@@ -323,7 +284,7 @@ func (e *Engine) tune() {
 	adjustBudget(&c.helpBackoff, contended, helpBackoffMin, helpBackoffMax)
 
 	// Group-commit drain window: contention means submissions overlap, so
-	// waiting a few boundary yields grows batches and amortises the commit
+	// waiting a few yields grows batches and amortises the commit
 	// pipeline; quiet means a waiting combiner would only add latency, so
 	// the window decays to zero (fast-open, fast-close — both directions
 	// converge within three tune periods).
@@ -335,15 +296,6 @@ func (e *Engine) tune() {
 		c.combineWindow.Store(clampU32(w, 0, combineWindowMax))
 	} else {
 		c.combineWindow.Store(c.combineWindow.Load() / 2)
-	}
-
-	cur := seqOf(e.curTx.Load())
-	min := e.eras.MinProtected()
-	if min != he.None && cur > min && cur-min >= yieldStaleSeqs {
-		c.yieldEvery.Store(clampU32(c.yieldEvery.Load()/8, yieldEveryMin, yieldEveryMax))
-		e.obsEvent(obs.EvEraStall, -1, cur-min)
-	} else {
-		adjustBudget(&c.yieldEvery, true, yieldEveryMin, yieldEveryMax)
 	}
 }
 

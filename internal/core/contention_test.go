@@ -191,9 +191,6 @@ func TestAdaptiveBudgetBounds(t *testing.T) {
 		if v := e.cm.helpBackoff.Load(); v < helpBackoffMin || v > helpBackoffMax {
 			t.Fatalf("%s: helpBackoff %d outside [%d,%d]", when, v, helpBackoffMin, helpBackoffMax)
 		}
-		if v := e.cm.yieldEvery.Load(); v < yieldEveryMin || v > yieldEveryMax {
-			t.Fatalf("%s: yieldEvery %d outside [%d,%d]", when, v, yieldEveryMin, yieldEveryMax)
-		}
 	}
 	check("initial")
 	for i := 0; i < 40; i++ {
@@ -206,16 +203,4 @@ func TestAdaptiveBudgetBounds(t *testing.T) {
 		e.tune()
 		check("quiet")
 	}
-	// A stale era announcement must tighten the boundary-yield period.
-	e.slots[1].claimed.Store(1)
-	e.eras.Protect(1, 1) // era 1, far behind after the commits above
-	e.curTx.Store(makeTx(yieldStaleSeqs+5, 0))
-	before := e.cm.yieldEvery.Load()
-	e.tune()
-	if after := e.cm.yieldEvery.Load(); after >= before && before > yieldEveryMin {
-		t.Fatalf("stale era did not tighten yieldEvery (%d -> %d)", before, after)
-	}
-	check("stale")
-	e.eras.Clear(1)
-	e.slots[1].claimed.Store(0)
 }

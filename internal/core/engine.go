@@ -18,14 +18,11 @@
 //
 // Hot-path disciplines (beyond the paper, for the Go platform):
 //
-//   - Pair recycling. The emulated DCAS (package dcas) swings a pointer to
-//     an immutable {value, sequence} Pair, which in the naive form
-//     allocates one Pair per applied word. Every transaction announces its
-//     start sequence as a hazard era (package he); a Pair replaced at era r
-//     is pushed to the replacing slot's retire queue and recycled once no
-//     announced era is ≤ r — any thread still holding the Pair announced an
-//     era no later than the replacement (see DESIGN.md §2). Steady-state
-//     update transactions therefore allocate no Pairs.
+//   - Flat TM words. The heap is one pointer-free slab of 16-byte
+//     {value, sequence} words (package dcas) changed by a hardware
+//     double-word CAS where the platform has one; loads are two atomic
+//     loads plus the sequence check the algorithm already performs (see
+//     DESIGN.md §2). Steady-state transactions allocate nothing per word.
 //   - Flush coalescing. The apply phase persists one pwb per modified
 //     pair-region cache line (4 TM words) instead of one per word — the
 //     paper's §IV accounting.
@@ -64,28 +61,21 @@ const (
 	magicVal = 0x0F11E_60_0001
 )
 
-// Pair-pool tuning.
-const (
-	// poolScanEvery is how many retired pairs a slot accumulates before it
-	// runs a reclamation scan (one bounded pass over the era array).
-	poolScanEvery = 64
-	// poolMaxFree caps a slot's free list; overflow is left to the GC.
-	poolMaxFree = 8192
-)
+// attachChunk is how many TM words attach reads from the device image per
+// ImagePairs call.
+const attachChunk = 4096
 
 // abortSignal is the panic value used to unwind an aborted transaction body
 // (the paper's AbortedTxException). It never escapes the engine.
 type abortSignal struct{}
 
-// pairPool recycles the dcas.Pairs a slot's apply phase replaces. All
-// fields are owner-private. Retired pairs carry the era (curTx sequence) at
-// which they were unlinked; eras are appended in non-decreasing order, so
-// reclamation pops the prefix older than the minimum announced era.
-type pairPool struct {
-	free      []*dcas.Pair
-	retired   []*dcas.Pair
-	eras      []uint64
-	sinceScan int
+// flushLine is the scratch of one coalesced pair-line flush. It lives in the
+// slot because the arrays are handed to the pmem.Device interface by
+// address, which would move stack copies to the heap on every flush.
+type flushLine struct {
+	idx  [pmem.PairLineWords]int
+	vals [pmem.PairLineWords]uint64
+	seqs [pmem.PairLineWords]uint64
 }
 
 // slotStats are one slot's operation counters: owner-written (uncontended),
@@ -119,9 +109,8 @@ type slot struct {
 	ws      writeSet
 	helpBuf []uint64 // scratch for copying another slot's write-set
 
-	pool       pairPool
-	replaced   []*dcas.Pair // pairs unlinked by the current apply phase
-	flushAddrs []uint64     // scratch for sorting dirty words by cache line
+	flushAddrs []uint64 // scratch for sorting dirty words by cache line
+	line       flushLine
 
 	// Reusable transaction handles (their address escapes through the
 	// tm.Tx interface, so per-transaction values would heap-allocate).
@@ -186,11 +175,11 @@ type Engine struct {
 	waitFree bool
 	dev      pmem.Device // nil for the volatile variants
 
-	words []dcas.Word // the transactional heap: one TM word per tm.Ptr
+	words []dcas.TMWord // the transactional heap: one TM word per tm.Ptr
 
 	slots []slot
 
-	eras *he.Eras // hazard-era domain: pair grace periods + closure reclamation
+	eras *he.Eras // hazard-era domain: reclamation of published closures (§IV-B)
 
 	curTxImg    int    // pair-region index of curTx's persistent image
 	dynBase     tm.Ptr // first dynamically allocatable heap word
@@ -295,7 +284,7 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 		cfg:      cfg,
 		waitFree: waitFree,
 		dev:      dev,
-		words:    make([]dcas.Word, cfg.HeapWords),
+		words:    dcas.NewSlab(cfg.HeapWords),
 		slots:    make([]slot, cfg.MaxThreads),
 		eras:     he.New(cfg.MaxThreads),
 		curTxImg: cfg.HeapWords,
@@ -385,13 +374,18 @@ func (e *Engine) attach() error {
 	e.curTx.Store(cur)
 	maxSeq := seqOf(cur)
 	wordMax := uint64(0)
-	for i := 0; i < e.cfg.HeapWords; i++ {
-		val, seq := e.dev.ImagePair(i)
-		if seq > wordMax {
-			wordMax = seq
-		}
-		if val != 0 || seq != 0 {
-			e.words[i].Store(val, seq)
+	buf := make([]uint64, 2*attachChunk)
+	for lo := 0; lo < e.cfg.HeapWords; lo += attachChunk {
+		n := min(attachChunk, e.cfg.HeapWords-lo)
+		vals, seqs := buf[:n], buf[attachChunk:attachChunk+n]
+		e.dev.ImagePairs(lo, vals, seqs)
+		for i, seq := range seqs {
+			if seq > wordMax {
+				wordMax = seq
+			}
+			if val := vals[i]; val != 0 || seq != 0 {
+				e.words[lo+i].Store(val, seq)
+			}
 		}
 	}
 	switch {
@@ -593,24 +587,15 @@ func (e *Engine) acquireG(bypassGate bool) *slot {
 	}
 }
 
-// release clears the slot's era announcement before the claim flag: the
-// next claimant of the same slot announces its own era, and a stale Clear
-// must never stomp it. It then wakes one parked acquirer, if any, and
-// drives the budget re-tuning.
+// release frees the slot, wakes one parked acquirer, if any, and drives the
+// budget re-tuning.
 func (e *Engine) release(s *slot) {
-	e.eras.Clear(s.id)
 	s.claimed.Store(0)
 	if e.cm.waiters.Load() > 0 {
 		e.wakeOne()
 	}
-	n := e.cm.releases.Add(1)
-	if n%tuneEvery == 0 {
+	if e.cm.releases.Add(1)%tuneEvery == 0 {
 		e.tune()
-	}
-	if n%e.cm.yieldEvery.Load() == 0 {
-		// Boundary yield (contention.go): the slot and era are already
-		// released, so being descheduled here pins nothing.
-		runtime.Gosched()
 	}
 }
 
@@ -618,81 +603,4 @@ func (e *Engine) release(s *slot) {
 // its owner's request still carries the identifier (§III-A).
 func (e *Engine) pending(txid uint64) bool {
 	return e.slots[tidOf(txid)].request.Load() == txid
-}
-
-// --- pair pool ---
-
-// getPair returns a recycled Pair, or allocates while the pool is cold. It
-// never scans the announcement array itself: retirePairs reclaims in
-// batches of poolScanEvery, so a transient empty free list (retirees still
-// inside their grace period) costs a few allocations, not a scan per DCAS.
-func (e *Engine) getPair(s *slot) *dcas.Pair {
-	p := &s.pool
-	if n := len(p.free); n > 0 {
-		pr := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return pr
-	}
-	return dcas.NewPooled()
-}
-
-// putPair returns a never-published candidate pair to the free list.
-func (e *Engine) putPair(s *slot, pr *dcas.Pair) {
-	if len(s.pool.free) < poolMaxFree {
-		s.pool.free = append(s.pool.free, pr)
-	}
-}
-
-// retirePairs hands the apply phase's batch of replaced pairs to the pool.
-// The whole batch shares one retire era — the curTx sequence read here,
-// which is at or after the sequence at every replacing DCAS of the batch.
-func (e *Engine) retirePairs(s *slot) {
-	if len(s.replaced) == 0 {
-		return
-	}
-	era := seqOf(e.curTx.Load())
-	p := &s.pool
-	for i, pr := range s.replaced {
-		p.retired = append(p.retired, pr)
-		p.eras = append(p.eras, era)
-		s.replaced[i] = nil
-	}
-	p.sinceScan += len(s.replaced)
-	s.replaced = s.replaced[:0]
-	if p.sinceScan >= poolScanEvery {
-		e.reclaimPairs(s)
-	}
-}
-
-// reclaimPairs moves retired pairs whose era has expired onto the free
-// list. A pair retired at era r may still be dereferenced only by threads
-// whose announced era is ≤ r (they loaded its pointer before the replacing
-// DCAS, having announced no later than that), so everything retired before
-// the minimum announced era is free — one wait-free pass over the
-// announcement array.
-func (e *Engine) reclaimPairs(s *slot) {
-	p := &s.pool
-	p.sinceScan = 0
-	min := e.eras.MinProtected()
-	n := 0
-	for n < len(p.eras) && p.eras[n] < min {
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		if len(p.free) < poolMaxFree {
-			p.free = append(p.free, p.retired[i])
-		}
-		p.retired[i] = nil
-	}
-	k := copy(p.retired, p.retired[n:])
-	clearTail := p.retired[k:]
-	for i := range clearTail {
-		clearTail[i] = nil
-	}
-	p.retired = p.retired[:k]
-	p.eras = p.eras[:copy(p.eras, p.eras[n:])]
 }

@@ -22,7 +22,7 @@ import (
 //
 // Protocol (vs the ten steps of §III-B):
 //
-//  1. load curTx, announce the hazard era, help any pending transaction;
+//  1. load curTx, help any pending transaction;
 //  2. run the body against a register write-set (fTx): loads are
 //     seq-validated exactly like uTx, stores land in two in-handle words;
 //  3. publish the 1–2 log entries and numStores with plain atomic stores
@@ -30,8 +30,7 @@ import (
 //  4. commit by CASing curTx; on loss the request is left stale-open,
 //     which is harmless — a stale identifier never matches a future curTx
 //     (the same situation a full-path loser leaves behind);
-//  5. apply the 1–2 words with the usual seq-guarded DCAS, retire the
-//     replaced pairs;
+//  5. apply the 1–2 words with the usual seq-guarded DCAS;
 //  6. persistent variants only: ONE FlushPairLine covering the written
 //     words (eligibility requires them to share a pair-region cache line)
 //     + ONE Fence — the minimal 1 pwb + 1 pfence commit;
@@ -48,7 +47,8 @@ import (
 // atomic line flush. attach therefore adopts curTx = S when the image lags.
 //
 // Flush snapshot guard: the owner flushes only word snapshots still at its
-// own sequence. A snapshot beyond it means a helper closed our request
+// own sequence. A snapshot beyond it — or torn, which means a newer DCAS is
+// landing on the word right now — means a helper closed our request
 // early (helpers flush all our words and drain before closing), so our
 // transaction is already durable, and flushing the newer value would risk
 // persisting a subset of a LATER fast transaction's writes — the one
@@ -121,11 +121,11 @@ func (t *fTx) Load(p tm.Ptr) uint64 {
 			return t.val[i]
 		}
 	}
-	pr := t.e.words[p].Snapshot()
-	if pr.Seq > t.startSeq {
+	val, seq := t.e.words[p].Load()
+	if seq > t.startSeq {
 		panic(abortSignal{})
 	}
-	return pr.Val
+	return val
 }
 
 // Store implements tm.Tx: it records the store in a register, replacing a
@@ -201,12 +201,10 @@ func (e *Engine) acquireFast() *slot {
 }
 
 // releaseFast is release without the adaptive-tuning bookkeeping (the
-// releases XADD, the tune trigger, the boundary yield): a fast commit's
-// whole point is a minimum barrier count, and any full-path traffic keeps
-// the tuner fed. Parked acquirers are still woken — that is liveness, not
-// tuning.
+// releases XADD and the tune trigger): a fast commit's whole point is a
+// minimum barrier count, and any full-path traffic keeps the tuner fed.
+// Parked acquirers are still woken — that is liveness, not tuning.
 func (e *Engine) releaseFast(s *slot) {
-	e.eras.Clear(s.id)
 	s.claimed.Store(0)
 	if e.cm.waiters.Load() > 0 {
 		e.wakeOne()
@@ -274,7 +272,6 @@ func (e *Engine) fastAttempt(s *slot, fn func(tx tm.Tx) uint64) (uint64, fastSta
 // tryFast makes one fast-path attempt: the protocol in the file comment.
 func (e *Engine) tryFast(s *slot, fn func(tx tm.Tx) uint64) (uint64, fastStatus) {
 	oldTx := e.curTx.Load()
-	e.eras.Protect(s.id, seqOf(oldTx))
 	if e.pending(oldTx) {
 		// Help before running the body, exactly like every other body-
 		// running path: on return the transaction is applied or superseded.
@@ -333,7 +330,6 @@ func (e *Engine) tryFast(s *slot, fn func(tx tm.Tx) uint64) (uint64, fastStatus)
 	for i := 0; i < t.n; i++ {
 		e.applyWord(s, t.addr[i], t.val[i], seq)
 	}
-	e.retirePairs(s)
 	if e.dev != nil {
 		e.flushFast(s, t, seq)
 	}
@@ -347,29 +343,25 @@ func (e *Engine) tryFast(s *slot, fn func(tx tm.Tx) uint64) (uint64, fastStatus)
 }
 
 // flushFast persists a fast commit's words: one FlushPairLine + one Fence.
-// Snapshots newer than our own sequence are skipped (see the flush
+// Snapshots torn or newer than our own sequence are skipped (see the flush
 // snapshot guard in the file comment); if every word was superseded, a
 // helper already closed us after flushing and draining, so nothing is
 // flushed and no fence is needed.
 func (e *Engine) flushFast(s *slot, t *fTx, seq uint64) {
-	var (
-		idx  [pmem.PairLineWords]int
-		vals [pmem.PairLineWords]uint64
-		seqs [pmem.PairLineWords]uint64
-	)
+	l := &s.line
 	k := 0
 	for i := 0; i < t.n; i++ {
-		p := e.words[t.addr[i]].Snapshot()
-		if p.Seq != seq {
+		val, wseq, ok := e.words[t.addr[i]].Snapshot()
+		if !ok || wseq != seq {
 			continue
 		}
-		idx[k], vals[k], seqs[k] = int(t.addr[i]), p.Val, p.Seq
+		l.idx[k], l.vals[k], l.seqs[k] = int(t.addr[i]), val, wseq
 		k++
 	}
 	if k == 0 {
 		return
 	}
-	e.dev.FlushPairLine(s.id, k, &idx, &vals, &seqs)
+	e.dev.FlushPairLine(s.id, k, &l.idx, &l.vals, &l.seqs)
 	e.dev.Fence(s.id)
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"onefile/internal/dcas"
 	"onefile/internal/pmem"
 	"onefile/internal/tm"
 )
@@ -99,7 +100,7 @@ func TestUpdateSmallPTMCost(t *testing.T) {
 		for _, mode := range []pmem.Mode{pmem.StrictMode, pmem.RelaxedMode} {
 			t.Run(fmt.Sprintf("wf=%v/mode=%d", wf, mode), func(t *testing.T) {
 				e, _ := newPTM(t, wf, mode, 1)
-				// Warm the path once (pair pool, log region faults).
+				// Warm the path once (log region faults).
 				e.UpdateSmall(func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 1); return 0 })
 				before := e.Stats()
 				const n = 10
@@ -311,14 +312,19 @@ func TestAsyncUpdateSoloFast(t *testing.T) {
 }
 
 // TestUpdateSmallAllocFree: a steady-state fast-path commit performs no
-// heap allocations (the regression guard the containers rely on).
+// heap allocations (the regression guard the containers rely on) — beyond,
+// on the pointer-emulated build, the one fresh pair its DCAS installs.
 func TestUpdateSmallAllocFree(t *testing.T) {
+	want := 0.0
+	if !dcas.Native {
+		want = 1
+	}
 	e := NewLF(smallOpts()...)
 	body := func(tx tm.Tx) uint64 {
 		tx.Store(tm.Root(0), tx.Load(tm.Root(0))+1)
 		return 0
 	}
-	// Warm up: pair pool, retire slices, era announcements.
+	// Warm up: slot claim, log region.
 	for i := 0; i < 1000; i++ {
 		e.UpdateSmall(body)
 	}
@@ -327,7 +333,7 @@ func TestUpdateSmallAllocFree(t *testing.T) {
 			t.Fatalf("outcome %v", out)
 		}
 	})
-	if avg != 0 {
-		t.Fatalf("UpdateSmall allocs/op = %v, want 0", avg)
+	if avg != want {
+		t.Fatalf("UpdateSmall allocs/op = %v, want %v", avg, want)
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Hot-path microbenchmarks. Run with -benchmem: the allocation counts here
-// are the acceptance numbers for the pair-recycling and closure-elimination
+// are the acceptance numbers for the flat-TM-word and closure-elimination
 // work (see EXPERIMENTS.md "Go-specific hot-path costs").
 
 func benchOpts() []tm.Option {
@@ -61,7 +61,7 @@ func BenchmarkUpdateTx(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			e := tc.mk(b)
-			// Warm up free lists / lazy initialisation.
+			// Warm up lazy initialisation (scratch slices, retire lists).
 			for i := 0; i < 1024; i++ {
 				e.Update(updateTxBody)
 			}

@@ -75,7 +75,7 @@ func TestOversubscribedWorkers(t *testing.T) {
 				// word (resultWord), never ahead or behind.
 				for i := range e.slots {
 					_, tagW := e.resultWord(i)
-					if got := e.words[tagW].Snapshot().Val; got != e.slots[i].opTag {
+					if got, _ := e.words[tagW].Load(); got != e.slots[i].opTag {
 						t.Fatalf("slot %d: result tag word %d != last op tag %d",
 							i, got, e.slots[i].opTag)
 					}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"onefile/internal/dcas"
 	"onefile/internal/obs"
 	"onefile/internal/pmem"
 	"onefile/internal/talloc"
@@ -31,17 +30,19 @@ func (t *uTx) check(p tm.Ptr) {
 
 // Load implements tm.Tx. Aborting on a sequence newer than the transaction's
 // start guarantees an opaque snapshot and, per §IV-A Proposition 1, makes
-// reads of de-allocated memory harmless.
+// reads of de-allocated memory harmless. The value is read before the
+// sequence, as in Alg. 1: a value torn from its sequence by a racing DCAS
+// arrives with that DCAS's sequence, which is above startSeq, and aborts.
 func (t *uTx) Load(p tm.Ptr) uint64 {
 	t.check(p)
 	if v, ok := t.s.ws.lookup(uint64(p)); ok {
 		return v
 	}
-	pr := t.e.words[p].Snapshot()
-	if pr.Seq > t.startSeq {
+	val, seq := t.e.words[p].Load()
+	if seq > t.startSeq {
 		panic(abortSignal{})
 	}
-	return pr.Val
+	return val
 }
 
 // Store implements tm.Tx: it records the store in the redo log (Alg. 1
@@ -70,11 +71,11 @@ func (t *rTx) Load(p tm.Ptr) uint64 {
 	if p == 0 || int(p) >= t.e.cfg.HeapWords {
 		panic(fmt.Errorf("core: heap pointer %d out of range", p))
 	}
-	pr := t.e.words[p].Snapshot()
-	if pr.Seq > t.startSeq {
+	val, seq := t.e.words[p].Load()
+	if seq > t.startSeq {
 		panic(abortSignal{})
 	}
-	return pr.Val
+	return val
 }
 
 func (t *rTx) Store(tm.Ptr, uint64) { panic(tm.ErrUpdateInReadTx) }
@@ -127,15 +128,11 @@ func (e *Engine) updateObserved(o *EngineObs, s *slot, fn func(tx tm.Tx) uint64)
 	return res
 }
 
-// updateLF is the lock-free update path: the ten steps of §III-B. Each
-// attempt announces its start sequence as the slot's hazard era before any
-// pair can be dereferenced, keeping every pair it may observe out of the
-// recyclers' reach.
+// updateLF is the lock-free update path: the ten steps of §III-B.
 func (e *Engine) updateLF(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 	for round := 0; ; round++ {
 		oldTx := e.curTx.Load() // step 1
-		e.eras.Protect(s.id, seqOf(oldTx))
-		if e.pending(oldTx) { // step 2: help the ongoing transaction
+		if e.pending(oldTx) {   // step 2: help the ongoing transaction
 			e.helpApply(oldTx, s)
 			continue
 		}
@@ -190,7 +187,7 @@ func (e *Engine) commitAndApply(s *slot, oldTx, newTx uint64) bool {
 	// Claim the apply phase (helper deduplication, contention.go): the
 	// committer is the newest transaction on this slot, so a plain store
 	// keeps the ticket monotonic. Helpers that observe the claim back off
-	// instead of duplicating the per-word scan and retire bookkeeping.
+	// instead of duplicating the per-word scan and flush traffic.
 	s.helpTicket.Store(newTx)
 	if e.dev != nil {
 		// The successful CAS orders the prior pwbs (x86: a locked RMW
@@ -207,9 +204,9 @@ func (e *Engine) commitAndApply(s *slot, oldTx, newTx uint64) bool {
 
 // applyOwn applies the slot's own write-set (no snapshot copy needed: the
 // owner's log is frozen until its request closes), reading the owner-private
-// mirror instead of the shared atomic log. The DCAS loop runs first; the
-// replaced pairs are then retired as one batch and, on the persistent
-// variants, the modified words are flushed with one pwb per cache line.
+// mirror instead of the shared atomic log. The DCAS loop runs first; on the
+// persistent variants the modified words are then flushed with one pwb per
+// cache line.
 func (e *Engine) applyOwn(s *slot, txid uint64) {
 	n := uint64(s.ws.n)
 	seq := seqOf(txid)
@@ -217,55 +214,50 @@ func (e *Engine) applyOwn(s *slot, txid uint64) {
 		j := (uint64(s.id)*8 + i) % n
 		e.applyWord(s, s.ws.keys[j], s.ws.vals[j], seq)
 	}
-	e.retirePairs(s)
 	if e.dev != nil {
-		e.flushWords(s, s.ws.keys[:n], 1)
+		e.flushWords(s, s.ws.keys[:n], 1, seq)
 	}
 }
 
-// applyWord performs the seq-guarded DCAS of Alg. 1 on one heap word. The
-// candidate pair comes from the slot's pool and survives CAS retries (on
-// failure it stays private and is reused); the replaced pair joins the
-// slot's retire batch. Persistence of the word is deferred to the caller's
-// coalesced flush pass.
+// applyWord performs the seq-guarded DCAS of Alg. 1 on one heap word.
+// Persistence of the word is deferred to the caller's coalesced flush pass.
+// The loop is the paper's: a DCAS fails only because another one landed on
+// the word, and while seq is being applied the only ones that can are seq's
+// own — so the second round finds the word at seq or beyond. A torn Load
+// needs no care of its own: its sequence is the newer one (done), or the
+// DCAS compares against a pair the word does not hold and fails (reload).
 func (e *Engine) applyWord(s *slot, addr, val, seq uint64) {
 	if addr == 0 || addr >= uint64(e.cfg.HeapWords) {
 		return // defensive: a corrupt recovered log must not crash apply
 	}
 	w := &e.words[addr]
-	var n *dcas.Pair
 	for {
-		p := w.Snapshot()
-		if p.Seq >= seq {
-			// Already applied (possibly by a newer transaction).
-			if n != nil {
-				e.putPair(s, n)
-			}
-			return
-		}
-		if n == nil {
-			n = e.getPair(s)
-			n.Val, n.Seq = val, seq
+		oldVal, oldSeq := w.Load()
+		if oldSeq >= seq {
+			return // already applied (possibly by a newer transaction)
 		}
 		s.st.dcas.Add(1)
-		if w.CompareAndSwapPair(p, n) {
-			if p != dcas.Zero {
-				s.replaced = append(s.replaced, p)
-			}
+		if w.CompareAndSwap(oldVal, oldSeq, val, seq) {
 			return
 		}
 	}
 }
 
-// flushWords persists the current content of every heap word listed in
-// addrs (step 9 — every address is flushed even when another helper won the
-// DCAS, so the word is durable before the request closes). Addresses are
+// flushWords persists every heap word listed in addrs as transaction seq
+// left it (step 9 — every address is flushed even when another helper won
+// the DCAS, so the word is durable before the request closes). Addresses are
 // read from addrs at the given stride (1 for the write-set key mirror, 2
 // for an interleaved addr/value log copy), sorted, and flushed with one pwb
-// per pair-region cache line — the §IV pwb accounting. The pair snapshots
-// are taken at flush time; the device's monotonic per-word guard makes a
-// concurrently advanced word harmless.
-func (e *Engine) flushWords(s *slot, addrs []uint64, stride int) {
+// per pair-region cache line — the §IV pwb accounting.
+//
+// The snapshots are taken at flush time, after the DCAS loop, so every word
+// is at seq or beyond. One that reads beyond seq, or torn (a newer DCAS is
+// landing), is skipped: a newer transaction committed, which it could only
+// do after some thread closed seq's request — and the first thread to close
+// it flushed every word at seq and drained, because before that close no
+// newer DCAS existed to make it skip. Skipping also keeps a third party from
+// persisting part of a LATER fast-path commit (flushFast's guard).
+func (e *Engine) flushWords(s *slot, addrs []uint64, stride int, seq uint64) {
 	buf := s.flushAddrs[:0]
 	for i := 0; i < len(addrs); i += stride {
 		buf = append(buf, addrs[i])
@@ -273,11 +265,7 @@ func (e *Engine) flushWords(s *slot, addrs []uint64, stride int) {
 	sortUint64(buf)
 	s.flushAddrs = buf
 
-	var (
-		idx  [pmem.PairLineWords]int
-		vals [pmem.PairLineWords]uint64
-		seqs [pmem.PairLineWords]uint64
-	)
+	l := &s.line
 	k := 0
 	curLine := -1
 	prev := ^uint64(0)
@@ -286,18 +274,21 @@ func (e *Engine) flushWords(s *slot, addrs []uint64, stride int) {
 			continue // defensive, mirroring applyWord; dedupe repeats
 		}
 		prev = addr
+		val, wseq, ok := e.words[addr].Snapshot()
+		if !ok || wseq != seq {
+			continue
+		}
 		line := int(addr) / pmem.PairLineWords
 		if k > 0 && line != curLine {
-			e.dev.FlushPairLine(s.id, k, &idx, &vals, &seqs)
+			e.dev.FlushPairLine(s.id, k, &l.idx, &l.vals, &l.seqs)
 			k = 0
 		}
 		curLine = line
-		p := e.words[addr].Snapshot()
-		idx[k], vals[k], seqs[k] = int(addr), p.Val, p.Seq
+		l.idx[k], l.vals[k], l.seqs[k] = int(addr), val, wseq
 		k++
 	}
 	if k > 0 {
-		e.dev.FlushPairLine(s.id, k, &idx, &vals, &seqs)
+		e.dev.FlushPairLine(s.id, k, &l.idx, &l.vals, &l.seqs)
 	}
 }
 
@@ -314,12 +305,11 @@ func (e *Engine) closeRequest(s *slot, txid uint64) {
 
 // helpApply applies the committed-but-unapplied transaction txid on behalf
 // of its owner: copy the owner's write-set, re-validate the request, then
-// run the same apply phase the owner would (§III-A). The helper must have
-// announced an era ≤ seqOf(txid) (callers announce before observing txid).
+// run the same apply phase the owner would (§III-A).
 //
 // Helpers first pass the help-ticket gate (claimHelp): when another thread
 // — normally the owner, which claims at commit — is already applying txid,
-// the redundant copy/apply/retire/flush work is skipped in favour of a
+// the redundant copy/apply/flush work is skipped in favour of a
 // bounded wait for the request to close. On return the request is closed
 // unless a newer transaction superseded txid.
 func (e *Engine) helpApply(txid uint64, helper *slot) {
@@ -358,9 +348,8 @@ func (e *Engine) helpApply(txid uint64, helper *slot) {
 		j := (tid*8 + i) % n
 		e.applyWord(helper, buf[2*j], buf[2*j+1], seq)
 	}
-	e.retirePairs(helper)
 	if e.dev != nil {
-		e.flushWords(helper, buf, 2)
+		e.flushWords(helper, buf, 2, seq)
 	}
 	e.closeRequest(helper, txid)
 }
@@ -391,7 +380,6 @@ func (e *Engine) Read(fn func(tx tm.Tx) uint64) uint64 {
 func (e *Engine) readLoop(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 	for tries := 0; ; tries++ {
 		oldTx := e.curTx.Load()
-		e.eras.Protect(s.id, seqOf(oldTx))
 		if e.pending(oldTx) {
 			e.helpApply(oldTx, s)
 		}

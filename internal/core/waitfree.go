@@ -64,9 +64,12 @@ func (e *Engine) publishAndRun(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 	return e.updateWF(s, fn)
 }
 
-// runPublished drives a published operation to completion. The era is
-// announced before opResult's first pair dereference; the re-validation of
-// curTx afterwards keeps the descriptor-protection argument of §IV-B intact.
+// runPublished drives a published operation to completion. This is the one
+// place the engine announces a hazard era: everything that dereferences
+// another slot's published descriptor (aggregateBody) runs inside this loop.
+// The era is announced before the descriptors are read, and the
+// re-validation of curTx afterwards keeps the descriptor-protection argument
+// of §IV-B intact.
 func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, bool) {
 	defer e.eras.Clear(s.id)
 	for round := 0; ; round++ {
@@ -230,15 +233,16 @@ func (e *Engine) runContained(u *uTx, d *opDesc, valW, tagW tm.Ptr) (skipped boo
 // panic value.
 func (e *Engine) opResult(tid int, tag uint64) (res uint64, failed, done bool) {
 	valW, tagW := e.resultWord(tid)
-	rt := e.words[tagW].Snapshot()
-	if rt.Val != tag && rt.Val != tag|opFailBit {
+	tagVal, tagSeq, ok := e.words[tagW].Snapshot()
+	if !ok || (tagVal != tag && tagVal != tag|opFailBit) {
 		return 0, false, false
 	}
-	rv := e.words[valW].Snapshot()
-	if rv.Seq >= rt.Seq {
-		return rv.Val, rt.Val != tag, true
+	resVal, resSeq, ok := e.words[valW].Snapshot()
+	if ok && resSeq >= tagSeq {
+		return resVal, tagVal != tag, true
 	}
-	// The tag is applied but the value word is not yet: the transaction
-	// is still in its apply phase; the caller will help and retry.
+	// The tag is applied but the value word is not yet, or a DCAS is landing
+	// on one of the two right now: the transaction is still in its apply
+	// phase; the caller will help and retry.
 	return 0, false, false
 }

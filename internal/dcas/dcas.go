@@ -1,59 +1,48 @@
-// Package dcas emulates the double-word compare-and-swap (CMPXCHG16B) that
+// Package dcas provides the double-word compare-and-swap (CMPXCHG16B) that
 // the OneFile algorithm performs on its two-word TMType {value, sequence}.
 //
-// Go exposes no 128-bit atomic, so a TM word is represented as an
-// atomic.Pointer to an immutable Pair. Swinging the pointer with a
-// single-word CAS changes value and sequence together with exactly the
-// atomicity of a hardware DCAS, and a reader obtains an un-torn snapshot of
-// both words by loading one pointer. ABA freedom still rests on the
-// algorithm's monotonically increasing sequence — pointer identity merely
-// adds a second, independent guard (two distinct Pair allocations never
-// compare equal even if they hold the same numbers).
+// Two types live here:
 //
-// Pairs may be recycled: CompareAndSwapPair installs a caller-supplied Pair,
-// letting the engine feed replaced pairs back through a grace period (see
-// internal/core's pair pool) instead of allocating a fresh pair per DCAS.
-// A recycled pair must not be rewritten until no reader can still hold a
-// pointer to it; the engine guarantees that with the hazard-era
-// announcements of internal/he (DESIGN.md §2).
+//   - TMWord is the engine's TM word. On amd64 (without the race detector)
+//     it is the paper's layout — two adjacent 64-bit words, 16 bytes, no
+//     pointer — and CompareAndSwap is one LOCK CMPXCHG16B (tmword_amd64.go,
+//     tmword_amd64.s). On every other build it is the pointer emulation
+//     below with a fresh Pair per DCAS left to the garbage collector
+//     (tmword_fallback.go). The API is identical; the build constraint
+//     chooses.
+//   - Word is the pointer emulation itself: an atomic.Pointer to an
+//     immutable Pair. Swinging the pointer with a single-word CAS changes
+//     value and sequence together with exactly the atomicity of a hardware
+//     DCAS, and a reader obtains an un-torn snapshot of both words by loading
+//     one pointer. It is the portable TMWord's building block and the cell
+//     type of internal/lockfree's LCRQ.
+//
+// ABA freedom rests on the algorithm's monotonically increasing sequence in
+// both; Word's pointer identity merely adds a second, independent guard (two
+// distinct Pair allocations never compare equal even if they hold the same
+// numbers).
 package dcas
 
 import "sync/atomic"
 
-// Pair is an immutable {value, sequence} snapshot of a TM word. A published
-// Pair must never be mutated; recycling rewrites a pair only after its grace
-// period, before re-publication.
+// Pair is an immutable {value, sequence} snapshot of a Word. A published
+// Pair must never be mutated.
 type Pair struct {
 	Val uint64
 	Seq uint64
 }
 
 // Zero is the canonical {0,0} pair returned by Snapshot for never-written
-// words. It is shared by every Word and must never be recycled or mutated.
+// words. It is shared by every Word and must never be mutated.
 var Zero = &Pair{}
 
-// PaddedPair is a Pair alone on its cache line. Recycled pairs must be
-// allocated as PaddedPairs: a recycled pair is rewritten just before
-// re-publication, and if it shared a cache line with still-live pairs that
-// write would keep invalidating readers of its neighbours (fresh pairs
-// never have the problem — they are immutable from publication on, and
-// read-only sharing is free).
-type PaddedPair struct {
-	P Pair
-	_ [48]byte
-}
-
-// NewPooled allocates a recyclable Pair on its own cache line.
-func NewPooled() *Pair { return &new(PaddedPair).P }
-
-// Word is one TM word: the paper's TMType. The zero value is a word holding
-// value 0 at sequence 0.
+// Word is one pointer-emulated two-word cell. The zero value is a word
+// holding value 0 at sequence 0.
 type Word struct {
 	p atomic.Pointer[Pair]
 }
 
-// Snapshot returns the current {value, sequence} pair. The returned pointer
-// is immutable while the caller's hazard-era announcement (if any) is held.
+// Snapshot returns the current {value, sequence} pair.
 func (w *Word) Snapshot() *Pair {
 	if p := w.p.Load(); p != nil {
 		return p
@@ -74,10 +63,9 @@ func (w *Word) Seq() uint64 {
 
 // CompareAndSwap atomically replaces the word's pair with {val, seq} if the
 // current pair is exactly old (pointer identity). It reports whether the
-// swap happened. This is the DCAS of Alg. 1 line 14. The early exit skips
-// the Pair allocation when the word visibly moved on — on the contended
-// apply path that is the common failure mode, and the allocation is the
-// whole cost of the emulated DCAS.
+// swap happened. The early exit skips the Pair allocation when the word
+// visibly moved on — under contention that is the common failure mode, and
+// the allocation is the whole cost of the emulated DCAS.
 func (w *Word) CompareAndSwap(old *Pair, val, seq uint64) bool {
 	if old != Zero && w.p.Load() != old {
 		return false
@@ -85,10 +73,11 @@ func (w *Word) CompareAndSwap(old *Pair, val, seq uint64) bool {
 	return w.CompareAndSwapPair(old, &Pair{Val: val, Seq: seq})
 }
 
-// CompareAndSwapPair is CompareAndSwap with a caller-supplied new pair n
-// (typically recycled). On success n is published and owned by the word; on
-// failure n stays private to the caller and may be reused immediately. n
-// must not alias old or Zero.
+// CompareAndSwapPair is CompareAndSwap with a caller-supplied new pair n.
+// On success n is published and owned by the word; on failure n stays
+// private to the caller and may be reused immediately. n must not alias old
+// or Zero, and a published pair may be rewritten only once no reader can
+// still hold a pointer to it.
 func (w *Word) CompareAndSwapPair(old, n *Pair) bool {
 	if old == Zero {
 		// The word may still hold a nil pointer (never written) or an
@@ -102,17 +91,13 @@ func (w *Word) CompareAndSwapPair(old, n *Pair) bool {
 	return w.p.CompareAndSwap(old, n)
 }
 
-// Store unconditionally publishes {val, seq}. It is only used during
-// single-threaded initialisation and crash recovery, never during normal
-// concurrent operation. The pair is padded because a stored pair may later
-// be replaced by the engine and fed into the recycling pool.
+// Store unconditionally publishes {val, seq}. Initialisation only, never
+// during concurrent operation.
 func (w *Word) Store(val, seq uint64) {
-	p := NewPooled()
-	p.Val, p.Seq = val, seq
-	w.p.Store(p)
+	w.p.Store(&Pair{Val: val, Seq: seq})
 }
 
-// Reset returns the word to {0, 0}. Initialisation/recovery only.
+// Reset returns the word to {0, 0}. Initialisation only.
 func (w *Word) Reset() {
 	w.p.Store(Zero)
 }

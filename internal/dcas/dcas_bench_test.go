@@ -4,7 +4,7 @@ import "testing"
 
 func BenchmarkLoad(b *testing.B) {
 	b.ReportAllocs()
-	var w Word
+	w := &NewSlab(1)[0]
 	w.Store(42, 7)
 	var sink uint64
 	for i := 0; i < b.N; i++ {
@@ -16,31 +16,43 @@ func BenchmarkLoad(b *testing.B) {
 
 func BenchmarkSnapshot(b *testing.B) {
 	b.ReportAllocs()
-	var w Word
+	w := &NewSlab(1)[0]
 	w.Store(42, 7)
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink += w.Snapshot().Val
+		v, _, _ := w.Snapshot()
+		sink += v
 	}
 	_ = sink
 }
 
-// BenchmarkCAS is the allocating DCAS: every successful swing builds a
-// fresh Pair.
+// BenchmarkCAS is the engine's DCAS: a load and an uncontended swing.
 func BenchmarkCAS(b *testing.B) {
 	b.ReportAllocs()
-	var w Word
-	w.Store(0, 0)
+	w := &NewSlab(1)[0]
 	for i := 0; i < b.N; i++ {
-		old := w.Snapshot()
-		w.CompareAndSwap(old, uint64(i), old.Seq+1)
+		v, s := w.Load()
+		if !w.CompareAndSwap(v, s, uint64(i), s+1) {
+			b.Fatal("uncontended CAS failed")
+		}
 	}
 }
 
-// BenchmarkCASPairRecycled is the pooled DCAS of the engine's apply phase:
-// the replaced pair is immediately reused as the next candidate (valid here
-// because the benchmark is the only holder).
-func BenchmarkCASPairRecycled(b *testing.B) {
+// BenchmarkCASStale is the failing DCAS of a helper that arrives late.
+func BenchmarkCASStale(b *testing.B) {
+	b.ReportAllocs()
+	w := &NewSlab(1)[0]
+	w.Store(2, 2)
+	for i := 0; i < b.N; i++ {
+		if w.CompareAndSwap(1, 1, 3, 3) {
+			b.Fatal("stale CAS succeeded")
+		}
+	}
+}
+
+// BenchmarkWordCASPair is the pointer emulation with a caller-recycled pair
+// (the LCRQ cell and the benchmark's dcas floor), for comparison.
+func BenchmarkWordCASPair(b *testing.B) {
 	b.ReportAllocs()
 	var w Word
 	w.Store(0, 0)
@@ -51,26 +63,6 @@ func BenchmarkCASPairRecycled(b *testing.B) {
 		if !w.CompareAndSwapPair(old, n) {
 			b.Fatal("uncontended CAS failed")
 		}
-		if old != Zero {
-			n = old
-		} else {
-			n = &Pair{}
-		}
-	}
-}
-
-// BenchmarkCASEarlyExit measures the no-allocation fast failure: the
-// observed pointer already differs from old, so CompareAndSwap returns
-// before building a candidate pair.
-func BenchmarkCASEarlyExit(b *testing.B) {
-	b.ReportAllocs()
-	var w Word
-	w.Store(1, 1)
-	stale := w.Snapshot()
-	w.Store(2, 2)
-	for i := 0; i < b.N; i++ {
-		if w.CompareAndSwap(stale, 3, 3) {
-			b.Fatal("stale CAS succeeded")
-		}
+		n = old
 	}
 }

@@ -109,11 +109,10 @@ func (e *Eras) Scan(slot int) {
 }
 
 // MinProtected returns the smallest era currently announced by any slot, or
-// None when no slot announces one. It is the wait-free scan used by
-// epoch-ordered retirement (internal/core's pair pool): an object retired at
-// era r is reclaimable once MinProtected() > r, because any thread still
-// holding a reference announced an era no later than the era at which the
-// object was unlinked (see DESIGN.md §2).
+// None when no slot announces one: one wait-free pass over the announcement
+// array. Everything retired before it is reclaimable, so its distance from
+// the current era is the domain's reclamation lag (internal/core exports it
+// as a gauge).
 func (e *Eras) MinProtected() uint64 {
 	min := None
 	for i := range e.slots {

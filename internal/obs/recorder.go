@@ -7,12 +7,11 @@ import (
 )
 
 // Flight recorder: a fixed-size ring buffer of recent events (transaction
-// commits, aborts, helps, parks, batch drains, era stalls...), recorded
-// lock-free from any goroutine and dumpable on demand. It answers the
-// question post-hoc profiling cannot: *what was the engine doing right
-// before things went wrong* — e.g. PR 4's hazard-era-staleness collapse
-// shows up as EvEraStall events interleaving with a commit slowdown, and
-// would have been visible in one dump.
+// commits, aborts, helps, parks, batch drains...), recorded lock-free from
+// any goroutine and dumpable on demand. It answers the question post-hoc
+// profiling cannot: *what was the engine doing right before things went
+// wrong* — e.g. a helping storm shows up as EvHelp and EvAbort events
+// crowding out the commits, visible in one dump.
 //
 // Recording protocol: a writer claims the next global sequence number with
 // one atomic add, then writes the event's payload words and finally the
@@ -43,9 +42,6 @@ const (
 	EvUnpark
 	// EvBatchDrain is a combiner drain (arg: operations drained).
 	EvBatchDrain
-	// EvEraStall is a tune() sample whose hazard-era staleness exceeded
-	// the collapse threshold (arg: curTx seq − MinProtected).
-	EvEraStall
 )
 
 // String names the kind for dumps.
@@ -65,8 +61,6 @@ func (k EventKind) String() string {
 		return "unpark"
 	case EvBatchDrain:
 		return "batch-drain"
-	case EvEraStall:
-		return "era-stall"
 	}
 	return "unknown"
 }

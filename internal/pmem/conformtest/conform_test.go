@@ -207,6 +207,41 @@ func TestFlushPairLinePersistsWholeLine(t *testing.T) {
 	})
 }
 
+// TestImagePairsMatchesImagePair: the bulk read returns, for every window
+// — whole region, unaligned interior, single word, empty — exactly what
+// ImagePair returns word by word, and only durable content: a relaxed flush
+// still waiting for its fence is absent from both.
+func TestImagePairsMatchesImagePair(t *testing.T) {
+	forEach(t, func(t *testing.T, mk func(tb testing.TB, cfg pmem.Config) pmem.Device) {
+		d := mk(t, smallCfg(pmem.RelaxedMode))
+		n := d.PairWords()
+		for i := 0; i < n; i += 3 {
+			d.FlushPair(0, i, uint64(1000+i), uint64(i+1))
+		}
+		d.Fence(0)
+		d.FlushPair(0, 1, 555, 9) // pending: no fence follows
+		for _, win := range [][2]int{{0, n}, {5, 13}, {n - 1, 1}, {7, 0}} {
+			lo, cnt := win[0], win[1]
+			vals, seqs := make([]uint64, cnt), make([]uint64, cnt)
+			d.ImagePairs(lo, vals, seqs)
+			for i := 0; i < cnt; i++ {
+				if v, s := d.ImagePair(lo + i); vals[i] != v || seqs[i] != s {
+					t.Fatalf("window [%d,+%d): word %d = (%d,%d), ImagePair says (%d,%d)", lo, cnt, lo+i, vals[i], seqs[i], v, s)
+				}
+			}
+		}
+		var v, s [1]uint64
+		d.ImagePairs(1, v[:], s[:])
+		if v[0] != 0 || s[0] != 0 {
+			t.Fatalf("un-fenced flush visible in the bulk image: (%d,%d)", v[0], s[0])
+		}
+		d.ImagePairs(3, v[:], s[:])
+		if v[0] != 1003 || s[0] != 4 {
+			t.Fatalf("word 3 = (%d,%d), want (1003,4)", v[0], s[0])
+		}
+	})
+}
+
 func TestStatsCountPwbPerLine(t *testing.T) {
 	forEach(t, func(t *testing.T, mk func(tb testing.TB, cfg pmem.Config) pmem.Device) {
 		d := mk(t, smallCfg(pmem.StrictMode))

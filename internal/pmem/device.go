@@ -79,6 +79,10 @@ type Device interface {
 	Crash()
 	// ImagePair returns the persistent image of TM word idx.
 	ImagePair(idx int) (val, seq uint64)
+	// ImagePairs copies the persistent image of TM words
+	// [lo, lo+len(vals)) into vals and seqs, which must be equally long
+	// (quiescence required): recovery's bulk read.
+	ImagePairs(lo int, vals, seqs []uint64)
 	// ImageRaw returns the persistent image of raw word off.
 	ImageRaw(off int) uint64
 	// RawWords returns the size of the raw region in words.

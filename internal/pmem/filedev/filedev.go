@@ -722,6 +722,15 @@ func (d *Device) ImagePair(idx int) (val, seq uint64) {
 	return val, seq
 }
 
+// ImagePairs copies the persistent image of TM words [lo, lo+len(vals))
+// into vals and seqs (quiescence required: no line lock is taken).
+func (d *Device) ImagePairs(lo int, vals, seqs []uint64) {
+	img := d.pairImg[2*lo : 2*(lo+len(vals))]
+	for i := range vals {
+		vals[i], seqs[i] = img[2*i], img[2*i+1]
+	}
+}
+
 // ImageRaw returns the persistent image of raw word off (quiescence
 // required).
 func (d *Device) ImageRaw(off int) uint64 { return d.rawImg[off] }

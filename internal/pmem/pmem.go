@@ -411,7 +411,7 @@ func (d *Sim) Drain(slot int) {
 // probability — a coalesced pair-line flush is one unit; then every
 // volatile raw word is reloaded from the persistent image. The caller must
 // guarantee quiescence. After Crash the pair image is the only record of TM
-// words; engines rebuild their volatile words from it via ImagePair.
+// words; engines rebuild their volatile words from it via ImagePairs.
 func (d *Sim) Crash() {
 	if d.cfg.Mode == RelaxedMode {
 		d.rngMu.Lock()
@@ -454,6 +454,14 @@ func (d *Sim) ImagePair(idx int) (val, seq uint64) {
 	val, seq = d.pairVal[idx], d.pairSeq[idx]
 	mu.Unlock()
 	return val, seq
+}
+
+// ImagePairs copies the persistent image of TM words [lo, lo+len(vals))
+// into vals and seqs. Callers must be quiescent: unlike ImagePair it takes
+// no line lock.
+func (d *Sim) ImagePairs(lo int, vals, seqs []uint64) {
+	copy(vals, d.pairVal[lo:lo+len(vals)])
+	copy(seqs, d.pairSeq[lo:lo+len(seqs)])
 }
 
 // ImageRaw returns the persistent image of raw word off. Intended for

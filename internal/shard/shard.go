@@ -216,20 +216,7 @@ func (st *Store) ReadOn(shard int, fn func(tm.Tx) uint64) uint64 {
 func (st *Store) Stats() tm.Stats {
 	var s tm.Stats
 	for _, e := range st.engines {
-		es := e.Stats()
-		s.Commits += es.Commits
-		s.Aborts += es.Aborts
-		s.ReadCommits += es.ReadCommits
-		s.ReadAborts += es.ReadAborts
-		s.Helps += es.Helps
-		s.CAS += es.CAS
-		s.DCAS += es.DCAS
-		s.Pwb += es.Pwb
-		s.Pfence += es.Pfence
-		s.Pdrain += es.Pdrain
-		s.AggregatedOp += es.AggregatedOp
-		s.Batches += es.Batches
-		s.BatchedOps += es.BatchedOps
+		s = s.Add(e.Stats())
 	}
 	return s
 }

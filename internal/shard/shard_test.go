@@ -419,3 +419,34 @@ func TestOpenFiles(t *testing.T) {
 		t.Fatal("partial shard set accepted")
 	}
 }
+
+// TestStatsSumsEveryCounter: the store's Stats is the field-wise sum of its
+// engines', the fast-path counters included (a hand-written sum once
+// dropped them).
+func TestStatsSumsEveryCounter(t *testing.T) {
+	st, err := NewVolatile(2, false, twoShardRange(), testOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	inc := func(tx tm.Tx) uint64 {
+		tx.Store(tm.Root(0), tx.Load(tm.Root(0))+1)
+		return 0
+	}
+	for i := 0; i < 3; i++ {
+		st.Engine(0).UpdateSmall(inc)
+	}
+	st.Engine(1).UpdateSmall(inc)
+	st.Engine(1).Update(inc)
+	var want tm.Stats
+	for i := 0; i < st.Shards(); i++ {
+		want = want.Add(st.Engine(i).Stats())
+	}
+	got := st.Stats()
+	if got != want {
+		t.Fatalf("Stats = %+v, want the engines' sum %+v", got, want)
+	}
+	if got.FastCommits != 4 || got.FastAttempts != 4 || got.Commits != 5 {
+		t.Fatalf("FastCommits/FastAttempts/Commits = %d/%d/%d, want 4/4/5", got.FastCommits, got.FastAttempts, got.Commits)
+	}
+}

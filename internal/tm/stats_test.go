@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestStatsSubCoversEveryField guards the hand-written Sub against field
-// drift: a counter added to Stats but forgotten in Sub would silently
-// report absolute values as deltas. Built with reflection so the test
+// TestStatsSubCoversEveryField guards the hand-written Sub and Add against
+// field drift: a counter added to Stats but forgotten in Sub would silently
+// report absolute values as deltas, one forgotten in Add would vanish from
+// every sum (shard.Store.Stats). Built with reflection so the test
 // itself never needs updating — and it doubles as the contract check for
 // the metrics registry's reflection bridge (core.RegisterMetrics walks the
 // same fields).
@@ -32,6 +33,13 @@ func TestStatsSubCoversEveryField(t *testing.T) {
 		want := uint64(1000*(i+1)) - uint64(i+1)
 		if got := dv.Field(i).Uint(); got != want {
 			t.Errorf("Sub does not cover Stats.%s: delta %d, want %d", st.Field(i).Name, got, want)
+		}
+	}
+	sv := reflect.ValueOf(a.Add(b))
+	for i := 0; i < st.NumField(); i++ {
+		want := uint64(1000*(i+1)) + uint64(i+1)
+		if got := sv.Field(i).Uint(); got != want {
+			t.Errorf("Add does not cover Stats.%s: sum %d, want %d", st.Field(i).Name, got, want)
 		}
 	}
 	// Sub of a value with itself must be all zero (no field inverted or

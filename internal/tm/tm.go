@@ -185,6 +185,28 @@ type Stats struct {
 	FastFallbacks uint64 // fast-path attempts that fell back to the full engine
 }
 
+// Add returns the counter-wise sum s + o.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Commits:       s.Commits + o.Commits,
+		Aborts:        s.Aborts + o.Aborts,
+		ReadCommits:   s.ReadCommits + o.ReadCommits,
+		ReadAborts:    s.ReadAborts + o.ReadAborts,
+		Helps:         s.Helps + o.Helps,
+		CAS:           s.CAS + o.CAS,
+		DCAS:          s.DCAS + o.DCAS,
+		Pwb:           s.Pwb + o.Pwb,
+		Pfence:        s.Pfence + o.Pfence,
+		Pdrain:        s.Pdrain + o.Pdrain,
+		AggregatedOp:  s.AggregatedOp + o.AggregatedOp,
+		Batches:       s.Batches + o.Batches,
+		BatchedOps:    s.BatchedOps + o.BatchedOps,
+		FastAttempts:  s.FastAttempts + o.FastAttempts,
+		FastCommits:   s.FastCommits + o.FastCommits,
+		FastFallbacks: s.FastFallbacks + o.FastFallbacks,
+	}
+}
+
 // Sub returns the counter-wise difference s - o.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
