@@ -22,7 +22,6 @@
 package containers
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"onefile/internal/tm"
@@ -60,35 +59,6 @@ func boolWord(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// readSlice runs a read-only transaction whose result is a slice. Engine
-// bodies may execute multiple times — and, on the wait-free engines, on
-// helper goroutines — so a body must not simply write captured variables:
-// the last writer is not necessarily the execution that committed. Instead
-// each execution deposits its result under a unique id (mutex-protected)
-// and the engine's scalar return channel — which does carry the winning
-// execution's value — selects which deposit to keep.
-func readSlice(e Engine, body func(tx Tx) []uint64) []uint64 {
-	var (
-		mu      sync.Mutex
-		ctr     uint64
-		deposit = map[uint64][]uint64{}
-	)
-	win := e.Read(func(tx Tx) uint64 {
-		mu.Lock()
-		ctr++
-		id := ctr
-		mu.Unlock()
-		local := body(tx)
-		mu.Lock()
-		deposit[id] = local
-		mu.Unlock()
-		return id
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	return deposit[win]
 }
 
 // smallGiveUp is how many consecutive SmallIneligible outcomes an operation

@@ -72,7 +72,8 @@ func TestContainersRideFastPath(t *testing.T) {
 		t.Fatalf("counter incs: %d fast commits, want >=50", d.FastCommits)
 	}
 
-	// Duplicate hash-set adds are read-only bodies: fast commits.
+	// Duplicate hash-set adds are read-only bodies: the probe ends them as
+	// read commits — no fallback, no update commit.
 	h := NewHashSet(e, 1)
 	h.Add(7)
 	before = e.Stats()
@@ -84,8 +85,8 @@ func TestContainersRideFastPath(t *testing.T) {
 			t.Fatal("absent remove changed the set")
 		}
 	}
-	if d := e.Stats().Sub(before); d.FastCommits < 40 {
-		t.Fatalf("no-op set ops: %d fast commits, want >=40", d.FastCommits)
+	if d := e.Stats().Sub(before); d.ReadCommits < 40 || d.Commits != 0 || d.FastFallbacks != 0 {
+		t.Fatalf("no-op set ops: %d read commits, %d commits, %d fallbacks; want >=40, 0, 0", d.ReadCommits, d.Commits, d.FastFallbacks)
 	}
 
 	// Queue enqueues always allocate: the hint must converge to the full

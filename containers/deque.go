@@ -1,5 +1,7 @@
 package containers
 
+import "onefile/internal/tm"
+
 // Deque is an unbounded double-ended queue of uint64 values, backed by a
 // doubly linked list in the transactional heap — another instance of §VI's
 // "other containers can be implemented": the sequential code below becomes
@@ -156,7 +158,7 @@ func (d *Deque) Back() (uint64, bool) {
 // read-only transaction, verifying the prev links on the way (test aid and
 // linearizable traversal in one).
 func (d *Deque) Snapshot(max int) []uint64 {
-	return readSlice(d.e, func(tx Tx) []uint64 {
+	return tm.Collect(d.e.Read, func(tx Tx) []uint64 {
 		var out []uint64
 		var prev Ptr
 		for n := Ptr(tx.Load(d.desc + dqFront)); n != 0 && len(out) < max; n = Ptr(tx.Load(n + dnNext)) {

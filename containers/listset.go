@@ -1,5 +1,7 @@
 package containers
 
+import "onefile/internal/tm"
+
 // ListSet is a sorted singly-linked-list set of uint64 keys — the workload
 // of the paper's Figs. 5 and 9. A sequential sorted list wrapped in a
 // OneFile engine becomes the paper's wait-free linked-list set; the same
@@ -100,7 +102,7 @@ func (s *ListSet) Len() int {
 // Keys returns up to max keys in ascending order from one consistent
 // read-only transaction.
 func (s *ListSet) Keys(max int) []uint64 {
-	return readSlice(s.e, func(tx Tx) []uint64 {
+	return tm.Collect(s.e.Read, func(tx Tx) []uint64 {
 		var out []uint64
 		for cur := Ptr(tx.Load(s.desc + lsHead)); cur != 0 && len(out) < max; cur = Ptr(tx.Load(cur + lnNext)) {
 			out = append(out, tx.Load(cur+lnKey))

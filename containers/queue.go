@@ -1,5 +1,7 @@
 package containers
 
+import "onefile/internal/tm"
+
 // Queue is an unbounded FIFO queue of uint64 values, backed by a singly
 // linked list inside the engine's transactional heap. Wrapped in a OneFile
 // wait-free engine it is the paper's wait-free persistent queue (§V-B,
@@ -118,7 +120,7 @@ func (q *Queue) Drain() int {
 // Snapshot returns up to max queue values, oldest first, observed in one
 // consistent read-only transaction — a linearizable traversal (§V-A).
 func (q *Queue) Snapshot(max int) []uint64 {
-	return readSlice(q.e, func(tx Tx) []uint64 {
+	return tm.Collect(q.e.Read, func(tx Tx) []uint64 {
 		var out []uint64
 		for h := Ptr(tx.Load(q.desc + qHead)); h != 0 && len(out) < max; h = Ptr(tx.Load(h + qnNext)) {
 			out = append(out, tx.Load(h+qnVal))

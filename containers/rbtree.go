@@ -1,5 +1,7 @@
 package containers
 
+import "onefile/internal/tm"
+
 // RBTree is a red-black tree set of uint64 keys — the paper's "wait-free
 // balanced tree" (§VI) and the workload of Figs. 6 and 10. It is the
 // classic sequential red-black tree (CLRS formulation with a per-tree
@@ -387,7 +389,7 @@ func (t *RBTree) Max() (uint64, bool) {
 // Keys returns up to max keys in ascending order from one consistent
 // read-only transaction (a linearizable range scan).
 func (t *RBTree) Keys(max int) []uint64 {
-	return readSlice(t.e, func(tx Tx) []uint64 {
+	return tm.Collect(t.e.Read, func(tx Tx) []uint64 {
 		var out []uint64
 		nilN := t.nilNode(tx)
 		var walk func(n Ptr)

@@ -1,5 +1,7 @@
 package containers
 
+import "onefile/internal/tm"
+
 // TreeMap is an ordered uint64 → uint64 map backed by the same red-black
 // tree machinery as RBTree — the paper's §VI "other containers can be
 // implemented" made concrete. On a wait-free engine every method is
@@ -74,7 +76,7 @@ type Entry struct {
 // Range returns up to max entries with Key in [lo, hi], ascending, from one
 // consistent read-only transaction — a linearizable range query.
 func (m *TreeMap) Range(lo, hi uint64, max int) []Entry {
-	packed := readSlice(m.t.e, func(tx Tx) []uint64 {
+	packed := tm.Collect(m.t.e.Read, func(tx Tx) []uint64 {
 		var out []uint64
 		nilN := m.t.nilNode(tx)
 		var walk func(n Ptr)

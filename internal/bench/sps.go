@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,9 @@ func SPS(e tm.Engine, cfg SPSConfig) float64 {
 			})
 		}
 	}
+	// On a wait-free engine a transaction body may run on helper goroutines,
+	// also after Update has returned.
+	helped := strings.Contains(e.Name(), "WF")
 	var ops atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -48,12 +52,18 @@ func SPS(e tm.Engine, cfg SPSConfig) float64 {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			idx := make([]int, 2*cfg.SwapsPerTx)
+			buf := make([]int, 2*cfg.SwapsPerTx)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
+				}
+				idx := buf // a variable of this iteration: the closure below captures it alone
+				if helped {
+					// A helper may still be running the previous
+					// transaction's closure: it keeps the buffer it captured.
+					idx = make([]int, len(buf))
 				}
 				for k := range idx {
 					idx[k] = rng.Intn(cfg.Entries)

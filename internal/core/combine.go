@@ -114,23 +114,13 @@ type combiner struct {
 	batches    atomic.Uint64 // combined transactions executed
 	batchedOps atomic.Uint64 // operations executed through them
 
-	// Combiner-private (guarded by active): the drain buffer, the
-	// reusable execution record of the lock-free path, its closure-free
-	// transaction body, and the equivalents for the allocation-free solo
-	// fast path.
-	scratch  []*combReq
-	lfExec   *batchExec
-	lfBatch  []*combReq
-	lfBody   func(tm.Tx) uint64
-	soloFn   func(tm.Tx) uint64
-	soloBody func(tm.Tx) uint64
-	// fastPanic parks a body panic caught by the solo fast probe until
-	// execSoloFast turns it into the submission's error.
-	fastPanic any
-	// futSlab hands out solo-path futures in blocks, so the allocator is
-	// hit once per block instead of once per submission.
-	futSlab []tm.Future
-	futIdx  int
+	// Combiner-private (guarded by active): the drain buffer, and the
+	// lock-free path's reusable execution record with its closure-free
+	// transaction body (built once, initLF).
+	scratch []*combReq
+	lfExec  *batchExec
+	lfFns   []func(tm.Tx) uint64
+	lfBody  func(tm.Tx) uint64
 
 	// reqPool recycles BatchUpdate's per-call records (request array +
 	// completion group). A call is dead once its group future has been
@@ -170,213 +160,74 @@ func (x *batchExec) grow(n int) {
 }
 
 // runOps is the combined transaction's body: every operation in turn, each
-// guarded by a write-set checkpoint. It runs under the engine's usual
-// retry/helping regime, so it may execute several times; each execution
-// re-arms the undo log for its own slot's write-set.
-func (x *batchExec) runOps(u *uTx, batch []*combReq) {
+// contained on its own. It runs under the engine's usual retry/helping
+// regime, so it may execute several times; each execution re-arms the undo
+// log for its own slot's write-set.
+func (x *batchExec) runOps(u *uTx, fns []func(tm.Tx) uint64) {
 	u.s.ws.beginUndo()
-	for i, q := range batch {
-		x.res[i], x.errs[i], x.solo[i] = runGuarded(u, q.fn)
+	for i, fn := range fns {
+		res, pv := contain(u, fn)
+		// ErrTooManyStores asks for a retry alone — the overflow may be the
+		// batch's fault, not the op's; any other panic is the op's error.
+		x.res[i], x.errs[i], x.solo[i] = res, nil, isOverflow(pv)
+		if pv != nil && !x.solo[i] {
+			x.errs[i] = tm.PanicError(pv)
+		}
 	}
 }
 
-// runGuarded executes one operation with per-op isolation: a body panic
-// rolls the write-set back to the operation's start and becomes the op's
-// error (ErrTooManyStores instead requests a solo retry — the overflow may
-// be the batch's fault, not the op's). An abortSignal is the whole
-// transaction's concern and propagates.
-func runGuarded(u *uTx, fn func(tm.Tx) uint64) (res uint64, err error, solo bool) {
+// contain executes one operation of a transaction that carries several — a
+// combined batch, a wait-free aggregate — with per-op isolation: a body
+// panic rolls the write-set back to the operation's start and is returned
+// as pv for the caller to classify (isOverflow: possibly its neighbours'
+// fault, worth a retry alone; anything else: the operation's own terminal
+// failure). An abortSignal is the whole transaction's concern and
+// propagates. The write-set must be recording (beginUndo).
+func contain(u *uTx, fn func(tm.Tx) uint64) (res uint64, pv any) {
 	m := u.s.ws.mark()
 	defer func() {
-		r := recover()
-		if r == nil {
+		if pv = recover(); pv == nil {
 			return
 		}
-		if _, isAbort := r.(abortSignal); isAbort {
-			panic(r)
+		if _, isAbort := pv.(abortSignal); isAbort {
+			panic(pv)
 		}
 		u.s.ws.rollbackTo(m)
-		if e, ok := r.(error); ok && errors.Is(e, tm.ErrTooManyStores) {
-			solo = true
-			return
-		}
-		err = tm.PanicError(r)
 	}()
-	return fn(u), nil, false
+	return fn(u), nil
+}
+
+// isOverflow reports whether a contained panic is a write-set overflow.
+func isOverflow(pv any) bool {
+	err, ok := pv.(error)
+	return ok && errors.Is(err, tm.ErrTooManyStores)
 }
 
 var _ tm.Combining = (*Engine)(nil)
 
-// AsyncUpdate implements tm.Combining. With an idle combiner the caller
-// executes fn itself (the solo fast path — the future is resolved on
-// return, and a solo submitter never waits for a batch to form); otherwise
-// the submission is queued for the active combiner and the caller returns
-// immediately.
+// AsyncUpdate implements tm.Combining. With an idle combiner the caller is
+// the combiner of a batch of one — the future is resolved on return, a solo
+// submitter never waits for a batch to form, and the small commit is
+// allowed (fastpath.go); otherwise the submission is queued for the active
+// combiner and the caller returns immediately.
 func (e *Engine) AsyncUpdate(fn func(tm.Tx) uint64) *tm.Future {
-	if e.closed.Load() {
-		fut := new(tm.Future)
-		fut.Resolve(0, tm.ErrEngineClosed)
-		return fut
-	}
-	o := e.obsv.Load()
-	if e.comb.head.Load() == nil && e.comb.active.CompareAndSwap(0, 1) {
-		// Idle combiner: probe the small-transaction fast path first
-		// (fastpath.go — any variant), then the lock-free solo path. A
-		// wait-free engine whose body is not small releases the slot and
-		// falls through to the queue path below.
-		var start time.Time
-		if o != nil {
-			start = time.Now()
-		}
-		if fut := e.execSoloFast(fn); fut != nil {
-			e.comb.active.Store(0)
-			if o != nil {
-				o.SoloLat.RecordSince(start)
-			}
-			e.drainLoop()
-			return fut
-		}
-		if !e.waitFree {
-			// Lock-free solo fast path: no queue node, no batch record —
-			// only the returned future is allocated.
-			fut := e.execSoloLF(fn)
-			e.comb.active.Store(0)
-			if o != nil {
-				o.SoloLat.RecordSince(start)
-			}
-			e.drainLoop()
-			return fut
-		}
-		e.comb.active.Store(0)
-	}
 	r := &combReq{fn: fn}
-	if o != nil {
+	if e.closed.Load() {
+		r.fut.Resolve(0, tm.ErrEngineClosed)
+		return &r.fut
+	}
+	if e.obsv.Load() != nil {
 		r.start = time.Now().UnixNano()
 	}
 	if e.comb.head.Load() == nil && e.comb.active.CompareAndSwap(0, 1) {
 		e.comb.scratch = append(e.comb.scratch[:0], r)
-		e.execBatch(e.comb.scratch)
+		e.execBatch(e.comb.scratch, true)
 		e.comb.active.Store(0)
 	} else {
 		e.pushReq(r)
 	}
 	e.drainLoop()
 	return &r.fut
-}
-
-// soloFuture hands out the next slab future (valid under active).
-func (e *Engine) soloFuture() *tm.Future {
-	c := &e.comb
-	if c.futIdx == len(c.futSlab) {
-		c.futSlab = make([]tm.Future, 64)
-		c.futIdx = 0
-	}
-	fut := &c.futSlab[c.futIdx]
-	c.futIdx++
-	return fut
-}
-
-// soloFastStatus is soloFastAttempt's outcome.
-type soloFastStatus uint8
-
-const (
-	soloFastDone     soloFastStatus = iota
-	soloFastFallback                // not small or persistently contended; nothing ran
-	soloFastClosed                  // the engine closed under the submission
-	soloFastPanic                   // the body panicked (value parked in c.fastPanic)
-)
-
-// soloFastAttempt acquires a slot and runs the engine-level fast attempt,
-// translating panics into statuses — the combiner must resolve a future,
-// never unwind its caller. A body panic is safe to absorb here: the fast
-// path runs bodies strictly before publication, so nothing committed.
-func (e *Engine) soloFastAttempt(fn func(tm.Tx) uint64) (res uint64, st soloFastStatus) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		if err, ok := p.(error); ok && errors.Is(err, tm.ErrEngineClosed) {
-			st = soloFastClosed
-			return
-		}
-		e.comb.fastPanic = p
-		st = soloFastPanic
-	}()
-	s := e.acquire()
-	defer e.release(s)
-	r, fst := e.fastAttempt(s, fn)
-	if fst == fastCommitted {
-		return r, soloFastDone
-	}
-	return 0, soloFastFallback
-}
-
-// execSoloFast probes the small-transaction fast path for one solo
-// submission, holding the combiner slot. A nil return means the body did
-// not commit fast (too large, allocating, or persistently contended) and
-// nothing happened — the caller re-runs it through the regular machinery.
-func (e *Engine) execSoloFast(fn func(tm.Tx) uint64) *tm.Future {
-	c := &e.comb
-	res, st := e.soloFastAttempt(fn)
-	switch st {
-	case soloFastClosed:
-		fut := e.soloFuture()
-		fut.Resolve(0, tm.ErrEngineClosed)
-		return fut
-	case soloFastPanic:
-		err := tm.PanicError(c.fastPanic)
-		c.fastPanic = nil
-		fut := e.soloFuture()
-		fut.Resolve(0, err)
-		return fut
-	case soloFastFallback:
-		return nil
-	}
-	fut := e.soloFuture()
-	// The counters are only written with the combiner slot held, so a
-	// plain load+store (no RMW) is enough; Stats reads stay race-free.
-	c.batches.Store(c.batches.Load() + 1)
-	c.batchedOps.Store(c.batchedOps.Load() + 1)
-	fut.ResolveLocal(res, nil)
-	return fut
-}
-
-// execSoloLF runs one operation as its own combined transaction on the
-// lock-free path, with the combiner slot held. The wait-free engines can't
-// take this shortcut: their bodies may run concurrently on helpers, so a
-// per-execution record (execBatchWF) is required even for one op.
-func (e *Engine) execSoloLF(fn func(tm.Tx) uint64) (fut *tm.Future) {
-	c := &e.comb
-	fut = e.soloFuture()
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		if err, ok := p.(error); ok && errors.Is(err, tm.ErrEngineClosed) {
-			fut.Resolve(0, tm.ErrEngineClosed)
-			return
-		}
-		panic(p)
-	}()
-	e.initLF()
-	c.lfExec.grow(1)
-	c.soloFn = fn
-	e.Update(c.soloBody)
-	c.soloFn = nil
-	// The counters are only written with the combiner slot held, so a
-	// plain load+store (no RMW) is enough; Stats reads stay race-free.
-	c.batches.Store(c.batches.Load() + 1)
-	c.batchedOps.Store(c.batchedOps.Load() + 1)
-	x := c.lfExec
-	if x.solo[0] {
-		// Alone by construction: the op itself overflows the write-set.
-		fut.ResolveLocal(0, tm.ErrTooManyStores)
-		return fut
-	}
-	fut.ResolveLocal(x.res[0], x.errs[0])
-	return fut
 }
 
 // BatchUpdate implements tm.Combining: submit every fn, combine, wait for
@@ -468,25 +319,22 @@ func (e *Engine) combineSession() {
 		}
 		for start := 0; start < len(batch); start += combineBatchMax {
 			end := min(start+combineBatchMax, len(batch))
-			e.execBatch(batch[start:end])
+			e.execBatch(batch[start:end], false)
 		}
 	}
 }
 
 // gather drains the queue into the combiner's scratch buffer in submission
-// order. When the contention layer reports a busy engine it waits up to
-// combineWindow yields for more submissions to land — the
-// adaptive drain window. A quiet engine has window 0, so a solo submitter
-// never waits for a batch that is not forming.
+// order. While other BatchUpdate callers are in flight it waits up to
+// combineLinger yields for their windows to land; otherwise it never waits,
+// so a solo submitter is not held back for a batch that is not forming.
 func (e *Engine) gather() []*combReq {
 	buf := e.drainInto(e.comb.scratch[:0])
 	if len(buf) > 0 {
-		w := int(e.cm.combineWindow.Load())
-		// Concurrent BatchUpdate callers are a stronger signal than the
-		// slot sampler (parked submitters never contend for slots): their
-		// next windows are at most a few yields away, so linger long
-		// enough for the drain to span them.
-		if e.comb.inflight.Load() > 1 && w < combineLinger {
+		// Concurrent BatchUpdate callers' next windows are at most a few
+		// yields away, so linger long enough for the drain to span them.
+		w := 0
+		if e.comb.inflight.Load() > 1 {
 			w = combineLinger
 		}
 		for pass := 0; pass < w && len(buf) < combineBatchMax; pass++ {
@@ -524,13 +372,18 @@ func (e *Engine) drainInto(buf []*combReq) []*combReq {
 	return buf
 }
 
-// execBatch runs one bounded batch inside a single engine transaction and
-// resolves every future. ErrEngineClosed (the engine shut down between the
-// submission and the combine) resolves the whole batch with that error;
-// any other panic from the commit machinery — there are none in normal
-// operation, but the crash-simulation harness injects them — propagates
-// with the futures unresolved, exactly like a process death.
-func (e *Engine) execBatch(batch []*combReq) {
+// execBatch runs one bounded batch inside a single engine transaction —
+// the pipeline's run stage with N bodies — and resolves every future. solo
+// marks the batch of one an idle-combiner AsyncUpdate executes itself: it
+// may take the small commit, and its submit→resolve time is SoloLat, not
+// BatchLat.
+//
+// ErrEngineClosed (the engine shut down between the submission and its
+// admission) resolves the whole batch with that error; any other panic from
+// the commit machinery — there are none in normal operation, but the
+// crash-simulation harness injects them — propagates with the futures
+// unresolved, exactly like a process death.
+func (e *Engine) execBatch(batch []*combReq, solo bool) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -544,27 +397,61 @@ func (e *Engine) execBatch(batch []*combReq) {
 		}
 		panic(r)
 	}()
-	var x *batchExec
-	if e.waitFree {
-		x = e.execBatchWF(batch)
-	} else {
-		x = e.execBatchLF(batch)
+	mode := modeFull
+	if solo {
+		mode = modeSmall
 	}
 	c := &e.comb
+	var x *batchExec
+	if e.waitFree {
+		// The body may run concurrently on helper goroutines (§III-E), and
+		// still be running on one after this call has returned: it owns its
+		// copy of the operations (batch is the combiner's scratch, and its
+		// requests are recycled), each execution builds its own record, and
+		// the engine's committed return value selects the one whose effects
+		// committed.
+		fns := make([]func(tm.Tx) uint64, len(batch))
+		for i, q := range batch {
+			fns[i] = q.fn
+		}
+		x = tm.Collect(func(body func(tm.Tx) uint64) uint64 {
+			res, _ := e.run(body, mode)
+			return res
+		}, func(tx tm.Tx) *batchExec {
+			x := newBatchExec(len(fns))
+			x.runOps(tx.(*uTx), fns)
+			return x
+		})
+	} else {
+		// Attempts run sequentially on this goroutine, so the record and
+		// the operation list are combiner-private and the closure-free body
+		// is reused: nothing is allocated beyond the submission itself.
+		e.initLF()
+		c.lfExec.grow(len(batch))
+		c.lfFns = c.lfFns[:0]
+		for _, q := range batch {
+			c.lfFns = append(c.lfFns, q.fn)
+		}
+		e.run(c.lfBody, mode)
+		x = c.lfExec
+	}
+	// The counters are only written with the combiner slot held, so a
+	// plain load+store (no RMW) is enough; Stats reads stay race-free.
 	c.batches.Store(c.batches.Load() + 1)
 	c.batchedOps.Store(c.batchedOps.Load() + uint64(len(batch)))
 	if o := e.obsv.Load(); o != nil {
-		o.BatchSize.Record(uint64(len(batch)))
 		// Submit→resolve latency, timestamped here just before resolution
 		// (one clock read per batch, not per op).
+		lat := o.BatchLat
+		if solo {
+			lat = o.SoloLat
+		} else {
+			o.BatchSize.Record(uint64(len(batch)))
+		}
 		now := time.Now().UnixNano()
-		for _, q := range batch {
-			if q.start != 0 {
-				d := now - q.start
-				if d < 0 {
-					d = 0 // wall-clock step; count the op, lose the latency
-				}
-				o.BatchLat.Record(uint64(d))
+		for i, q := range batch {
+			if q.start != 0 && !(x.solo[i] && len(batch) > 1) { // an op retried alone is timed by its retry
+				lat.Record(uint64(max(now-q.start, 0))) // a wall-clock step back counts the op, loses the latency
 			}
 		}
 	}
@@ -603,30 +490,16 @@ func (e *Engine) execBatch(batch []*combReq) {
 		q.fut.Resolve(x.res[i], x.errs[i])
 	}
 	flush()
-	// Solo retries re-enter execBatch one op at a time, after x is no
+	// Overflow retries re-enter execBatch one op at a time, after x is no
 	// longer needed (the lock-free path reuses its record).
 	for _, q := range retries {
 		one := [1]*combReq{q}
-		e.execBatch(one[:])
+		e.execBatch(one[:], false)
 	}
 }
 
-// execBatchLF executes the batch on a lock-free engine. Attempts run
-// sequentially on this goroutine, so the execution record and the batch
-// slice are combiner-private and the closure-free body handle is reused —
-// the solo fast path allocates nothing beyond the submission itself.
-func (e *Engine) execBatchLF(batch []*combReq) *batchExec {
-	c := &e.comb
-	e.initLF()
-	c.lfExec.grow(len(batch))
-	c.lfBatch = batch
-	e.Update(c.lfBody)
-	c.lfBatch = nil
-	return c.lfExec
-}
-
 // initLF lazily builds the lock-free path's reusable execution record and
-// its two closure-free bodies (batch and solo).
+// its closure-free body.
 func (e *Engine) initLF() {
 	c := &e.comb
 	if c.lfExec != nil {
@@ -634,45 +507,9 @@ func (e *Engine) initLF() {
 	}
 	c.lfExec = newBatchExec(1)
 	c.lfBody = func(tx tm.Tx) uint64 {
-		c.lfExec.runOps(tx.(*uTx), c.lfBatch)
+		c.lfExec.runOps(tx.(*uTx), c.lfFns)
 		return 0
 	}
-	c.soloBody = func(tx tm.Tx) uint64 {
-		u := tx.(*uTx)
-		u.s.ws.beginUndo()
-		x := c.lfExec
-		x.res[0], x.errs[0], x.solo[0] = runGuarded(u, c.soloFn)
-		return 0
-	}
-}
-
-// execBatchWF executes the batch on a wait-free engine, where the body may
-// run concurrently on helper goroutines (§III-E): each execution builds its
-// own record and deposits it under a fresh id, and the engine's committed
-// return value — which does come from the winning execution — selects the
-// record whose effects actually committed.
-func (e *Engine) execBatchWF(batch []*combReq) *batchExec {
-	var (
-		mu   sync.Mutex
-		id   uint64
-		deps map[uint64]*batchExec
-	)
-	win := e.Update(func(tx tm.Tx) uint64 {
-		x := newBatchExec(len(batch))
-		x.runOps(tx.(*uTx), batch)
-		mu.Lock()
-		id++
-		k := id
-		if deps == nil {
-			deps = make(map[uint64]*batchExec)
-		}
-		deps[k] = x
-		mu.Unlock()
-		return k
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	return deps[win]
 }
 
 // resolveReq delivers one submission's result on a cold path (close,

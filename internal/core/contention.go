@@ -21,19 +21,20 @@ import (
 //     needs *some* thread to finish it.
 //
 // The fixes: slot admission parks excess goroutines on a FIFO wait list
-// (release wakes exactly one); helpers deduplicate through a CAS-claimed
+// (release wakes exactly one), and helpers deduplicate through a CAS-claimed
 // per-slot help ticket with a *bounded* backoff that falls back to full
-// helping (preserving lock-/wait-freedom; see DESIGN.md); and all budgets
-// adapt to the observed help/abort rate instead of being constants tuned
-// for dedicated cores.
+// helping (preserving lock-/wait-freedom; see DESIGN.md). The two budgets
+// are sized once, from GOMAXPROCS, when the engine is built: the
+// oversubscription sweep (`onefile-bench -fig 13 -procs 1`) cannot tell a
+// budget re-tuned from the help/abort rate from one left at its initial
+// value (EXPERIMENTS.md, "Contention knobs, pinned").
 //
 // Nothing here rotates workers at transaction boundaries: with flat TM words
 // a worker preempted mid-transaction pins nothing other workers' reads
 // depend on (DESIGN.md §9, EXPERIMENTS.md "Oversubscription without the
 // boundary yield").
 
-// Bounds of the adaptive budgets. Initial values are sized from GOMAXPROCS
-// in contention.init; maybeTune moves them within these bounds at runtime.
+// Bounds of the two budgets contention.init sizes from GOMAXPROCS.
 const (
 	// acquireSpinMin/Max bound how many full claim-scan passes (one
 	// Gosched between passes) an acquiring goroutine makes before parking.
@@ -48,49 +49,27 @@ const (
 	// retryPauseMax caps the yields of contendedPause (bounded backoff
 	// after a lost commit CAS or failed validation).
 	retryPauseMax = 4
-	// tuneEvery is how many slot releases pass between budget re-tunes.
-	tuneEvery = 256
-	// combineWindowMax bounds the group-commit drain window (yields the
-	// combiner waits for more submissions to land; see combine.go). Small
-	// on purpose: each pass is one Gosched, and the window only opens when
-	// tune() sees real contention.
-	combineWindowMax = 8
 )
 
-// contention is the engine's contention-management state: adaptive spin
-// budgets and the parking list of the slot-admission path. The hot atomics
-// are padded apart: spinBudget/helpBackoff/waiters are read on the fast
-// path but written rarely, releases is written on every release.
+// contention is the engine's contention-management state: the two budgets,
+// fixed once the engine is built, and the parking list of the
+// slot-admission path.
 type contention struct {
 	// spinBudget is how many claim-scan passes acquire makes (with one
 	// Gosched between passes) before parking.
-	spinBudget atomic.Uint32
+	spinBudget int
 	// helpBackoff is how many request-recheck rounds a helper that lost
 	// the help-ticket race waits before falling back to full helping.
-	helpBackoff atomic.Uint32
-	// combineWindow is the group-commit drain window: how many yields a
-	// combiner that found work waits for further submissions
-	// before executing (combine.go). Zero while the engine is quiet, so a
-	// solo submitter never waits for a batch that is not forming.
-	combineWindow atomic.Uint32
+	helpBackoff int
 	// waiters counts goroutines registered on (or entering) the parking
 	// list; release skips the park mutex entirely while it is zero.
 	waiters atomic.Int32
-	_       [48]byte
-	// releases counts release() calls; every tuneEvery-th re-tunes.
-	releases atomic.Uint32
-	_        [60]byte
 
 	// parks counts park events (observability; tests assert it moved).
 	parks atomic.Uint64
 
 	parkMu sync.Mutex
 	parked []chan struct{} // FIFO of parked acquirers
-
-	tuneMu      sync.Mutex // serialises re-tunes; contenders skip (TryLock)
-	lastCommits uint64
-	lastAborts  uint64
-	lastHelps   uint64
 }
 
 // init sizes the budgets for the host. With a single schedulable thread,
@@ -98,22 +77,11 @@ type contention struct {
 // thread, so admission parks almost immediately; with more, a short spin
 // frequently catches a release without paying a park/wake round trip.
 func (c *contention) init(procs int) {
-	spin := uint32(4 * procs)
-	if procs <= 1 {
-		spin = acquireSpinMin
+	c.spinBudget = acquireSpinMin
+	if procs > 1 {
+		c.spinBudget = min(4*procs, acquireSpinMax)
 	}
-	c.spinBudget.Store(clampU32(spin, acquireSpinMin, acquireSpinMax))
-	c.helpBackoff.Store(clampU32(uint32(32*procs), helpBackoffMin, helpBackoffMax))
-}
-
-func clampU32(v, lo, hi uint32) uint32 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	c.helpBackoff = min(max(32*procs, helpBackoffMin), helpBackoffMax)
 }
 
 // tryClaim makes one scan over the slots from start, claiming the first
@@ -228,8 +196,7 @@ func (e *Engine) claimHelp(owner *slot, txid uint64) bool {
 	if t < txid && owner.helpTicket.CompareAndSwap(t, txid) {
 		return true // sole claimant: do the work
 	}
-	budget := int(e.cm.helpBackoff.Load())
-	for i := 0; i < budget; i++ {
+	for i := 0; i < e.cm.helpBackoff; i++ {
 		if owner.request.Load() != txid {
 			return false
 		}
@@ -250,62 +217,4 @@ func (e *Engine) contendedPause(round int) {
 	for i := 0; i <= round; i++ {
 		runtime.Gosched()
 	}
-}
-
-// tune re-sizes the adaptive budgets (called every tuneEvery releases) from
-// the help/abort rate, summed from the per-slot counters: a storming engine
-// (many helps/aborts per commit) wants admission to park sooner — spinning
-// acquirers only steal timeslices from the workers they wait on — and
-// helpers to wait longer before duplicating an apply phase; a quiet engine
-// wants the opposite. GOMAXPROCS enters through the initial sizing
-// (contention.init).
-func (e *Engine) tune() {
-	c := &e.cm
-	if !c.tuneMu.TryLock() {
-		return
-	}
-	defer c.tuneMu.Unlock()
-	var commits, aborts, helps uint64
-	for i := range e.slots {
-		st := &e.slots[i].st
-		commits += st.commits.Load() + st.readCommits.Load()
-		aborts += st.aborts.Load() + st.readAborts.Load()
-		helps += st.helps.Load()
-	}
-	dc := commits - c.lastCommits
-	da := aborts - c.lastAborts
-	dh := helps - c.lastHelps
-	c.lastCommits, c.lastAborts, c.lastHelps = commits, aborts, helps
-	if dc == 0 {
-		dc = 1
-	}
-	contended := 4*(da+dh) >= dc // >25% of commits saw a help or an abort
-	adjustBudget(&c.spinBudget, !contended, acquireSpinMin, acquireSpinMax)
-	adjustBudget(&c.helpBackoff, contended, helpBackoffMin, helpBackoffMax)
-
-	// Group-commit drain window: contention means submissions overlap, so
-	// waiting a few yields grows batches and amortises the commit
-	// pipeline; quiet means a waiting combiner would only add latency, so
-	// the window decays to zero (fast-open, fast-close — both directions
-	// converge within three tune periods).
-	if contended {
-		w := c.combineWindow.Load() * 2
-		if w == 0 {
-			w = 2
-		}
-		c.combineWindow.Store(clampU32(w, 0, combineWindowMax))
-	} else {
-		c.combineWindow.Store(c.combineWindow.Load() / 2)
-	}
-}
-
-// adjustBudget doubles (up) or halves an adaptive budget within [lo, hi].
-func adjustBudget(b *atomic.Uint32, up bool, lo, hi uint32) {
-	v := b.Load()
-	if up {
-		v *= 2
-	} else {
-		v /= 2
-	}
-	b.Store(clampU32(v, lo, hi))
 }

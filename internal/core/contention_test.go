@@ -8,41 +8,33 @@ import (
 	"onefile/internal/tm"
 )
 
-// TestClaimHintWrap drives the slot-claim hint across the uint32 wrap: the
-// seed computed int(hint)%n in signed space, so a wrapped (or, on 32-bit
-// ints, truncated) counter produced a negative slot index and panicked.
-func TestClaimHintWrap(t *testing.T) {
+// TestClaimHintStaysReduced: acquire indexes the slot array with the hint
+// unreduced, so every rotation must store it below the slot count — however
+// the rotations of concurrent acquirers interleave.
+func TestClaimHintStaysReduced(t *testing.T) {
 	e := NewLF(smallOpts()...)
 	defer e.Close()
-	e.claimHint.Store(^uint32(0) - 4)
-	for i := uint64(1); i <= 16; i++ {
-		got := e.Update(func(tx tm.Tx) uint64 {
-			v := tx.Load(tm.Root(0)) + 1
-			tx.Store(tm.Root(0), v)
-			return v
-		})
-		if got != i {
-			t.Fatalf("update %d across the hint wrap returned %d", i, got)
-		}
-	}
-	// Concurrent acquirers around a second wrap.
-	e.claimHint.Store(^uint32(0) - 2)
+	n := uint32(len(e.slots))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 32; i++ {
+			for i := 0; i < 256; i++ {
 				e.Update(func(tx tm.Tx) uint64 {
 					tx.Store(tm.Root(1), tx.Load(tm.Root(1))+1)
 					return 0
 				})
+				if h := e.claimHint.Load(); h >= n {
+					t.Errorf("claim hint %d not below the %d slots", h, n)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(1)) }); got != 8*32 {
-		t.Fatalf("lost updates across hint wrap: counter = %d, want %d", got, 8*32)
+	if got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(1)) }); got != 8*256 {
+		t.Fatalf("lost updates: counter = %d, want %d", got, 8*256)
 	}
 }
 
@@ -85,7 +77,7 @@ func recoveredPanic(fn func()) (v any) {
 func TestAcquireParkWake(t *testing.T) {
 	e := NewLF(tm.WithHeapWords(1<<12), tm.WithMaxThreads(1), tm.WithMaxStores(64))
 	defer e.Close()
-	s := e.acquire() // hold the only slot
+	s := e.acquire(false) // hold the only slot
 	done := make(chan uint64, 1)
 	go func() {
 		done <- e.Update(func(tx tm.Tx) uint64 {
@@ -114,7 +106,7 @@ func TestAcquireParkWake(t *testing.T) {
 // fail fast with tm.ErrEngineClosed rather than sleeping forever.
 func TestAcquireParkClose(t *testing.T) {
 	e := NewLF(tm.WithHeapWords(1<<12), tm.WithMaxThreads(1), tm.WithMaxStores(64))
-	e.acquire() // hold the only slot; never released
+	e.acquire(false) // hold the only slot; never released
 	got := make(chan any, 1)
 	go func() {
 		got <- recoveredPanic(func() {
@@ -153,7 +145,7 @@ func TestHelpTicket(t *testing.T) {
 	e := NewLF(smallOpts()...)
 	defer e.Close()
 	owner := &e.slots[0]
-	e.cm.helpBackoff.Store(helpBackoffMin) // keep the fallback loops short
+	e.cm.helpBackoff = helpBackoffMin // keep the fallback loops short
 
 	owner.request.Store(42)
 	if !e.claimHelp(owner, 42) {
@@ -178,29 +170,23 @@ func TestHelpTicket(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBudgetBounds drives tune() through both contended and quiet
-// regimes and asserts every adaptive budget stays inside its bounds.
-func TestAdaptiveBudgetBounds(t *testing.T) {
-	e := NewLF(smallOpts()...)
-	defer e.Close()
-	check := func(when string) {
-		t.Helper()
-		if v := e.cm.spinBudget.Load(); v < acquireSpinMin || v > acquireSpinMax {
-			t.Fatalf("%s: spinBudget %d outside [%d,%d]", when, v, acquireSpinMin, acquireSpinMax)
+// TestBudgetSizing: the two budgets are sized once from GOMAXPROCS and stay
+// inside their bounds — helpBackoffMax is the constant in the progress
+// argument — from one schedulable thread to more than any host has.
+func TestBudgetSizing(t *testing.T) {
+	for _, procs := range []int{1, 2, 8, 64, 1024} {
+		var c contention
+		c.init(procs)
+		if c.spinBudget < acquireSpinMin || c.spinBudget > acquireSpinMax {
+			t.Errorf("procs=%d: spinBudget %d outside [%d,%d]", procs, c.spinBudget, acquireSpinMin, acquireSpinMax)
 		}
-		if v := e.cm.helpBackoff.Load(); v < helpBackoffMin || v > helpBackoffMax {
-			t.Fatalf("%s: helpBackoff %d outside [%d,%d]", when, v, helpBackoffMin, helpBackoffMax)
+		if c.helpBackoff < helpBackoffMin || c.helpBackoff > helpBackoffMax {
+			t.Errorf("procs=%d: helpBackoff %d outside [%d,%d]", procs, c.helpBackoff, helpBackoffMin, helpBackoffMax)
 		}
 	}
-	check("initial")
-	for i := 0; i < 40; i++ {
-		e.slots[0].st.aborts.Add(1000) // contended regime
-		e.tune()
-		check("contended")
-	}
-	for i := 0; i < 40; i++ {
-		e.slots[0].st.commits.Add(100000) // quiet regime
-		e.tune()
-		check("quiet")
+	var one contention
+	one.init(1)
+	if one.spinBudget != acquireSpinMin {
+		t.Errorf("one schedulable thread spins %d passes before parking, want %d", one.spinBudget, acquireSpinMin)
 	}
 }

@@ -16,6 +16,17 @@
 // publish whole operations so that helping threads execute them on the
 // caller's behalf (§III-E).
 //
+// The paper has one update protocol — the ten steps of §III-B; the
+// wait-free variant only changes who runs the body — and so does this
+// package: every update entry (Update, UpdateSmall, UpdateExclusive,
+// AsyncUpdate, BatchUpdate) is an adapter over one staged pipeline, admit →
+// run the body or bodies into the slot's write-set → commit → apply →
+// persist → resolve (txn.go, DESIGN.md §4). A batch is N bodies in the run
+// stage (combine.go), the small commit is the commit stage's case for a
+// write-set of at most two words (fastpath.go), and a wait-free aggregate
+// is the same round with the published operations as its bodies
+// (waitfree.go).
+//
 // Hot-path disciplines (beyond the paper, for the Go platform):
 //
 //   - Flat TM words. The heap is one pointer-free slab of 16-byte
@@ -48,6 +59,37 @@ import (
 const (
 	tidBits = 10
 	tidMask = (1 << tidBits) - 1
+)
+
+// A persistent engine stamps the address word of every redo-log entry that
+// lies beyond the log's first cache line with the low bits of the sequence
+// its transaction is trying to commit, above the addrBits a heap index can
+// occupy, and helpApply skips entries whose stamp is not the replayed
+// transaction's.
+//
+// What that closes: a request is closed by a CAS nobody flushes, so a slot's
+// DURABLE request still reads open — and equal to the durable curTx — while
+// the slot is already writing its next transaction's log over the old one.
+// A crash between that log's flushes and the drain that orders them can
+// persist any subset of its lines; if the first line is not among them,
+// recovery replays transaction k from a log partly overwritten by attempt
+// k+1, applying k+1's stores at sequence k — a torn state. (Every word of k
+// is already durable by then: its request closed only after the flush and
+// drain of its apply phase, so skipping the overwritten entries loses
+// nothing.) The first line holds request, numStores and headEntries entries
+// and persists as a unit, so those entries always belong to the request
+// beside them and carry no stamp — which keeps the small commit's
+// unchanged-address shortcut (writeSet.publish). A foreign entry in a
+// replayed log is always an attempt at exactly k+1 — k+2 needs k+1
+// complete, which makes a word durable beyond the curTx image and sends
+// attach down the adoption branch instead — so any stamp width tells them
+// apart; 24 bits is margin. The volatile engines have no replay and stamp
+// nothing.
+const (
+	headEntries = (pmem.LineWords - 2) / 2
+	addrBits    = 40
+	addrMask    = 1<<addrBits - 1
+	stampMask   = 1<<(64-addrBits) - 1
 )
 
 func makeTx(seq uint64, tid int) uint64 { return seq<<tidBits | uint64(tid) }
@@ -116,7 +158,6 @@ type slot struct {
 	// tm.Tx interface, so per-transaction values would heap-allocate).
 	utx uTx
 	rtx rTx
-	ftx fTx
 
 	opTag uint64 // owner-private monotonic tag for this slot's ops
 
@@ -174,6 +215,7 @@ type Engine struct {
 	cfg      tm.Config
 	waitFree bool
 	dev      pmem.Device // nil for the volatile variants
+	stamps   uint64      // stampMask on a persistent engine, 0 on a volatile one
 
 	words []dcas.TMWord // the transactional heap: one TM word per tm.Ptr
 
@@ -189,7 +231,7 @@ type Engine struct {
 	closed       atomic.Bool
 
 	// cm is the contention-management layer (contention.go): parked slot
-	// admission, helper deduplication budgets, adaptive spin sizing.
+	// admission and the helper deduplication budget.
 	cm contention
 
 	// comb is the group-commit combining layer (combine.go): AsyncUpdate/
@@ -289,11 +331,14 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 		eras:     he.New(cfg.MaxThreads),
 		curTxImg: cfg.HeapWords,
 	}
+	if dev != nil {
+		e.stamps = stampMask
+	}
 	e.cm.init(runtime.GOMAXPROCS(0))
 	e.excl.init()
 	e.resultsBase = talloc.MetaBase + talloc.MetaWords
 	e.dynBase = e.resultsBase + tm.Ptr(2*cfg.MaxThreads)
-	if int(e.dynBase)+64 > cfg.HeapWords {
+	if int(e.dynBase)+64 > cfg.HeapWords || uint64(cfg.HeapWords) > addrMask {
 		return nil, fmt.Errorf("core: heap of %d words too small for %d thread slots", cfg.HeapWords, cfg.MaxThreads)
 	}
 	if dev != nil {
@@ -323,7 +368,6 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 		s.helpBuf = make([]uint64, 0)
 		s.utx = uTx{e: e, s: s}
 		s.rtx = rTx{e: e}
-		s.ftx = fTx{e: e, s: s, cap: min(2, cfg.MaxStores)}
 	}
 
 	if attach {
@@ -528,44 +572,53 @@ func (e *Engine) Recover() error {
 	return nil
 }
 
-// acquire claims a thread slot — MaxThreads acts as a concurrency
-// throttle. It spins for the adaptive budget (contention.go), then parks on
-// the engine's wait list until a release wakes it, so goroutines beyond
-// MaxThreads sleep instead of timeslicing against the workers they are
-// waiting on. Transactions begun after Close fail fast.
-func (e *Engine) acquire() *slot { return e.acquireG(false) }
-
-// acquireG is acquire with an explicit gate policy: the exclusivity
-// holder's own transactions (UpdateExclusive) bypass the gate, everyone
-// else backs off a claimed slot the moment the gate is observed closed and
-// parks until it reopens (exclusive.go). The gate check is one load of a
-// padded atomic after the claim CAS — the ungated fast path cost. A parked
-// acquirer may return from gateWait holding an anti-starvation pass: its
-// next successful claim skips the gate check, and the pass count is
-// decremented only after that claim CAS so the exclusive drain orders
-// itself behind the claim.
-func (e *Engine) acquireG(bypassGate bool) *slot {
+// acquire claims a thread slot — MaxThreads acts as a concurrency throttle —
+// and is the pipeline's one admission. The common case is one load of the
+// rotation hint (no RMW on it: a solo caller reuses the same slot run after
+// run) and one claim CAS on that slot; claimSlow owns everything off the
+// happy path. Transactions begun after Close fail fast.
+//
+// bypassGate is the exclusivity holder's own admission (UpdateExclusive);
+// everyone else backs off a claimed slot the moment the gate is observed
+// closed and parks until it reopens (exclusive.go). The gate check is one
+// load of a padded atomic after the claim CAS. A parked acquirer may return
+// from gateWait holding an anti-starvation pass: its next claim skips the
+// gate check, and the pass count is decremented only after that claim CAS
+// so the exclusive drain orders itself behind the claim.
+func (e *Engine) acquire(bypassGate bool) *slot {
 	if e.closed.Load() {
 		panic(tm.ErrEngineClosed)
 	}
-	n := len(e.slots)
-	// The hint is reduced in unsigned space before the int conversion: a
-	// wrapped (or 32-bit-truncated) counter must never reach Go's signed %
-	// negative, which would yield a negative slot index.
-	start := int(e.claimHint.Add(1) % uint32(n))
+	s := &e.slots[e.claimHint.Load()]
+	if s.claimed.Load() != 0 || !s.claimed.CompareAndSwap(0, 1) {
+		s = e.claimSlow()
+	}
 	pass := false
+	for !bypassGate && !pass && e.excl.gate.v.Load() != 0 {
+		e.release(s)
+		pass = e.gateWait()
+		s = e.claimSlow()
+	}
+	if pass {
+		e.excl.passes.Add(-1)
+	}
+	return s
+}
+
+// claimSlow rotates the hint, so concurrent acquirers spread over the slots,
+// and scans from it: spinBudget passes with a yield between them, then the
+// engine's wait list until a release wakes it (contention.go) — goroutines
+// beyond MaxThreads sleep instead of timeslicing against the workers they
+// are waiting on.
+func (e *Engine) claimSlow() *slot {
+	// Load then store, not an RMW: racing rotations may pick the same start,
+	// which costs them a longer scan, never a slot. The hint is stored
+	// reduced, so acquire indexes with it directly.
+	start := (e.claimHint.Load() + 1) % uint32(len(e.slots))
+	e.claimHint.Store(start)
 	for {
-		budget := int(e.cm.spinBudget.Load())
-		for spin := 0; spin <= budget; spin++ {
-			if s := e.tryClaim(start); s != nil {
-				if !bypassGate && !pass && e.excl.gate.v.Load() != 0 {
-					e.unclaim(s)
-					pass = e.gateWait()
-					continue
-				}
-				if pass {
-					e.excl.passes.Add(-1)
-				}
+		for spin := 0; spin <= e.cm.spinBudget; spin++ {
+			if s := e.tryClaim(int(start)); s != nil {
 				return s
 			}
 			if e.closed.Load() {
@@ -573,29 +626,21 @@ func (e *Engine) acquireG(bypassGate bool) *slot {
 			}
 			runtime.Gosched()
 		}
-		if s := e.park(start); s != nil {
-			if !bypassGate && !pass && e.excl.gate.v.Load() != 0 {
-				e.unclaim(s)
-				pass = e.gateWait()
-				continue
-			}
-			if pass {
-				e.excl.passes.Add(-1)
-			}
+		if s := e.park(int(start)); s != nil {
 			return s
 		}
 	}
 }
 
-// release frees the slot, wakes one parked acquirer, if any, and drives the
-// budget re-tuning.
+// release frees the slot and wakes one parked acquirer, if any: the
+// pipeline's one way out, also for a claim that never entered a transaction
+// (an acquirer that found the gate closed) — the admission token must be
+// passed on either way, or a parked acquirer waits for a release that
+// already happened.
 func (e *Engine) release(s *slot) {
 	s.claimed.Store(0)
 	if e.cm.waiters.Load() > 0 {
 		e.wakeOne()
-	}
-	if e.cm.releases.Add(1)%tuneEvery == 0 {
-		e.tune()
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -198,30 +197,17 @@ func (e *Engine) gateBroadcast() {
 	x.waitMu.Unlock()
 }
 
-// unclaim releases a slot claim that never entered a transaction (an
-// acquirer that found the gate closed after claiming). No era was
-// announced and no stats moved, so unlike release() this only clears the
-// flag — but it still passes the admission token on, so a parked acquirer
-// is not stranded waiting for a release that already happened.
-func (e *Engine) unclaim(s *slot) {
-	s.claimed.Store(0)
-	if e.cm.waiters.Load() > 0 {
-		e.wakeOne()
-	}
-}
-
 // UpdateExclusive runs fn as an update transaction while the caller holds
 // the engine exclusively (between BeginExclusive and EndExclusive). It
 // uses the regular commit path — write-set publication, curTx advance,
 // apply, flush — so durability and recovery behave exactly as for any
 // other transaction; with the gate closed the first attempt always
-// commits. The lock-free path is used even on the wait-free engines:
+// commits. The lock-free loop is used even on the wait-free engines:
 // operation publication exists to bound interference from concurrent
 // committers, of which there are none here.
 func (e *Engine) UpdateExclusive(fn func(tx tm.Tx) uint64) uint64 {
-	s := e.acquireG(true)
-	defer e.release(s)
-	return e.updateLF(s, fn)
+	res, _ := e.run(fn, modeExclusive)
+	return res
 }
 
 // LoadDirect returns the committed value of heap word p. Only valid while
@@ -229,9 +215,7 @@ func (e *Engine) UpdateExclusive(fn func(tx tm.Tx) uint64) uint64 {
 // committed write-set is fully applied, so a plain word read is the
 // committed state.
 func (e *Engine) LoadDirect(p tm.Ptr) uint64 {
-	if p == 0 || int(p) >= e.cfg.HeapWords {
-		panic(fmt.Errorf("core: heap pointer %d out of range", p))
-	}
+	e.checkPtr(p)
 	v, _ := e.words[p].Load()
 	return v
 }

@@ -15,7 +15,7 @@ import (
 // atomic pointer load and a predicted branch per transaction — nothing
 // else. Every obs handle is nil-safe, so the sink struct can be partially
 // populated; every recording call below either sits on a path that is
-// already cold (aborts, helps, parks, tune) or is gated on the sink
+// already cold (aborts, helps, parks) or is gated on the sink
 // pointer at the transaction boundary. Recording itself is wait-free
 // (bounded atomics, no loops), so instrumentation does not change the
 // engines' progress bounds — see DESIGN.md §11.

@@ -144,6 +144,70 @@ func TestPTMCrashPointSweep(t *testing.T) {
 	}
 }
 
+// TestPTMSlotReuseStaleLog pins the redo-log stamps (engine.go): one slot
+// commits back to back, so the second transaction writes its log over the
+// first one's while the slot's DURABLE request still reads open. A crash
+// that persists some of the new log's lines but not its first must not make
+// recovery replay the first transaction with the second one's stores. Both
+// transactions span several log lines; the relaxed device decides per seed
+// which buffered lines survive. Without the stamps the sweep recovers a torn
+// state within its first few seeds.
+func TestPTMSlotReuseStaleLog(t *testing.T) {
+	const words = 12
+	opts := append(smallOpts(), tm.WithMaxThreads(1))
+	for _, wf := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wf=%v", wf), func(t *testing.T) {
+			for seed := int64(1); seed <= 48; seed++ {
+				for k := 1; ; k++ {
+					dev, err := pmem.New(DeviceConfig(pmem.RelaxedMode, seed, opts...))
+					if err != nil {
+						t.Fatal(err)
+					}
+					open := NewPersistentLF
+					if wf {
+						open = NewPersistentWF
+					}
+					e, err := open(dev, false, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					write := func(base int, v uint64) func(tm.Tx) uint64 {
+						return func(tx tm.Tx) uint64 {
+							for i := 0; i < words; i++ {
+								tx.Store(tm.Root(base+i), v)
+							}
+							return 0
+						}
+					}
+					e.Update(write(0, 1))
+					acked := runUntilCrash(dev, k, func() { e.Update(write(words, 2)) })
+					dev.Crash()
+					r, err := open(dev, true, opts...)
+					if err != nil {
+						t.Fatalf("seed=%d k=%d: attach: %v", seed, k, err)
+					}
+					var first, second int
+					r.Read(func(tx tm.Tx) uint64 {
+						first, second = 0, 0
+						for i := 0; i < words; i++ {
+							first += int(tx.Load(tm.Root(i)))
+							second += int(tx.Load(tm.Root(words+i))) / 2
+						}
+						return 0
+					})
+					if first != words || (second != 0 && second != words) || (acked && second != words) {
+						t.Fatalf("seed=%d k=%d acked=%v: recovered %d/%d words of the first transaction and %d/%d of the second",
+							seed, k, acked, first, words, second, words)
+					}
+					if acked {
+						break
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestPTMCrashDuringAllocSweep crashes a transaction that allocates,
 // links, and frees blocks; after recovery the allocator must audit clean
 // (no leaks, no corruption) in both outcomes.

@@ -18,15 +18,22 @@ type uTx struct {
 	e        *Engine
 	s        *slot
 	startSeq uint64
+	// allocs records that the body called Alloc or Free in this execution,
+	// which rules the small commit out (fastpath.go).
+	allocs bool
 }
 
 var _ tm.Tx = (*uTx)(nil)
 
-func (t *uTx) check(p tm.Ptr) {
-	if p == 0 || int(p) >= t.e.cfg.HeapWords {
-		panic(fmt.Errorf("core: heap pointer %d out of range", p))
+// checkPtr panics on a heap pointer outside the engine's heap. The failure
+// branch is out of line so the check itself inlines into Load and Store.
+func (e *Engine) checkPtr(p tm.Ptr) {
+	if p == 0 || int(p) >= e.cfg.HeapWords {
+		badPtr(p)
 	}
 }
+
+func badPtr(p tm.Ptr) { panic(fmt.Errorf("core: heap pointer %d out of range", p)) }
 
 // Load implements tm.Tx. Aborting on a sequence newer than the transaction's
 // start guarantees an opaque snapshot and, per §IV-A Proposition 1, makes
@@ -34,9 +41,11 @@ func (t *uTx) check(p tm.Ptr) {
 // sequence, as in Alg. 1: a value torn from its sequence by a racing DCAS
 // arrives with that DCAS's sequence, which is above startSeq, and aborts.
 func (t *uTx) Load(p tm.Ptr) uint64 {
-	t.check(p)
-	if v, ok := t.s.ws.lookup(uint64(p)); ok {
-		return v
+	t.e.checkPtr(p)
+	if ws := &t.s.ws; ws.n != 0 { // loads ahead of the first store skip the call
+		if v, ok := ws.lookup(uint64(p)); ok {
+			return v
+		}
 	}
 	val, seq := t.e.words[p].Load()
 	if seq > t.startSeq {
@@ -48,15 +57,21 @@ func (t *uTx) Load(p tm.Ptr) uint64 {
 // Store implements tm.Tx: it records the store in the redo log (Alg. 1
 // store interposition); nothing is written in place until the apply phase.
 func (t *uTx) Store(p tm.Ptr, v uint64) {
-	t.check(p)
+	t.e.checkPtr(p)
 	t.s.ws.addOrReplace(uint64(p), v)
 }
 
 // Alloc implements tm.Tx.
-func (t *uTx) Alloc(n int) tm.Ptr { return talloc.Alloc(t, n) }
+func (t *uTx) Alloc(n int) tm.Ptr {
+	t.allocs = true
+	return talloc.Alloc(t, n)
+}
 
 // Free implements tm.Tx.
-func (t *uTx) Free(p tm.Ptr) { talloc.Free(t, p) }
+func (t *uTx) Free(p tm.Ptr) {
+	t.allocs = true
+	talloc.Free(t, p)
+}
 
 // rTx is the read-only transaction handle: seq-validated loads straight off
 // the heap — no write-set consultation, no mutation.
@@ -68,9 +83,7 @@ type rTx struct {
 var _ tm.Tx = (*rTx)(nil)
 
 func (t *rTx) Load(p tm.Ptr) uint64 {
-	if p == 0 || int(p) >= t.e.cfg.HeapWords {
-		panic(fmt.Errorf("core: heap pointer %d out of range", p))
-	}
+	t.e.checkPtr(p)
 	val, seq := t.e.words[p].Load()
 	if seq > t.startSeq {
 		panic(abortSignal{})
@@ -97,91 +110,228 @@ func runBody(fn func(tm.Tx) uint64, tx tm.Tx) (res uint64, ok bool) {
 	return fn(tx), true
 }
 
+// The update pipeline (DESIGN.md §4). Every public update entry — Update,
+// UpdateSmall, UpdateExclusive, and the combiner's AsyncUpdate/BatchUpdate
+// through execBatch — is an adapter over run, which walks the stages
+//
+//	admit → run the body into the slot's write-set → commit → apply →
+//	persist → resolve
+//
+// with one round of §III-B (load curTx, help if pending, transform, commit)
+// written once, in round, and looped by update: unbounded on the lock-free
+// path, fastTries rounds for the small probe, and once per aggregate by the
+// wait-free publication loop (runPublished). The entries differ only in the
+// mode they pass.
+type updateMode uint8
+
+const (
+	// modeFull: Update, BatchUpdate and queued AsyncUpdate. The lock-free
+	// loop or wait-free publication, always the full ten-step commit — the
+	// route Table I counts.
+	modeFull updateMode = iota
+	// modeSmall: UpdateSmall and a solo AsyncUpdate. As modeFull, but the
+	// first fastTries rounds may commit a small write-set with the 1 pwb +
+	// 1 pfence commit (fastpath.go).
+	modeSmall
+	// modeExclusive: UpdateExclusive. Admission bypasses the exclusivity
+	// gate and the lock-free loop is used even on the wait-free engines
+	// (exclusive.go).
+	modeExclusive
+)
+
+// roundStatus is how one round of §III-B ended.
+type roundStatus uint8
+
+const (
+	roundRetry      roundStatus = iota // helped a pending transaction, aborted on validation, or lost the commit CAS
+	roundEmpty                         // the body stored nothing: there is nothing to commit
+	roundFull                          // committed through the full ten steps
+	roundSmall                         // committed through the small commit
+	roundIneligible                    // small probe: the write-set does not fit the small commit; nothing committed yet
+)
+
 // Update implements tm.Engine: a mutative transaction with lock-free
 // (NewLF/NewPersistentLF) or bounded wait-free (NewWF/NewPersistentWF)
 // progress.
 func (e *Engine) Update(fn func(tx tm.Tx) uint64) uint64 {
-	s := e.acquire()
-	defer e.release(s)
-	if o := e.obsv.Load(); o != nil {
-		return e.updateObserved(o, s, fn)
-	}
-	if e.waitFree {
-		return e.updateWF(s, fn)
-	}
-	return e.updateLF(s, fn)
-}
-
-// updateObserved is the Update body with an observability sink attached:
-// it times begin→commit and records a commit event. Kept out of line so
-// the unobserved path above stays one load and one branch.
-func (e *Engine) updateObserved(o *EngineObs, s *slot, fn func(tx tm.Tx) uint64) uint64 {
-	start := time.Now()
-	var res uint64
-	if e.waitFree {
-		res = e.updateWF(s, fn)
-	} else {
-		res = e.updateLF(s, fn)
-	}
-	o.UpdateLat.RecordSince(start)
-	o.Rec.Record(obs.EvCommit, s.id, seqOf(e.curTx.Load()))
+	res, _ := e.run(fn, modeFull)
 	return res
 }
 
-// updateLF is the lock-free update path: the ten steps of §III-B.
-func (e *Engine) updateLF(s *slot, fn func(tx tm.Tx) uint64) uint64 {
-	for round := 0; ; round++ {
+// run is the pipeline's admission and resolution around update: claim a
+// slot, drive fn to a commit, release. It is also the one place begin→commit
+// timing attaches — FastLat when the transaction committed small, UpdateLat
+// otherwise, and one commit event either way. A body panic propagates
+// through it (the deferred release still runs); only the wait-free path
+// re-raises on the submitter what a helper's execution caught (updateWF).
+func (e *Engine) run(fn func(tm.Tx) uint64, mode updateMode) (uint64, tm.SmallOutcome) {
+	s := e.acquire(mode == modeExclusive)
+	defer e.release(s)
+	o := e.obsv.Load()
+	var start time.Time
+	if o != nil {
+		start = time.Now()
+	}
+	res, out := e.update(s, fn, mode)
+	if o != nil {
+		lat := o.UpdateLat
+		if out == tm.SmallCommitted {
+			lat = o.FastLat
+		}
+		lat.RecordSince(start)
+		o.Rec.Record(obs.EvCommit, s.id, seqOf(e.curTx.Load()))
+	}
+	return res, out
+}
+
+// update drives fn to a commit on the claimed slot s. The outcome is in
+// tm.SmallUpdater's terms: SmallCommitted when the transaction committed on
+// the small commit, SmallContended when the probe lost fastTries rounds to
+// other committers, SmallIneligible when the write-set did not qualify — or
+// the caller never asked (modeFull, modeExclusive).
+//
+// Every probe that has something to commit ends as exactly one fast commit
+// or one counted fallback, so Stats derives FastAttempts as their sum. A fallback on a lock-free engine
+// keeps the write-set the probe round already built and goes straight to
+// the full commit; on a wait-free engine the body has to be published, so it
+// runs again inside an aggregate.
+func (e *Engine) update(s *slot, fn func(tm.Tx) uint64, mode updateMode) (uint64, tm.SmallOutcome) {
+	small := mode == modeSmall
+	out := tm.SmallIneligible
+	for attempt := 0; ; attempt++ {
+		if small && attempt == fastTries {
+			small, out = false, tm.SmallContended
+			bump(&s.fst.fbConflict)
+		}
+		if !small && e.waitFree && mode != modeExclusive {
+			return e.updateWF(s, fn), out
+		}
 		oldTx := e.curTx.Load() // step 1
-		if e.pending(oldTx) {   // step 2: help the ongoing transaction
-			e.helpApply(oldTx, s)
+		res, st := e.round(s, oldTx, fn, attempt, small)
+		switch st {
+		case roundRetry:
 			continue
-		}
-		res, ok := e.transform(s, fn, seqOf(oldTx)) // step 3
-		if !ok {
-			s.st.aborts.Add(1)
-			e.obsEvent(obs.EvAbort, s.id, seqOf(oldTx))
-			e.contendedPause(round)
-			continue
-		}
-		if s.ws.n == 0 { // step 4: no stores — a read-only body
+		case roundIneligible:
+			small = false // smallFit counted the fallback; the probe is over
+			if e.waitFree {
+				continue // published at the top of the next iteration
+			}
+			if !e.commit(s, oldTx, false) {
+				e.aborted(s, oldTx, attempt)
+				continue
+			}
+		case roundEmpty:
+			// A read-only body: the snapshot was consistent at oldTx. It is
+			// a read commit on every route, never an update commit; a probe
+			// that ends here reports SmallCommitted (nothing fell back) but
+			// is neither a fast commit nor a fallback.
 			s.st.readCommits.Add(1)
-			return res
+			if small {
+				out = tm.SmallCommitted
+			}
+		case roundSmall:
+			bump(&s.fst.commits)
+			out = tm.SmallCommitted
 		}
-		newTx := makeTx(seqOf(oldTx)+1, s.id)
-		if !e.commitAndApply(s, oldTx, newTx) {
-			s.st.aborts.Add(1)
-			e.obsEvent(obs.EvAbort, s.id, seqOf(oldTx))
-			e.contendedPause(round)
-			continue
-		}
-		return res
+		return res, out
 	}
 }
 
-// transform runs the user body, building the write-set (redo log). It
-// reuses the slot's embedded transaction handle: a stack-local one would
-// escape through the tm.Tx interface and heap-allocate per attempt.
-func (e *Engine) transform(s *slot, fn func(tx tm.Tx) uint64, startSeq uint64) (res uint64, ok bool) {
+// round is one pass over steps 2–10 of §III-B against the curTx value the
+// caller loaded: help a pending transaction, or run the body into the
+// slot's write-set and commit it. With small set, a write-set that fits the
+// small commit takes it, and one that does not is left uncommitted for the
+// caller to decide (roundIneligible). Abort bookkeeping and the bounded
+// pause after a lost round happen here, so callers just loop.
+func (e *Engine) round(s *slot, oldTx uint64, fn func(tm.Tx) uint64, attempt int, small bool) (uint64, roundStatus) {
+	if e.pending(oldTx) { // step 2: help the ongoing transaction
+		e.helpApply(oldTx, s)
+		return 0, roundRetry
+	}
+	// Step 3, transform: run the body, building the write-set (redo log).
+	// The slot's embedded handle is reused: a stack-local one would escape
+	// through the tm.Tx interface and heap-allocate per attempt.
 	s.ws.reset()
-	s.utx.startSeq = startSeq
-	return runBody(fn, &s.utx)
+	s.utx.startSeq, s.utx.allocs = seqOf(oldTx), false
+	res, ok := runBody(fn, &s.utx)
+	if !ok {
+		e.aborted(s, oldTx, attempt)
+		return 0, roundRetry
+	}
+	if s.ws.n == 0 { // step 4: no stores
+		return res, roundEmpty
+	}
+	if small && !e.smallFit(s) {
+		return res, roundIneligible
+	}
+	if !e.commit(s, oldTx, small) {
+		e.aborted(s, oldTx, attempt)
+		return 0, roundRetry
+	}
+	if small {
+		return res, roundSmall
+	}
+	return res, roundFull
 }
 
-// commitAndApply performs steps 5–10 of §III-B: open the request, persist
-// the write-set, commit by CASing curTx, apply every entry with a DCAS,
-// persist the modified words, close the request. Returns false if the
-// commit CAS lost.
-func (e *Engine) commitAndApply(s *slot, oldTx, newTx uint64) bool {
-	s.ws.publish()         // numStores becomes visible to helpers
-	s.request.Store(newTx) // step 5: open the request
-	if e.dev != nil {
-		// Step 6: one pwb per cache line of the write-set (the request
-		// and numStores words share the log's first line).
-		e.dev.Flush(s.id, s.logOff, 2+2*s.ws.n)
+// logStamp returns the stamp txid's redo-log entries carry in their address
+// words (engine.go): zero on a volatile engine.
+func (e *Engine) logStamp(txid uint64) uint64 { return (seqOf(txid) & e.stamps) << addrBits }
+
+// aborted accounts for a round lost to validation or to the commit CAS and
+// pauses briefly (bounded, contention.go) before the caller's next one.
+func (e *Engine) aborted(s *slot, oldTx uint64, attempt int) {
+	s.st.aborts.Add(1)
+	e.obsEvent(obs.EvAbort, s.id, seqOf(oldTx))
+	e.contendedPause(attempt)
+}
+
+// commit performs steps 5–10 of §III-B on the slot's finished write-set:
+// open the request, persist the write-set, commit by CASing curTx, apply
+// every entry with a DCAS, persist the modified words, close the request.
+// It returns false if the commit CAS lost; the request is then left
+// stale-open, which is harmless — a stale identifier never matches a future
+// curTx.
+//
+// With small set (the caller checked smallFit) the persistence steps shrink
+// to the 1 pwb + 1 pfence of fastpath.go: the log and the curTx image are
+// not flushed, and the one line flush of the apply phase is fenced instead
+// of drained. What helpers depend on — the published log and the open
+// request — is the same on both.
+func (e *Engine) commit(s *slot, oldTx uint64, small bool) bool {
+	newTx := makeTx(seqOf(oldTx)+1, s.id)
+	s.ws.publish(e.logStamp(newTx)) // numStores and the entries become visible to helpers
+	s.request.Store(newTx)          // step 5: open the request
+	if !small {
+		if e.dev != nil {
+			// Step 6: one pwb per cache line of the write-set (the request
+			// and numStores words share the log's first line).
+			e.dev.Flush(s.id, s.logOff, 2+2*s.ws.n)
+		}
+		s.st.cas.Add(1)
 	}
-	s.st.cas.Add(1)
 	if !e.curTx.CompareAndSwap(oldTx, newTx) { // step 7: commit
 		return false
+	}
+	if small {
+		// No helpTicket store: for a 1–2 word apply the claim gate saves
+		// less than the barrier costs. A helper that observes the pending
+		// request claims the ticket itself (claimHelp) and runs the
+		// seq-guarded apply redundantly — a benign duplicate by design.
+		if e.applyOwn(s, newTx) > 0 {
+			// If every word was superseded a helper already closed us
+			// after flushing and draining: nothing flushed, no fence.
+			e.dev.Fence(s.id)
+		}
+		// Close with a plain store, not a CAS: the only transition a
+		// request at newTx can make is to newTx+1 — by us or by a helper
+		// that finished the apply first (helpers flush and drain before
+		// their close, so our words are durable either way) — and the
+		// owner starts no newer transaction until this line has run, so
+		// the blind store is idempotent. No drain: the fence above already
+		// made the words durable.
+		s.request.Store(newTx + 1)
+		return true
 	}
 	s.st.commits.Add(1)
 	// Claim the apply phase (helper deduplication, contention.go): the
@@ -206,17 +356,33 @@ func (e *Engine) commitAndApply(s *slot, oldTx, newTx uint64) bool {
 // owner's log is frozen until its request closes), reading the owner-private
 // mirror instead of the shared atomic log. The DCAS loop runs first; on the
 // persistent variants the modified words are then flushed with one pwb per
-// cache line.
-func (e *Engine) applyOwn(s *slot, txid uint64) {
-	n := uint64(s.ws.n)
+// cache line; the number of lines flushed is returned.
+func (e *Engine) applyOwn(s *slot, txid uint64) int {
+	n := s.ws.n
 	seq := seqOf(txid)
-	for i := uint64(0); i < n; i++ {
-		j := (uint64(s.id)*8 + i) % n
-		e.applyWord(s, s.ws.keys[j], s.ws.vals[j], seq)
+	var dcas uint64
+	for i, j := 0, applyStart(s.id, n); i < n; i++ {
+		dcas += e.applyWord(s.ws.keys[j], s.ws.vals[j], seq)
+		if j++; j == n {
+			j = 0
+		}
 	}
-	if e.dev != nil {
-		e.flushWords(s, s.ws.keys[:n], 1, seq)
+	s.st.dcas.Add(dcas)
+	if e.dev == nil {
+		return 0
 	}
+	return e.flushWords(s, s.ws.keys[:n], 1, seq)
+}
+
+// applyStart is where slot tid's write-set of n entries starts being
+// applied: owner and helpers walk the same ring from the same entry (the
+// paper staggers by tid*8). At most one division per apply phase.
+func applyStart(tid, n int) int {
+	s := tid * 8
+	if s >= n {
+		s %= n
+	}
+	return s
 }
 
 // applyWord performs the seq-guarded DCAS of Alg. 1 on one heap word.
@@ -226,19 +392,21 @@ func (e *Engine) applyOwn(s *slot, txid uint64) {
 // own — so the second round finds the word at seq or beyond. A torn Load
 // needs no care of its own: its sequence is the newer one (done), or the
 // DCAS compares against a pair the word does not hold and fails (reload).
-func (e *Engine) applyWord(s *slot, addr, val, seq uint64) {
+// Returns the number of DCAS issued; the caller adds a whole apply phase's
+// to its counter at once.
+func (e *Engine) applyWord(addr, val, seq uint64) (dcas uint64) {
 	if addr == 0 || addr >= uint64(e.cfg.HeapWords) {
-		return // defensive: a corrupt recovered log must not crash apply
+		return 0 // an entry helpApply zeroed, or a corrupt recovered log: must not crash apply
 	}
 	w := &e.words[addr]
 	for {
 		oldVal, oldSeq := w.Load()
 		if oldSeq >= seq {
-			return // already applied (possibly by a newer transaction)
+			return dcas // already applied (possibly by a newer transaction)
 		}
-		s.st.dcas.Add(1)
+		dcas++
 		if w.CompareAndSwap(oldVal, oldSeq, val, seq) {
-			return
+			return dcas
 		}
 	}
 }
@@ -256,8 +424,10 @@ func (e *Engine) applyWord(s *slot, addr, val, seq uint64) {
 // do after some thread closed seq's request — and the first thread to close
 // it flushed every word at seq and drained, because before that close no
 // newer DCAS existed to make it skip. Skipping also keeps a third party from
-// persisting part of a LATER fast-path commit (flushFast's guard).
-func (e *Engine) flushWords(s *slot, addrs []uint64, stride int, seq uint64) {
+// persisting part of a LATER small commit, whose words must become durable
+// all together or not at all (fastpath.go). Returns the number of line
+// flushes issued.
+func (e *Engine) flushWords(s *slot, addrs []uint64, stride int, seq uint64) (lines int) {
 	buf := s.flushAddrs[:0]
 	for i := 0; i < len(addrs); i += stride {
 		buf = append(buf, addrs[i])
@@ -271,7 +441,7 @@ func (e *Engine) flushWords(s *slot, addrs []uint64, stride int, seq uint64) {
 	prev := ^uint64(0)
 	for _, addr := range buf {
 		if addr == 0 || addr >= uint64(e.cfg.HeapWords) || addr == prev {
-			continue // defensive, mirroring applyWord; dedupe repeats
+			continue // as applyWord skips; dedupe repeats
 		}
 		prev = addr
 		val, wseq, ok := e.words[addr].Snapshot()
@@ -281,6 +451,7 @@ func (e *Engine) flushWords(s *slot, addrs []uint64, stride int, seq uint64) {
 		line := int(addr) / pmem.PairLineWords
 		if k > 0 && line != curLine {
 			e.dev.FlushPairLine(s.id, k, &l.idx, &l.vals, &l.seqs)
+			lines++
 			k = 0
 		}
 		curLine = line
@@ -289,7 +460,9 @@ func (e *Engine) flushWords(s *slot, addrs []uint64, stride int, seq uint64) {
 	}
 	if k > 0 {
 		e.dev.FlushPairLine(s.id, k, &l.idx, &l.vals, &l.seqs)
+		lines++
 	}
+	return lines
 }
 
 // closeRequest closes the slot's request (step 10); committer and helpers
@@ -342,12 +515,25 @@ func (e *Engine) helpApply(txid uint64, helper *slot) {
 		e.dev.FlushPair(helper.id, e.curTxImg, txid, txid)
 		e.dev.Drain(helper.id)
 	}
-	seq := seqOf(txid)
-	tid := uint64(tidOf(txid))
-	for i := uint64(0); i < n; i++ {
-		j := (tid*8 + i) % n
-		e.applyWord(helper, buf[2*j], buf[2*j+1], seq)
+	// Entries beyond the first log line that are stamped for another
+	// transaction (a later attempt's, in a log recovered half-overwritten:
+	// engine.go, headEntries) are zeroed, which both apply and flush skip.
+	stamp := e.logStamp(txid)
+	for i := uint64(headEntries); i < n; i++ {
+		if buf[2*i]&^addrMask != stamp {
+			buf[2*i] = 0
+		}
+		buf[2*i] &= addrMask
 	}
+	seq := seqOf(txid)
+	var dcas uint64
+	for i, j := 0, applyStart(tidOf(txid), int(n)); i < int(n); i++ {
+		dcas += e.applyWord(buf[2*j], buf[2*j+1], seq)
+		if j++; j == int(n) {
+			j = 0
+		}
+	}
+	helper.st.dcas.Add(dcas)
 	if e.dev != nil {
 		e.flushWords(helper, buf, 2, seq)
 	}
@@ -364,7 +550,7 @@ func (e *Engine) helpApply(txid uint64, helper *slot) {
 // read handle and runs the body with no closure — a conflict-free read-only
 // transaction performs one atomic load beyond the body's own.
 func (e *Engine) Read(fn func(tx tm.Tx) uint64) uint64 {
-	s := e.acquire()
+	s := e.acquire(false)
 	defer e.release(s)
 	if o := e.obsv.Load(); o != nil {
 		start := time.Now()
@@ -391,7 +577,9 @@ func (e *Engine) readLoop(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 		s.st.readAborts.Add(1)
 		e.obsEvent(obs.EvReadAbort, s.id, seqOf(oldTx))
 		if e.waitFree && tries+1 >= e.cfg.ReadTries {
-			return e.publishAndRun(s, fn)
+			// Escalate: published like an update operation, some thread
+			// executes the body within a bounded number of transactions.
+			return e.updateWF(s, fn)
 		}
 		e.contendedPause(tries)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"onefile/internal/tm"
@@ -44,7 +43,7 @@ func (e *Engine) updateWF(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 	}()
 	res, failed := e.runPublished(s, d)
 	if failed {
-		// A committed aggregate recorded the body's panic (runContained);
+		// A committed aggregate recorded the body's panic (aggregateBody);
 		// re-raise it here on the submitter, where the tm.Tx contract
 		// says a body panic surfaces.
 		if pv := d.fail.Load(); pv != nil {
@@ -57,13 +56,6 @@ func (e *Engine) updateWF(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 	return res
 }
 
-// publishAndRun escalates a read-only body that exhausted its optimistic
-// attempts: it is published like an update operation, guaranteeing that
-// within a bounded number of transactions some thread executes it (§III-E).
-func (e *Engine) publishAndRun(s *slot, fn func(tx tm.Tx) uint64) uint64 {
-	return e.updateWF(s, fn)
-}
-
 // runPublished drives a published operation to completion. This is the one
 // place the engine announces a hazard era: everything that dereferences
 // another slot's published descriptor (aggregateBody) runs inside this loop.
@@ -72,7 +64,7 @@ func (e *Engine) publishAndRun(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 // of §IV-B intact.
 func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, bool) {
 	defer e.eras.Clear(s.id)
-	for round := 0; ; round++ {
+	for attempt := 0; ; attempt++ {
 		oldTx := e.curTx.Load()
 		e.eras.Protect(s.id, seqOf(oldTx))
 		if res, failed, done := e.opResult(s.id, d.tag); done {
@@ -81,64 +73,50 @@ func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, bool) {
 		if e.curTx.Load() != oldTx {
 			continue // era announcement raced with a commit; re-read
 		}
-		if e.pending(oldTx) {
-			e.helpApply(oldTx, s)
-			continue
-		}
-		ok := e.transformAggregate(s, seqOf(oldTx))
-		if !ok {
-			s.st.aborts.Add(1)
-			// Bounded pause before re-aggregating: the commit that
-			// aborted us may be about to execute our operation, and
-			// colliding with its apply phase only delays both (the
-			// §III-E bound is untouched — the pause is constant and
-			// the thread then aggregates as before).
-			e.contendedPause(round)
-			continue
-		}
-		if s.ws.n == 0 {
-			// Every published operation (ours included) was already
-			// tagged done; loop back to fetch the result.
-			continue
-		}
-		newTx := makeTx(seqOf(oldTx)+1, s.id)
-		if !e.commitAndApply(s, oldTx, newTx) {
-			s.st.aborts.Add(1)
-			e.contendedPause(round)
-			continue
-		}
+		// One round of the shared pipeline with the aggregate as its body.
+		// However it ends — helped, aborted (the bounded pause in round
+		// lets the commit that beat us, which may be about to execute our
+		// operation, finish its apply phase; the §III-E bound is untouched),
+		// committed, or empty because every published operation was already
+		// tagged done — the next iteration looks for our result.
+		e.round(s, oldTx, e.aggregateBody, attempt, false)
 	}
 }
 
-// transformAggregate builds one write-set executing every published
-// operation that is not yet done, storing each result and its tag through
-// ordinary transactional stores — so exactly-once execution follows from
-// the single commit CAS (two aggregates never both commit for the same
-// sequence, and the loser re-reads the tags).
-func (e *Engine) transformAggregate(s *slot, startSeq uint64) bool {
-	s.ws.reset()
-	// Per-operation containment (runContained) rolls individual ops back
-	// out of the shared write-set, which needs replacement undo recording
-	// from the aggregate's first store on.
-	s.ws.beginUndo()
-	s.utx.startSeq = startSeq
-	_, ok := runBody(e.aggregateBody, &s.utx)
-	return ok
-}
-
-// aggregateBody is the body of the aggregate transaction. It is a method
-// value only on the engine (no per-call closure) and pulls the executing
-// slot back out of the transaction handle.
+// aggregateBody is the body of the aggregate transaction: it builds one
+// write-set executing every published operation that is not yet done,
+// storing each result and its tag through ordinary transactional stores —
+// so exactly-once execution follows from the single commit CAS (two
+// aggregates never both commit for the same sequence, and the loser
+// re-reads the tags). It is a method value only on the engine (no per-call
+// closure) and pulls the executing slot back out of the transaction handle.
+//
+// Each operation runs under the per-op containment batch members get
+// (contain): a body panic must not escape on whichever thread happens to be
+// aggregating — the submitter's goroutine is the only place the tm.Tx
+// contract lets it surface. Outcomes, per operation:
+//   - success: result and tag stored; exactly-once via the commit CAS.
+//   - abortSignal: the whole aggregate's concern; propagates.
+//   - tm.ErrTooManyStores with other operations' stores already present:
+//     the aggregate, not the operation, overflowed. Its stores are dropped
+//     and it stays published for a later, smaller aggregate — aggregation
+//     never turns a fitting transaction into an overflow.
+//   - any other panic (an overflow alone in the write-set included):
+//     terminal. The operation's stores are rolled back, the panic value
+//     parked in the descriptor, and the tag committed with opFailBit so
+//     every racing aggregate agrees the op is done and the submitter
+//     re-raises it exactly once.
 func (e *Engine) aggregateBody(tx tm.Tx) uint64 {
 	u := tx.(*uTx)
 	s := u.s
-	startSeq := u.startSeq
+	ws := &s.ws
+	ws.beginUndo() // contain rolls single operations back out of the shared write-set
 	for t := range e.slots {
 		d := e.slots[t].opSlot.Load()
 		if d == nil {
 			continue
 		}
-		if d.birth > startSeq {
+		if d.birth > u.startSeq {
 			// Published by a newer era than our snapshot: not
 			// covered by our hazard-era announcement, and
 			// executing it could break isolation. A newer
@@ -156,74 +134,38 @@ func (e *Engine) aggregateBody(tx tm.Tx) uint64 {
 		if got := u.Load(tagW); got == d.tag || got == d.tag|opFailBit {
 			continue // already executed (or terminally failed) by a committed transaction
 		}
-		if e.runContained(u, d, valW, tagW) {
-			continue // aggregate-caused overflow: left published for a later, smaller aggregate
+		// Reserve the result words before the body runs, so delivering a
+		// success or failure verdict afterwards only replaces existing
+		// entries and can never itself overflow.
+		m := ws.mark()
+		if m.n+2 > ws.cap {
+			if m.n == 0 {
+				// MaxStores < 2: no wait-free operation can ever
+				// complete. Nothing to contain.
+				panic(tm.ErrTooManyStores)
+			}
+			continue // no room left in this aggregate; a later one runs it
+		}
+		u.Store(valW, 0)
+		u.Store(tagW, 0)
+		res, pv := contain(u, d.fn)
+		switch {
+		case pv == nil:
+			u.Store(valW, res)
+			u.Store(tagW, d.tag)
+		case isOverflow(pv) && m.n > 0:
+			ws.rollbackTo(m) // drop the reservation too
+			continue
+		default:
+			fail := pv // a fresh variable: only this cold branch heap-allocates
+			d.fail.Store(&fail)
+			u.Store(tagW, d.tag|opFailBit)
 		}
 		if t != s.id {
 			s.st.aggregated.Add(1)
 		}
 	}
 	return 0
-}
-
-// runContained executes one published operation inside the aggregate with
-// the per-op isolation the group-commit layer gives batch members
-// (runGuarded): a body panic must not escape on whichever thread happens
-// to be aggregating — the submitter's goroutine is the only place the
-// tm.Tx contract lets it surface. The result words are reserved before
-// the body runs, so delivering a success or failure verdict afterwards
-// only replaces existing write-set entries and can never itself overflow.
-//
-// Outcomes:
-//   - success: result and tag stored; exactly-once via the commit CAS.
-//   - abortSignal: the whole aggregate's concern; propagates.
-//   - tm.ErrTooManyStores with other operations' stores already present:
-//     the aggregate, not the operation, overflowed. Its stores are dropped
-//     and it stays published for a later aggregate (skipped=true) —
-//     aggregation never turns a fitting transaction into an overflow.
-//   - any other panic (an overflow alone in the write-set included):
-//     terminal. The operation's stores are rolled back, the panic value
-//     parked in the descriptor, and the tag committed with opFailBit so
-//     every racing aggregate agrees the op is done and the submitter
-//     re-raises it exactly once.
-func (e *Engine) runContained(u *uTx, d *opDesc, valW, tagW tm.Ptr) (skipped bool) {
-	m := u.s.ws.mark()
-	reserved := false
-	var m2 wsMark
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, isAbort := r.(abortSignal); isAbort {
-			panic(r)
-		}
-		if err, ok := r.(error); ok && errors.Is(err, tm.ErrTooManyStores) {
-			if m.n > 0 {
-				u.s.ws.rollbackTo(m)
-				skipped = true
-				return
-			}
-			if !reserved {
-				// Even the two result words do not fit an empty
-				// write-set: MaxStores < 2, no wait-free operation
-				// can ever complete. Nothing to contain.
-				panic(r)
-			}
-		}
-		pv := r
-		d.fail.Store(&pv)
-		u.s.ws.rollbackTo(m2)
-		u.Store(tagW, d.tag|opFailBit)
-	}()
-	u.Store(valW, 0)
-	u.Store(tagW, 0)
-	reserved = true
-	m2 = u.s.ws.mark()
-	r := d.fn(u)
-	u.Store(valW, r)
-	u.Store(tagW, d.tag)
-	return false
 }
 
 // opResult reports whether slot tid's operation with the given tag has been

@@ -23,7 +23,7 @@ const linearMax = 40
 // before the request opens — helpers never look earlier.
 type writeSet struct {
 	num *atomic.Uint64  // shared store count (numStores), published at commit
-	ent []atomic.Uint64 // shared entries: ent[2i] = address, ent[2i+1] = value
+	ent []atomic.Uint64 // shared entries: ent[2i] = stamped address, ent[2i+1] = value
 
 	keys []uint64 // owner-private address mirror (keys[i] == ent[2i])
 	vals []uint64 // owner-private value mirror (vals[i] == ent[2i+1])
@@ -166,12 +166,30 @@ func (w *writeSet) buildHash() {
 // copy keeps the transform phase free of shared-array traffic: a combined
 // transaction that replaces a hot word hundreds of times pays exactly one
 // shared store for it here.
-func (w *writeSet) publish() {
+//
+// stamp (logStamp) is OR-ed into the address word of every entry beyond the
+// log's first cache line: it names the transaction the entry belongs to, so
+// a replay never mistakes a later attempt's entry for its own.
+//
+// Addresses and the entry count are only re-stored when they changed: these
+// words are owner-written, so an equal readback is this slot's own earlier
+// (already globally visible) store, and a repeated update to the same few
+// words — the steady state of a hot counter — pays one barrier per entry
+// instead of two, plus none for the count.
+func (w *writeSet) publish(stamp uint64) {
 	for i := 0; i < w.n; i++ {
-		w.ent[2*i].Store(w.keys[i])
+		a := w.keys[i]
+		if i >= headEntries {
+			a |= stamp
+		}
+		if w.ent[2*i].Load() != a {
+			w.ent[2*i].Store(a)
+		}
 		w.ent[2*i+1].Store(w.vals[i])
 	}
-	w.num.Store(uint64(w.n))
+	if w.num.Load() != uint64(w.n) {
+		w.num.Store(uint64(w.n))
+	}
 }
 
 // replace overwrites entry i's pending value, recording the pre-image when

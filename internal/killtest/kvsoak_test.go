@@ -326,10 +326,13 @@ func TestKVServiceKillRecovery(t *testing.T) {
 				}
 				killAfter := 1 + rng.Intn(200)
 				kill := func() {
+					// Sub-millisecond jitter lands the SIGKILL inside
+					// commits, group-commit batches, even replies. Drawn
+					// here, on the driver's goroutine: rng is not shared
+					// with the timer.
+					jitter := time.Duration(rng.Intn(800)) * time.Microsecond
 					go func() {
-						// Sub-millisecond jitter lands the SIGKILL inside
-						// commits, group-commit batches, even replies.
-						time.Sleep(time.Duration(rng.Intn(800)) * time.Microsecond)
+						time.Sleep(jitter)
 						cmd.Process.Kill()
 					}()
 				}

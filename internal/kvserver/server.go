@@ -59,7 +59,7 @@ type Backend interface {
 // EngineBackend serves from a single engine.
 type EngineBackend struct{ E tm.Engine }
 
-func (b EngineBackend) Shards() int        { return 1 }
+func (b EngineBackend) Shards() int         { return 1 }
 func (b EngineBackend) ShardFor(uint64) int { return 0 }
 func (b EngineBackend) Async(_ int, fn func(tm.Tx) uint64) *tm.Future {
 	return tm.AsyncUpdate(b.E, fn)
@@ -73,7 +73,7 @@ func (b EngineBackend) Stats() tm.Stats                          { return b.E.St
 // disjoint keys commit on independent streams.
 type ShardedBackend struct{ St *shard.Store }
 
-func (b ShardedBackend) Shards() int          { return b.St.Shards() }
+func (b ShardedBackend) Shards() int           { return b.St.Shards() }
 func (b ShardedBackend) ShardFor(h uint64) int { return b.St.ShardFor(h) }
 func (b ShardedBackend) Async(i int, fn func(tm.Tx) uint64) *tm.Future {
 	return tm.AsyncUpdate(b.St.Engine(i), fn)
@@ -547,29 +547,46 @@ func (c *connState) dispatch(args [][]byte) bool {
 	return false
 }
 
+// read runs body as a read-only transaction on shard and returns the value
+// of the execution that counted (tm.Collect): a body may re-run, and on a
+// wait-free engine a promoted read runs on helpers concurrently, so it must
+// not hand its result out through captured variables.
+func read[T any](c *connState, shard int, body func(tm.Tx) T) T {
+	return tm.Collect(func(fn func(tm.Tx) uint64) uint64 { return c.s.be.Read(shard, fn) }, body)
+}
+
 // get runs a read-only lookup on key's home shard.
 func (c *connState) get(key []byte) (val []byte, ok bool) {
+	type hit struct {
+		val []byte
+		ok  bool
+	}
 	h := HashKey(key)
-	c.s.be.Read(c.s.be.ShardFor(h), func(tx tm.Tx) uint64 {
-		val, ok = c.s.ix.GetTx(tx, h, key) // assign, not append: bodies may re-run
-		return 0
+	r := read(c, c.s.be.ShardFor(h), func(tx tm.Tx) hit {
+		val, ok := c.s.ix.GetTx(tx, h, key)
+		return hit{val, ok}
 	})
-	return val, ok
+	return r.val, r.ok
 }
 
 // scan advances a global cursor across shards: the high 32 bits select the
 // shard, the low 32 the bucket within it. Cursor 0 starts; 0 returned
 // means the keyspace is exhausted.
 func (c *connState) scan(cursor uint64, count int) (keys [][]byte, next uint64) {
+	type page struct {
+		keys [][]byte
+		next uint64
+	}
 	sh := int(cursor >> 32)
 	bucket := cursor & 0xFFFFFFFF
 	if sh >= c.s.be.Shards() {
 		return nil, 0
 	}
-	c.s.be.Read(sh, func(tx tm.Tx) uint64 {
-		keys, next = c.s.ix.ScanTx(tx, bucket, count) // assign, not append
-		return 0
+	pg := read(c, sh, func(tx tm.Tx) page {
+		keys, next := c.s.ix.ScanTx(tx, bucket, count)
+		return page{keys, next}
 	})
+	keys, next = pg.keys, pg.next
 	if next != 0 {
 		return keys, uint64(sh)<<32 | next
 	}

@@ -392,11 +392,10 @@ func (st *Store) UpdateCross(keys []uint64, fn func(tm.MultiTx) uint64) (uint64,
 // workloads on today's commit pipeline.
 func (st *Store) crossOnSingle(shard int, fn func(tm.MultiTx) uint64) uint64 {
 	st.crossSingle.Add(1)
-	var m singleMTx
-	m.shard = shard
 	return st.engines[shard].Update(func(tx tm.Tx) uint64 {
-		m.tx = tx
-		return fn(&m)
+		// One handle per execution: on a wait-free engine helpers run this
+		// body concurrently, each against its own tx.
+		return fn(&singleMTx{shard: shard, tx: tx})
 	})
 }
 

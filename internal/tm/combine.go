@@ -2,6 +2,7 @@ package tm
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -14,8 +15,8 @@ import (
 // Future is the pending result of a combinable update submission. The zero
 // value is ready to use. A Future is resolved exactly once, by the engine;
 // callers only read it (Wait/Done). Waiters allocate the wake channel
-// lazily, so a submission that completes before anyone blocks — the solo
-// fast path — never touches the channel machinery.
+// lazily, so a submission that completes before anyone blocks — a solo
+// submitter's — never touches the channel machinery.
 type Future struct {
 	state atomic.Uint32 // 0 pending, 1 resolved (release-stores val/err)
 	val   uint64
@@ -34,16 +35,6 @@ func (f *Future) Resolve(val uint64, err error) {
 	if p := f.ch.Load(); p != nil {
 		close(*p)
 	}
-}
-
-// ResolveLocal completes a future that has not yet been published: the
-// resolver still holds the only reference, so no waiter can exist and the
-// channel machinery is skipped entirely. Publication of the pointer (the
-// submission API returning it) is the happens-before edge that makes the
-// result visible. The solo fast path uses this.
-func (f *Future) ResolveLocal(val uint64, err error) {
-	f.val, f.err = val, err
-	f.state.Store(1)
 }
 
 // Reset returns a resolved future to its unresolved state for reuse. Only
@@ -145,4 +136,39 @@ func PanicError(r any) error {
 		return err
 	}
 	return fmt.Errorf("tm: operation body panicked: %v", r)
+}
+
+// Collect runs body as a transaction through run (an engine's Update, Read
+// or any entry of that shape) and returns the value of the execution that
+// counted. A transaction body may execute several times — retries, and on
+// the wait-free engines concurrently on helper goroutines, possibly still
+// after run has returned — so a body must not deliver a result by writing
+// variables it captured. Collect is the safe way out for results wider than
+// the engine's one uint64: each execution appends its value under a mutex
+// and returns its index, and the engine's scalar return, which does come
+// from the committed execution, selects it.
+func Collect[T any](run func(func(Tx) uint64) uint64, body func(Tx) T) T {
+	c := &collector[T]{body: body}
+	c.vals = c.one[:0]
+	win := run(c.exec)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.vals[win]
+}
+
+// collector is Collect's state, one allocation for the usual single
+// execution (one backs vals until a second execution appends).
+type collector[T any] struct {
+	mu   sync.Mutex
+	body func(Tx) T
+	vals []T
+	one  [1]T
+}
+
+func (c *collector[T]) exec(tx Tx) uint64 {
+	v := c.body(tx)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.vals = append(c.vals, v)
+	return uint64(len(c.vals) - 1)
 }

@@ -15,7 +15,8 @@ package tm
 type SmallOutcome uint8
 
 const (
-	// SmallCommitted: the body committed on the fast path.
+	// SmallCommitted: the body committed on the fast path — or stored
+	// nothing, which needs no commit at all.
 	SmallCommitted SmallOutcome = iota
 	// SmallContended: the body is fast-path eligible but the engine fell
 	// back to the full update path (commit races, pending transactions).

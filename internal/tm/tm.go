@@ -62,7 +62,13 @@ type Tx interface {
 type Engine interface {
 	// Update runs fn as a read-write (mutative) transaction and returns
 	// fn's result. fn may run multiple times and, on the wait-free
-	// engines, possibly on another goroutine.
+	// engines, possibly on another goroutine — where it may still be
+	// running after Update has returned. The paper's std::function copies
+	// what it captures; a Go closure does not. So fn must not write the
+	// variables it captures, and the caller must not change them after
+	// the call either (a reused buffer, a loop variable assigned to).
+	// Collect takes a result wider than a uint64 out of a body safely.
+	// The same holds for Read and for every other entry that takes a body.
 	Update(fn func(tx Tx) uint64) uint64
 	// Read runs fn as a read-only transaction and returns fn's result.
 	// fn must not call Store, Alloc or Free; engines report misuse by
@@ -180,9 +186,9 @@ type Stats struct {
 	Batches      uint64 // combined transactions executed by the group-commit layer
 	BatchedOps   uint64 // operations that ran through combined transactions
 
-	FastAttempts  uint64 // small-transaction fast-path attempts (UpdateSmall entries)
-	FastCommits   uint64 // transactions committed on the fast path
-	FastFallbacks uint64 // fast-path attempts that fell back to the full engine
+	FastAttempts  uint64 // small-commit probes with something to commit (FastCommits + FastFallbacks)
+	FastCommits   uint64 // transactions committed on the small commit (counted in Commits too)
+	FastFallbacks uint64 // probes that continued on the full engine
 }
 
 // Add returns the counter-wise sum s + o.

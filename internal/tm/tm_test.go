@@ -71,3 +71,27 @@ func TestStatsSub(t *testing.T) {
 		t.Fatalf("Sub wrong: %+v", d)
 	}
 }
+
+// TestCollectSelectsTheCountedExecution: the value returned is the one from
+// the execution whose index the runner returned — not the first, not the
+// last — including when an execution finishes after the runner has decided.
+func TestCollectSelectsTheCountedExecution(t *testing.T) {
+	calls := 0
+	late := make(chan struct{})
+	got := Collect(func(body func(Tx) uint64) uint64 {
+		body(nil)        // an aborted attempt
+		win := body(nil) // the one that commits
+		go func() {      // a helper still running the body afterwards
+			body(nil)
+			close(late)
+		}()
+		return win
+	}, func(Tx) []int {
+		calls++
+		return []int{calls}
+	})
+	<-late
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("Collect returned %v, want the second execution's [2]", got)
+	}
+}
