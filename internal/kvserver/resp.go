@@ -3,9 +3,11 @@ package kvserver
 // RESP2 wire protocol (the Redis serialization protocol), enough for a KV
 // service and its load harness: the server reads commands as arrays of bulk
 // strings (plus inline commands, so `redis-cli`-style tools and netcat
-// work), and writes the five RESP2 reply kinds. Implemented on bufio with
-// hard size caps so a malformed or hostile peer cannot make the server
-// allocate unboundedly.
+// work), and writes the five RESP2 reply kinds. Commands are parsed from a
+// byte slice, their arguments slices of it — a drain takes every complete
+// command the connection's read buffer holds (drain.go) — with hard size
+// caps so a malformed or hostile peer cannot make the server allocate
+// unboundedly.
 
 import (
 	"bufio"
@@ -24,6 +26,9 @@ const (
 	maxBulk = MaxValLen + MaxKeyLen
 	// maxInline caps an inline command line.
 	maxInline = 1 << 16
+	// readBufSize is a connection's read buffer; it grows for one command
+	// larger than that and shrinks back once the command is consumed.
+	readBufSize = 16 << 10
 )
 
 var (
@@ -31,116 +36,126 @@ var (
 	errTooBig   = errors.New("ERR argument or array exceeds protocol limit")
 )
 
-// respReader decodes client commands from a stream.
+// respReader buffers a client's byte stream; buf[r:w] is unread.
 type respReader struct {
-	br *bufio.Reader
+	rd   io.Reader
+	buf  []byte
+	r, w int
 }
 
-func newRespReader(r io.Reader) *respReader {
-	return &respReader{br: bufio.NewReaderSize(r, 16<<10)}
+func newRespReader(rd io.Reader) *respReader {
+	return &respReader{rd: rd, buf: make([]byte, readBufSize)}
 }
 
-// Buffered reports whether bytes are already waiting in the read buffer —
-// the pipelining signal: while more commands are buffered the server defers
-// flushing write futures and keeps batching.
-func (r *respReader) Buffered() bool { return r.br.Buffered() > 0 }
+// unread returns the bytes buffered and not yet consumed.
+func (r *respReader) unread() []byte { return r.buf[r.r:r.w] }
 
-// readLine reads up to CRLF, returning the line without the terminator.
-func (r *respReader) readLine(cap int) ([]byte, error) {
-	line, err := r.br.ReadSlice('\n')
-	if err != nil {
-		if err == bufio.ErrBufferFull {
-			return nil, errTooBig
+// consume marks n unread bytes as parsed.
+func (r *respReader) consume(n int) {
+	r.r += n
+	if r.r == r.w {
+		r.r, r.w = 0, 0
+		if len(r.buf) > readBufSize {
+			r.buf = make([]byte, readBufSize)
 		}
-		return nil, err
-	}
-	if len(line) > cap {
-		return nil, errTooBig
-	}
-	if len(line) < 2 || line[len(line)-2] != '\r' {
-		return nil, errProtocol
-	}
-	return line[:len(line)-2], nil
-}
-
-// ReadCommand reads one command: either a RESP array of bulk strings or an
-// inline (space-separated) line. The returned slices are freshly allocated
-// (they outlive the read buffer inside transaction closures).
-func (r *respReader) ReadCommand() ([][]byte, error) {
-	for {
-		line, err := r.readLine(maxInline)
-		if err != nil {
-			return nil, err
-		}
-		if len(line) == 0 {
-			continue // tolerate bare CRLF between commands
-		}
-		if line[0] != '*' {
-			// Inline command.
-			fields := bytes.Fields(line)
-			if len(fields) == 0 {
-				continue
-			}
-			if len(fields) > maxArgs {
-				return nil, errTooBig
-			}
-			args := make([][]byte, len(fields))
-			for i, f := range fields {
-				args[i] = append([]byte(nil), f...)
-			}
-			return args, nil
-		}
-		n, err := strconv.Atoi(string(line[1:]))
-		if err != nil || n < 0 {
-			return nil, errProtocol
-		}
-		if n > maxArgs {
-			return nil, errTooBig
-		}
-		args := make([][]byte, 0, n)
-		for i := 0; i < n; i++ {
-			arg, err := r.readBulk()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, arg)
-		}
-		if len(args) == 0 {
-			continue
-		}
-		return args, nil
 	}
 }
 
-func (r *respReader) readBulk() ([]byte, error) {
-	line, err := r.readLine(64)
-	if err != nil {
-		return nil, err
+// fill blocks until at least need bytes are unread. The front of a command
+// left from the last read moves to the start of the buffer, which grows when
+// one command is larger than it (need is bounded by the parser's caps).
+func (r *respReader) fill(need int) error {
+	if r.r > 0 || need > len(r.buf) {
+		nb := r.buf
+		if need > len(nb) {
+			nb = make([]byte, max(need, 2*len(nb)))
+		}
+		r.w = copy(nb, r.unread())
+		r.r, r.buf = 0, nb
 	}
-	if len(line) == 0 || line[0] != '$' {
-		return nil, errProtocol
+	n, err := io.ReadAtLeast(r.rd, r.buf[r.w:], need-(r.w-r.r))
+	r.w += n
+	return err
+}
+
+// parseLine splits the CRLF-terminated line at the front of b. n is the
+// length including the terminator, 0 when b does not hold a whole line yet.
+func parseLine(b []byte, limit int) (line []byte, n int, err error) {
+	i := bytes.IndexByte(b, '\n')
+	if i < 0 {
+		if len(b) > limit {
+			return nil, 0, errTooBig
+		}
+		return nil, 0, nil
 	}
-	n, err := strconv.Atoi(string(line[1:]))
-	if err != nil || n < 0 {
-		return nil, errProtocol
+	if i+1 > limit {
+		return nil, 0, errTooBig
 	}
-	if n > maxBulk {
-		return nil, errTooBig
+	if i < 1 || b[i-1] != '\r' {
+		return nil, 0, errProtocol
 	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return nil, err
+	return b[:i-1], i + 1, nil
+}
+
+// parseCommand decodes the command at the front of b — a RESP array of bulk
+// strings or an inline (space-separated) line — appending its arguments,
+// which are slices of b, to args. n is the number of bytes the command
+// occupies; a bare CRLF or an empty array occupies bytes and has no
+// arguments. n == 0 with a nil error means b ends inside the command, and
+// need is then the least len(b) that could hold all of it.
+func parseCommand(b []byte, args [][]byte) (out [][]byte, n, need int, err error) {
+	line, pos, err := parseLine(b, maxInline)
+	if pos == 0 {
+		return args, 0, len(b) + 1, err
 	}
-	if buf[n] != '\r' || buf[n+1] != '\n' {
-		return nil, errProtocol
+	if len(line) == 0 || line[0] != '*' {
+		args = append(args, bytes.Fields(line)...)
+		if len(args) > maxArgs {
+			return args, 0, 0, errTooBig
+		}
+		return args, pos, 0, nil
 	}
-	return buf[:n], nil
+	count, err := strconv.Atoi(string(line[1:]))
+	if err != nil || count < 0 {
+		return args, 0, 0, errProtocol
+	}
+	if count > maxArgs {
+		return args, 0, 0, errTooBig
+	}
+	for ; count > 0; count-- {
+		hdr, hn, err := parseLine(b[pos:], 64)
+		if hn == 0 {
+			return args, 0, len(b) + 1, err
+		}
+		if len(hdr) == 0 || hdr[0] != '$' {
+			return args, 0, 0, errProtocol
+		}
+		size, err := strconv.Atoi(string(hdr[1:]))
+		if err != nil || size < 0 {
+			return args, 0, 0, errProtocol
+		}
+		if size > maxBulk {
+			return args, 0, 0, errTooBig
+		}
+		pos += hn
+		end := pos + size + 2
+		if end > len(b) {
+			return args, 0, end, nil
+		}
+		if b[end-2] != '\r' || b[end-1] != '\n' {
+			return args, 0, 0, errProtocol
+		}
+		args = append(args, b[pos:pos+size])
+		pos = end
+	}
+	return args, pos, 0, nil
 }
 
 // respWriter encodes replies. Not safe for concurrent use; the connection
 // loop is the only writer.
 type respWriter struct {
-	bw *bufio.Writer
+	bw  *bufio.Writer
+	num [20]byte // scratch for decimal lengths and integers
 }
 
 func newRespWriter(w io.Writer) *respWriter {
@@ -148,6 +163,13 @@ func newRespWriter(w io.Writer) *respWriter {
 }
 
 func (w *respWriter) Flush() error { return w.bw.Flush() }
+
+// header writes a type byte, a decimal and CRLF.
+func (w *respWriter) header(kind byte, n int64) {
+	w.bw.WriteByte(kind)
+	w.bw.Write(strconv.AppendInt(w.num[:0], n, 10))
+	w.bw.WriteString("\r\n")
+}
 
 func (w *respWriter) Simple(s string) {
 	w.bw.WriteByte('+')
@@ -169,27 +191,17 @@ func (w *respWriter) Error(msg string) {
 	w.bw.WriteString("\r\n")
 }
 
-func (w *respWriter) Int(n int64) {
-	w.bw.WriteByte(':')
-	w.bw.Write(strconv.AppendInt(nil, n, 10))
-	w.bw.WriteString("\r\n")
-}
+func (w *respWriter) Int(n int64) { w.header(':', n) }
 
 func (w *respWriter) Bulk(b []byte) {
-	w.bw.WriteByte('$')
-	w.bw.Write(strconv.AppendInt(nil, int64(len(b)), 10))
-	w.bw.WriteString("\r\n")
+	w.header('$', int64(len(b)))
 	w.bw.Write(b)
 	w.bw.WriteString("\r\n")
 }
 
 func (w *respWriter) Null() { w.bw.WriteString("$-1\r\n") }
 
-func (w *respWriter) Array(n int) {
-	w.bw.WriteByte('*')
-	w.bw.Write(strconv.AppendInt(nil, int64(n), 10))
-	w.bw.WriteString("\r\n")
-}
+func (w *respWriter) Array(n int) { w.header('*', int64(n)) }
 
 // errReply renders an error as a RESP error message: errors already
 // carrying a Redis-style code pass through, anything else gets ERR.

@@ -30,7 +30,12 @@ func testOpts() []tm.Option {
 // dialer plus a shutdown func.
 func startServer(t *testing.T, be Backend, buckets int) (dial func() *Client, shutdown func()) {
 	t.Helper()
-	srv := NewServer(be, NewIndex(buckets), obs.NewRegistry())
+	return serve(t, NewServer(be, NewIndex(buckets), obs.NewRegistry()))
+}
+
+// serve initialises srv and serves it on a loopback listener.
+func serve(t *testing.T, srv *Server) (dial func() *Client, shutdown func()) {
+	t.Helper()
 	if err := srv.Init(); err != nil {
 		t.Fatalf("init: %v", err)
 	}

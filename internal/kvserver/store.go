@@ -1,8 +1,9 @@
 // Package kvserver is the network-facing durable key-value service: a
-// RESP-protocol server (GET/SET/DEL/INCR/MGET/SCAN, pipelining) whose every
-// write is a transaction on a OneFile engine, submitted through the
-// group-commit combiner so concurrent connections share commit pipelines
-// and persistence-fence rounds (DESIGN.md §10). cmd/onefile-kv is the
+// RESP-protocol server (GET/SET/DEL/INCR/MGET/SCAN, pipelining) that runs
+// every pipelined window of a connection as one transaction on a OneFile
+// engine, submitted through the group-commit combiner so concurrent
+// connections share commit pipelines and persistence-fence rounds too
+// (DESIGN.md §10). cmd/onefile-kv is the
 // binary; internal/bench drives it over real sockets for the YCSB-style
 // service benchmarks.
 //
@@ -34,6 +35,7 @@
 package kvserver
 
 import (
+	"encoding/binary"
 	"errors"
 	"strconv"
 
@@ -134,31 +136,29 @@ func (ix *Index) bucketSlot(tx tm.Tx, b uint64, create bool) tm.Ptr {
 
 func wordsFor(n int) int { return (n + 7) / 8 }
 
+// packWord returns up to 8 bytes of b as a little-endian word.
 func packWord(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < len(b); i++ {
-		v |= uint64(b[i]) << (8 * i)
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return v
+	var w [8]byte
+	copy(w[:], b)
+	return binary.LittleEndian.Uint64(w[:])
 }
 
 func storeBytes(tx tm.Tx, p tm.Ptr, b []byte) {
-	for i := 0; len(b) > 0; i++ {
-		n := min(8, len(b))
-		tx.Store(p+tm.Ptr(i), packWord(b[:n]))
-		b = b[n:]
+	for ; len(b) > 0; p++ {
+		tx.Store(p, packWord(b))
+		b = b[min(8, len(b)):]
 	}
 }
 
 func loadBytes(tx tm.Tx, p tm.Ptr, n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n; i += 8 {
-		v := tx.Load(p + tm.Ptr(i/8))
-		for j := i; j < min(i+8, n); j++ {
-			out[j] = byte(v >> (8 * (j - i)))
-		}
+	out := make([]byte, wordsFor(n)*8)
+	for i := 0; i < len(out); i += 8 {
+		binary.LittleEndian.PutUint64(out[i:], tx.Load(p+tm.Ptr(i/8)))
 	}
-	return out
+	return out[:n]
 }
 
 // entry field offsets.
@@ -180,8 +180,7 @@ func keyEqual(tx tm.Tx, e tm.Ptr, key []byte) bool {
 		return false
 	}
 	for i := 0; i < kl; i += 8 {
-		n := min(8, kl-i)
-		if tx.Load(e+fKey+tm.Ptr(i/8)) != packWord(key[i:i+n]) {
+		if tx.Load(e+fKey+tm.Ptr(i/8)) != packWord(key[i:]) {
 			return false
 		}
 	}
@@ -300,25 +299,136 @@ func (ix *Index) ScanTx(tx tm.Tx, cursor uint64, limit int) (keys [][]byte, next
 	if limit <= 0 {
 		limit = 10
 	}
+	var heads [warmBatch]tm.Ptr
 	b := cursor
-	for inspected := 0; b < ix.buckets && inspected < scanBucketBudget; inspected++ {
+	for inspected := 0; b < ix.buckets && inspected < scanBucketBudget && len(keys) < limit; {
 		slot := ix.bucketSlot(tx, b, false)
 		if slot == 0 {
 			// Whole segment absent: skip to the next one.
 			b = (b/bucketsPerSeg + 1) * bucketsPerSeg
+			inspected++
 			continue
 		}
-		for e := tm.Ptr(tx.Load(slot)); e != 0; e = tm.Ptr(tx.Load(e + fNext)) {
-			kl, _ := entryLens(tx.Load(e + fLens))
-			keys = append(keys, loadBytes(tx, e+fKey, kl))
+		// A run of buckets inside this segment: read their heads and touch
+		// each chain's first entry before walking any (see warm), so the
+		// chains' misses overlap.
+		n := min(warmBatch, int(bucketsPerSeg-b%bucketsPerSeg), scanBucketBudget-inspected)
+		for i := range heads[:n] {
+			heads[i] = tm.Ptr(tx.Load(slot + tm.Ptr(i)))
 		}
-		b++
-		if len(keys) >= limit {
-			break
+		for _, e := range heads[:n] {
+			if e != 0 {
+				tx.Load(e + fLens)
+			}
+		}
+		for _, e := range heads[:n] {
+			for ; e != 0; e = tm.Ptr(tx.Load(e + fNext)) {
+				kl, _ := entryLens(tx.Load(e + fLens))
+				keys = append(keys, loadBytes(tx, e+fKey, kl))
+			}
+			b++
+			inspected++
+			if len(keys) >= limit {
+				break
+			}
 		}
 	}
 	if b >= ix.buckets {
 		return keys, 0
 	}
 	return keys, b
+}
+
+// op is one single-shard index operation of a pipeline drain (drain.go).
+// The bodies that run it may execute more than once and, on a wait-free
+// engine, on helper goroutines after the submitter has moved on, so an op
+// and the bytes it points at are never written again once submitted.
+type op struct {
+	kind  opKind
+	shard int32
+	cmd   int32  // index of the command's reply record
+	h     uint64 // key hash; opScan: bucket cursor
+	n     int64  // opIncr: delta; opScan: key limit
+	key   []byte
+	val   []byte
+}
+
+type opKind uint8
+
+const (
+	opGet opKind = iota
+	opSet
+	opDel
+	opIncr
+	opScan
+	opCount
+)
+
+// keyed reports whether the op looks one key up; write whether it stores
+// (both read the order of the constants above).
+func (k opKind) keyed() bool { return k <= opIncr }
+func (k opKind) write() bool { return k >= opSet && k <= opIncr }
+
+// result is what one op produced in one execution of its body.
+type result struct {
+	n    uint64   // opSet/opDel: 1 if created/removed; opIncr: new value; opScan: next bucket; opCount: live keys
+	ok   bool     // opGet: key present
+	val  []byte   // opGet
+	keys [][]byte // opScan
+}
+
+// warmBatch is how many lookups warm overlaps at a time: enough independent
+// loads to fill the core's miss queue, few enough to stay in L1.
+const warmBatch = 16
+
+// warm walks the first two links of every keyed lookup in ops — bucket
+// head, then the first entry's hash word — and discards what it reads. The
+// links of one lookup depend on each other but those of different lookups do
+// not, so issuing them side by side lets their cache and TLB misses overlap;
+// the operations that follow find the lines present.
+func (ix *Index) warm(tx tm.Tx, ops []op) {
+	var heads [warmBatch]tm.Ptr
+	for len(ops) > 0 {
+		n := min(len(ops), warmBatch)
+		for i := range ops[:n] {
+			heads[i] = 0
+			if !ops[i].kind.keyed() {
+				continue
+			}
+			if slot := ix.bucketSlot(tx, ops[i].h&(ix.buckets-1), false); slot != 0 {
+				heads[i] = tm.Ptr(tx.Load(slot))
+			}
+		}
+		for _, e := range heads[:n] {
+			if e != 0 {
+				tx.Load(e + fHash)
+			}
+		}
+		ops = ops[n:]
+	}
+}
+
+// apply runs ops in order inside the enclosing transaction and returns a
+// freshly allocated record of their results (one per execution: see op).
+func (ix *Index) apply(tx tm.Tx, ops []op) []result {
+	ix.warm(tx, ops)
+	res := make([]result, len(ops))
+	for i := range ops {
+		o, r := &ops[i], &res[i]
+		switch o.kind {
+		case opGet:
+			r.val, r.ok = ix.GetTx(tx, o.h, o.key)
+		case opSet:
+			r.n = ix.SetTx(tx, o.h, o.key, o.val)
+		case opDel:
+			r.n = ix.DelTx(tx, o.h, o.key)
+		case opIncr:
+			r.n = ix.IncrTx(tx, o.h, o.key, o.n)
+		case opScan:
+			r.keys, r.n = ix.ScanTx(tx, o.h, int(o.n))
+		case opCount:
+			r.n = ix.CountTx(tx)
+		}
+	}
+	return res
 }

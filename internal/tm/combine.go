@@ -147,12 +147,22 @@ func PanicError(r any) error {
 // the engine's one uint64: each execution appends its value under a mutex
 // and returns its index, and the engine's scalar return, which does come
 // from the committed execution, selects it.
+//
+// run may report a failed transaction by value instead of panicking — an
+// AsyncUpdate future's Wait is the usual case — and then returns whatever
+// scalar it likes: when that selects no execution (none may have completed)
+// Collect returns the zero T, and the caller, who holds run's error, must
+// not use it.
 func Collect[T any](run func(func(Tx) uint64) uint64, body func(Tx) T) T {
 	c := &collector[T]{body: body}
 	c.vals = c.one[:0]
 	win := run(c.exec)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if win >= uint64(len(c.vals)) {
+		var zero T
+		return zero
+	}
 	return c.vals[win]
 }
 

@@ -95,3 +95,26 @@ func TestCollectSelectsTheCountedExecution(t *testing.T) {
 		t.Fatalf("Collect returned %v, want the second execution's [2]", got)
 	}
 }
+
+// TestCollectFailedRun: a runner that reports a failed transaction by value
+// — a future's Wait — may return a scalar that selects no execution, none
+// having completed: Collect returns the zero value and does not index.
+func TestCollectFailedRun(t *testing.T) {
+	got := Collect(func(body func(Tx) uint64) uint64 {
+		func() {
+			defer func() { recover() }() // the engine delivers the panic as the future's error
+			body(nil)
+		}()
+		return 0
+	}, func(Tx) []int { panic(ErrTooManyStores) })
+	if got != nil {
+		t.Fatalf("Collect of a run with no completed execution returned %v, want nil", got)
+	}
+	got = Collect(func(body func(Tx) uint64) uint64 {
+		body(nil)
+		return 7 // not an execution's index
+	}, func(Tx) []int { return []int{1} })
+	if got != nil {
+		t.Fatalf("Collect with no execution selected returned %v, want nil", got)
+	}
+}

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # KV service smoke test: build cmd/onefile-kv, start it file-backed on
 # tmpfs, drive a load burst over real sockets through the bench harness
-# (onefile-bench -fig kv -kv-addr), assert the service and engine metric
-# families moved, SIGTERM for a graceful drain, then reopen the same file
-# and verify the loaded keys survived the shutdown. Run from the
+# (onefile-bench -fig kv -kv-addr) and a pipelined burst of dependent
+# commands, assert the service and engine metric families moved (the drain
+# histogram among them), SIGTERM for a graceful drain, then reopen the same
+# file and verify the loaded keys survived the shutdown. Run from the
 # repository root; CI's kv-smoke job runs exactly this script.
 set -euo pipefail
 
@@ -62,6 +63,18 @@ start_server
 [ "$(resp_cmd PING)" = "+PONG" ] || fail "PING did not answer PONG"
 [ "$(resp_cmd DBSIZE)" = ":$keys" ] || fail "DBSIZE $(resp_cmd DBSIZE) != :$keys after load"
 
+# A pipelined burst in one write — dependent commands the handler takes as
+# one drain: every reply, in order, as sequential round trips would give.
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+printf 'SET smoke:k a\r\nGET smoke:k\r\nINCR smoke:n\r\nINCR smoke:n\r\nDEL smoke:k smoke:n\r\nDBSIZE\r\n' >&3
+burst=""
+for _ in 1 2 3 4 5 6 7; do
+  IFS= read -r -t 5 line <&3 || fail "pipelined burst: reply missing after '$burst'"
+  burst+="${line%$'\r'} "
+done
+exec 3>&- 3<&-
+[ "$burst" = "+OK \$1 a :1 :2 :2 :$keys " ] || fail "pipelined burst answered '$burst'"
+
 metrics=$(curl -fs "http://$maddr/metrics") || fail "metrics endpoint unreachable"
 
 require_nonzero() {
@@ -82,6 +95,7 @@ for fam in \
   kv_connections_total \
   kv_get_latency_count \
   kv_set_latency_count \
+  kv_drain_commands_count \
   onefile_of_lf_ptm_commits_total \
   onefile_of_lf_ptm_batches_total \
   onefile_of_lf_ptm_pwb_total; do
