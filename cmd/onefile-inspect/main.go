@@ -81,11 +81,8 @@ func inspect(path string, out io.Writer, o options) error {
 		tm.WithMaxStores(o.maxStores),
 	}
 	cfg := def.DeviceConfig(pmem.StrictMode, 0, opts...)
-	dev, err := pmem.New(cfg)
-	if err != nil {
-		return err
-	}
 
+	var dev *pmem.Sim
 	if o.deviceFile {
 		// Read, don't Open: Open would mark the superblock dirty and Close
 		// would mark it clean — both destroy post-mortem evidence.
@@ -105,8 +102,9 @@ func inspect(path string, out io.Writer, o options) error {
 			return fmt.Errorf("device holds %d/%d words but engine %s with these sizing flags needs %d/%d (check -engine/-heap/-max-threads/-max-stores)",
 				len(raw), len(pairs)/2, def.Name, cfg.RawWords, cfg.PairWords)
 		}
-		if err := loadWords(dev, raw, pairs); err != nil {
-			return fmt.Errorf("load device image: %w", err)
+		// The copies ReadImage made are the inspection device's image.
+		if dev, err = pmem.NewOver(cfg, raw, pairs, nil); err != nil {
+			return err
 		}
 	} else {
 		f, err := os.Open(path)
@@ -114,6 +112,9 @@ func inspect(path string, out io.Writer, o options) error {
 			return err
 		}
 		defer f.Close()
+		if dev, err = pmem.New(cfg); err != nil {
+			return err
+		}
 		if _, err := dev.ReadFrom(f); err != nil {
 			return fmt.Errorf("load snapshot (check the sizing flags): %w", err)
 		}
@@ -161,17 +162,4 @@ func inspect(path string, out io.Writer, o options) error {
 	s := e.Stats()
 	fmt.Fprintf(out, "recovery:      null recovery complete (helps=%d)\n", s.Helps)
 	return nil
-}
-
-// loadWords injects a device file's raw/pair images into the inspection
-// device via the portable snapshot format.
-func loadWords(dev pmem.Device, raw, pairs []uint64) error {
-	pr, pw := io.Pipe()
-	go func() {
-		_, err := pmem.EncodeImage(pw, raw, pairs)
-		pw.CloseWithError(err)
-	}()
-	_, err := dev.ReadFrom(pr)
-	pr.Close()
-	return err
 }

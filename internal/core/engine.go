@@ -418,17 +418,16 @@ func (e *Engine) attach() error {
 	e.curTx.Store(cur)
 	maxSeq := seqOf(cur)
 	wordMax := uint64(0)
-	buf := make([]uint64, 2*attachChunk)
+	buf := make([]pmem.Pair, attachChunk)
 	for lo := 0; lo < e.cfg.HeapWords; lo += attachChunk {
-		n := min(attachChunk, e.cfg.HeapWords-lo)
-		vals, seqs := buf[:n], buf[attachChunk:attachChunk+n]
-		e.dev.ImagePairs(lo, vals, seqs)
-		for i, seq := range seqs {
-			if seq > wordMax {
-				wordMax = seq
+		pairs := buf[:min(attachChunk, e.cfg.HeapWords-lo)]
+		e.dev.ImagePairs(lo, pairs)
+		for i, p := range pairs {
+			if p.Seq > wordMax {
+				wordMax = p.Seq
 			}
-			if val := vals[i]; val != 0 || seq != 0 {
-				e.words[lo+i].Store(val, seq)
+			if p.Val != 0 || p.Seq != 0 {
+				e.words[lo+i].Store(p.Val, p.Seq)
 			}
 		}
 	}

@@ -222,22 +222,22 @@ func TestImagePairsMatchesImagePair(t *testing.T) {
 		d.FlushPair(0, 1, 555, 9) // pending: no fence follows
 		for _, win := range [][2]int{{0, n}, {5, 13}, {n - 1, 1}, {7, 0}} {
 			lo, cnt := win[0], win[1]
-			vals, seqs := make([]uint64, cnt), make([]uint64, cnt)
-			d.ImagePairs(lo, vals, seqs)
-			for i := 0; i < cnt; i++ {
-				if v, s := d.ImagePair(lo + i); vals[i] != v || seqs[i] != s {
-					t.Fatalf("window [%d,+%d): word %d = (%d,%d), ImagePair says (%d,%d)", lo, cnt, lo+i, vals[i], seqs[i], v, s)
+			got := make([]pmem.Pair, cnt)
+			d.ImagePairs(lo, got)
+			for i, p := range got {
+				if v, s := d.ImagePair(lo + i); p.Val != v || p.Seq != s {
+					t.Fatalf("window [%d,+%d): word %d = (%d,%d), ImagePair says (%d,%d)", lo, cnt, lo+i, p.Val, p.Seq, v, s)
 				}
 			}
 		}
-		var v, s [1]uint64
-		d.ImagePairs(1, v[:], s[:])
-		if v[0] != 0 || s[0] != 0 {
-			t.Fatalf("un-fenced flush visible in the bulk image: (%d,%d)", v[0], s[0])
+		var one [1]pmem.Pair
+		d.ImagePairs(1, one[:])
+		if one[0] != (pmem.Pair{}) {
+			t.Fatalf("un-fenced flush visible in the bulk image: %+v", one[0])
 		}
-		d.ImagePairs(3, v[:], s[:])
-		if v[0] != 1003 || s[0] != 4 {
-			t.Fatalf("word 3 = (%d,%d), want (1003,4)", v[0], s[0])
+		d.ImagePairs(3, one[:])
+		if one[0] != (pmem.Pair{Val: 1003, Seq: 4}) {
+			t.Fatalf("word 3 = %+v, want (1003,4)", one[0])
 		}
 	})
 }

@@ -53,6 +53,40 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		if _, err := d.ReadFrom(strings.NewReader("not a snapshot at all, sorry")); err == nil {
 			t.Fatal("garbage accepted")
 		}
+
+		// A stream that passes the header check and ends inside the pair
+		// body has already replaced the raw image. The load fails, and the
+		// device is left as a crash on that half-loaded image would leave
+		// it: no buffered flush survives and the volatile view is the image.
+		src := mk(t, smallCfg(pmem.RelaxedMode))
+		src.RawStore(3, 77)
+		src.Flush(0, 3, 1)
+		src.Fence(0)
+		var buf bytes.Buffer
+		if _, err := src.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		short := buf.Bytes()[:buf.Len()-8]
+
+		d = mk(t, smallCfg(pmem.RelaxedMode))
+		d.RawStore(20, 5)
+		d.Flush(0, 20, 1) // buffered: the failed load must drop it
+		d.RawStore(30, 6) // volatile only: the failed load must reset it
+		if _, err := d.ReadFrom(bytes.NewReader(short)); err == nil {
+			t.Fatal("truncated snapshot accepted")
+		}
+		d.Fence(0)
+		if got := d.ImageRaw(20); got != 0 {
+			t.Errorf("a flush buffered before the failed load reached the image: %d", got)
+		}
+		if got := d.ImageRaw(3); got != 77 {
+			t.Errorf("raw image word 3 = %d; the stream's raw region was read in full, want 77", got)
+		}
+		for i := 0; i < d.RawWords(); i++ {
+			if v, img := d.RawLoad(i), d.ImageRaw(i); v != img {
+				t.Fatalf("volatile word %d = %d, image holds %d", i, v, img)
+			}
+		}
 	})
 }
 

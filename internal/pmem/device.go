@@ -12,15 +12,19 @@ import (
 // (internal/pmem/conformtest) holds every implementation to the same
 // semantics.
 //
-// Two implementations exist today:
+// One model, two image stores. Sim (this package) is the only
+// implementation of the semantics below — exact pwb/pfence accounting, the
+// sequence guard, a seeded RelaxedMode that reorders write-backs — and it
+// runs over an image it is given:
 //
-//   - Sim (this package): the in-process simulator. Exact pwb/pfence
-//     accounting and a seeded RelaxedMode that reorders write-backs — the
-//     adversarial backend for crash enumeration.
-//   - filedev.Device (internal/pmem/filedev): an mmap-backed file whose
-//     persistent image survives whole-process crashes and re-execs.
+//   - New: fresh memory. The in-process simulator, the adversarial backend
+//     for crash enumeration; its durability dies with the process.
+//   - filedev.Create/Open (internal/pmem/filedev): the regions of an
+//     mmap-backed file, so the image survives whole-process crashes and
+//     re-execs. filedev.Device is a Sim plus the file: superblock, dirty
+//     range, msync.
 //
-// Method semantics (shared by all backends):
+// Method semantics:
 //
 //   - The raw region is plain 64-bit words with a volatile view (RawLoad/
 //     RawStore/RawCAS/RawAdd/RawRegion) and a persistent image; Flush
@@ -36,9 +40,9 @@ import (
 //     quiescence, as a real whole-process crash would provide.
 //   - WriteTo/ReadFrom serialise exactly the durable image (the snapshot
 //     format of this package), portable across backends.
-//   - Close releases backend resources (mmap, file handles); for durable
-//     backends it syncs the image and marks a clean shutdown. The
-//     simulator's Close is a no-op.
+//   - Close is an orderly shutdown: buffered flushes are written back and
+//     the image synced; the file device then marks a clean shutdown and
+//     releases its mapping and file handle.
 type Device interface {
 	// Mode returns the durability model the device was opened with.
 	Mode() Mode
@@ -79,10 +83,9 @@ type Device interface {
 	Crash()
 	// ImagePair returns the persistent image of TM word idx.
 	ImagePair(idx int) (val, seq uint64)
-	// ImagePairs copies the persistent image of TM words
-	// [lo, lo+len(vals)) into vals and seqs, which must be equally long
-	// (quiescence required): recovery's bulk read.
-	ImagePairs(lo int, vals, seqs []uint64)
+	// ImagePairs copies the persistent image of TM words [lo, lo+len(dst))
+	// into dst (quiescence required): recovery's bulk read.
+	ImagePairs(lo int, dst []Pair)
 	// ImageRaw returns the persistent image of raw word off.
 	ImageRaw(off int) uint64
 	// RawWords returns the size of the raw region in words.

@@ -10,37 +10,26 @@
 //	then            pair region: PairWords × 16 bytes ({value, sequence}
 //	                interleaved), block-aligned
 //
-// Semantic mapping from the simulator (see DESIGN.md §12):
+// The persistence model itself — pwb, ordering points, the two modes, the
+// sequence guard, Crash, the snapshot codec — is pmem.Sim's, running over
+// the two mapped regions (see DESIGN.md §12). This package adds what only a
+// file has:
 //
-//   - pwb (Flush*)   = copy the covered line's current content into the
-//     mapping and extend the dirty byte range. A store that reaches the
-//     mapping survives a process kill (the page cache holds it), which is
-//     exactly the "pwb reached the memory controller" point of the model.
-//   - pfence/Drain   = msync the dirty range. Only after the msync is the
-//     image safe against a host power failure, mirroring pwb-then-pfence.
-//   - Crash()        = the in-process power-failure simulation the
-//     conformance and crashcheck suites drive: pending (un-fenced) relaxed
-//     buffers are partially lost, volatile views reload from the image. A
-//     real whole-process kill needs no call — dying IS the crash.
-//
-// StrictMode writes through to the mapping on every Flush; RelaxedMode
-// buffers per slot until the next Fence/Drain and loses a seeded random
-// subset of un-ordered write-backs at Crash, exactly like the simulator.
-//
-// Failure atomicity is 8 bytes (one aligned word store), the paper's NVM
-// model. A kill can therefore land between the two stores of a pair image;
-// commitPairs writes value before sequence, so a torn pair keeps its OLD
-// sequence — the recovery invariant "no word's durable sequence exceeds
-// the durable curTx" can never be violated by tearing, and null recovery
-// re-applies the value from the redo log.
+//   - a pwb (Flush*) that reaches the image has reached the mapping, and the
+//     page cache holds it: it survives a process kill, which is exactly the
+//     "pwb reached the memory controller" point of the model. The model
+//     reports each such write and the mapping extends its dirty byte range.
+//   - pfence/Drain = msync of that range. Only after the msync is the image
+//     safe against a host power failure, mirroring pwb-then-pfence.
+//   - the superblock: dirty from Open until an orderly Close, so a file
+//     whose holder died is visibly a crash image. A real whole-process kill
+//     needs no Crash call — dying IS the crash.
 package filedev
 
 import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -83,69 +72,36 @@ var (
 	// ErrSizeMismatch reports opening with a config whose region sizes
 	// disagree with the superblock.
 	ErrSizeMismatch = errors.New("filedev: config/superblock size mismatch")
-	// ErrClosed reports use of a closed device.
-	ErrClosed = errors.New("filedev: device is closed")
 )
 
-type pendingRaw struct {
-	line int
-	vals [pmem.LineWords]uint64
-}
-
-// pendingPairs is one buffered pair-region pwb: up to PairLineWords word
-// snapshots from the same cache line, kept or dropped atomically at Crash.
-type pendingPairs struct {
-	n    int
-	idx  [pmem.PairLineWords]int
-	vals [pmem.PairLineWords]uint64
-	seqs [pmem.PairLineWords]uint64
-}
-
-type slotBuf struct {
-	raws  []pendingRaw
-	pairs []pendingPairs
-}
-
-// Device is an mmap-backed pmem.Device. All methods are safe for concurrent
-// use except Crash, WriteTo/ReadFrom, image accessors and Close, which
-// require quiescence — as a real whole-process crash would provide.
+// Device is a pmem.Sim whose persistent image is a mapped file: every
+// pmem.Device method but Close is the model's. All methods are safe for
+// concurrent use except Crash, WriteTo/ReadFrom, image accessors and Close,
+// which require quiescence — as a real whole-process crash would provide.
 type Device struct {
-	cfg  pmem.Config
-	path string
+	*pmem.Sim // nil once closed: later use panics instead of touching the unmapped image
+
+	m        *mapping
+	path     string
+	wasClean bool
+	closed   atomic.Bool
+}
+
+// mapping is the file behind a Device's image, and the pmem.Backing the
+// model reports its image writes to.
+type mapping struct {
 	f    *os.File
-	data []byte // the whole mapping
+	data []byte   // the whole mapping
+	sb   []uint64 // superblock words (mapped)
 
-	sb      []uint64 // superblock words (mapped)
-	rawImg  []uint64 // raw persistent image (mapped)
-	pairImg []uint64 // pair persistent image (mapped, {val,seq} interleaved)
-	rawOff  int      // byte offset of the raw region in the mapping
-	pairOff int      // byte offset of the pair region in the mapping
-
-	rawVol []atomic.Uint64 // volatile view of the raw region (heap)
-
-	rawMu  []sync.Mutex // per-line-group image locks (raw region)
-	pairMu []sync.Mutex // per-pair-line image locks
-
-	pending []slotBuf // per-slot flush buffers (RelaxedMode)
+	rawOff  int // byte offset of the raw region in the mapping
+	pairOff int // byte offset of the pair region in the mapping
 
 	// Dirty byte range of the mapping since the last msync; lo > hi means
 	// clean. One coarse range, not a page set: msync of untouched pages in
 	// between is harmless, and the workloads' dirty bytes cluster.
-	dirtyMu sync.Mutex
-	dirtyLo int
-	dirtyHi int
-
-	pwb    atomic.Uint64
-	pfence atomic.Uint64
-	pdrain atomic.Uint64
-
-	hook atomic.Pointer[func(pmem.Event)]
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	wasClean bool
-	closed   atomic.Bool
+	mu     sync.Mutex
+	lo, hi int
 }
 
 var _ pmem.Device = (*Device)(nil)
@@ -192,8 +148,8 @@ func validateSuperblock(sb []uint64, size int) (rawWords, pairWords int, clean b
 	}
 	rawWords, pairWords = int(sb[sbRawWord]), int(sb[sbPairWord])
 	// Reject sizes whose layout math would overflow or exceed the file
-	// before trusting them.
-	if rawWords < 0 || pairWords < 0 || rawWords > (1<<40) || pairWords > (1<<40) {
+	// before trusting them, and the empty device no Create can make.
+	if rawWords < 0 || pairWords < 0 || rawWords > (1<<40) || pairWords > (1<<40) || rawWords+pairWords == 0 {
 		return 0, 0, false, fmt.Errorf("%w: implausible region sizes %d/%d", ErrCorruptSuperblock, rawWords, pairWords)
 	}
 	if _, _, total := layout(rawWords, pairWords); size < total {
@@ -260,28 +216,11 @@ func ReadImage(path string) (Info, []uint64, []uint64, error) {
 	return info, raw, pairs, nil
 }
 
-func normalize(cfg pmem.Config) (pmem.Config, error) {
-	if cfg.RawWords < 0 || cfg.PairWords < 0 || cfg.RawWords+cfg.PairWords == 0 {
-		return cfg, pmem.ErrBadConfig
-	}
-	if cfg.Mode == 0 {
-		cfg.Mode = pmem.StrictMode
-	}
-	if cfg.Mode != pmem.StrictMode && cfg.Mode != pmem.RelaxedMode {
-		return cfg, pmem.ErrBadConfig
-	}
-	if cfg.MaxSlots <= 0 {
-		cfg.MaxSlots = 1024
-	}
-	return cfg, nil
-}
-
 // Create formats a fresh device file at path (which must not exist) sized
 // for cfg and returns it open. The image starts zeroed — a fresh DIMM.
 func Create(path string, cfg pmem.Config) (*Device, error) {
-	cfg, err := normalize(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.RawWords < 0 || cfg.PairWords < 0 {
+		return nil, pmem.ErrBadConfig // before the sizes lay out a file
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -370,56 +309,64 @@ func attach(f *os.File, path string, cfg pmem.Config, create bool) (*Device, err
 			return fail(fmt.Errorf("%w: config wants %d/%d words, superblock holds %d/%d",
 				ErrSizeMismatch, cfg.RawWords, cfg.PairWords, fileRaw, filePair))
 		}
-		cfg2, err := normalize(cfg)
-		if err != nil {
-			return fail(fmt.Errorf("%w: empty region sizes", ErrCorruptSuperblock))
-		}
-		cfg = cfg2
 	}
 
 	rawOff, pairOff, _ := layout(cfg.RawWords, cfg.PairWords)
-	nLines := (cfg.RawWords + pmem.LineWords - 1) / pmem.LineWords
-	nPairLines := (cfg.PairWords + pmem.PairLineWords - 1) / pmem.PairLineWords
-	d := &Device{
-		cfg:      cfg,
-		path:     path,
-		f:        f,
-		data:     data,
-		sb:       sb,
-		rawImg:   wordsOf(data[rawOff : rawOff+cfg.RawWords*8]),
-		pairImg:  wordsOf(data[pairOff : pairOff+cfg.PairWords*16]),
-		rawOff:   rawOff,
-		pairOff:  pairOff,
-		rawVol:   make([]atomic.Uint64, cfg.RawWords),
-		rawMu:    make([]sync.Mutex, minInt(nLines, 1024)+1),
-		pairMu:   make([]sync.Mutex, minInt(nPairLines, 1024)+1),
-		pending:  make([]slotBuf, cfg.MaxSlots),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		dirtyLo:  1,
-		dirtyHi:  0,
-		wasClean: create || sb[sbStateWord] == stateClean,
+	m := &mapping{f: f, data: data, sb: sb, rawOff: rawOff, pairOff: pairOff, lo: 1}
+	sim, err := pmem.NewOver(cfg,
+		wordsOf(data[rawOff:rawOff+cfg.RawWords*8]),
+		wordsOf(data[pairOff:pairOff+cfg.PairWords*16]), m)
+	if err != nil {
+		return fail(err)
 	}
-	// Volatile views start from the image, as after a crash.
-	for i := range d.rawVol {
-		d.rawVol[i].Store(d.rawImg[i])
-	}
+	d := &Device{Sim: sim, m: m, path: path, wasClean: create || sb[sbStateWord] == stateClean}
 	// The mapping is now live: mark the superblock dirty so an un-Closed
 	// file is visibly a crash image, and make that durable before any
 	// engine traffic.
-	d.sb[sbStateWord] = stateDirty
-	d.sb[sbCrcWord] = sbCRC(d.sb)
-	if err := syncRange(d.data, 0, blockBytes, d.f); err != nil {
-		unmapFile(data)
-		return nil, err
+	sb[sbStateWord] = stateDirty
+	sb[sbCrcWord] = sbCRC(sb)
+	if err := syncRange(data, 0, blockBytes, f); err != nil {
+		return fail(err)
 	}
 	return d, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// Dirtied extends the to-be-msynced byte range over words [word, word+n) of
+// the named image.
+func (m *mapping) Dirtied(region pmem.Region, word, n int) {
+	off := m.rawOff
+	if region == pmem.PairImage {
+		off = m.pairOff
 	}
-	return b
+	m.extend(off+word*8, off+(word+n)*8)
+}
+
+func (m *mapping) extend(lo, hi int) {
+	m.mu.Lock()
+	if m.lo > m.hi {
+		m.lo, m.hi = lo, hi
+	} else {
+		m.lo, m.hi = min(m.lo, lo), max(m.hi, hi)
+	}
+	m.mu.Unlock()
+}
+
+// Sync msyncs the dirty range (the pfence of this backend). The range is
+// taken, not held, so other slots' write-backs do not wait on the syscall;
+// on failure it is put back, so the lost bytes stay owed.
+func (m *mapping) Sync() error {
+	m.mu.Lock()
+	lo, hi := m.lo, m.hi
+	m.lo, m.hi = 1, 0
+	m.mu.Unlock()
+	if lo > hi {
+		return nil
+	}
+	if err := syncRange(m.data, lo, hi-lo, m.f); err != nil {
+		m.extend(lo, hi)
+		return fmt.Errorf("filedev: msync: %w", err)
+	}
+	return nil
 }
 
 // Path returns the backing file's path (post-mortem inspection aid).
@@ -429,372 +376,35 @@ func (d *Device) Path() string { return d.path }
 // device opened it (Create counts as clean).
 func (d *Device) WasClean() bool { return d.wasClean }
 
-// Mode returns the durability model the device was opened with.
-func (d *Device) Mode() pmem.Mode { return d.cfg.Mode }
-
-// Stats returns a snapshot of the persistence counters (per-counter
-// consistent, not a mutually consistent cut; see pmem.Sim.Stats).
-func (d *Device) Stats() pmem.Stats {
-	return pmem.Stats{Pwb: d.pwb.Load(), Pfence: d.pfence.Load(), Pdrain: d.pdrain.Load()}
-}
-
-// ResetStats zeroes the persistence counters (quiesce for meaningful
-// deltas; see pmem.Sim.ResetStats).
-func (d *Device) ResetStats() {
-	d.pwb.Store(0)
-	d.pfence.Store(0)
-	d.pdrain.Store(0)
-}
-
-// SetHook installs fn to be called before every persistence event, or
-// removes the hook if fn is nil.
-func (d *Device) SetHook(fn func(pmem.Event)) {
-	if fn == nil {
-		d.hook.Store(nil)
-		return
-	}
-	d.hook.Store(&fn)
-}
-
-func (d *Device) fire(ev pmem.Event) {
-	if h := d.hook.Load(); h != nil {
-		(*h)(ev)
-	}
-}
-
-// --- raw region: volatile accessors ---
-
-// RawLoad returns the volatile value of raw word off.
-func (d *Device) RawLoad(off int) uint64 { return d.rawVol[off].Load() }
-
-// RawStore sets the volatile value of raw word off.
-func (d *Device) RawStore(off int, v uint64) { d.rawVol[off].Store(v) }
-
-// RawCAS performs a compare-and-swap on the volatile raw word off.
-func (d *Device) RawCAS(off int, old, new uint64) bool {
-	return d.rawVol[off].CompareAndSwap(old, new)
-}
-
-// RawAdd atomically adds delta to the volatile raw word off.
-func (d *Device) RawAdd(off int, delta uint64) uint64 {
-	return d.rawVol[off].Add(delta)
-}
-
-// RawRegion returns the volatile raw words [off, off+n) as a slice.
-func (d *Device) RawRegion(off, n int) []atomic.Uint64 {
-	return d.rawVol[off : off+n]
-}
-
-// --- dirty-range tracking ---
-
-// markDirty extends the to-be-msynced byte range to cover [off, off+n).
-func (d *Device) markDirty(off, n int) {
-	d.dirtyMu.Lock()
-	if d.dirtyLo > d.dirtyHi {
-		d.dirtyLo, d.dirtyHi = off, off+n
-	} else {
-		if off < d.dirtyLo {
-			d.dirtyLo = off
-		}
-		if off+n > d.dirtyHi {
-			d.dirtyHi = off + n
-		}
-	}
-	d.dirtyMu.Unlock()
-}
-
-// sync makes the dirty range durable (the pfence of this backend). msync
-// failure panics: a persistence device that cannot persist must not let
-// the engine continue believing its fence succeeded.
-func (d *Device) sync() {
-	d.dirtyMu.Lock()
-	lo, hi := d.dirtyLo, d.dirtyHi
-	d.dirtyLo, d.dirtyHi = 1, 0
-	d.dirtyMu.Unlock()
-	if lo > hi {
-		return
-	}
-	if err := syncRange(d.data, lo, hi-lo, d.f); err != nil {
-		panic(fmt.Sprintf("filedev: msync: %v", err))
-	}
-}
-
-// --- raw region: persistence ---
-
-func lineOf(off int) int { return off / pmem.LineWords }
-
-func (d *Device) snapshotLine(line int) (p pendingRaw) {
-	p.line = line
-	base := line * pmem.LineWords
-	for i := 0; i < pmem.LineWords && base+i < len(d.rawVol); i++ {
-		p.vals[i] = d.rawVol[base+i].Load()
-	}
-	return p
-}
-
-func (d *Device) commitRawLine(p pendingRaw) {
-	mu := &d.rawMu[p.line%len(d.rawMu)]
-	mu.Lock()
-	base := p.line * pmem.LineWords
-	n := 0
-	for i := 0; i < pmem.LineWords && base+i < len(d.rawImg); i++ {
-		d.rawImg[base+i] = p.vals[i]
-		n++
-	}
-	mu.Unlock()
-	d.markDirty(d.rawOff+base*8, n*8)
-}
-
-// Flush issues one pwb per cache line covering raw words [off, off+n). In
-// StrictMode the line content reaches the mapping immediately (durable
-// against a process kill); msync at the next Fence/Drain makes it durable
-// against power loss.
-func (d *Device) Flush(slot, off, n int) {
-	if n <= 0 {
-		return
-	}
-	first, last := lineOf(off), lineOf(off+n-1)
-	for line := first; line <= last; line++ {
-		d.fire(pmem.EvPwb)
-		d.pwb.Add(1)
-		snap := d.snapshotLine(line)
-		if d.cfg.Mode == pmem.StrictMode {
-			d.commitRawLine(snap)
-		} else {
-			d.pending[slot].raws = append(d.pending[slot].raws, snap)
-		}
-	}
-}
-
-// --- pair region: persistence ---
-
-// commitPairs advances the pair image, skipping words whose image already
-// holds a newer sequence. Store order inside a word is value THEN sequence:
-// a kill between the two 8-byte stores leaves the old sequence, so a torn
-// pair can never claim a sequence its value does not have (see the package
-// comment).
-func (d *Device) commitPairs(p pendingPairs) {
-	if p.n == 0 {
-		return
-	}
-	mu := &d.pairMu[(p.idx[0]/pmem.PairLineWords)%len(d.pairMu)]
-	mu.Lock()
-	lo, hi := -1, -1
-	for i := 0; i < p.n; i++ {
-		idx := p.idx[i]
-		// ≥, not >: equal-sequence flushes are idempotent (one committed
-		// transaction wrote the value), and initialisation carries seq 0.
-		if p.seqs[i] >= d.pairImg[2*idx+1] {
-			d.pairImg[2*idx] = p.vals[i]
-			d.pairImg[2*idx+1] = p.seqs[i]
-			if lo == -1 || 2*idx < lo {
-				lo = 2 * idx
-			}
-			if 2*idx+1 > hi {
-				hi = 2*idx + 1
-			}
-		}
-	}
-	mu.Unlock()
-	if lo >= 0 {
-		d.markDirty(d.pairOff+lo*8, (hi-lo+1)*8)
-	}
-}
-
-// FlushPair issues one pwb persisting the given snapshot of TM word idx.
-func (d *Device) FlushPair(slot, idx int, val, seq uint64) {
-	var p pendingPairs
-	p.n = 1
-	p.idx[0], p.vals[0], p.seqs[0] = idx, val, seq
-	d.flushPairs(slot, p)
-}
-
-// FlushPairLine issues ONE pwb persisting the given snapshots of n TM words
-// sharing one pair-region cache line (see pmem.Sim.FlushPairLine).
-func (d *Device) FlushPairLine(slot int, n int, idx *[pmem.PairLineWords]int, vals, seqs *[pmem.PairLineWords]uint64) {
-	if n <= 0 {
-		return
-	}
-	if n > pmem.PairLineWords {
-		panic("filedev: FlushPairLine called with more words than a line holds")
-	}
-	line := idx[0] / pmem.PairLineWords
-	for i := 1; i < n; i++ {
-		if idx[i]/pmem.PairLineWords != line {
-			panic("filedev: FlushPairLine words span cache lines")
-		}
-	}
-	var p pendingPairs
-	p.n = n
-	copy(p.idx[:], idx[:n])
-	copy(p.vals[:], vals[:n])
-	copy(p.seqs[:], seqs[:n])
-	d.flushPairs(slot, p)
-}
-
-func (d *Device) flushPairs(slot int, p pendingPairs) {
-	d.fire(pmem.EvPwb)
-	d.pwb.Add(1)
-	if d.cfg.Mode == pmem.StrictMode {
-		d.commitPairs(p)
-		return
-	}
-	d.pending[slot].pairs = append(d.pending[slot].pairs, p)
-}
-
-// drain commits all buffered flushes of slot (RelaxedMode).
-func (d *Device) drain(slot int) {
-	buf := &d.pending[slot]
-	for _, p := range buf.raws {
-		d.commitRawLine(p)
-	}
-	buf.raws = buf.raws[:0]
-	for _, p := range buf.pairs {
-		d.commitPairs(p)
-	}
-	buf.pairs = buf.pairs[:0]
-}
-
-// Fence issues a pfence: the slot's prior flushes reach the mapping (if
-// buffered) and the dirty range is msynced to media.
-func (d *Device) Fence(slot int) {
-	d.fire(pmem.EvFence)
-	d.pfence.Add(1)
-	if d.cfg.Mode == pmem.RelaxedMode {
-		d.drain(slot)
-	}
-	d.sync()
-}
-
-// Drain orders like a fence without counting a pfence (atomic-RMW-as-fence).
-func (d *Device) Drain(slot int) {
-	d.fire(pmem.EvDrain)
-	d.pdrain.Add(1)
-	if d.cfg.Mode == pmem.RelaxedMode {
-		d.drain(slot)
-	}
-	d.sync()
-}
-
-// --- crash and recovery ---
-
-// Crash simulates a full-system power failure in-process (quiescence
-// required): buffered relaxed flushes are independently kept or dropped,
-// then the volatile views reload from the image. A real whole-process kill
-// needs no Crash call — reopening the file in a fresh process lands in the
-// same state, minus the heap-buffered (never-durable) relaxed writes, which
-// dying discards even more thoroughly.
-func (d *Device) Crash() {
-	if d.cfg.Mode == pmem.RelaxedMode {
-		d.rngMu.Lock()
-		for s := range d.pending {
-			buf := &d.pending[s]
-			for _, p := range buf.raws {
-				if d.rng.Intn(2) == 0 {
-					d.commitRawLine(p)
-				}
-			}
-			buf.raws = nil
-			for _, p := range buf.pairs {
-				if d.rng.Intn(2) == 0 {
-					d.commitPairs(p)
-				}
-			}
-			buf.pairs = nil
-		}
-		d.rngMu.Unlock()
-	} else {
-		for s := range d.pending {
-			d.pending[s] = slotBuf{}
-		}
-	}
-	for i := range d.rawVol {
-		d.rawVol[i].Store(d.rawImg[i])
-	}
-}
-
-// ImagePair returns the persistent image of TM word idx (value, sequence).
-func (d *Device) ImagePair(idx int) (val, seq uint64) {
-	mu := &d.pairMu[(idx/pmem.PairLineWords)%len(d.pairMu)]
-	mu.Lock()
-	val, seq = d.pairImg[2*idx], d.pairImg[2*idx+1]
-	mu.Unlock()
-	return val, seq
-}
-
-// ImagePairs copies the persistent image of TM words [lo, lo+len(vals))
-// into vals and seqs (quiescence required: no line lock is taken).
-func (d *Device) ImagePairs(lo int, vals, seqs []uint64) {
-	img := d.pairImg[2*lo : 2*(lo+len(vals))]
-	for i := range vals {
-		vals[i], seqs[i] = img[2*i], img[2*i+1]
-	}
-}
-
-// ImageRaw returns the persistent image of raw word off (quiescence
-// required).
-func (d *Device) ImageRaw(off int) uint64 { return d.rawImg[off] }
-
-// RawWords returns the size of the raw region in words.
-func (d *Device) RawWords() int { return d.cfg.RawWords }
-
-// PairWords returns the number of TM words in the pair region.
-func (d *Device) PairWords() int { return d.cfg.PairWords }
-
-// WriteTo serialises the durable image in the portable snapshot format
-// (quiescence required). It implements io.WriterTo.
-func (d *Device) WriteTo(w io.Writer) (int64, error) {
-	return pmem.EncodeImage(w, d.rawImg, d.pairImg)
-}
-
-// ReadFrom loads a portable snapshot into the mapping (matching region
-// sizes, quiescence required), discards pending buffers, reloads the
-// volatile views and msyncs. It implements io.ReaderFrom.
-func (d *Device) ReadFrom(r io.Reader) (int64, error) {
-	n, err := pmem.DecodeImage(r, d.rawImg, d.pairImg)
-	if err != nil {
-		return n, err
-	}
-	for s := range d.pending {
-		d.pending[s] = slotBuf{}
-	}
-	for i := range d.rawVol {
-		d.rawVol[i].Store(d.rawImg[i])
-	}
-	d.markDirty(0, len(d.data))
-	d.sync()
-	return n, nil
-}
-
 // Close performs an orderly shutdown (quiescence required): buffered
-// flushes are written back (the wbinvd of an orderly power-off), the whole
-// mapping is msynced, the superblock is marked clean, and the mapping and
-// file are released. The device must not be used afterwards.
+// flushes are written back (the wbinvd of an orderly power-off) and synced,
+// the whole mapping is msynced, the superblock is marked clean, and the
+// mapping and file are released. If any sync fails the file stays marked
+// dirty — a crash image, which is what it may be. The device must not be
+// used afterwards.
 func (d *Device) Close() error {
 	if !d.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	for s := range d.pending {
-		d.drain(s)
+	m := d.m
+	err := d.Sim.Close()
+	d.Sim = nil
+	if err == nil {
+		// The whole mapping, not only the reported range: an orderly
+		// shutdown does not lean on the dirty accounting.
+		err = syncRange(m.data, 0, len(m.data), m.f)
 	}
-	if err := syncRange(d.data, 0, len(d.data), d.f); err != nil {
-		d.unmapAndClose()
-		return err
+	if err == nil {
+		m.sb[sbStateWord] = stateClean
+		m.sb[sbCrcWord] = sbCRC(m.sb)
+		err = syncRange(m.data, 0, blockBytes, m.f)
 	}
-	d.sb[sbStateWord] = stateClean
-	d.sb[sbCrcWord] = sbCRC(d.sb)
-	if err := syncRange(d.data, 0, blockBytes, d.f); err != nil {
-		d.unmapAndClose()
-		return err
+	if uerr := unmapFile(m.data); err == nil {
+		err = uerr
 	}
-	return d.unmapAndClose()
-}
-
-func (d *Device) unmapAndClose() error {
-	err := unmapFile(d.data)
-	if cerr := d.f.Close(); err == nil {
+	if cerr := m.f.Close(); err == nil {
 		err = cerr
 	}
-	d.data, d.sb, d.rawImg, d.pairImg = nil, nil, nil, nil
+	m.data, m.sb = nil, nil
 	return err
 }

@@ -42,6 +42,7 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // LineWords is the cache-line size in 64-bit words (64 bytes).
@@ -91,6 +92,45 @@ type Stats struct {
 	Pdrain uint64 // ordering drains issued (atomic-RMW-as-fence points)
 }
 
+// Pair is the persistent image of one TM word, laid out as the image stores
+// it: value first, sequence second, 16 bytes.
+type Pair struct{ Val, Seq uint64 }
+
+// Region names one of a device's two persistent images.
+type Region int
+
+const (
+	RawImage  Region = iota // the raw region's image, one word per raw word
+	PairImage               // the pair image, two words ({value, sequence}) per TM word
+)
+
+// Backing is what stands behind a persistent image that is more than process
+// memory. The in-process simulator has none. Both methods may be called
+// concurrently.
+type Backing interface {
+	// Dirtied reports that the model has just written the n 64-bit words
+	// starting at word of the named image.
+	Dirtied(region Region, word, n int)
+	// Sync makes every write reported so far durable. The model calls it at
+	// every Fence and Drain, after ReadFrom and at Close. After a failure
+	// the writes it covered must stay reported.
+	Sync() error
+}
+
+// ErrSync matches (errors.Is) every SyncError.
+var ErrSync = errors.New("pmem: image sync failed")
+
+// SyncError is the panic value of a Fence or Drain whose Backing could not
+// sync — an ordering point has no way to fail, and returning would tell the
+// engine its flushes are durable — and of every ordering point after it: a
+// device that lost a sync never reports durability again. It wraps the
+// backing's error.
+type SyncError struct{ Err error }
+
+func (e *SyncError) Error() string        { return "pmem: image sync failed: " + e.Err.Error() }
+func (e *SyncError) Unwrap() error        { return e.Err }
+func (e *SyncError) Is(target error) bool { return target == ErrSync }
+
 type pendingRaw struct {
 	line int
 	vals [LineWords]uint64
@@ -111,8 +151,9 @@ type slotBuf struct {
 }
 
 // Sim is an emulated NVM DIMM. All methods are safe for concurrent use
-// except Crash and Recover-time image accessors, which require quiescence
-// (no goroutine inside a transaction), as a real whole-process crash would.
+// except Crash, WriteTo/ReadFrom, Close and Recover-time image accessors,
+// which require quiescence (no goroutine inside a transaction), as a real
+// whole-process crash would.
 type Sim struct {
 	cfg Config
 
@@ -120,14 +161,17 @@ type Sim struct {
 	rawImg []uint64        // persistent image of the raw region
 	rawMu  []sync.Mutex    // per-line-group image locks (raw region only)
 
-	// Persistent image of TM words, by value. pairMu shards by pair line,
+	// Persistent image of TM words, by value: word idx is {pairImg[2*idx],
+	// pairImg[2*idx+1]} = {value, sequence}. pairMu shards by pair line,
 	// emulating the memory controller's atomic line write-back; the
-	// sequence guard in commitPair keeps delayed flushers monotonic.
-	pairVal []uint64
-	pairSeq []uint64
+	// sequence guard in commitPairs keeps delayed flushers monotonic.
+	pairImg []uint64
 	pairMu  []sync.Mutex
 
 	pending []slotBuf // per-slot flush buffers (RelaxedMode)
+
+	backing Backing                   // nil: the images are all there is
+	syncErr atomic.Pointer[SyncError] // first failed Backing.Sync; never cleared
 
 	pwb    atomic.Uint64
 	pfence atomic.Uint64
@@ -142,9 +186,23 @@ type Sim struct {
 // ErrBadConfig reports an invalid device configuration.
 var ErrBadConfig = errors.New("pmem: invalid device configuration")
 
-// New creates a Device. The persistent image starts zeroed (a fresh DIMM).
+// New creates the in-process simulator: the model over fresh memory. The
+// persistent image starts zeroed (a fresh DIMM).
 func New(cfg Config) (*Sim, error) {
-	if cfg.RawWords < 0 || cfg.PairWords < 0 || cfg.RawWords+cfg.PairWords == 0 {
+	if cfg.RawWords < 0 || cfg.PairWords < 0 {
+		return nil, ErrBadConfig
+	}
+	return NewOver(cfg, make([]uint64, cfg.RawWords), make([]uint64, 2*cfg.PairWords), nil)
+}
+
+// NewOver runs the device model over a persistent image the caller owns: raw
+// is the raw region's image, pairs the pair region's, interleaved {value,
+// sequence} — cfg's sizes must be theirs. The model writes nothing else and
+// keeps no copy; the volatile view starts from the image, as after Crash.
+// backing, if not nil, is told of every image write and synced at every
+// ordering point.
+func NewOver(cfg Config, raw, pairs []uint64, backing Backing) (*Sim, error) {
+	if len(raw) != cfg.RawWords || len(pairs) != 2*cfg.PairWords || len(raw)+len(pairs) == 0 {
 		return nil, ErrBadConfig
 	}
 	if cfg.Mode == 0 {
@@ -161,22 +219,22 @@ func New(cfg Config) (*Sim, error) {
 	d := &Sim{
 		cfg:     cfg,
 		rawVol:  make([]atomic.Uint64, cfg.RawWords),
-		rawImg:  make([]uint64, cfg.RawWords),
-		rawMu:   make([]sync.Mutex, minInt(nLines, 1024)+1),
-		pairVal: make([]uint64, cfg.PairWords),
-		pairSeq: make([]uint64, cfg.PairWords),
-		pairMu:  make([]sync.Mutex, minInt(nPairLines, 1024)+1),
+		rawImg:  raw,
+		rawMu:   make([]sync.Mutex, min(nLines, 1024)+1),
+		pairImg: pairs,
+		pairMu:  make([]sync.Mutex, min(nPairLines, 1024)+1),
 		pending: make([]slotBuf, cfg.MaxSlots),
+		backing: backing,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
-	return d, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
+	// The fresh view is zero already: storing only the non-zero words leaves
+	// its pages, and a fresh image's, unwritten.
+	for i, v := range raw {
+		if v != 0 {
+			d.rawVol[i].Store(v)
+		}
 	}
-	return b
+	return d, nil
 }
 
 // Mode returns the device's durability model.
@@ -273,10 +331,12 @@ func (d *Sim) commitRawLine(p pendingRaw) {
 	mu := &d.rawMu[p.line%len(d.rawMu)]
 	mu.Lock()
 	base := p.line * LineWords
-	for i := 0; i < LineWords && base+i < len(d.rawImg); i++ {
-		d.rawImg[base+i] = p.vals[i]
-	}
+	n := min(LineWords, len(d.rawImg)-base)
+	copy(d.rawImg[base:base+n], p.vals[:n])
 	mu.Unlock()
+	if d.backing != nil {
+		d.backing.Dirtied(RawImage, base, n)
+	}
 }
 
 // Flush issues one pwb per cache line covering raw words [off, off+n).
@@ -301,25 +361,42 @@ func (d *Sim) Flush(slot, off, n int) {
 // --- pair region: persistence ---
 
 // commitPairs advances the persistent image of the TM words in p, skipping
-// any word whose image already holds an equal or newer sequence (monotonic
-// guard). All words of p share one pair line, so one shard lock covers them.
+// any word whose image already holds a newer sequence (monotonic guard). All
+// words of p share one pair line, so one shard lock covers them.
+//
+// Store order inside a word is value THEN sequence. Failure atomicity is 8
+// bytes (one aligned word store, the paper's NVM model), and when the image
+// is a mapped file a kill can land between the two: the torn pair keeps its
+// OLD sequence, so it can never claim a sequence its value does not have —
+// the recovery invariant "no word's durable sequence exceeds the durable
+// curTx" survives tearing, and null recovery re-applies the value from the
+// redo log.
 func (d *Sim) commitPairs(p pendingPairs) {
 	if p.n == 0 {
 		return
 	}
-	mu := &d.pairMu[(p.idx[0]/PairLineWords)%len(d.pairMu)]
+	line := p.idx[0] / PairLineWords
+	mu := &d.pairMu[line%len(d.pairMu)]
 	mu.Lock()
+	wrote := false
 	for i := 0; i < p.n; i++ {
-		idx := p.idx[i]
+		at := 2 * p.idx[i]
 		// ≥, not >: a word's value at a given sequence is unique (one
 		// committed transaction wrote it), so equal-sequence flushes are
 		// idempotent — and initialisation writes carry sequence 0.
-		if p.seqs[i] >= d.pairSeq[idx] {
-			d.pairVal[idx] = p.vals[i]
-			d.pairSeq[idx] = p.seqs[i]
+		if p.seqs[i] >= d.pairImg[at+1] {
+			d.pairImg[at] = p.vals[i]
+			d.pairImg[at+1] = p.seqs[i]
+			wrote = true
 		}
 	}
 	mu.Unlock()
+	if wrote && d.backing != nil {
+		// The whole line, not the words written: it is the unit a pwb writes
+		// back, and over-reporting costs a backing nothing.
+		lo := 2 * line * PairLineWords
+		d.backing.Dirtied(PairImage, lo, min(2*PairLineWords, len(d.pairImg)-lo))
+	}
 }
 
 // FlushPair issues one pwb persisting the given snapshot of TM word idx.
@@ -383,25 +460,49 @@ func (d *Sim) drain(slot int) {
 	buf.pairs = buf.pairs[:0]
 }
 
-// Fence issues a pfence: all flushes previously issued by slot become
-// durable.
-func (d *Sim) Fence(slot int) {
-	d.fire(EvFence)
-	d.pfence.Add(1)
+// order is the ordering point behind Fence and Drain: the slot's buffered
+// flushes reach the image, and the backing syncs what the image holds.
+func (d *Sim) order(slot int) {
 	if d.cfg.Mode == RelaxedMode {
 		d.drain(slot)
 	}
+	if d.backing != nil {
+		if err := d.sync(); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// sync asks the backing to make the image durable. The first failure is kept
+// and answers every later call: the writes that sync covered may be lost, so
+// no later one may report success over them.
+func (d *Sim) sync() error {
+	if e := d.syncErr.Load(); e != nil {
+		return e
+	}
+	if err := d.backing.Sync(); err != nil {
+		e := &SyncError{Err: err}
+		d.syncErr.Store(e)
+		return e
+	}
+	return nil
+}
+
+// Fence issues a pfence: all flushes previously issued by slot become
+// durable. It panics with a *SyncError if the backing cannot sync.
+func (d *Sim) Fence(slot int) {
+	d.fire(EvFence)
+	d.pfence.Add(1)
+	d.order(slot)
 }
 
 // Drain provides the ordering of a fence without counting a pfence. It
 // models an atomic RMW instruction that orders prior CLWBs on x86 (the
-// paper's "the successful CAS acts as a pfence").
+// paper's "the successful CAS acts as a pfence"). It panics like Fence.
 func (d *Sim) Drain(slot int) {
 	d.fire(EvDrain)
 	d.pdrain.Add(1)
-	if d.cfg.Mode == RelaxedMode {
-		d.drain(slot)
-	}
+	d.order(slot)
 }
 
 // --- crash and recovery ---
@@ -412,6 +513,11 @@ func (d *Sim) Drain(slot int) {
 // volatile raw word is reloaded from the persistent image. The caller must
 // guarantee quiescence. After Crash the pair image is the only record of TM
 // words; engines rebuild their volatile words from it via ImagePairs.
+//
+// With a mapped file as the image this is the in-process simulation of that
+// failure. A real whole-process kill needs no call: reopening the file lands
+// in the same state, minus the buffered (never durable) relaxed flushes,
+// which dying discards even more thoroughly.
 func (d *Sim) Crash() {
 	if d.cfg.Mode == RelaxedMode {
 		d.rngMu.Lock()
@@ -422,46 +528,60 @@ func (d *Sim) Crash() {
 					d.commitRawLine(p)
 				}
 			}
-			buf.raws = nil
 			for _, p := range buf.pairs {
 				if d.rng.Intn(2) == 0 {
 					d.commitPairs(p)
 				}
 			}
-			buf.pairs = nil
 		}
 		d.rngMu.Unlock()
-	} else {
-		for s := range d.pending {
-			d.pending[s] = slotBuf{}
-		}
+	}
+	d.reload()
+}
+
+// reload drops every buffered flush and resets the volatile view to the
+// image: the state a power failure leaves.
+func (d *Sim) reload() {
+	for s := range d.pending {
+		d.pending[s] = slotBuf{}
 	}
 	for i := range d.rawVol {
 		d.rawVol[i].Store(d.rawImg[i])
 	}
 }
 
-// Close implements Device. The simulator holds no external resources, so
-// Close is a no-op; the volatile and persistent images stay readable, which
-// crash tests rely on (a closed simulator is still inspectable).
-func (d *Sim) Close() error { return nil }
+// Close is an orderly power-off (quiescence required): every buffered flush
+// is written back, as by a wbinvd, and the backing syncs. The in-process
+// simulator holds no external resources, so its images stay readable
+// afterwards, which crash tests rely on (a closed simulator is still
+// inspectable).
+func (d *Sim) Close() error {
+	for s := range d.pending {
+		d.drain(s)
+	}
+	if d.backing != nil {
+		return d.sync()
+	}
+	return nil
+}
 
 // ImagePair returns the persistent image of TM word idx (value, sequence).
 // Intended for recovery and tests.
 func (d *Sim) ImagePair(idx int) (val, seq uint64) {
 	mu := &d.pairMu[(idx/PairLineWords)%len(d.pairMu)]
 	mu.Lock()
-	val, seq = d.pairVal[idx], d.pairSeq[idx]
+	val, seq = d.pairImg[2*idx], d.pairImg[2*idx+1]
 	mu.Unlock()
 	return val, seq
 }
 
-// ImagePairs copies the persistent image of TM words [lo, lo+len(vals))
-// into vals and seqs. Callers must be quiescent: unlike ImagePair it takes
-// no line lock.
-func (d *Sim) ImagePairs(lo int, vals, seqs []uint64) {
-	copy(vals, d.pairVal[lo:lo+len(vals)])
-	copy(seqs, d.pairSeq[lo:lo+len(seqs)])
+// ImagePairs copies the persistent image of TM words [lo, lo+len(dst)) into
+// dst. Callers must be quiescent: unlike ImagePair it takes no line lock.
+func (d *Sim) ImagePairs(lo int, dst []Pair) {
+	img := d.pairImg[2*lo : 2*(lo+len(dst))]
+	// The interleaved image read as the Pairs it holds (same size, same
+	// alignment), so the bulk read is one copy.
+	copy(dst, unsafe.Slice((*Pair)(unsafe.Pointer(unsafe.SliceData(img))), len(dst)))
 }
 
 // ImageRaw returns the persistent image of raw word off. Intended for
@@ -472,4 +592,4 @@ func (d *Sim) ImageRaw(off int) uint64 { return d.rawImg[off] }
 func (d *Sim) RawWords() int { return len(d.rawVol) }
 
 // PairWords returns the size of the pair region.
-func (d *Sim) PairWords() int { return len(d.pairSeq) }
+func (d *Sim) PairWords() int { return len(d.pairImg) / 2 }

@@ -76,32 +76,27 @@ func DecodeImage(r io.Reader, raw, pairs []uint64) (int64, error) {
 // WriteTo serialises the device's persistent image. The device must be
 // quiescent. It implements io.WriterTo.
 func (d *Sim) WriteTo(w io.Writer) (int64, error) {
-	pairs := make([]uint64, 2*len(d.pairVal))
-	for i := range d.pairVal {
-		pairs[2*i], pairs[2*i+1] = d.pairVal[i], d.pairSeq[i]
-	}
-	return EncodeImage(w, d.rawImg, pairs)
+	return EncodeImage(w, d.rawImg, d.pairImg)
 }
 
-// ReadFrom loads a snapshot into the device (which must have matching
-// region sizes and be quiescent) and resets the volatile state to the
-// image, as after Crash. It implements io.ReaderFrom.
+// ReadFrom loads a snapshot into the device's image (which must have
+// matching region sizes; quiescence required), drops the buffered flushes,
+// resets the volatile view to the image, as after Crash, and syncs the
+// backing. It does all of that on a decode error too: a stream that passes
+// the header check and then ends short has already overwritten part of the
+// image, and the device is left consistent with whatever the image now
+// holds. It implements io.ReaderFrom.
 func (d *Sim) ReadFrom(r io.Reader) (int64, error) {
-	pairs := make([]uint64, 2*len(d.pairVal))
-	n, err := DecodeImage(r, d.rawImg, pairs)
-	if err != nil {
-		return n, err
+	n, err := DecodeImage(r, d.rawImg, d.pairImg)
+	d.reload()
+	if d.backing != nil {
+		d.backing.Dirtied(RawImage, 0, len(d.rawImg))
+		d.backing.Dirtied(PairImage, 0, len(d.pairImg))
+		if serr := d.sync(); err == nil && serr != nil {
+			err = serr
+		}
 	}
-	for i := range d.pairVal {
-		d.pairVal[i], d.pairSeq[i] = pairs[2*i], pairs[2*i+1]
-	}
-	for s := range d.pending {
-		d.pending[s] = slotBuf{}
-	}
-	for i := range d.rawVol {
-		d.rawVol[i].Store(d.rawImg[i])
-	}
-	return n, nil
+	return n, err
 }
 
 type countWriter struct {
