@@ -237,11 +237,17 @@ func (t *RBTree) Remove(k uint64) bool {
 
 // RemoveTx deletes k as part of the caller's transaction.
 func (t *RBTree) RemoveTx(tx Tx, k uint64) bool {
-	nilN := t.nilNode(tx)
 	z := t.findNode(tx, k)
-	if z == nilN {
+	if z == t.nilNode(tx) {
 		return false
 	}
+	t.removeNode(tx, z)
+	return true
+}
+
+// removeNode unlinks and frees node z, which the caller found in the tree.
+func (t *RBTree) removeNode(tx Tx, z Ptr) {
+	nilN := t.nilNode(tx)
 	y := z
 	yWasBlack := !isRed(tx, y)
 	var x Ptr
@@ -278,7 +284,6 @@ func (t *RBTree) RemoveTx(tx Tx, k uint64) bool {
 	}
 	tx.Store(t.desc+rbSize, tx.Load(t.desc+rbSize)-1)
 	tx.Free(z)
-	return true
 }
 
 func (t *RBTree) deleteFixup(tx Tx, x Ptr) {

@@ -61,7 +61,7 @@ func (m *TreeMap) DeleteTx(tx Tx, k uint64) (prev uint64, existed bool) {
 		return 0, false
 	}
 	prev = tx.Load(n + tnVal)
-	m.t.RemoveTx(tx, k)
+	m.t.removeNode(tx, n) // the node in hand: one root-to-leaf walk per delete, not two
 	return prev, true
 }
 

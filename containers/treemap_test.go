@@ -7,6 +7,7 @@ import (
 
 	"onefile/internal/core"
 	"onefile/internal/pmem"
+	"onefile/internal/tm"
 )
 
 func TestTreeMapBasics(t *testing.T) {
@@ -172,5 +173,48 @@ func TestTreeMapSurvivesCrash(t *testing.T) {
 	}
 	if err := m2.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkTreeMapToggle is the txn-wf workload's serial chain alone: one
+// goroutine on OF-WF-PTM over the strict simulator toggles random keys of a
+// 2¹⁷-key space that stays half full, so every operation is one update
+// transaction that walks a 17-level tree — body, commit CAS, apply, flush,
+// close — with nothing contending for it.
+func BenchmarkTreeMapToggle(b *testing.B) {
+	const keySpace = 1 << 17
+	opts := []tm.Option{tm.WithHeapWords(1 << 21), tm.WithMaxThreads(16), tm.WithMaxStores(1 << 15)}
+	dev, err := pmem.New(core.DeviceConfig(pmem.StrictMode, 1, opts...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := core.NewPersistentWF(dev, false, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewTreeMap(e, 1)
+	present := make([]bool, keySpace)
+	for lo := uint64(0); lo < keySpace; lo += 64 {
+		e.Update(func(tx Tx) uint64 {
+			for k := lo; k < lo+64; k += 2 {
+				m.PutTx(tx, k, k)
+			}
+			return 0
+		})
+	}
+	for k := 0; k < keySpace; k += 2 {
+		present[k] = true
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := rng.Intn(keySpace)
+		if present[k] {
+			m.Delete(uint64(k))
+		} else {
+			m.Put(uint64(k), uint64(i))
+		}
+		present[k] = !present[k]
 	}
 }

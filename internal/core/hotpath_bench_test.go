@@ -153,6 +153,27 @@ func BenchmarkWriteSetLookupLinear(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteSetLookupMiss probes addresses the write-set does not hold:
+// two entries (a wait-free aggregate's result words) and a walk over
+// node-sized strides, the load pattern of a tree descent.
+func BenchmarkWriteSetLookupMiss(b *testing.B) {
+	ws := newBenchWS(1 << 10)
+	ws.reset()
+	ws.addOrReplace(40, 1)
+	ws.addOrReplace(41, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		if _, ok := ws.lookup(uint64(1000 + 6*i)); ok {
+			hits++
+		}
+	}
+	if hits != 0 {
+		b.Fatalf("%d absent addresses found", hits)
+	}
+}
+
 func BenchmarkWriteSetLookupHashed(b *testing.B) {
 	ws := newBenchWS(1 << 10)
 	ws.reset()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"onefile/internal/obs"
@@ -42,7 +43,7 @@ func badPtr(p tm.Ptr) { panic(fmt.Errorf("core: heap pointer %d out of range", p
 // arrives with that DCAS's sequence, which is above startSeq, and aborts.
 func (t *uTx) Load(p tm.Ptr) uint64 {
 	t.e.checkPtr(p)
-	if ws := &t.s.ws; ws.n != 0 { // loads ahead of the first store skip the call
+	if ws := &t.s.ws; ws.mayHold(uint64(p)) { // most loads skip the call: an empty or unrelated write-set
 		if v, ok := ws.lookup(uint64(p)); ok {
 			return v
 		}
@@ -585,18 +586,26 @@ func (e *Engine) readLoop(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 	}
 }
 
-// sortUint64 is an allocation-free insertion/shell sort for the small
-// address batches of flushWords (write-sets are at most MaxStores long and
-// typically tiny; slices.Sort's generic machinery is no faster here).
+// sortSmall is the length up to which sortUint64 sorts by insertion: below
+// it the quadratic loop beats slices.Sort's set-up.
+const sortSmall = 24
+
+// sortUint64 sorts the address batch of flushWords without allocating. Most
+// batches are a handful of addresses: straight insertion. A pipeline drain's
+// is ~150 addresses made of ascending runs, one per record written, where
+// slices.Sort (pattern-defeating quicksort) does about half the work of the
+// shell sort this replaces, which made log n full passes whatever the input.
 func sortUint64(a []uint64) {
-	for gap := len(a) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(a); i++ {
-			v := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > v; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = v
+	if len(a) > sortSmall {
+		slices.Sort(a)
+		return
+	}
+	for i := 1; i < len(a); i++ {
+		v := a[i]
+		j := i
+		for ; j > 0 && a[j-1] > v; j-- {
+			a[j] = a[j-1]
 		}
+		a[j] = v
 	}
 }

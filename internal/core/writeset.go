@@ -31,6 +31,14 @@ type writeSet struct {
 	n   int // owner-private count during the transform phase
 	cap int
 
+	// summary is a one-word superset of the addresses held: summaryBit(a) is
+	// set for every entry's address a. A load whose bit is clear is answered
+	// "absent" without a scan or a hash — on a wait-free aggregate, which
+	// reserves its result words before any body runs, that is nearly every
+	// load of a tree walk. reset clears it; rollbackTo leaves it as it is,
+	// which is still a superset.
+	summary uint64
+
 	// Intrusive hash index, owner-private, versioned so reset is O(1).
 	buckets []int32
 	bver    []uint32
@@ -70,6 +78,7 @@ func newWriteSet(num *atomic.Uint64, ent []atomic.Uint64, maxStores int) writeSe
 // reset discards the write-set for a new transform phase.
 func (w *writeSet) reset() {
 	w.n = 0
+	w.summary = 0
 	w.hashed = false
 	w.recording = false
 	w.ver++
@@ -93,13 +102,26 @@ func (w *writeSet) bucket(a uint64) *int32 {
 	return &w.buckets[b]
 }
 
+// summaryBit maps an address to its bit of writeSet.summary: the low address
+// bits, which tell apart the fields of a node and neighbouring nodes — the
+// addresses one transaction touches. A multiplicative hash measured no
+// better on BenchmarkWriteSetLookup{Miss,Linear,Hashed}, so the cheaper one.
+func summaryBit(addr uint64) uint64 { return 1 << (addr & 63) }
+
+// mayHold reports whether addr can be in the write-set; false is exact. It
+// inlines, so a load the summary rules out costs its caller no call.
+func (w *writeSet) mayHold(addr uint64) bool { return w.summary&summaryBit(addr) != 0 }
+
 // lookup returns the pending value stored for addr, if any. Loads inside an
 // update transaction consult it first so a transaction reads its own writes.
 // Only the owner calls it, so it reads the plain mirror — no atomic ops.
 func (w *writeSet) lookup(addr uint64) (uint64, bool) {
+	if !w.mayHold(addr) {
+		return 0, false
+	}
 	if !w.hashed {
-		for i := 0; i < w.n; i++ {
-			if w.keys[i] == addr {
+		for i, k := range w.keys[:w.n] {
+			if k == addr {
 				return w.vals[i], true
 			}
 		}
@@ -119,9 +141,11 @@ func (w *writeSet) lookup(addr uint64) (uint64, bool) {
 // tm.ErrTooManyStores if the transaction exceeds the configured write-set
 // capacity.
 func (w *writeSet) addOrReplace(addr, val uint64) {
-	if !w.hashed {
-		for i := 0; i < w.n; i++ {
-			if w.keys[i] == addr {
+	if !w.mayHold(addr) {
+		// A first store to addr: nothing to replace, no search.
+	} else if !w.hashed {
+		for i, k := range w.keys[:w.n] {
+			if k == addr {
 				w.replace(i, val)
 				return
 			}
@@ -140,6 +164,7 @@ func (w *writeSet) addOrReplace(addr, val uint64) {
 	i := w.n
 	w.keys[i], w.vals[i] = addr, val
 	w.n++
+	w.summary |= summaryBit(addr)
 	if w.hashed {
 		b := w.bucket(addr)
 		w.next[i] = *b

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -41,8 +43,8 @@ func TestWriteSetResetClears(t *testing.T) {
 	if _, ok := ws.lookup(1); ok {
 		t.Fatal("entry survived reset")
 	}
-	if ws.n != 0 {
-		t.Fatalf("n = %d after reset", ws.n)
+	if ws.n != 0 || ws.summary != 0 {
+		t.Fatalf("n = %d, summary = %#x after reset", ws.n, ws.summary)
 	}
 }
 
@@ -207,12 +209,49 @@ func TestQuickWriteSetRollbackMatchesMap(t *testing.T) {
 				return false
 			}
 		}
-		if _, hit := ws.lookup(5000); hit {
-			return false
+		// Absent means absent, also for a rolled-back address whose summary
+		// bit stayed set, and for one that shares a bit with a present one.
+		for a := uint64(1); a <= 97+64; a++ {
+			_, in := snap[a]
+			if _, hit := ws.lookup(a); hit != in {
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSortUint64: both regimes of flushWords' sort — insertion below
+// sortSmall, slices.Sort above — agree with the library sort on random
+// batches, on ascending runs (a drain's write-set) and on duplicates.
+func TestSortUint64(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, sortSmall - 1, sortSmall, sortSmall + 1, 150, 1000} {
+		for shape := 0; shape < 3; shape++ {
+			a := make([]uint64, n)
+			for i := range a {
+				switch shape {
+				case 0:
+					a[i] = rng.Uint64()
+				case 1: // runs of nine ascending addresses from random bases
+					if i%9 == 0 {
+						a[i] = uint64(rng.Intn(1 << 20))
+					} else {
+						a[i] = a[i-1] + 1
+					}
+				default:
+					a[i] = uint64(rng.Intn(4))
+				}
+			}
+			want := slices.Clone(a)
+			slices.Sort(want)
+			sortUint64(a)
+			if !slices.Equal(a, want) {
+				t.Fatalf("n=%d shape=%d: not sorted like slices.Sort", n, shape)
+			}
+		}
 	}
 }

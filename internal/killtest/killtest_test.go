@@ -23,6 +23,14 @@
 //   - the device file itself stays openable (superblock valid) once the
 //     first recovery has succeeded.
 //
+// What a kill does not keep: a pair-line pwb that was posted and whose slot
+// had not yet reached its ordering point. The device model stages those
+// (internal/pmem) and merges them into the mapping at the Fence or Drain, so
+// they die with the process, where a model that wrote every pwb through left
+// them in the page cache. Both are allowed — a pwb promises nothing before
+// its ordering point — and no invariant above leans on either: an ack
+// follows the last ordering point of its commit.
+//
 // A failed cycle preserves the device image and logs the onefile-inspect
 // command that dissects it.
 package killtest

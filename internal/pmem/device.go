@@ -14,8 +14,8 @@ import (
 //
 // One model, two image stores. Sim (this package) is the only
 // implementation of the semantics below — exact pwb/pfence accounting, the
-// sequence guard, a seeded RelaxedMode that reorders write-backs — and it
-// runs over an image it is given:
+// sequence guard, per-slot staging of posted write-backs, a seeded
+// RelaxedMode that reorders them — and it runs over an image it is given:
 //
 //   - New: fresh memory. The in-process simulator, the adversarial backend
 //     for crash enumeration; its durability dies with the process.
@@ -30,14 +30,27 @@ import (
 //     RawStore/RawCAS/RawAdd/RawRegion) and a persistent image; Flush
 //     issues one pwb per covered cache line.
 //   - The pair region is the persistent image of TM words ({value,
-//     sequence} pairs); FlushPair/FlushPairLine persist caller-supplied
-//     snapshots, guarded so the image never regresses past a newer
-//     sequence.
+//     sequence} pairs); FlushPair/FlushPairLine post caller-supplied
+//     snapshots, merged into the image guarded so that it never regresses
+//     past a newer sequence. A word's value at a given sequence must be
+//     unique (one committed transaction wrote it): then the merge is a
+//     per-word maximum, and the order in which posted lines reach the image
+//     cannot be observed.
 //   - Fence (pfence) and Drain (atomic-RMW-as-fence) are the ordering
-//     points that make the issuing slot's prior flushes durable.
+//     points that make the issuing slot's prior flushes durable. A slot is
+//     used by one goroutine at a time.
+//   - StrictMode: a pwb is durable no later than its slot's next ordering
+//     point, and a Crash keeps every posted pwb. With the image observers
+//     below merging what is staged before they look, no caller can tell
+//     that from every pwb being written through when it is issued — which
+//     is what a raw-region Flush still does, a raw line being overwritten
+//     rather than merged. RelaxedMode: a pwb is durable at its slot's next
+//     ordering point and not before; a Crash keeps a random subset of the
+//     ones still staged.
 //   - Crash simulates a power failure: everything not durable is lost and
 //     the volatile views reload from the persistent image. It requires
-//     quiescence, as a real whole-process crash would provide.
+//     quiescence, as a real whole-process crash would provide, and so do
+//     ImagePair, ImagePairs, ImageRaw, WriteTo/ReadFrom and Close.
 //   - WriteTo/ReadFrom serialise exactly the durable image (the snapshot
 //     format of this package), portable across backends.
 //   - Close is an orderly shutdown: buffered flushes are written back and
@@ -69,9 +82,9 @@ type Device interface {
 
 	// Flush issues one pwb per cache line covering raw words [off, off+n).
 	Flush(slot, off, n int)
-	// FlushPair issues one pwb persisting a snapshot of TM word idx.
+	// FlushPair issues one pwb posting a snapshot of TM word idx.
 	FlushPair(slot, idx int, val, seq uint64)
-	// FlushPairLine issues one pwb persisting snapshots of n TM words that
+	// FlushPairLine issues one pwb posting snapshots of n TM words that
 	// share a pair-region cache line.
 	FlushPairLine(slot int, n int, idx *[PairLineWords]int, vals, seqs *[PairLineWords]uint64)
 	// Fence issues a pfence ordering the slot's prior flushes.
@@ -81,7 +94,8 @@ type Device interface {
 
 	// Crash simulates a full-system power failure (quiescence required).
 	Crash()
-	// ImagePair returns the persistent image of TM word idx.
+	// ImagePair returns the persistent image of TM word idx (quiescence
+	// required).
 	ImagePair(idx int) (val, seq uint64)
 	// ImagePairs copies the persistent image of TM words [lo, lo+len(dst))
 	// into dst (quiescence required): recovery's bulk read.

@@ -19,8 +19,13 @@
 //     page cache holds it: it survives a process kill, which is exactly the
 //     "pwb reached the memory controller" point of the model. The model
 //     reports each such write and the mapping extends its dirty byte range.
-//   - pfence/Drain = msync of that range. Only after the msync is the image
-//     safe against a host power failure, mirroring pwb-then-pfence.
+//     A pair-line pwb gets there at its slot's ordering point, where the
+//     model merges what the slot staged; until then a kill loses it, as it
+//     may any pwb that no ordering point has followed.
+//   - pfence/Drain = that merge, then msync of the range — exactly the lines
+//     this ordering point makes durable, plus what other slots reported
+//     meanwhile. Only after the msync is the image safe against a host power
+//     failure, mirroring pwb-then-pfence.
 //   - the superblock: dirty from Open until an orderly Close, so a file
 //     whose holder died is visibly a crash image. A real whole-process kill
 //     needs no Crash call — dying IS the crash.

@@ -23,14 +23,27 @@
 //     cache line, and FlushPairLine persists up to a whole line of them for
 //     a single pwb — the paper's §IV one-pwb-per-modified-line accounting.
 //
-// In StrictMode every Flush is immediately durable (write-through), which
-// matches CLWB followed by a fence on every flush. In RelaxedMode flushes
-// are buffered per thread slot and only become durable at the next Fence or
-// Drain by that slot; Crash applies a random subset of the still-buffered
-// flushes (a pwb may complete early on real hardware) and drops the rest —
-// a coalesced line flush is kept or dropped as one unit, like the single
-// cache-line write-back it models. RelaxedMode exercises the reordering
-// windows that crash-consistency bugs hide in.
+// A pwb is posted, not waited for: FlushPair and FlushPairLine append the
+// line's snapshot to the issuing slot's staging buffer, and the slot's next
+// ordering point merges what the buffer holds into the image — the paper's
+// model (§III-D, §IV), in which only the ordering point pays for persistence.
+// The two modes differ in what a posted pwb is worth before that point:
+//
+//   - StrictMode: a posted pwb is durable no later than the slot's next
+//     ordering point, and a Crash keeps every posted pwb. That cannot be told
+//     from a device that writes every pwb through at once: the pair merge is
+//     a per-word maximum by sequence — commutative and idempotent, equal
+//     sequence meaning equal value — so when a staged line merges does not
+//     change any image an observer can see, and every image observer (Crash,
+//     ImagePair, ImagePairs, WriteTo, ReadFrom, Close) merges first. A raw-region Flush
+//     does write through: a raw line is overwritten by its snapshot, not
+//     max-merged, so the order of two slots' flushes of one line matters.
+//   - RelaxedMode: every flush, raw or pair, is staged until the next Fence
+//     or Drain by its slot; Crash applies a random subset of the still-staged
+//     flushes (a pwb may complete early on real hardware) and drops the rest —
+//     a coalesced line flush is kept or dropped as one unit, like the single
+//     cache-line write-back it models. RelaxedMode exercises the reordering
+//     windows that crash-consistency bugs hide in.
 //
 // The device also counts pwb and pfence events (Table I of the paper) and
 // offers a hook called before every persistence event, which failure-
@@ -56,10 +69,12 @@ const PairLineWords = LineWords / 2
 type Mode int
 
 const (
-	// StrictMode makes every flush immediately durable.
+	// StrictMode keeps every posted pwb: a raw flush writes through, a pair
+	// flush is durable no later than its slot's next ordering point, and a
+	// Crash merges whatever is still staged.
 	StrictMode Mode = iota + 1
-	// RelaxedMode buffers flushes until the next Fence/Drain of the
-	// issuing slot and drops a random subset of buffered flushes at Crash.
+	// RelaxedMode stages every flush until the next Fence/Drain of the
+	// issuing slot and drops a random subset of staged flushes at Crash.
 	RelaxedMode
 )
 
@@ -136,7 +151,7 @@ type pendingRaw struct {
 	vals [LineWords]uint64
 }
 
-// pendingPairs is one buffered pair-region pwb: up to PairLineWords word
+// pendingPairs is one staged pair-region pwb: up to PairLineWords word
 // snapshots from the same cache line, kept or dropped atomically at Crash.
 type pendingPairs struct {
 	n    int
@@ -145,15 +160,36 @@ type pendingPairs struct {
 	seqs [PairLineWords]uint64
 }
 
+const (
+	// mergeChunk is how many staged pair lines an ordering point merges under
+	// one set of line locks. Between two locked instructions a core waits for
+	// the image miss in between; with a chunk's locks taken first, its misses
+	// overlap. Sixteen is past what the core keeps in flight, and the most
+	// locks one goroutine holds at a time.
+	mergeChunk = 16
+	// maxStaged bounds a StrictMode slot's staged pair lines: a slot holding
+	// this many merges them before it stages another, so a caller that never
+	// reaches an ordering point stages in constant space. A RelaxedMode slot
+	// has no bound — what it merged early, a Crash could no longer drop.
+	maxStaged = 64
+)
+
+// slotBuf holds one slot's staged flushes: raw lines in RelaxedMode only,
+// pair lines in both modes. Only the goroutine using the slot touches it
+// (and the quiescent callers — Crash, Close, the image observers); the
+// padding keeps neighbouring slots' appends off each other's cache line.
 type slotBuf struct {
 	raws  []pendingRaw
 	pairs []pendingPairs
+	touch uint64 // sum of the guards mergeChunk read ahead; never read
+	_     [8]byte
 }
 
-// Sim is an emulated NVM DIMM. All methods are safe for concurrent use
-// except Crash, WriteTo/ReadFrom, Close and Recover-time image accessors,
-// which require quiescence (no goroutine inside a transaction), as a real
-// whole-process crash would.
+// Sim is an emulated NVM DIMM. All methods are safe for concurrent use —
+// Flush*, Fence and Drain by one goroutine per slot at a time, a slot being
+// the issuing thread — except Crash, WriteTo/ReadFrom, Close and the image
+// accessors, which require quiescence (no goroutine inside a transaction),
+// as a real whole-process crash would.
 type Sim struct {
 	cfg Config
 
@@ -164,11 +200,11 @@ type Sim struct {
 	// Persistent image of TM words, by value: word idx is {pairImg[2*idx],
 	// pairImg[2*idx+1]} = {value, sequence}. pairMu shards by pair line,
 	// emulating the memory controller's atomic line write-back; the
-	// sequence guard in commitPairs keeps delayed flushers monotonic.
+	// sequence guard in mergeLine keeps delayed flushers monotonic.
 	pairImg []uint64
 	pairMu  []sync.Mutex
 
-	pending []slotBuf // per-slot flush buffers (RelaxedMode)
+	pending []slotBuf // per-slot staged flushes
 
 	backing Backing                   // nil: the images are all there is
 	syncErr atomic.Pointer[SyncError] // first failed Backing.Sync; never cleared
@@ -340,7 +376,10 @@ func (d *Sim) commitRawLine(p pendingRaw) {
 }
 
 // Flush issues one pwb per cache line covering raw words [off, off+n).
-// slot is the issuing thread slot (used for RelaxedMode buffering).
+// slot is the issuing thread slot. In StrictMode the line is written through
+// rather than staged like a pair line: a raw line is overwritten by its
+// snapshot, not merged by sequence, so two slots' flushes of one line must
+// reach the image in the order they were issued.
 func (d *Sim) Flush(slot, off, n int) {
 	if n <= 0 {
 		return
@@ -360,9 +399,9 @@ func (d *Sim) Flush(slot, off, n int) {
 
 // --- pair region: persistence ---
 
-// commitPairs advances the persistent image of the TM words in p, skipping
-// any word whose image already holds a newer sequence (monotonic guard). All
-// words of p share one pair line, so one shard lock covers them.
+// mergeLine advances the persistent image of the TM words in p, skipping any
+// word whose image already holds a newer sequence (monotonic guard), and
+// reports whether it wrote. The caller holds the line's lock.
 //
 // Store order inside a word is value THEN sequence. Failure atomicity is 8
 // bytes (one aligned word store, the paper's NVM model), and when the image
@@ -371,14 +410,7 @@ func (d *Sim) Flush(slot, off, n int) {
 // the recovery invariant "no word's durable sequence exceeds the durable
 // curTx" survives tearing, and null recovery re-applies the value from the
 // redo log.
-func (d *Sim) commitPairs(p pendingPairs) {
-	if p.n == 0 {
-		return
-	}
-	line := p.idx[0] / PairLineWords
-	mu := &d.pairMu[line%len(d.pairMu)]
-	mu.Lock()
-	wrote := false
+func (d *Sim) mergeLine(p *pendingPairs) (wrote bool) {
 	for i := 0; i < p.n; i++ {
 		at := 2 * p.idx[i]
 		// ≥, not >: a word's value at a given sequence is unique (one
@@ -390,23 +422,122 @@ func (d *Sim) commitPairs(p pendingPairs) {
 			wrote = true
 		}
 	}
+	return wrote
+}
+
+// pairShard returns the index in pairMu of the lock over p's line (all words
+// of p share one pair line).
+func (d *Sim) pairShard(p *pendingPairs) int {
+	return (p.idx[0] / PairLineWords) % len(d.pairMu)
+}
+
+// dirtiedPairLine reports a write to p's line to the backing. The whole
+// line, not the words written: it is the unit a pwb writes back, and
+// over-reporting costs a backing nothing.
+func (d *Sim) dirtiedPairLine(p *pendingPairs) {
+	lo := p.idx[0] / PairLineWords * PairLineWords * 2
+	d.backing.Dirtied(PairImage, lo, min(2*PairLineWords, len(d.pairImg)-lo))
+}
+
+// mergeOne merges one staged line into the image: lock, merge, unlock.
+func (d *Sim) mergeOne(p *pendingPairs) {
+	mu := &d.pairMu[d.pairShard(p)]
+	mu.Lock()
+	wrote := d.mergeLine(p)
 	mu.Unlock()
 	if wrote && d.backing != nil {
-		// The whole line, not the words written: it is the unit a pwb writes
-		// back, and over-reporting costs a backing nothing.
-		lo := 2 * line * PairLineWords
-		d.backing.Dirtied(PairImage, lo, min(2*PairLineWords, len(d.pairImg)-lo))
+		d.dirtiedPairLine(p)
 	}
+}
+
+// mergeChunk merges up to mergeChunk staged lines into the image under all
+// of their line locks at once. The locks are taken in ascending shard order,
+// each once, so two slots merging interleaved lines cannot deadlock. A chunk
+// of one line — the small commit's 1 pwb + 1 pfence — does not pay for a
+// batch.
+func (d *Sim) mergeChunk(buf *slotBuf, ps []pendingPairs) {
+	if len(ps) == 1 {
+		d.mergeOne(&ps[0])
+		return
+	}
+	var shards [mergeChunk]int
+	ns := 0
+	for i := range ps {
+		// Insertion from the back: the engine flushes in address order, so
+		// the shards mostly arrive sorted already.
+		sh := d.pairShard(&ps[i])
+		j := ns
+		for j > 0 && shards[j-1] > sh {
+			j--
+		}
+		if j > 0 && shards[j-1] == sh {
+			continue
+		}
+		for k := ns; k > j; k-- {
+			shards[k] = shards[k-1]
+		}
+		shards[j] = sh
+		ns++
+	}
+	for _, sh := range shards[:ns] {
+		d.pairMu[sh].Lock()
+	}
+	// Read one guard of every line before merging any: nothing between these
+	// loads orders them, so the lines' cache misses overlap, and the merge
+	// below finds the lines present. Under the locks, so it is no race.
+	var touch uint64
+	for i := range ps {
+		touch += d.pairImg[2*ps[i].idx[0]+1]
+	}
+	buf.touch = touch // a use the compiler cannot drop the loads for
+	var wrote [mergeChunk]bool
+	for i := range ps {
+		wrote[i] = d.mergeLine(&ps[i])
+	}
+	for _, sh := range shards[:ns] {
+		d.pairMu[sh].Unlock()
+	}
+	if d.backing != nil {
+		for i := range ps {
+			if wrote[i] {
+				d.dirtiedPairLine(&ps[i])
+			}
+		}
+	}
+}
+
+// mergePairs merges every pair line buf has staged into the image, in the
+// order they were posted, and empties it.
+func (d *Sim) mergePairs(buf *slotBuf) {
+	for ps := buf.pairs; len(ps) > 0; {
+		n := min(len(ps), mergeChunk)
+		d.mergeChunk(buf, ps[:n])
+		ps = ps[n:]
+	}
+	buf.pairs = buf.pairs[:0]
+}
+
+// post is the part of a pair-region pwb that is not the snapshot: the hook,
+// the count, and room for one line in the slot's buffer. Nothing reaches the
+// image here.
+func (d *Sim) post(slot int) *pendingPairs {
+	d.fire(EvPwb)
+	d.pwb.Add(1)
+	buf := &d.pending[slot]
+	if len(buf.pairs) == maxStaged && d.cfg.Mode == StrictMode {
+		d.mergePairs(buf)
+	}
+	buf.pairs = append(buf.pairs, pendingPairs{})
+	return &buf.pairs[len(buf.pairs)-1]
 }
 
 // FlushPair issues one pwb persisting the given snapshot of TM word idx.
 // The snapshot must be the flusher's current view of the word (read at
 // flush time); the monotonic guard makes stale snapshots harmless.
 func (d *Sim) FlushPair(slot, idx int, val, seq uint64) {
-	var p pendingPairs
+	p := d.post(slot)
 	p.n = 1
 	p.idx[0], p.vals[0], p.seqs[0] = idx, val, seq
-	d.flushPairs(slot, p)
 }
 
 // FlushPairLine issues ONE pwb persisting the given snapshots of n TM words
@@ -429,43 +560,43 @@ func (d *Sim) FlushPairLine(slot int, n int, idx *[PairLineWords]int, vals, seqs
 			panic("pmem: FlushPairLine words span cache lines")
 		}
 	}
-	var p pendingPairs
+	p := d.post(slot)
 	p.n = n
 	copy(p.idx[:], idx[:n])
 	copy(p.vals[:], vals[:n])
 	copy(p.seqs[:], seqs[:n])
-	d.flushPairs(slot, p)
 }
 
-func (d *Sim) flushPairs(slot int, p pendingPairs) {
-	d.fire(EvPwb)
-	d.pwb.Add(1)
-	if d.cfg.Mode == StrictMode {
-		d.commitPairs(p)
-		return
-	}
-	d.pending[slot].pairs = append(d.pending[slot].pairs, p)
-}
-
-// drain commits all buffered flushes of slot.
+// drain merges all staged flushes of slot into the image.
 func (d *Sim) drain(slot int) {
 	buf := &d.pending[slot]
 	for _, p := range buf.raws {
 		d.commitRawLine(p)
 	}
 	buf.raws = buf.raws[:0]
-	for _, p := range buf.pairs {
-		d.commitPairs(p)
-	}
-	buf.pairs = buf.pairs[:0]
+	d.mergePairs(buf)
 }
 
-// order is the ordering point behind Fence and Drain: the slot's buffered
-// flushes reach the image, and the backing syncs what the image holds.
-func (d *Sim) order(slot int) {
-	if d.cfg.Mode == RelaxedMode {
-		d.drain(slot)
+// settle merges every pair line a StrictMode slot has staged and no ordering
+// point has merged yet. StrictMode keeps every posted pwb, so whoever looks
+// at the image (quiescent, like every caller of this) must find them in it.
+// A RelaxedMode image holds only what an ordering point made durable.
+func (d *Sim) settle() {
+	if d.cfg.Mode != StrictMode {
+		return
 	}
+	for s := range d.pending {
+		if buf := &d.pending[s]; len(buf.pairs) != 0 {
+			d.mergePairs(buf)
+		}
+	}
+}
+
+// order is the ordering point behind Fence and Drain: the slot's staged
+// flushes reach the image — the backing hears of exactly the lines this
+// ordering point makes durable — and the backing syncs what the image holds.
+func (d *Sim) order(slot int) {
+	d.drain(slot)
 	if d.backing != nil {
 		if err := d.sync(); err != nil {
 			panic(err)
@@ -507,17 +638,18 @@ func (d *Sim) Drain(slot int) {
 
 // --- crash and recovery ---
 
-// Crash simulates a full-system power failure. Buffered flushes are
-// independently kept (the pwb happened to complete) or dropped with equal
-// probability — a coalesced pair-line flush is one unit; then every
-// volatile raw word is reloaded from the persistent image. The caller must
-// guarantee quiescence. After Crash the pair image is the only record of TM
-// words; engines rebuild their volatile words from it via ImagePairs.
+// Crash simulates a full-system power failure. StrictMode keeps every staged
+// pair line. In RelaxedMode staged flushes are independently kept (the pwb
+// happened to complete) or dropped with equal probability — a coalesced
+// pair-line flush is one unit. Then every volatile raw word is reloaded from
+// the persistent image. The caller must guarantee quiescence. After Crash the
+// pair image is the only record of TM words; engines rebuild their volatile
+// words from it via ImagePairs.
 //
 // With a mapped file as the image this is the in-process simulation of that
 // failure. A real whole-process kill needs no call: reopening the file lands
-// in the same state, minus the buffered (never durable) relaxed flushes,
-// which dying discards even more thoroughly.
+// in the same state, minus the flushes still staged — never durable, in
+// either mode — which dying discards even more thoroughly.
 func (d *Sim) Crash() {
 	if d.cfg.Mode == RelaxedMode {
 		d.rngMu.Lock()
@@ -528,18 +660,19 @@ func (d *Sim) Crash() {
 					d.commitRawLine(p)
 				}
 			}
-			for _, p := range buf.pairs {
+			for i := range buf.pairs {
 				if d.rng.Intn(2) == 0 {
-					d.commitPairs(p)
+					d.mergeOne(&buf.pairs[i])
 				}
 			}
 		}
 		d.rngMu.Unlock()
 	}
+	d.settle()
 	d.reload()
 }
 
-// reload drops every buffered flush and resets the volatile view to the
+// reload drops every staged flush and resets the volatile view to the
 // image: the state a power failure leaves.
 func (d *Sim) reload() {
 	for s := range d.pending {
@@ -550,7 +683,7 @@ func (d *Sim) reload() {
 	}
 }
 
-// Close is an orderly power-off (quiescence required): every buffered flush
+// Close is an orderly power-off (quiescence required): every staged flush
 // is written back, as by a wbinvd, and the backing syncs. The in-process
 // simulator holds no external resources, so its images stay readable
 // afterwards, which crash tests rely on (a closed simulator is still
@@ -566,8 +699,9 @@ func (d *Sim) Close() error {
 }
 
 // ImagePair returns the persistent image of TM word idx (value, sequence).
-// Intended for recovery and tests.
+// Intended for recovery and tests; callers must be quiescent.
 func (d *Sim) ImagePair(idx int) (val, seq uint64) {
+	d.settle()
 	mu := &d.pairMu[(idx/PairLineWords)%len(d.pairMu)]
 	mu.Lock()
 	val, seq = d.pairImg[2*idx], d.pairImg[2*idx+1]
@@ -578,6 +712,7 @@ func (d *Sim) ImagePair(idx int) (val, seq uint64) {
 // ImagePairs copies the persistent image of TM words [lo, lo+len(dst)) into
 // dst. Callers must be quiescent: unlike ImagePair it takes no line lock.
 func (d *Sim) ImagePairs(lo int, dst []Pair) {
+	d.settle()
 	img := d.pairImg[2*lo : 2*(lo+len(dst))]
 	// The interleaved image read as the Pairs it holds (same size, same
 	// alignment), so the bulk read is one copy.

@@ -76,6 +76,7 @@ func DecodeImage(r io.Reader, raw, pairs []uint64) (int64, error) {
 // WriteTo serialises the device's persistent image. The device must be
 // quiescent. It implements io.WriterTo.
 func (d *Sim) WriteTo(w io.Writer) (int64, error) {
+	d.settle()
 	return EncodeImage(w, d.rawImg, d.pairImg)
 }
 
@@ -87,6 +88,7 @@ func (d *Sim) WriteTo(w io.Writer) (int64, error) {
 // image, and the device is left consistent with whatever the image now
 // holds. It implements io.ReaderFrom.
 func (d *Sim) ReadFrom(r io.Reader) (int64, error) {
+	d.settle() // a stream refused at its header leaves the image as it was
 	n, err := DecodeImage(r, d.rawImg, d.pairImg)
 	d.reload()
 	if d.backing != nil {

@@ -95,24 +95,40 @@ func TestElasticTraversalDoesNotAbortOnOldReads(t *testing.T) {
 			})
 		}
 	}()
-	before := e.Stats()
+	// The scanner's own aborts, tallied by where they struck. The word the
+	// writer hammers is the scan's first read and stays in the sliding window
+	// for the two reads after it: there a run aborts as often as the
+	// scheduler lets the writer in (thousands of times under -race on two
+	// CPUs), and the engine-wide abort count adds the writer's own on top.
+	// Neither says anything about elasticity. What does, and holds whatever
+	// the timing: once the window has slid past the word, nothing the writer
+	// does aborts the scan, at a later read or at commit — with a full
+	// read-set most scans abort there. TL2 runs a body on its caller's
+	// goroutine, so the body may keep the tally.
+	early, late := 0, 0
 	for i := 0; i < 200; i++ {
+		at := -1 // the read the current run has reached; 199 is the store and commit
 		e.Update(func(tx tm.Tx) uint64 {
+			if at > elasticWindow {
+				late++
+			} else if at >= 0 {
+				early++
+			}
 			// Long traversal, then a single write at the end.
 			var sink uint64
 			for j := 0; j < 199; j++ {
+				at = j
 				sink += tx.Load(base + tm.Ptr(j))
 			}
+			at = 199
 			tx.Store(base+199, sink)
 			return 0
 		})
 	}
 	<-done
-	d := e.Stats().Sub(before)
-	// With a full read-set this workload aborts nearly every scan; the
-	// elastic window keeps the abort count far below the commit count.
-	if d.Aborts > d.Commits {
-		t.Fatalf("elastic mode aborted too much: %d aborts, %d commits", d.Aborts, d.Commits)
+	t.Logf("scanner: %d aborts with the hot word in its window, %d past it", early, late)
+	if late != 0 {
+		t.Fatalf("%d scans aborted after the window had left the word the writer changes", late)
 	}
 }
 
