@@ -161,9 +161,6 @@ func dispatch(threads []int) error {
 		if err := runShardsFig(); err != nil {
 			return err
 		}
-		if err := runFastpathFig(); err != nil {
-			return err
-		}
 		if err := runLatencyObs(); err != nil {
 			return err
 		}
@@ -181,9 +178,6 @@ func dispatch(threads []int) error {
 	if *figFlag == "kv" {
 		return runKVFig()
 	}
-	if *figFlag == "fastpath" {
-		return runFastpathFig()
-	}
 	if *latFlag {
 		return runLatencyObs()
 	}
@@ -191,7 +185,7 @@ func dispatch(threads []int) error {
 		return runFig(fig, threads)
 	}
 	flag.Usage()
-	return fmt.Errorf("pass -fig 2..13, -fig batch, -fig kv, -fig fastpath, -table 1, -latency or -all")
+	return fmt.Errorf("pass -fig 2..13, -fig batch, -fig kv, -table 1, -latency or -all")
 }
 
 func parseThreads(s string) ([]int, error) {
@@ -562,73 +556,6 @@ func runBatchFig() error {
 			return err
 		}
 		row(eng, d, c)
-	}
-	return nil
-}
-
-// runFastpathFig is the small-transaction fast-path sweep (-fig fastpath,
-// ISSUE 10): latency of a one/two-word increment through the raw emulated
-// DCAS, the fast path (UpdateSmall), the full STM commit (Update) and a
-// solo AsyncUpdate, on all four OneFile variants — solo and with 8
-// contending updaters on the same words — plus pwb/pfence per committed op
-// on the persistent variants (the fast path's claim: exactly 1 + 1).
-func runFastpathFig() error {
-	iters := 30000
-	if *quickFlag {
-		iters = 3000
-	}
-	raw := bench.RawDCAS(iters, *repsFlag)
-
-	for _, words := range []int{1, 2} {
-		solo := bench.FastConfig{Words: words, Threads: 1, Iters: iters, Reps: *repsFlag}
-		figure(fmt.Sprintf("fastpath-%dw", words), "route")
-		header(fmt.Sprintf("Fastpath: solo %d-word update, ns/op", words),
-			"raw-dcas", "fast", "full", "async")
-		for _, eng := range bench.FastpathEngines {
-			vals := []float64{raw}
-			for _, path := range bench.FastpathPaths {
-				p, err := bench.FastpathRun(eng, path, solo)
-				if err != nil {
-					return err
-				}
-				vals = append(vals, p.NsOp)
-			}
-			row(eng, vals...)
-		}
-	}
-
-	cont := bench.FastConfig{Words: 1, Threads: 8, Iters: iters / 4, Reps: *repsFlag}
-	figure("fastpath-contended", "route")
-	header("Fastpath: 8 updaters on one word, ns/op", "fast", "full", "async")
-	for _, eng := range bench.FastpathEngines {
-		var vals []float64
-		for _, path := range bench.FastpathPaths {
-			p, err := bench.FastpathRun(eng, path, cont)
-			if err != nil {
-				return err
-			}
-			vals = append(vals, p.NsOp)
-		}
-		row(eng, vals...)
-	}
-
-	figure("fastpath-persist", "route")
-	header("Fastpath: persistence ops per solo 2-word commit",
-		"fast-pwb", "fast-fence", "full-pwb", "full-fence")
-	solo2 := bench.FastConfig{Words: 2, Threads: 1, Iters: iters, Reps: *repsFlag}
-	for _, eng := range bench.FastpathEngines {
-		fp, err := bench.FastpathRun(eng, "fast", solo2)
-		if err != nil {
-			return err
-		}
-		if fp.PwbPerOp == 0 && fp.FencePerOp == 0 {
-			continue // volatile
-		}
-		full, err := bench.FastpathRun(eng, "full", solo2)
-		if err != nil {
-			return err
-		}
-		rowf(eng, "%12.2f", fp.PwbPerOp, fp.FencePerOp, full.PwbPerOp, full.FencePerOp)
 	}
 	return nil
 }

@@ -35,7 +35,6 @@ var (
 	seedFlag    = flag.Int64("seed", 1, "workload seed")
 	strideFlag  = flag.Int("stride", 1, "check every stride-th persistence event (1 = exhaustive)")
 	strictFlag  = flag.Bool("strict", true, "sweep StrictMode (write-through) devices")
-	fastFlag    = flag.Bool("fastpath", false, "sweep the small-transaction fast-path workload (OneFile PTMs only)")
 	relaxedFlag = flag.String("relaxed-seeds", "1,2,3,4,5,6,7,8", "comma-separated RelaxedMode device seeds (empty = skip RelaxedMode)")
 	listFlag    = flag.Bool("list", false, "list persistent engine names and exit")
 	quietFlag   = flag.Bool("quiet", false, "suppress per-sweep progress lines")
@@ -65,11 +64,10 @@ func main() {
 	}
 
 	cfg := crashcheck.Config{
-		Txns:     *txnsFlag,
-		Seed:     *seedFlag,
-		Stride:   *strideFlag,
-		Strict:   *strictFlag,
-		FastPath: *fastFlag,
+		Txns:   *txnsFlag,
+		Seed:   *seedFlag,
+		Stride: *strideFlag,
+		Strict: *strictFlag,
 	}
 	if *enginesFlag != "" {
 		cfg.Engines = strings.Split(*enginesFlag, ",")

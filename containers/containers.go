@@ -21,11 +21,7 @@
 // the ok flag of operations executed inside engine transactions.
 package containers
 
-import (
-	"sync/atomic"
-
-	"onefile/internal/tm"
-)
+import "onefile/internal/tm"
 
 // Engine is the transactional-memory engine containers run on. It is the
 // engine-neutral interface implemented by every STM/PTM in this repository
@@ -59,40 +55,6 @@ func boolWord(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// smallGiveUp is how many consecutive SmallIneligible outcomes an operation
-// accumulates before its smallHint stops probing the fast path. Contended
-// outcomes do NOT count — contention proves the body is small enough, it
-// just lost a race — and any other outcome resets the streak.
-const smallGiveUp = 4
-
-// smallHint is per-operation adaptive state for fast-path probing: each
-// container operation that can fit the small-transaction fast path (at most
-// two stored words, no Alloc/Free) carries one. Operations whose bodies
-// converge to ineligible (e.g. a queue Enqueue, which always allocates)
-// stop probing after smallGiveUp misses and pay nothing further.
-type smallHint struct {
-	miss atomic.Uint32
-}
-
-// updateSmall runs fn through the engine's small-transaction fast path when
-// the engine has one and the hint still considers the operation promising;
-// otherwise it is a plain e.Update. Outcomes feed back into the hint.
-func updateSmall(e Engine, h *smallHint, fn func(Tx) uint64) uint64 {
-	if h.miss.Load() < smallGiveUp {
-		if s, ok := e.(tm.SmallUpdater); ok {
-			res, out := s.UpdateSmall(fn)
-			if out == tm.SmallIneligible {
-				h.miss.Add(1)
-			} else if h.miss.Load() != 0 {
-				h.miss.Store(0)
-			}
-			return res
-		}
-		h.miss.Store(smallGiveUp) // engine has no fast path; stop asking
-	}
-	return e.Update(fn)
 }
 
 // initRoot ensures the root slot holds a descriptor, creating it with mk

@@ -3,18 +3,14 @@ package containers
 import "onefile/internal/tm"
 
 // Counter is a transactional counter living directly in one of the engine's
-// root slot words — no descriptor, no allocation, just the word. Its
-// increments are exactly the workload the small-transaction fast path
-// (DESIGN.md §14) exists for: a one-word read-modify-write that commits with
-// a single DCAS, and on the persistent engines with a single pwb + pfence.
-// On an engine without a fast path it degrades to a plain one-word Update.
+// root slot words — no descriptor, no allocation, just the word: an
+// increment is a one-word read-modify-write transaction.
 //
 // Like every container, a Counter is crash-durable on the persistent
 // engines: re-attach after a crash and NewCounter finds the old value.
 type Counter struct {
 	e    Engine
 	word Ptr
-	hint smallHint
 	// incBody is built once so the steady-state Inc performs zero Go heap
 	// allocations (the closure would otherwise escape on every call).
 	incBody func(Tx) uint64
@@ -35,13 +31,13 @@ func NewCounter(e Engine, rootSlot int) *Counter {
 // Inc adds one and returns the new value. Allocation-free in steady state
 // (the containers test suite pins this with testing.AllocsPerRun).
 func (c *Counter) Inc() uint64 {
-	return updateSmall(c.e, &c.hint, c.incBody)
+	return c.e.Update(c.incBody)
 }
 
 // Add adds delta and returns the new value. Unlike Inc it builds its body
 // closure per call (delta must be captured); use Inc on hot paths.
 func (c *Counter) Add(delta uint64) uint64 {
-	return updateSmall(c.e, &c.hint, func(tx Tx) uint64 {
+	return c.e.Update(func(tx Tx) uint64 {
 		v := tx.Load(c.word) + delta
 		tx.Store(c.word, v)
 		return v

@@ -8,9 +8,6 @@ package containers
 type HashSet struct {
 	e    Engine
 	desc Ptr // [0]=buckets block, [1]=bucket count, [2]=size
-
-	addHint smallHint
-	remHint smallHint
 }
 
 const (
@@ -53,11 +50,9 @@ func (h *HashSet) bucketOf(tx Tx, k uint64) Ptr {
 	return b + Ptr(hashKey(k)&(n-1))
 }
 
-// Add inserts k; it reports whether the set changed. Adds of keys already
-// present are read-only bodies and commit on the small-transaction fast
-// path; inserting adds allocate a node and run on the full path.
+// Add inserts k; it reports whether the set changed.
 func (h *HashSet) Add(k uint64) bool {
-	return updateSmall(h.e, &h.addHint, func(tx Tx) uint64 { return boolWord(h.AddTx(tx, k)) }) == 1
+	return h.e.Update(func(tx Tx) uint64 { return boolWord(h.AddTx(tx, k)) }) == 1
 }
 
 // AddTx inserts k as part of the caller's transaction.
@@ -123,10 +118,9 @@ func (h *HashSet) growTx(tx Tx, newN uint64) {
 	tx.Free(oldB)
 }
 
-// Remove deletes k; it reports whether the set changed. Removes of absent
-// keys are read-only bodies and commit on the small-transaction fast path.
+// Remove deletes k; it reports whether the set changed.
 func (h *HashSet) Remove(k uint64) bool {
-	return updateSmall(h.e, &h.remHint, func(tx Tx) uint64 { return boolWord(h.RemoveTx(tx, k)) }) == 1
+	return h.e.Update(func(tx Tx) uint64 { return boolWord(h.RemoveTx(tx, k)) }) == 1
 }
 
 // RemoveTx deletes k as part of the caller's transaction.

@@ -10,9 +10,6 @@ import "onefile/internal/tm"
 type Queue struct {
 	e    Engine
 	desc Ptr // [0]=head, [1]=tail, [2]=length
-
-	enqHint smallHint
-	deqHint smallHint
 }
 
 // Queue descriptor and node layouts (word offsets).
@@ -33,11 +30,9 @@ func NewQueue(e Engine, rootSlot int) *Queue {
 	return &Queue{e: e, desc: desc}
 }
 
-// Enqueue appends v in its own transaction. It probes the engine's
-// small-transaction fast path; an enqueue always allocates a node, so the
-// probe converges to the full path after a few operations.
+// Enqueue appends v in its own transaction.
 func (q *Queue) Enqueue(v uint64) {
-	updateSmall(q.e, &q.enqHint, func(tx Tx) uint64 {
+	q.e.Update(func(tx Tx) uint64 {
 		q.EnqueueTx(tx, v)
 		return 0
 	})
@@ -59,7 +54,7 @@ func (q *Queue) EnqueueTx(tx Tx, v uint64) {
 
 // Dequeue removes and returns the oldest value; ok is false when empty.
 func (q *Queue) Dequeue() (v uint64, ok bool) {
-	return unpack(updateSmall(q.e, &q.deqHint, func(tx Tx) uint64 {
+	return unpack(q.e.Update(func(tx Tx) uint64 {
 		v, ok := q.DequeueTx(tx)
 		return pack(v, ok)
 	}))

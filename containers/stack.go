@@ -6,9 +6,6 @@ package containers
 type Stack struct {
 	e    Engine
 	desc Ptr // [0]=top, [1]=length
-
-	pushHint smallHint
-	popHint  smallHint
 }
 
 const (
@@ -25,10 +22,9 @@ func NewStack(e Engine, rootSlot int) *Stack {
 	return &Stack{e: e, desc: desc}
 }
 
-// Push adds v in its own transaction. Like Queue.Enqueue, the fast-path
-// probe converges to the full path (a push always allocates).
+// Push adds v in its own transaction.
 func (s *Stack) Push(v uint64) {
-	updateSmall(s.e, &s.pushHint, func(tx Tx) uint64 {
+	s.e.Update(func(tx Tx) uint64 {
 		s.PushTx(tx, v)
 		return 0
 	})
@@ -45,7 +41,7 @@ func (s *Stack) PushTx(tx Tx, v uint64) {
 
 // Pop removes and returns the newest value; ok is false when empty.
 func (s *Stack) Pop() (v uint64, ok bool) {
-	return unpack(updateSmall(s.e, &s.popHint, func(tx Tx) uint64 {
+	return unpack(s.e.Update(func(tx Tx) uint64 {
 		v, ok := s.PopTx(tx)
 		return pack(v, ok)
 	}))

@@ -12,7 +12,7 @@ import (
 	"onefile/internal/tm"
 )
 
-// Route equivalence: internal/core has one update pipeline behind five
+// Route equivalence: internal/core has one update pipeline behind four
 // entries (DESIGN.md §4), so the same body must leave the same heap, raise
 // or deliver its failure as each entry's contract says, move the same
 // counters and land in the histograms DESIGN.md §11 names — whichever entry
@@ -33,13 +33,14 @@ var routeEngines = []struct {
 }{
 	{"OF-LF", func(*testing.T) *core.Engine { return core.NewLF(routeOpts...) }},
 	{"OF-WF", func(*testing.T) *core.Engine { return core.NewWF(routeOpts...) }},
-	{"OF-LF-PTM", func(t *testing.T) *core.Engine { return routePTM(t, false) }},
-	{"OF-WF-PTM", func(t *testing.T) *core.Engine { return routePTM(t, true) }},
+	{"OF-LF-PTM", func(t *testing.T) *core.Engine { return strictPTM(t, false, routeOpts) }},
+	{"OF-WF-PTM", func(t *testing.T) *core.Engine { return strictPTM(t, true, routeOpts) }},
 }
 
-func routePTM(t *testing.T, waitFree bool) *core.Engine {
+// strictPTM formats a OneFile PTM on a fresh strict simulator.
+func strictPTM(t *testing.T, waitFree bool, opts []tm.Option) *core.Engine {
 	t.Helper()
-	dev, err := pmem.New(core.DeviceConfig(pmem.StrictMode, 1, routeOpts...))
+	dev, err := pmem.New(core.DeviceConfig(pmem.StrictMode, 1, opts...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func routePTM(t *testing.T, waitFree bool) *core.Engine {
 	if waitFree {
 		open = core.NewPersistentWF
 	}
-	e, err := open(dev, false, routeOpts...)
+	e, err := open(dev, false, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,6 @@ type outcome struct {
 	res    uint64
 	raised any
 	err    error
-	small  tm.SmallOutcome // UpdateSmall only
 }
 
 // route is one public update entry of core.Engine.
@@ -69,8 +69,6 @@ type route struct {
 	// futures: failures arrive as the future's error; otherwise they are
 	// re-raised on the caller.
 	futures bool
-	// small: the entry allows the small commit.
-	small bool
 	// combined: the entry goes through the combiner (Batches/BatchedOps).
 	combined bool
 	call     func(e *core.Engine, fn func(tm.Tx) uint64) outcome
@@ -89,13 +87,7 @@ var routes = []route{
 	{name: "Update", call: func(e *core.Engine, fn func(tm.Tx) uint64) outcome {
 		return catching(func() outcome { return outcome{res: e.Update(fn)} })
 	}},
-	{name: "UpdateSmall", small: true, call: func(e *core.Engine, fn func(tm.Tx) uint64) outcome {
-		return catching(func() outcome {
-			res, out := e.UpdateSmall(fn)
-			return outcome{res: res, small: out}
-		})
-	}},
-	{name: "AsyncUpdate", futures: true, small: true, combined: true, call: func(e *core.Engine, fn func(tm.Tx) uint64) outcome {
+	{name: "AsyncUpdate", futures: true, combined: true, call: func(e *core.Engine, fn func(tm.Tx) uint64) outcome {
 		return catching(func() outcome {
 			res, err := e.AsyncUpdate(fn).Wait()
 			return outcome{res: res, err: err}
@@ -128,23 +120,20 @@ type routeBody struct {
 	// fails: the body panics with this value (nil: it commits).
 	fails error
 	// words: distinct words a committing execution stores (0: read-only).
-	words int
-	// fits: the write-set qualifies for the small commit on a volatile
-	// engine / on a PTM.
-	fitsVolatile, fitsPTM bool
-	closed                bool // run against a closed engine
+	words  int
+	closed bool // run against a closed engine
 }
 
 var routeBodies = []routeBody{
-	{name: "1-word", words: 1, fitsVolatile: true, fitsPTM: true, want: 11,
+	{name: "1-word", words: 1, want: 11,
 		fn: func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 11); return 11 }},
-	{name: "2-word same line", words: 2, fitsVolatile: true, fitsPTM: true, want: 3,
+	{name: "2-word same line", words: 2, want: 3,
 		fn: func(tx tm.Tx) uint64 {
 			tx.Store(tm.Root(0), 1)
 			tx.Store(tm.Root(1), tx.Load(tm.Root(0))+1)
 			return tx.Load(tm.Root(0)) + tx.Load(tm.Root(1))
 		}},
-	{name: "2-word cross line", words: 2, fitsVolatile: true, want: 7,
+	{name: "2-word cross line", words: 2, want: 7,
 		fn: func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 3); tx.Store(crossLine, 4); return 7 }},
 	{name: "allocating", words: 3, // at least: the block, its link, allocator metadata
 		fn: func(tx tm.Tx) uint64 {
@@ -194,18 +183,18 @@ func heapDigest(e *core.Engine) string {
 }
 
 // histCounts snapshots the sample counts of the sink's histograms.
-type histCounts struct{ update, fast, read, solo, batch, batchSize, drainSpan uint64 }
+type histCounts struct{ update, read, solo, batch, batchSize, drainSpan uint64 }
 
 func countsOf(o *core.EngineObs) histCounts {
 	return histCounts{
-		update: o.UpdateLat.Count(), fast: o.FastLat.Count(), read: o.ReadLat.Count(),
+		update: o.UpdateLat.Count(), read: o.ReadLat.Count(),
 		solo: o.SoloLat.Count(), batch: o.BatchLat.Count(),
 		batchSize: o.BatchSize.Count(), drainSpan: o.DrainSpan.Count(),
 	}
 }
 
 func (a histCounts) sub(b histCounts) histCounts {
-	return histCounts{a.update - b.update, a.fast - b.fast, a.read - b.read,
+	return histCounts{a.update - b.update, a.read - b.read,
 		a.solo - b.solo, a.batch - b.batch, a.batchSize - b.batchSize, a.drainSpan - b.drainSpan}
 }
 
@@ -215,10 +204,6 @@ func TestRouteEquivalence(t *testing.T) {
 		persistent := eng.name == "OF-LF-PTM" || eng.name == "OF-WF-PTM"
 		for _, b := range routeBodies {
 			t.Run(eng.name+"/"+b.name, func(t *testing.T) {
-				fits := b.fitsVolatile
-				if persistent {
-					fits = b.fitsPTM
-				}
 				heaps := map[string]string{}
 				for _, r := range routes {
 					// A fresh engine per entry, so the heaps are comparable.
@@ -261,18 +246,11 @@ func TestRouteEquivalence(t *testing.T) {
 						continue
 					}
 
-					// How often the body ran. Solo on a lock-free engine:
-					// once, on every entry — also when a small probe finds
-					// the write-set too big and continues into the full
-					// commit (the parent of this pipeline ran it twice).
-					// A wait-free engine publishes that case and runs the
-					// body again inside the aggregate.
+					// How often the body ran: solo, once, on every entry of
+					// every variant.
 					wantRuns := int32(1)
-					if waitFree && r.small && !fits && b.words > 0 {
-						wantRuns = 2
-					}
 					if b.fails != nil && waitFree {
-						wantRuns = runs.Load() // how a failing probe continues is not pinned here
+						wantRuns = runs.Load() // how often a failing published body is tried is not pinned here
 					}
 					if runs.Load() != wantRuns {
 						t.Error(at("body ran %d times, want %d", runs.Load(), wantRuns))
@@ -281,10 +259,11 @@ func TestRouteEquivalence(t *testing.T) {
 					// Stats. Commits counts each committed operation's
 					// transaction once; a read-only body is a read commit.
 					if b.fails == nil {
-						// (On a wait-free engine Update and BatchUpdate publish
-						// the operation, and delivering even a read-only body's
-						// result is a transaction on its result words.)
-						published := waitFree && (r.name == "Update" || r.name == "BatchUpdate")
+						// (A wait-free engine publishes the operation on every
+						// entry but UpdateExclusive, and delivering even a
+						// read-only body's result is a transaction on its
+						// result words.)
+						published := waitFree && r.name != "UpdateExclusive"
 						wantCommits, wantReads := uint64(1), uint64(0)
 						if b.words == 0 && !published {
 							wantCommits, wantReads = 0, 1
@@ -292,34 +271,9 @@ func TestRouteEquivalence(t *testing.T) {
 						if d.Commits != wantCommits || d.ReadCommits != wantReads {
 							t.Error(at("Commits %d ReadCommits %d, want %d and %d", d.Commits, d.ReadCommits, wantCommits, wantReads))
 						}
-						var wantFast, wantAttempts uint64
-						if r.small && b.words > 0 {
-							wantAttempts = 1
-							if fits {
-								wantFast = 1
-							}
+						if persistent && d.Pfence != 0 {
+							t.Error(at("the commit issued %d pfences, want 0", d.Pfence))
 						}
-						if d.FastCommits != wantFast || d.FastAttempts != wantAttempts {
-							t.Error(at("FastCommits %d of %d attempts, want %d of %d", d.FastCommits, d.FastAttempts, wantFast, wantAttempts))
-						}
-						if r.name == "UpdateSmall" {
-							wantOut := tm.SmallIneligible
-							if fits || b.words == 0 {
-								wantOut = tm.SmallCommitted
-							}
-							if o.small != wantOut {
-								t.Error(at("outcome %v, want %v", o.small, wantOut))
-							}
-						}
-						if persistent && wantFast == 1 && (d.Pwb != 1 || d.Pfence != 1 || d.Pdrain != 0) {
-							t.Error(at("small commit cost %d pwb %d pfence %d drains, want 1/1/0", d.Pwb, d.Pfence, d.Pdrain))
-						}
-						if persistent && wantFast == 0 && d.Pfence != 0 {
-							t.Error(at("full commit issued %d pfences, want 0", d.Pfence))
-						}
-					}
-					if d.FastAttempts != d.FastCommits+d.FastFallbacks {
-						t.Error(at("FastAttempts %d != FastCommits %d + FastFallbacks %d", d.FastAttempts, d.FastCommits, d.FastFallbacks))
 					}
 					var wantBatches uint64
 					if r.combined {
@@ -340,13 +294,9 @@ func TestRouteEquivalence(t *testing.T) {
 						want.batch, want.batchSize, want.drainSpan = 1, 1, 1
 					}
 					if b.fails == nil {
-						if r.small && (fits || b.words == 0) {
-							want.fast = 1
-						} else {
-							want.update = 1
-						}
+						want.update = 1
 					} else {
-						h.update, h.fast = 0, 0
+						h.update = 0
 					}
 					if h != want {
 						t.Error(at("histogram samples %+v, want %+v", h, want))

@@ -206,10 +206,9 @@ func isOverflow(pv any) bool {
 var _ tm.Combining = (*Engine)(nil)
 
 // AsyncUpdate implements tm.Combining. With an idle combiner the caller is
-// the combiner of a batch of one — the future is resolved on return, a solo
-// submitter never waits for a batch to form, and the small commit is
-// allowed (fastpath.go); otherwise the submission is queued for the active
-// combiner and the caller returns immediately.
+// the combiner of a batch of one — the future is resolved on return, and a
+// solo submitter never waits for a batch to form; otherwise the submission
+// is queued for the active combiner and the caller returns immediately.
 func (e *Engine) AsyncUpdate(fn func(tm.Tx) uint64) *tm.Future {
 	r := &combReq{fn: fn}
 	if e.closed.Load() {
@@ -374,9 +373,8 @@ func (e *Engine) drainInto(buf []*combReq) []*combReq {
 
 // execBatch runs one bounded batch inside a single engine transaction —
 // the pipeline's run stage with N bodies — and resolves every future. solo
-// marks the batch of one an idle-combiner AsyncUpdate executes itself: it
-// may take the small commit, and its submit→resolve time is SoloLat, not
-// BatchLat.
+// marks the batch of one an idle-combiner AsyncUpdate executes itself: its
+// submit→resolve time is SoloLat, not BatchLat.
 //
 // ErrEngineClosed (the engine shut down between the submission and its
 // admission) resolves the whole batch with that error; any other panic from
@@ -397,10 +395,6 @@ func (e *Engine) execBatch(batch []*combReq, solo bool) {
 		}
 		panic(r)
 	}()
-	mode := modeFull
-	if solo {
-		mode = modeSmall
-	}
 	c := &e.comb
 	var x *batchExec
 	if e.waitFree {
@@ -414,10 +408,7 @@ func (e *Engine) execBatch(batch []*combReq, solo bool) {
 		for i, q := range batch {
 			fns[i] = q.fn
 		}
-		x = tm.Collect(func(body func(tm.Tx) uint64) uint64 {
-			res, _ := e.run(body, mode)
-			return res
-		}, func(tx tm.Tx) *batchExec {
+		x = tm.Collect(e.Update, func(tx tm.Tx) *batchExec {
 			x := newBatchExec(len(fns))
 			x.runOps(tx.(*uTx), fns)
 			return x
@@ -432,7 +423,7 @@ func (e *Engine) execBatch(batch []*combReq, solo bool) {
 		for _, q := range batch {
 			c.lfFns = append(c.lfFns, q.fn)
 		}
-		e.run(c.lfBody, mode)
+		e.Update(c.lfBody)
 		x = c.lfExec
 	}
 	// The counters are only written with the combiner slot held, so a

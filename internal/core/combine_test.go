@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,6 +266,35 @@ func TestCombineSoloFastPath(t *testing.T) {
 				t.Fatalf("stats = %d batches / %d ops, want 1/1", s.Batches, s.BatchedOps)
 			}
 		})
+	}
+}
+
+// TestAsyncUpdateSoloRunsBodyOnce: with nothing to conflict with, a solo
+// AsyncUpdate runs its body exactly once on every variant, however many
+// words it stores — a body is never executed as a probe and then again as
+// the real thing.
+func TestAsyncUpdateSoloRunsBodyOnce(t *testing.T) {
+	// Root(0) is heap word 1; one pair line further is another persistence unit.
+	words := []tm.Ptr{tm.Root(0), tm.Root(0) + pmem.PairLineWords, tm.Root(1)}
+	for name, e := range combineEngines(t) {
+		for n := 1; n <= len(words); n++ {
+			t.Run(fmt.Sprintf("%s/%d-word", name, n), func(t *testing.T) {
+				var runs atomic.Int32 // a wait-free body may run on a helper
+				_, err := e.AsyncUpdate(func(tx tm.Tx) uint64 {
+					runs.Add(1)
+					for _, w := range words[:n] {
+						tx.Store(w, tx.Load(w)+1)
+					}
+					return 0
+				}).Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := runs.Load(); got != 1 {
+					t.Fatalf("body ran %d times, want 1", got)
+				}
+			})
+		}
 	}
 }
 

@@ -18,14 +18,14 @@
 //
 // The paper has one update protocol — the ten steps of §III-B; the
 // wait-free variant only changes who runs the body — and so does this
-// package: every update entry (Update, UpdateSmall, UpdateExclusive,
-// AsyncUpdate, BatchUpdate) is an adapter over one staged pipeline, admit →
-// run the body or bodies into the slot's write-set → commit → apply →
-// persist → resolve (txn.go, DESIGN.md §4). A batch is N bodies in the run
-// stage (combine.go), the small commit is the commit stage's case for a
-// write-set of at most two words (fastpath.go), and a wait-free aggregate
-// is the same round with the published operations as its bodies
-// (waitfree.go).
+// package: every update entry (Update, UpdateExclusive, AsyncUpdate,
+// BatchUpdate) is an adapter over one staged pipeline, admit → run the body
+// or bodies into the slot's write-set → commit → apply → persist → resolve
+// (txn.go, DESIGN.md §4). A batch is N bodies in the run stage (combine.go)
+// and a wait-free aggregate is the same round with the published operations
+// as its bodies (waitfree.go). Recovery is the paper's null recovery
+// (§III-D): durable words never run ahead of the durable curTx, so attach
+// has one action, finishing a pending curTx through the helping path.
 //
 // Hot-path disciplines (beyond the paper, for the Go platform):
 //
@@ -78,13 +78,14 @@ const (
 // drain of its apply phase, so skipping the overwritten entries loses
 // nothing.) The first line holds request, numStores and headEntries entries
 // and persists as a unit, so those entries always belong to the request
-// beside them and carry no stamp — which keeps the small commit's
-// unchanged-address shortcut (writeSet.publish). A foreign entry in a
-// replayed log is always an attempt at exactly k+1 — k+2 needs k+1
-// complete, which makes a word durable beyond the curTx image and sends
-// attach down the adoption branch instead — so any stamp width tells them
-// apart; 24 bits is margin. The volatile engines have no replay and stamp
-// nothing.
+// beside them and carry no stamp — which keeps writeSet.publish's
+// unchanged-address shortcut for the smallest write-sets. A foreign entry in
+// a replayed log is always an attempt at exactly k+1: whoever applies k+1,
+// committer or helper, first drains curTx = k+1 durable, so it is durable
+// before k+1's request closes, and no slot writes a log for k+2 until it has
+// seen that request closed or closed it itself — with any line of a k+2 log
+// durable, recovery replays k+1, not k. So any stamp width tells them apart;
+// 24 bits is margin. The volatile engines have no replay and stamp nothing.
 const (
 	headEntries = (pmem.LineWords - 2) / 2
 	addrBits    = 40
@@ -180,10 +181,6 @@ type slot struct {
 	_        [48]byte
 	st       slotStats
 	_        [64]byte
-	// fst are the small-transaction fast-path counters (fastpath.go),
-	// owner-written like st and padded onto their own line.
-	fst fastStats
-	_   [24]byte
 }
 
 // opDesc is a published wait-free operation: the Go closure standing in for
@@ -416,55 +413,25 @@ func (e *Engine) attach() error {
 		return ErrCorrupt
 	}
 	e.curTx.Store(cur)
-	maxSeq := seqOf(cur)
-	wordMax := uint64(0)
+	curSeq := seqOf(cur)
 	buf := make([]pmem.Pair, attachChunk)
 	for lo := 0; lo < e.cfg.HeapWords; lo += attachChunk {
 		pairs := buf[:min(attachChunk, e.cfg.HeapWords-lo)]
 		e.dev.ImagePairs(lo, pairs)
 		for i, p := range pairs {
-			if p.Seq > wordMax {
-				wordMax = p.Seq
+			if p.Seq > curSeq {
+				// The commit protocol makes curTx durable before any word of
+				// its sequence, so no image it wrote looks like this — and an
+				// engine built on one would abort every load of the word.
+				return fmt.Errorf("%w: heap word %d is durable at sequence %d, beyond the durable curTx sequence %d",
+					ErrCorrupt, lo+i, p.Seq, curSeq)
 			}
 			if p.Val != 0 || p.Seq != 0 {
 				e.words[lo+i].Store(p.Val, p.Seq)
 			}
 		}
 	}
-	switch {
-	case wordMax > maxSeq:
-		// Durable words running AHEAD of the durable curTx image: only
-		// fast-path commits leave this (fastpath.go — they never flush the
-		// image; full-path and helper commits persist the image, with an
-		// ordering drain, before any word of their sequence can become
-		// durable). A word durable at sequence s proves every transaction
-		// before s completed durably — committing s required the previous
-		// request closed, and a fast request closes only after its own
-		// flush+fence — and the words of s itself are all-or-nothing (one
-		// atomic line flush). wordMax is therefore the true recovery point.
-		//
-		// Adopt it under a slot whose DURABLE request does not read as that
-		// very identifier, so the null-recovery branch below stays dead: a
-		// matching stale request (a fast winner's log is never flushed, but
-		// an earlier full-path loser's flushed log could collide) would
-		// replay a log that does not belong to the adopted commit. Such a
-		// slot always exists — the fast winner's own request store was
-		// never persisted, and it cannot have both lost and won wordMax.
-		adopted := false
-		for t := range e.slots {
-			if e.dev.ImageRaw(e.slots[t].logOff) != makeTx(wordMax, t) {
-				cur = makeTx(wordMax, t)
-				adopted = true
-				break
-			}
-		}
-		if !adopted {
-			return fmt.Errorf("%w: durable words reach sequence %d but every slot's durable request claims it", ErrCorrupt, wordMax)
-		}
-		e.curTx.Store(cur)
-		e.dev.FlushPair(0, e.curTxImg, cur, cur)
-		e.dev.Fence(0)
-	case e.pending(cur):
+	if e.pending(cur) {
 		// Null recovery: the regular helping path finishes the last
 		// committed transaction if its request is still open. Stale open
 		// requests of transactions that never became durable fail the
@@ -511,16 +478,7 @@ func (e *Engine) Stats() tm.Stats {
 		s.CAS += st.cas.Load()
 		s.DCAS += st.dcas.Load()
 		s.AggregatedOp += st.aggregated.Load()
-		f := &e.slots[i].fst
-		s.FastCommits += f.commits.Load()
-		s.FastFallbacks += f.fbConflict.Load() + f.fbIneligible.Load() + f.fbCrossLine.Load()
-		// A fast commit bumps only fst.commits; it is folded into the
-		// engine-wide Commits here so the hot path pays one counter update.
-		s.Commits += f.commits.Load()
 	}
-	// Every attempt ends as exactly one commit or one fallback; the hot
-	// path does not pay a separate attempts counter.
-	s.FastAttempts = s.FastCommits + s.FastFallbacks
 	s.Batches = e.comb.batches.Load()
 	s.BatchedOps = e.comb.batchedOps.Load()
 	if e.dev != nil {

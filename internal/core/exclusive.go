@@ -206,8 +206,7 @@ func (e *Engine) gateBroadcast() {
 // operation publication exists to bound interference from concurrent
 // committers, of which there are none here.
 func (e *Engine) UpdateExclusive(fn func(tx tm.Tx) uint64) uint64 {
-	res, _ := e.run(fn, modeExclusive)
-	return res
+	return e.run(fn, modeExclusive)
 }
 
 // LoadDirect returns the committed value of heap word p. Only valid while

@@ -202,28 +202,3 @@ func BenchmarkWriteSetAddOrReplace(b *testing.B) {
 		ws.addOrReplace(uint64(1+i%16), uint64(i))
 	}
 }
-
-// BenchmarkUpdateSmallTx is BenchmarkUpdateTx through UpdateSmall: the
-// one-word small commit, the floor the benchmark reports as
-// core.small_update_ns.
-func BenchmarkUpdateSmallTx(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		mk   func(b *testing.B) *Engine
-	}{
-		{"LF", func(b *testing.B) *Engine { return NewLF(benchOpts()...) }},
-		{"LF-PTM", func(b *testing.B) *Engine { return newBenchPTM(b, false) }},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			e := tc.mk(b)
-			for i := 0; i < 1024; i++ {
-				e.UpdateSmall(updateTxBody)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.UpdateSmall(updateTxBody)
-			}
-		})
-	}
-}

@@ -37,10 +37,6 @@ type EngineObs struct {
 	// BatchLat is the submit→resolve latency of operations executed
 	// through combined transactions.
 	BatchLat *obs.Histogram
-	// FastLat is the begin→commit latency of transactions that committed
-	// on the small-transaction fast path (fastpath.go). Fallbacks record
-	// into UpdateLat instead.
-	FastLat *obs.Histogram
 	// BatchSize is the operations-per-combined-transaction distribution.
 	BatchSize *obs.Histogram
 	// DrainSpan is the operations-per-combiner-drain distribution (one
@@ -112,18 +108,6 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, prefix string) *EngineObs {
 	reg.GaugeFunc(prefix+"_curtx_seq",
 		"current transaction sequence number",
 		func() float64 { return float64(seqOf(e.curTx.Load())) })
-	// Per-reason fast-path fallback counters (the registry has no label
-	// support, so each reason is its own series; the total is the
-	// reflection-exposed fast_fallbacks counter above).
-	reg.CounterFunc(prefix+"_fastpath_fallback_conflict_total",
-		"fast-path fallbacks: pending transaction, validation abort or lost commit CAS",
-		func() float64 { c, _, _ := e.fastFallbackCounts(); return float64(c) })
-	reg.CounterFunc(prefix+"_fastpath_fallback_ineligible_total",
-		"fast-path fallbacks: body stored >2 words or allocated/freed",
-		func() float64 { _, i, _ := e.fastFallbackCounts(); return float64(i) })
-	reg.CounterFunc(prefix+"_fastpath_fallback_crossline_total",
-		"fast-path fallbacks: the two stored words span pair cache lines (PTM only)",
-		func() float64 { _, _, x := e.fastFallbackCounts(); return float64(x) })
 	reg.GaugeFunc(prefix+"_era_staleness_seqs",
 		"curTx sequence minus minimum announced hazard era (reclamation lag)",
 		func() float64 {
@@ -144,8 +128,6 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, prefix string) *EngineObs {
 			"begin-to-resolve latency of solo-fast-path AsyncUpdate submissions", "ns"),
 		BatchLat: reg.Histogram(prefix+"_batch_op_latency_ns",
 			"submit-to-resolve latency of operations in combined transactions", "ns"),
-		FastLat: reg.Histogram(prefix+"_fastpath_latency_ns",
-			"begin-to-commit latency of small-transaction fast-path commits", "ns"),
 		BatchSize: reg.Histogram(prefix+"_batch_size_ops",
 			"operations per combined transaction", "ops"),
 		DrainSpan: reg.Histogram(prefix+"_drain_span_ops",

@@ -19,9 +19,6 @@ type uTx struct {
 	e        *Engine
 	s        *slot
 	startSeq uint64
-	// allocs records that the body called Alloc or Free in this execution,
-	// which rules the small commit out (fastpath.go).
-	allocs bool
 }
 
 var _ tm.Tx = (*uTx)(nil)
@@ -63,16 +60,10 @@ func (t *uTx) Store(p tm.Ptr, v uint64) {
 }
 
 // Alloc implements tm.Tx.
-func (t *uTx) Alloc(n int) tm.Ptr {
-	t.allocs = true
-	return talloc.Alloc(t, n)
-}
+func (t *uTx) Alloc(n int) tm.Ptr { return talloc.Alloc(t, n) }
 
 // Free implements tm.Tx.
-func (t *uTx) Free(p tm.Ptr) {
-	t.allocs = true
-	talloc.Free(t, p)
-}
+func (t *uTx) Free(p tm.Ptr) { talloc.Free(t, p) }
 
 // rTx is the read-only transaction handle: seq-validated loads straight off
 // the heap — no write-set consultation, no mutation.
@@ -112,28 +103,23 @@ func runBody(fn func(tm.Tx) uint64, tx tm.Tx) (res uint64, ok bool) {
 }
 
 // The update pipeline (DESIGN.md §4). Every public update entry — Update,
-// UpdateSmall, UpdateExclusive, and the combiner's AsyncUpdate/BatchUpdate
-// through execBatch — is an adapter over run, which walks the stages
+// UpdateExclusive, and the combiner's AsyncUpdate/BatchUpdate through
+// execBatch — is an adapter over run, which walks the stages
 //
 //	admit → run the body into the slot's write-set → commit → apply →
 //	persist → resolve
 //
 // with one round of §III-B (load curTx, help if pending, transform, commit)
 // written once, in round, and looped by update: unbounded on the lock-free
-// path, fastTries rounds for the small probe, and once per aggregate by the
-// wait-free publication loop (runPublished). The entries differ only in the
-// mode they pass.
+// path, and once per aggregate by the wait-free publication loop
+// (runPublished). There is one commit, the paper's ten steps; the entries
+// differ only in the mode they pass.
 type updateMode uint8
 
 const (
-	// modeFull: Update, BatchUpdate and queued AsyncUpdate. The lock-free
-	// loop or wait-free publication, always the full ten-step commit — the
-	// route Table I counts.
+	// modeFull: Update, AsyncUpdate and BatchUpdate. The lock-free loop or
+	// wait-free publication.
 	modeFull updateMode = iota
-	// modeSmall: UpdateSmall and a solo AsyncUpdate. As modeFull, but the
-	// first fastTries rounds may commit a small write-set with the 1 pwb +
-	// 1 pfence commit (fastpath.go).
-	modeSmall
 	// modeExclusive: UpdateExclusive. Admission bypasses the exclusivity
 	// gate and the lock-free loop is used even on the wait-free engines
 	// (exclusive.go).
@@ -144,28 +130,31 @@ const (
 type roundStatus uint8
 
 const (
-	roundRetry      roundStatus = iota // helped a pending transaction, aborted on validation, or lost the commit CAS
-	roundEmpty                         // the body stored nothing: there is nothing to commit
-	roundFull                          // committed through the full ten steps
-	roundSmall                         // committed through the small commit
-	roundIneligible                    // small probe: the write-set does not fit the small commit; nothing committed yet
+	roundRetry     roundStatus = iota // helped a pending transaction, aborted on validation, or lost the commit CAS
+	roundEmpty                        // the body stored nothing: there is nothing to commit
+	roundCommitted                    // committed through the ten steps
 )
 
 // Update implements tm.Engine: a mutative transaction with lock-free
 // (NewLF/NewPersistentLF) or bounded wait-free (NewWF/NewPersistentWF)
 // progress.
-func (e *Engine) Update(fn func(tx tm.Tx) uint64) uint64 {
-	res, _ := e.run(fn, modeFull)
-	return res
+func (e *Engine) Update(fn func(tx tm.Tx) uint64) uint64 { return e.run(fn, modeFull) }
+
+// UpdateSmall is Update plus a zero outcome.
+//
+// Deprecated: the small commit is removed (DESIGN.md §8). The method stays
+// only because the frozen benchmark/floors.go:167 and benchmark/trace.go:319
+// call it; the benchmark-only PR that drops core.small_update_ns deletes it.
+func (e *Engine) UpdateSmall(fn func(tx tm.Tx) uint64) (uint64, tm.SmallOutcome) {
+	return e.Update(fn), 0
 }
 
 // run is the pipeline's admission and resolution around update: claim a
 // slot, drive fn to a commit, release. It is also the one place begin→commit
-// timing attaches — FastLat when the transaction committed small, UpdateLat
-// otherwise, and one commit event either way. A body panic propagates
+// timing attaches — UpdateLat and one commit event. A body panic propagates
 // through it (the deferred release still runs); only the wait-free path
 // re-raises on the submitter what a helper's execution caught (updateWF).
-func (e *Engine) run(fn func(tm.Tx) uint64, mode updateMode) (uint64, tm.SmallOutcome) {
+func (e *Engine) run(fn func(tm.Tx) uint64, mode updateMode) uint64 {
 	s := e.acquire(mode == modeExclusive)
 	defer e.release(s)
 	o := e.obsv.Load()
@@ -173,78 +162,40 @@ func (e *Engine) run(fn func(tm.Tx) uint64, mode updateMode) (uint64, tm.SmallOu
 	if o != nil {
 		start = time.Now()
 	}
-	res, out := e.update(s, fn, mode)
+	res := e.update(s, fn, mode)
 	if o != nil {
-		lat := o.UpdateLat
-		if out == tm.SmallCommitted {
-			lat = o.FastLat
-		}
-		lat.RecordSince(start)
+		o.UpdateLat.RecordSince(start)
 		o.Rec.Record(obs.EvCommit, s.id, seqOf(e.curTx.Load()))
 	}
-	return res, out
+	return res
 }
 
-// update drives fn to a commit on the claimed slot s. The outcome is in
-// tm.SmallUpdater's terms: SmallCommitted when the transaction committed on
-// the small commit, SmallContended when the probe lost fastTries rounds to
-// other committers, SmallIneligible when the write-set did not qualify — or
-// the caller never asked (modeFull, modeExclusive).
-//
-// Every probe that has something to commit ends as exactly one fast commit
-// or one counted fallback, so Stats derives FastAttempts as their sum. A fallback on a lock-free engine
-// keeps the write-set the probe round already built and goes straight to
-// the full commit; on a wait-free engine the body has to be published, so it
-// runs again inside an aggregate.
-func (e *Engine) update(s *slot, fn func(tm.Tx) uint64, mode updateMode) (uint64, tm.SmallOutcome) {
-	small := mode == modeSmall
-	out := tm.SmallIneligible
+// update drives fn to a commit on the claimed slot s: by publishing it on a
+// wait-free engine, by looping rounds until one commits otherwise.
+func (e *Engine) update(s *slot, fn func(tm.Tx) uint64, mode updateMode) uint64 {
+	if e.waitFree && mode != modeExclusive {
+		return e.updateWF(s, fn)
+	}
 	for attempt := 0; ; attempt++ {
-		if small && attempt == fastTries {
-			small, out = false, tm.SmallContended
-			bump(&s.fst.fbConflict)
-		}
-		if !small && e.waitFree && mode != modeExclusive {
-			return e.updateWF(s, fn), out
-		}
 		oldTx := e.curTx.Load() // step 1
-		res, st := e.round(s, oldTx, fn, attempt, small)
+		res, st := e.round(s, oldTx, fn, attempt)
 		switch st {
 		case roundRetry:
 			continue
-		case roundIneligible:
-			small = false // smallFit counted the fallback; the probe is over
-			if e.waitFree {
-				continue // published at the top of the next iteration
-			}
-			if !e.commit(s, oldTx, false) {
-				e.aborted(s, oldTx, attempt)
-				continue
-			}
 		case roundEmpty:
 			// A read-only body: the snapshot was consistent at oldTx. It is
-			// a read commit on every route, never an update commit; a probe
-			// that ends here reports SmallCommitted (nothing fell back) but
-			// is neither a fast commit nor a fallback.
+			// a read commit, never an update commit.
 			s.st.readCommits.Add(1)
-			if small {
-				out = tm.SmallCommitted
-			}
-		case roundSmall:
-			bump(&s.fst.commits)
-			out = tm.SmallCommitted
 		}
-		return res, out
+		return res
 	}
 }
 
 // round is one pass over steps 2–10 of §III-B against the curTx value the
 // caller loaded: help a pending transaction, or run the body into the
-// slot's write-set and commit it. With small set, a write-set that fits the
-// small commit takes it, and one that does not is left uncommitted for the
-// caller to decide (roundIneligible). Abort bookkeeping and the bounded
-// pause after a lost round happen here, so callers just loop.
-func (e *Engine) round(s *slot, oldTx uint64, fn func(tm.Tx) uint64, attempt int, small bool) (uint64, roundStatus) {
+// slot's write-set and commit it. Abort bookkeeping and the bounded pause
+// after a lost round happen here, so callers just loop.
+func (e *Engine) round(s *slot, oldTx uint64, fn func(tm.Tx) uint64, attempt int) (uint64, roundStatus) {
 	if e.pending(oldTx) { // step 2: help the ongoing transaction
 		e.helpApply(oldTx, s)
 		return 0, roundRetry
@@ -253,7 +204,7 @@ func (e *Engine) round(s *slot, oldTx uint64, fn func(tm.Tx) uint64, attempt int
 	// The slot's embedded handle is reused: a stack-local one would escape
 	// through the tm.Tx interface and heap-allocate per attempt.
 	s.ws.reset()
-	s.utx.startSeq, s.utx.allocs = seqOf(oldTx), false
+	s.utx.startSeq = seqOf(oldTx)
 	res, ok := runBody(fn, &s.utx)
 	if !ok {
 		e.aborted(s, oldTx, attempt)
@@ -262,17 +213,11 @@ func (e *Engine) round(s *slot, oldTx uint64, fn func(tm.Tx) uint64, attempt int
 	if s.ws.n == 0 { // step 4: no stores
 		return res, roundEmpty
 	}
-	if small && !e.smallFit(s) {
-		return res, roundIneligible
-	}
-	if !e.commit(s, oldTx, small) {
+	if !e.commit(s, oldTx) {
 		e.aborted(s, oldTx, attempt)
 		return 0, roundRetry
 	}
-	if small {
-		return res, roundSmall
-	}
-	return res, roundFull
+	return res, roundCommitted
 }
 
 // logStamp returns the stamp txid's redo-log entries carry in their address
@@ -293,46 +238,18 @@ func (e *Engine) aborted(s *slot, oldTx uint64, attempt int) {
 // It returns false if the commit CAS lost; the request is then left
 // stale-open, which is harmless — a stale identifier never matches a future
 // curTx.
-//
-// With small set (the caller checked smallFit) the persistence steps shrink
-// to the 1 pwb + 1 pfence of fastpath.go: the log and the curTx image are
-// not flushed, and the one line flush of the apply phase is fenced instead
-// of drained. What helpers depend on — the published log and the open
-// request — is the same on both.
-func (e *Engine) commit(s *slot, oldTx uint64, small bool) bool {
+func (e *Engine) commit(s *slot, oldTx uint64) bool {
 	newTx := makeTx(seqOf(oldTx)+1, s.id)
 	s.ws.publish(e.logStamp(newTx)) // numStores and the entries become visible to helpers
 	s.request.Store(newTx)          // step 5: open the request
-	if !small {
-		if e.dev != nil {
-			// Step 6: one pwb per cache line of the write-set (the request
-			// and numStores words share the log's first line).
-			e.dev.Flush(s.id, s.logOff, 2+2*s.ws.n)
-		}
-		s.st.cas.Add(1)
+	if e.dev != nil {
+		// Step 6: one pwb per cache line of the write-set (the request
+		// and numStores words share the log's first line).
+		e.dev.Flush(s.id, s.logOff, 2+2*s.ws.n)
 	}
+	s.st.cas.Add(1)
 	if !e.curTx.CompareAndSwap(oldTx, newTx) { // step 7: commit
 		return false
-	}
-	if small {
-		// No helpTicket store: for a 1–2 word apply the claim gate saves
-		// less than the barrier costs. A helper that observes the pending
-		// request claims the ticket itself (claimHelp) and runs the
-		// seq-guarded apply redundantly — a benign duplicate by design.
-		if e.applyOwn(s, newTx) > 0 {
-			// If every word was superseded a helper already closed us
-			// after flushing and draining: nothing flushed, no fence.
-			e.dev.Fence(s.id)
-		}
-		// Close with a plain store, not a CAS: the only transition a
-		// request at newTx can make is to newTx+1 — by us or by a helper
-		// that finished the apply first (helpers flush and drain before
-		// their close, so our words are durable either way) — and the
-		// owner starts no newer transaction until this line has run, so
-		// the blind store is idempotent. No drain: the fence above already
-		// made the words durable.
-		s.request.Store(newTx + 1)
-		return true
 	}
 	s.st.commits.Add(1)
 	// Claim the apply phase (helper deduplication, contention.go): the
@@ -357,8 +274,8 @@ func (e *Engine) commit(s *slot, oldTx uint64, small bool) bool {
 // owner's log is frozen until its request closes), reading the owner-private
 // mirror instead of the shared atomic log. The DCAS loop runs first; on the
 // persistent variants the modified words are then flushed with one pwb per
-// cache line; the number of lines flushed is returned.
-func (e *Engine) applyOwn(s *slot, txid uint64) int {
+// cache line.
+func (e *Engine) applyOwn(s *slot, txid uint64) {
 	n := s.ws.n
 	seq := seqOf(txid)
 	var dcas uint64
@@ -369,10 +286,9 @@ func (e *Engine) applyOwn(s *slot, txid uint64) int {
 		}
 	}
 	s.st.dcas.Add(dcas)
-	if e.dev == nil {
-		return 0
+	if e.dev != nil {
+		e.flushWords(s, s.ws.keys[:n], 1, seq)
 	}
-	return e.flushWords(s, s.ws.keys[:n], 1, seq)
 }
 
 // applyStart is where slot tid's write-set of n entries starts being
@@ -424,11 +340,8 @@ func (e *Engine) applyWord(addr, val, seq uint64) (dcas uint64) {
 // landing), is skipped: a newer transaction committed, which it could only
 // do after some thread closed seq's request — and the first thread to close
 // it flushed every word at seq and drained, because before that close no
-// newer DCAS existed to make it skip. Skipping also keeps a third party from
-// persisting part of a LATER small commit, whose words must become durable
-// all together or not at all (fastpath.go). Returns the number of line
-// flushes issued.
-func (e *Engine) flushWords(s *slot, addrs []uint64, stride int, seq uint64) (lines int) {
+// newer DCAS existed to make it skip.
+func (e *Engine) flushWords(s *slot, addrs []uint64, stride int, seq uint64) {
 	buf := s.flushAddrs[:0]
 	for i := 0; i < len(addrs); i += stride {
 		buf = append(buf, addrs[i])
@@ -452,7 +365,6 @@ func (e *Engine) flushWords(s *slot, addrs []uint64, stride int, seq uint64) (li
 		line := int(addr) / pmem.PairLineWords
 		if k > 0 && line != curLine {
 			e.dev.FlushPairLine(s.id, k, &l.idx, &l.vals, &l.seqs)
-			lines++
 			k = 0
 		}
 		curLine = line
@@ -461,9 +373,7 @@ func (e *Engine) flushWords(s *slot, addrs []uint64, stride int, seq uint64) (li
 	}
 	if k > 0 {
 		e.dev.FlushPairLine(s.id, k, &l.idx, &l.vals, &l.seqs)
-		lines++
 	}
-	return lines
 }
 
 // closeRequest closes the slot's request (step 10); committer and helpers

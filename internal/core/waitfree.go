@@ -79,7 +79,7 @@ func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, bool) {
 		// operation, finish its apply phase; the §III-E bound is untouched),
 		// committed, or empty because every published operation was already
 		// tagged done — the next iteration looks for our result.
-		e.round(s, oldTx, e.aggregateBody, attempt, false)
+		e.round(s, oldTx, e.aggregateBody, attempt)
 	}
 }
 

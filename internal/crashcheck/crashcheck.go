@@ -100,13 +100,6 @@ type Config struct {
 	// chunk (batched.go). Only combining engines (the OneFile PTMs) are
 	// eligible; with no explicit Engines they are the default set.
 	Batch int
-	// FastPath runs the small-transaction fast-path sweep instead of the
-	// canonical workload (fastpath.go): 1–2 word transactions submitted
-	// through tm.UpdateSmall, mixed with full-path transactions, verifying
-	// the image-adoption recovery protocol. Only engines with a fast path
-	// (the OneFile PTMs) are eligible; with no explicit Engines they are
-	// the default set. Mutually exclusive with Batch.
-	FastPath bool
 	// Strict enables the StrictMode sweep.
 	Strict bool
 	// RelaxedSeeds are device seeds for the RelaxedMode sweeps; empty
@@ -290,12 +283,9 @@ func Run(cfg Config) (*Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if cfg.FastPath && cfg.Batch > 1 {
-		return nil, errors.New("crashcheck: FastPath and Batch sweeps are mutually exclusive")
-	}
 	names := cfg.Engines
 	if len(names) == 0 {
-		if cfg.Batch > 1 || cfg.FastPath {
+		if cfg.Batch > 1 {
 			names = []string{"OF-LF-PTM", "OF-WF-PTM"}
 		} else {
 			for _, d := range Engines() {
@@ -304,10 +294,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	p := NewProgram(cfg.Seed, cfg.Txns)
-	var fp *FastProgram
-	if cfg.FastPath {
-		fp = NewFastProgram(cfg.Seed, cfg.Txns)
-	}
 	res := &Result{Events: map[string]int{}}
 
 	type sweep struct {
@@ -330,12 +316,9 @@ func Run(cfg Config) (*Result, error) {
 		for _, sw := range sweeps {
 			var events int
 			var err error
-			switch {
-			case cfg.FastPath:
-				events, err = EnumerateFastOn(cfg.Device, def, sw.mode, fp)
-			case cfg.Batch > 1:
+			if cfg.Batch > 1 {
 				events, err = EnumerateBatchedOn(cfg.Device, def, sw.mode, p, cfg.Batch)
-			default:
+			} else {
 				events, err = EnumerateOn(cfg.Device, def, sw.mode, p)
 			}
 			if err != nil {
@@ -346,12 +329,9 @@ func Run(cfg Config) (*Result, error) {
 				name, sw.mode, sw.devSeed, cfg.Batch, events, cfg.Stride)
 			for i := 1; i <= events; i += cfg.Stride {
 				var completed bool
-				switch {
-				case cfg.FastPath:
-					completed, err = RunPointFastOn(cfg.Device, def, sw.mode, sw.devSeed, fp, i)
-				case cfg.Batch > 1:
+				if cfg.Batch > 1 {
 					completed, err = RunPointBatchedOn(cfg.Device, def, sw.mode, sw.devSeed, p, cfg.Batch, i)
-				default:
+				} else {
 					completed, err = RunPointOn(cfg.Device, def, sw.mode, sw.devSeed, p, i)
 				}
 				if completed {

@@ -421,8 +421,7 @@ func TestOpenFiles(t *testing.T) {
 }
 
 // TestStatsSumsEveryCounter: the store's Stats is the field-wise sum of its
-// engines', the fast-path counters included (a hand-written sum once
-// dropped them).
+// engines' (a hand-written sum once dropped fields).
 func TestStatsSumsEveryCounter(t *testing.T) {
 	st, err := NewVolatile(2, false, twoShardRange(), testOpts()...)
 	if err != nil {
@@ -434,9 +433,9 @@ func TestStatsSumsEveryCounter(t *testing.T) {
 		return 0
 	}
 	for i := 0; i < 3; i++ {
-		st.Engine(0).UpdateSmall(inc)
+		st.Engine(0).Update(inc)
 	}
-	st.Engine(1).UpdateSmall(inc)
+	st.Engine(1).Update(inc)
 	st.Engine(1).Update(inc)
 	var want tm.Stats
 	for i := 0; i < st.Shards(); i++ {
@@ -446,7 +445,7 @@ func TestStatsSumsEveryCounter(t *testing.T) {
 	if got != want {
 		t.Fatalf("Stats = %+v, want the engines' sum %+v", got, want)
 	}
-	if got.FastCommits != 4 || got.FastAttempts != 4 || got.Commits != 5 {
-		t.Fatalf("FastCommits/FastAttempts/Commits = %d/%d/%d, want 4/4/5", got.FastCommits, got.FastAttempts, got.Commits)
+	if got.Commits != 5 {
+		t.Fatalf("Commits = %d, want 5", got.Commits)
 	}
 }

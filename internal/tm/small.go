@@ -1,48 +1,20 @@
 package tm
 
-// Small-transaction fast path (DESIGN.md §14). Engines that can commit a
-// tiny write set (at most two words, no Alloc/Free) without the full
-// write-set-publication/apply-loop machinery implement SmallUpdater; the
-// OneFile variants commit such transactions with a direct seq-guarded DCAS
-// per word and, on the persistent variants, a single pwb + pfence.
-//
-// UpdateSmall never fails: an engine that cannot take the shortcut (the
-// body is too large, allocates, or keeps losing the commit race) runs fn on
-// its regular update path and reports how it went through the outcome, so
-// callers can stop probing for bodies that keep proving ineligible.
+// The small commit (a second, cheaper commit protocol for write-sets of at
+// most two words) is removed: DESIGN.md §8. The frozen benchmark module
+// still compiles against two of its names; the benchmark-only PR that drops
+// the core.small_update_ns and core.fast_commit_frac readings deletes this
+// file, core.Engine.UpdateSmall and Stats.FastCommits with them. Nothing
+// else may use them (CI checks).
 
-// SmallOutcome reports how a SmallUpdater.UpdateSmall call committed.
+// SmallOutcome carries no information any more.
+//
+// Deprecated: needed by benchmark/trace.go:319 only.
 type SmallOutcome uint8
 
-const (
-	// SmallCommitted: the body committed on the fast path — or stored
-	// nothing, which needs no commit at all.
-	SmallCommitted SmallOutcome = iota
-	// SmallContended: the body is fast-path eligible but the engine fell
-	// back to the full update path (commit races, pending transactions).
-	// Worth probing again — contention is transient.
-	SmallContended
-	// SmallIneligible: the body is not a small transaction (more than two
-	// distinct stored words, an Alloc/Free, or stores that cannot share a
-	// persistence unit); it committed on the full update path. Callers with
-	// a stable body should stop probing.
-	SmallIneligible
-)
-
-// SmallUpdater is implemented by engines with a small-transaction fast
-// path. UpdateSmall has Update's semantics (fn may run more than once and
-// must be side-effect free except through the Tx) plus the outcome report.
+// SmallUpdater is Update under another name.
+//
+// Deprecated: needed by benchmark/trace.go:294 and benchmark/txn.go:167 only.
 type SmallUpdater interface {
 	UpdateSmall(fn func(Tx) uint64) (uint64, SmallOutcome)
-}
-
-// UpdateSmall runs fn as an update transaction, riding e's fast path when e
-// has one and the body qualifies. It is the drop-in Update replacement for
-// call sites whose bodies are usually tiny (counters, pointer swings).
-func UpdateSmall(e Engine, fn func(Tx) uint64) uint64 {
-	if s, ok := e.(SmallUpdater); ok {
-		res, _ := s.UpdateSmall(fn)
-		return res
-	}
-	return e.Update(fn)
 }

@@ -186,51 +186,49 @@ type Stats struct {
 	Batches      uint64 // combined transactions executed by the group-commit layer
 	BatchedOps   uint64 // operations that ran through combined transactions
 
-	FastAttempts  uint64 // small-commit probes with something to commit (FastCommits + FastFallbacks)
-	FastCommits   uint64 // transactions committed on the small commit (counted in Commits too)
-	FastFallbacks uint64 // probes that continued on the full engine
+	// FastCommits is always 0.
+	//
+	// Deprecated: the small commit it counted is removed (DESIGN.md §8); the
+	// field stays only because the frozen benchmark/metrics.go:313 reads it.
+	FastCommits uint64
 }
 
 // Add returns the counter-wise sum s + o.
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
-		Commits:       s.Commits + o.Commits,
-		Aborts:        s.Aborts + o.Aborts,
-		ReadCommits:   s.ReadCommits + o.ReadCommits,
-		ReadAborts:    s.ReadAborts + o.ReadAborts,
-		Helps:         s.Helps + o.Helps,
-		CAS:           s.CAS + o.CAS,
-		DCAS:          s.DCAS + o.DCAS,
-		Pwb:           s.Pwb + o.Pwb,
-		Pfence:        s.Pfence + o.Pfence,
-		Pdrain:        s.Pdrain + o.Pdrain,
-		AggregatedOp:  s.AggregatedOp + o.AggregatedOp,
-		Batches:       s.Batches + o.Batches,
-		BatchedOps:    s.BatchedOps + o.BatchedOps,
-		FastAttempts:  s.FastAttempts + o.FastAttempts,
-		FastCommits:   s.FastCommits + o.FastCommits,
-		FastFallbacks: s.FastFallbacks + o.FastFallbacks,
+		Commits:      s.Commits + o.Commits,
+		Aborts:       s.Aborts + o.Aborts,
+		ReadCommits:  s.ReadCommits + o.ReadCommits,
+		ReadAborts:   s.ReadAborts + o.ReadAborts,
+		Helps:        s.Helps + o.Helps,
+		CAS:          s.CAS + o.CAS,
+		DCAS:         s.DCAS + o.DCAS,
+		Pwb:          s.Pwb + o.Pwb,
+		Pfence:       s.Pfence + o.Pfence,
+		Pdrain:       s.Pdrain + o.Pdrain,
+		AggregatedOp: s.AggregatedOp + o.AggregatedOp,
+		Batches:      s.Batches + o.Batches,
+		BatchedOps:   s.BatchedOps + o.BatchedOps,
+		FastCommits:  s.FastCommits + o.FastCommits,
 	}
 }
 
 // Sub returns the counter-wise difference s - o.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		Commits:       s.Commits - o.Commits,
-		Aborts:        s.Aborts - o.Aborts,
-		ReadCommits:   s.ReadCommits - o.ReadCommits,
-		ReadAborts:    s.ReadAborts - o.ReadAborts,
-		Helps:         s.Helps - o.Helps,
-		CAS:           s.CAS - o.CAS,
-		DCAS:          s.DCAS - o.DCAS,
-		Pwb:           s.Pwb - o.Pwb,
-		Pfence:        s.Pfence - o.Pfence,
-		Pdrain:        s.Pdrain - o.Pdrain,
-		AggregatedOp:  s.AggregatedOp - o.AggregatedOp,
-		Batches:       s.Batches - o.Batches,
-		BatchedOps:    s.BatchedOps - o.BatchedOps,
-		FastAttempts:  s.FastAttempts - o.FastAttempts,
-		FastCommits:   s.FastCommits - o.FastCommits,
-		FastFallbacks: s.FastFallbacks - o.FastFallbacks,
+		Commits:      s.Commits - o.Commits,
+		Aborts:       s.Aborts - o.Aborts,
+		ReadCommits:  s.ReadCommits - o.ReadCommits,
+		ReadAborts:   s.ReadAborts - o.ReadAborts,
+		Helps:        s.Helps - o.Helps,
+		CAS:          s.CAS - o.CAS,
+		DCAS:         s.DCAS - o.DCAS,
+		Pwb:          s.Pwb - o.Pwb,
+		Pfence:       s.Pfence - o.Pfence,
+		Pdrain:       s.Pdrain - o.Pdrain,
+		AggregatedOp: s.AggregatedOp - o.AggregatedOp,
+		Batches:      s.Batches - o.Batches,
+		BatchedOps:   s.BatchedOps - o.BatchedOps,
+		FastCommits:  s.FastCommits - o.FastCommits,
 	}
 }
