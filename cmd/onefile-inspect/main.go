@@ -22,6 +22,7 @@ import (
 	"io"
 	"os"
 
+	"onefile/internal/core"
 	"onefile/internal/crashcheck"
 	"onefile/internal/pmem"
 	"onefile/internal/pmem/filedev"
@@ -161,5 +162,16 @@ func inspect(path string, out io.Writer, o options) error {
 	}
 	s := e.Stats()
 	fmt.Fprintf(out, "recovery:      null recovery complete (helps=%d)\n", s.Helps)
+	if r, ok := e.(interface{ LastRecovery() core.RecoveryReport }); ok {
+		rep := r.LastRecovery()
+		fmt.Fprintf(out, "  attach:      %v; %d heap words walked in %d range(s), %d non-zero\n",
+			rep.Duration, rep.HeapWords, rep.Ranges, rep.WordsLoaded)
+		if rep.Pending {
+			fmt.Fprintf(out, "  pending:     transaction %d re-applied from its redo log (%d stale log entries skipped)\n",
+				rep.PendingSeq, rep.StaleLogEntriesSkipped)
+		} else {
+			fmt.Fprintln(out, "  pending:     none (curTx's request was durably closed)")
+		}
+	}
 	return nil
 }

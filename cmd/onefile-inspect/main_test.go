@@ -126,6 +126,9 @@ func TestInspectSnapshot(t *testing.T) {
 		"slot  5 = 7778",
 		"audit:         OK",
 		"recovery:      null recovery complete",
+		"  attach:      ",
+		" heap words walked in ",
+		"  pending:     ",
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)
@@ -181,6 +184,7 @@ func TestInspectDeviceFile(t *testing.T) {
 		"shutdown:      DIRTY",
 		"slot  3 = 4242",
 		"audit:         OK",
+		" heap words walked in ",
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)

@@ -34,6 +34,7 @@ import (
 	"os"
 
 	"onefile"
+	"onefile/internal/core"
 	"onefile/internal/kvserver"
 	"onefile/internal/svc"
 )
@@ -92,6 +93,9 @@ func run() error {
 		}
 		if existed {
 			log.Printf("recovered sharded store (%d shards) from %s", *numShards, *filePath)
+			for i := 0; i < st.Shards(); i++ {
+				log.Printf("shard %d recovery: %+v", i, st.Engine(i).LastRecovery())
+			}
 		}
 		onefile.RegisterShardedMetrics(reg, st)
 		be = kvserver.ShardedBackend{St: st}
@@ -121,6 +125,9 @@ func run() error {
 		}
 		if existed {
 			log.Printf("recovered store from %s", *filePath)
+			if r, ok := e.(interface{ LastRecovery() core.RecoveryReport }); ok {
+				log.Printf("recovery: %+v", r.LastRecovery())
+			}
 		}
 		onefile.RegisterMetrics(reg, e)
 		be = kvserver.EngineBackend{E: e}

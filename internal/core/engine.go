@@ -46,7 +46,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"onefile/internal/dcas"
 	"onefile/internal/he"
@@ -97,16 +99,22 @@ func makeTx(seq uint64, tid int) uint64 { return seq<<tidBits | uint64(tid) }
 func seqOf(txid uint64) uint64          { return txid >> tidBits }
 func tidOf(txid uint64) int             { return int(txid & tidMask) }
 
-// Device raw-region layout (persistent variants).
+// Device raw-region layout (persistent variants). The header is one cache
+// line: the magic word, then the geometry format laid the device out with —
+// HeapWords, MaxThreads, MaxStores, in that order — which attach holds its own
+// configuration to, because every slot's log offset and the extent of the walk
+// follow from the three.
 const (
-	hdrWords = pmem.LineWords // raw words reserved for the header
-	hdrMagic = 0              // raw offset of the magic word
-	magicVal = 0x0F11E_60_0001
+	hdrWords    = pmem.LineWords // raw words reserved for the header
+	hdrMagic    = 0              // raw offset of the magic word
+	hdrGeometry = 1              // raw offset of the first of the three geometry words
+	magicVal    = 0x0F11E_60_0001
 )
 
-// attachChunk is how many TM words attach reads from the device image per
-// ImagePairs call.
-const attachChunk = 4096
+// geometry returns what format records at hdrGeometry and attach compares.
+func geometry(cfg tm.Config) [3]uint64 {
+	return [3]uint64{uint64(cfg.HeapWords), uint64(cfg.MaxThreads), uint64(cfg.MaxStores)}
+}
 
 // abortSignal is the panic value used to unwind an aborted transaction body
 // (the paper's AbortedTxException). It never escapes the engine.
@@ -227,6 +235,8 @@ type Engine struct {
 	heViolations atomic.Uint64
 	closed       atomic.Bool
 
+	lastRecovery RecoveryReport // what attach did; zero on a formatted engine
+
 	// cm is the contention-management layer (contention.go): parked slot
 	// admission and the helper deduplication budget.
 	cm contention
@@ -260,7 +270,8 @@ var (
 
 // Errors returned by the persistent constructors.
 var (
-	// ErrBadDevice reports a device too small for the configuration.
+	// ErrBadDevice reports a device too small for the configuration, or
+	// formatted with another one.
 	ErrBadDevice = errors.New("core: device does not fit configuration")
 	// ErrNotFormatted reports attaching to a device with no valid heap.
 	ErrNotFormatted = errors.New("core: device holds no OneFile heap (bad magic)")
@@ -391,45 +402,72 @@ func (e *Engine) format() {
 	if e.dev != nil {
 		e.dev.FlushPair(0, e.curTxImg, init0, init0)
 		e.dev.RawStore(hdrMagic, magicVal)
-		e.dev.Flush(0, hdrMagic, 1)
+		for i, v := range geometry(e.cfg) {
+			e.dev.RawStore(hdrGeometry+i, v)
+		}
+		e.dev.Flush(0, hdrMagic, 1) // one pwb: the header is one line
 		e.dev.Fence(0)
 		e.dev.ResetStats() // formatting traffic is not part of any experiment
 	}
 }
+
+// RecoveryReport says what the attach that built an engine found and did.
+type RecoveryReport struct {
+	Duration    time.Duration // of attach itself; allocating the engine is not in it
+	HeapWords   int           // words of image the walk read and checked
+	WordsLoaded int           // the non-zero ones among them, stored into the heap
+	Ranges      int           // goroutines the walk was split over
+	// Pending: curTx's request was durably open, so null recovery's one
+	// action ran — the helping path applied transaction PendingSeq — and
+	// skipped StaleLogEntriesSkipped entries of its log that a later attempt
+	// had overwritten (headEntries, above). After a crash it nearly always
+	// is: the CAS that closes a request is never flushed.
+	Pending                bool
+	PendingSeq             uint64
+	StaleLogEntriesSkipped int
+}
+
+// LastRecovery returns the report of the attach that built e: the zero
+// report if e formatted its device, or has none.
+func (e *Engine) LastRecovery() RecoveryReport { return e.lastRecovery }
 
 // attach rebuilds the volatile state from the device's persistent image and
 // performs null recovery (§III-D): if the last committed transaction's
 // request is still open, apply and close it. The device must be quiescent,
 // with Crash() already invoked if a failure occurred.
 func (e *Engine) attach() error {
+	start := time.Now()
 	if e.dev == nil {
 		return errors.New("core: attach requires a device")
 	}
 	if e.dev.ImageRaw(hdrMagic) != magicVal {
 		return ErrNotFormatted
 	}
+	var formatted [3]uint64
+	for i := range formatted {
+		formatted[i] = e.dev.ImageRaw(hdrGeometry + i)
+	}
+	// All zero is an image from before format recorded its geometry: taken
+	// on trust, as it always was.
+	if want := geometry(e.cfg); formatted != want && formatted != [3]uint64{} {
+		return fmt.Errorf("%w: formatted with HeapWords=%d MaxThreads=%d MaxStores=%d, opened with HeapWords=%d MaxThreads=%d MaxStores=%d",
+			ErrBadDevice, formatted[0], formatted[1], formatted[2], want[0], want[1], want[2])
+	}
 	cur, _ := e.dev.ImagePair(e.curTxImg)
 	if cur == 0 {
 		return ErrCorrupt
 	}
+	// What pending and helpApply index with, whatever the header says.
+	if tidOf(cur) >= len(e.slots) {
+		return fmt.Errorf("%w: curTx names thread slot %d of %d", ErrCorrupt, tidOf(cur), len(e.slots))
+	}
+	if n := e.slots[tidOf(cur)].logNum.Load(); n > uint64(e.cfg.MaxStores) {
+		return fmt.Errorf("%w: slot %d logs %d stores, capacity %d", ErrCorrupt, tidOf(cur), n, e.cfg.MaxStores)
+	}
 	e.curTx.Store(cur)
-	curSeq := seqOf(cur)
-	buf := make([]pmem.Pair, attachChunk)
-	for lo := 0; lo < e.cfg.HeapWords; lo += attachChunk {
-		pairs := buf[:min(attachChunk, e.cfg.HeapWords-lo)]
-		e.dev.ImagePairs(lo, pairs)
-		for i, p := range pairs {
-			if p.Seq > curSeq {
-				// The commit protocol makes curTx durable before any word of
-				// its sequence, so no image it wrote looks like this — and an
-				// engine built on one would abort every load of the word.
-				return fmt.Errorf("%w: heap word %d is durable at sequence %d, beyond the durable curTx sequence %d",
-					ErrCorrupt, lo+i, p.Seq, curSeq)
-			}
-			if p.Val != 0 || p.Seq != 0 {
-				e.words[lo+i].Store(p.Val, p.Seq)
-			}
-		}
+	rep := RecoveryReport{HeapWords: e.cfg.HeapWords}
+	if err := e.loadImage(seqOf(cur), &rep); err != nil {
+		return err
 	}
 	if e.pending(cur) {
 		// Null recovery: the regular helping path finishes the last
@@ -437,7 +475,8 @@ func (e *Engine) attach() error {
 		// requests of transactions that never became durable fail the
 		// identifier match and are ignored, exactly as during normal
 		// execution.
-		e.helpApply(cur, &e.slots[0])
+		rep.Pending, rep.PendingSeq = true, seqOf(cur)
+		rep.StaleLogEntriesSkipped = e.helpApply(cur, &e.slots[0])
 	}
 	// Resume each slot's operation-tag counter from its durable tag word:
 	// a fresh counter would re-issue tags the old heap already marked
@@ -448,7 +487,71 @@ func (e *Engine) attach() error {
 		val, _ := e.words[tagW].Load()
 		e.slots[i].opTag = val &^ opFailBit
 	}
+	rep.Duration = time.Since(start)
+	e.lastRecovery = rep
 	return nil
+}
+
+// loadImage is attach's walk: one pass over the device's pair image, read in
+// place, straight into the heap. Every word's durable sequence is held to
+// curSeq; zero words are not stored, so a fresh slab's untouched pages stay
+// untouched. The walk is split into contiguous, line-aligned ranges, one per
+// P, the first on this goroutine: the image is read-only while the device is
+// quiescent, the ranges of the slab are disjoint, and the join below orders
+// every store before anything attach does next. It reports the number of
+// words stored and of ranges used in rep; if words are beyond curSeq, the
+// error names the lowest one, whichever goroutine found it.
+func (e *Engine) loadImage(curSeq uint64, rep *RecoveryReport) error {
+	pairs := e.dev.ImagePairs(0, e.cfg.HeapWords)
+	procs := runtime.GOMAXPROCS(0)
+	per := (len(pairs) + procs - 1) / procs
+	per = (per + pmem.PairLineWords - 1) / pmem.PairLineWords * pmem.PairLineWords
+	ranges := (len(pairs) + per - 1) / per
+	type result struct{ loaded, bad int }
+	res := make([]result, ranges)
+	walk := func(r int) {
+		lo, hi := r*per, min((r+1)*per, len(pairs))
+		res[r].loaded, res[r].bad = e.loadRange(pairs[lo:hi], lo, curSeq)
+	}
+	var wg sync.WaitGroup
+	for r := 1; r < ranges; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			walk(r)
+		}()
+	}
+	walk(0) // the whole walk, inline, when there is one P
+	wg.Wait()
+	for r := range res {
+		if bad := res[r].bad; bad >= 0 {
+			// The commit protocol makes curTx durable before any word of
+			// its sequence, so no image it wrote looks like this — and an
+			// engine built on one would abort every load of the word.
+			return fmt.Errorf("%w: heap word %d is durable at sequence %d, beyond the durable curTx sequence %d",
+				ErrCorrupt, bad, pairs[bad].Seq, curSeq)
+		}
+		rep.WordsLoaded += res[r].loaded
+	}
+	rep.Ranges = ranges
+	return nil
+}
+
+// loadRange stores the non-zero words of pairs, the image of heap words
+// [lo, lo+len(pairs)), into the heap. It stops at the first word whose
+// sequence is beyond curSeq and returns its index in bad, -1 if there is none.
+func (e *Engine) loadRange(pairs []pmem.Pair, lo int, curSeq uint64) (loaded, bad int) {
+	words := e.words[lo : lo+len(pairs)]
+	for i, p := range pairs {
+		if p.Seq > curSeq {
+			return loaded, lo + i
+		}
+		if p.Val != 0 || p.Seq != 0 {
+			words[i].Store(p.Val, p.Seq)
+			loaded++
+		}
+	}
+	return loaded, -1
 }
 
 // Name implements tm.Engine.

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"onefile/containers"
 	"onefile/internal/pmem"
 	"onefile/internal/tm"
 )
@@ -200,5 +201,47 @@ func BenchmarkWriteSetAddOrReplace(b *testing.B) {
 			ws.reset()
 		}
 		ws.addOrReplace(uint64(1+i%16), uint64(i))
+	}
+}
+
+// BenchmarkAttach is recovery's cost alone: Crash and attach of the 2²¹-word
+// heap txn-wf runs on, about 45 % of it populated through the containers the
+// way that workload preloads them. Run with -cpu 1,2: at one P the walk is
+// inline, at two it is split. loaded_frac is the share of heap words the image
+// holds non-zero.
+func BenchmarkAttach(b *testing.B) {
+	const heapWords, keys = 1 << 21, 3 << 15
+	opts := []tm.Option{tm.WithHeapWords(heapWords), tm.WithMaxThreads(16), tm.WithMaxStores(1 << 15)}
+	dev, err := pmem.New(DeviceConfig(pmem.StrictMode, 1, opts...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewPersistentWF(dev, false, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hs, tmp := containers.NewHashSet(e, 0), containers.NewTreeMap(e, 1)
+	for lo := uint64(0); lo < keys; lo += 64 {
+		e.Update(func(tx tm.Tx) uint64 {
+			for k := lo; k < lo+64; k++ {
+				hs.AddTx(tx, k)
+				tmp.PutTx(tx, k, 2*k+1)
+			}
+			return 0
+		})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Close()
+		dev.Crash()
+		if e, err = NewPersistentWF(dev, true, opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	rep := e.LastRecovery()
+	b.ReportMetric(float64(rep.WordsLoaded)/heapWords, "loaded_frac")
+	if n := containers.NewTreeMap(e, 1).Len(); n != keys {
+		b.Fatalf("tree map holds %d keys after %d recoveries, want %d", n, b.N, keys)
 	}
 }

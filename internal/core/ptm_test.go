@@ -151,12 +151,14 @@ func TestPTMCrashPointSweep(t *testing.T) {
 // recovery replay the first transaction with the second one's stores. Both
 // transactions span several log lines; the relaxed device decides per seed
 // which buffered lines survive. Without the stamps the sweep recovers a torn
-// state within its first few seeds.
+// state within its first few seeds. The recoveries that skip such entries
+// say so in their report.
 func TestPTMSlotReuseStaleLog(t *testing.T) {
 	const words = 12
 	opts := append(smallOpts(), tm.WithMaxThreads(1))
 	for _, wf := range []bool{false, true} {
 		t.Run(fmt.Sprintf("wf=%v", wf), func(t *testing.T) {
+			skipped := 0
 			for seed := int64(1); seed <= 48; seed++ {
 				for k := 1; ; k++ {
 					dev, err := pmem.New(DeviceConfig(pmem.RelaxedMode, seed, opts...))
@@ -186,6 +188,7 @@ func TestPTMSlotReuseStaleLog(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed=%d k=%d: attach: %v", seed, k, err)
 					}
+					skipped += r.LastRecovery().StaleLogEntriesSkipped
 					var first, second int
 					r.Read(func(tx tm.Tx) uint64 {
 						first, second = 0, 0
@@ -203,6 +206,9 @@ func TestPTMSlotReuseStaleLog(t *testing.T) {
 						break
 					}
 				}
+			}
+			if skipped == 0 {
+				t.Error("no recovery of the sweep reported a stale log entry skipped")
 			}
 		})
 	}

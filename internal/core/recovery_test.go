@@ -1,0 +1,222 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"onefile/internal/dcas"
+	"onefile/internal/pmem"
+	"onefile/internal/tm"
+)
+
+// allocatedBy returns the bytes fn allocated (runtime.MemStats.TotalAlloc).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// privateBytes is what the owner-private half of w holds.
+func (w *writeSet) privateBytes() int {
+	return 8*(len(w.keys)+len(w.vals)) + 4*(len(w.next)+len(w.buckets)+len(w.bver))
+}
+
+// TestOpenFootprint: what opening an engine allocates is bounded by its heap,
+// not by MaxStores × MaxThreads — format and attach alike — and a write-set
+// costs memory on the slot that ran the large transaction, nowhere else.
+func TestOpenFootprint(t *testing.T) {
+	const heapWords, threads, stores = 1 << 16, 16, 1 << 15
+	opts := []tm.Option{tm.WithHeapWords(heapWords), tm.WithMaxThreads(threads), tm.WithMaxStores(stores)}
+	limit := uint64(16*(heapWords+1) + 256<<10) // the slab and a quarter MiB
+	if !dcas.Native {
+		limit = 1 << 62 // the pointer emulation allocates one pair per stored word by design
+	}
+	dev, err := pmem.New(DeviceConfig(pmem.StrictMode, 1, opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e *Engine
+	open := func(attach bool) func() {
+		return func() {
+			if e, err = NewPersistentWF(dev, attach, opts...); err != nil {
+				t.Fatalf("open (attach=%v): %v", attach, err)
+			}
+		}
+	}
+	got := allocatedBy(open(false))
+	t.Logf("format allocated %d bytes", got)
+	if got > limit {
+		t.Errorf("format allocated %d bytes, limit %d (36 B × MaxStores × MaxThreads = %d)", got, limit, 36*stores*threads)
+	}
+	e.Update(func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 1); return 0 })
+	e.Close()
+	dev.Crash()
+	got = allocatedBy(open(true))
+	t.Logf("attach allocated %d bytes", got)
+	if got > limit {
+		t.Errorf("attach allocated %d bytes, limit %d", got, limit)
+	}
+
+	// One 17,000-store transaction — txn-wf's last hash-set resize.
+	got = allocatedBy(func() {
+		e.Update(func(tx tm.Tx) uint64 {
+			for block := 0; block < 17; block++ {
+				p := tx.Alloc(1000)
+				for i := tm.Ptr(0); i < 1000; i++ {
+					tx.Store(p+i, uint64(i)+1)
+				}
+			}
+			return 0
+		})
+	})
+	t.Logf("one 17,000-store transaction allocated %d bytes", got)
+	grown := 0
+	for i := range e.slots {
+		ws := &e.slots[i].ws
+		switch got := ws.privateBytes(); {
+		case got == 0:
+		case got > 36*stores+1024:
+			t.Errorf("slot %d holds %d bytes of write-set mirrors, more than a full one (%d)", i, got, 36*stores)
+		default:
+			grown++
+			if len(ws.keys) != stores {
+				t.Errorf("slot %d grew to %d entries for 17,000 stores, want %d", i, len(ws.keys), stores)
+			}
+		}
+	}
+	if grown != 1 {
+		t.Errorf("%d slots hold write-set mirrors after one goroutine's transactions, want 1", grown)
+	}
+}
+
+// plantedImage returns a crashed device formatted for opts whose heap holds
+// some data, and the durable curTx sequence.
+func plantedImage(t *testing.T, opts []tm.Option) (pmem.Device, uint64) {
+	t.Helper()
+	dev, err := pmem.New(DeviceConfig(pmem.StrictMode, 1, opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewPersistentWF(dev, false, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := uint64(1); round <= 3; round++ {
+		e.Update(func(tx tm.Tx) uint64 {
+			p := tx.Alloc(40)
+			for i := tm.Ptr(0); i < 40; i += 3 {
+				tx.Store(p+i, round<<32|uint64(i))
+			}
+			tx.Store(tm.Root(int(round)), uint64(p))
+			return 0
+		})
+	}
+	e.Close()
+	dev.Crash()
+	return dev, e.CurSeq()
+}
+
+// TestAttachParallelWalk: the walk of the image gives the same heap and the
+// same answer however many goroutines it is split over — GOMAXPROCS 1 (inline),
+// 2 and 8, a heap that does not divide into the ranges, and one with fewer
+// lines than there are Ps. With words beyond curTx planted in two ranges, the
+// error names the lower one every time.
+func TestAttachParallelWalk(t *testing.T) {
+	for _, tc := range []struct {
+		heapWords, threads, procs, wantRanges int
+	}{
+		{1 << 14, 16, 1, 1},
+		{1 << 14, 16, 2, 2},
+		{1 << 14, 16, 8, 8},
+		{1<<14 + 36, 16, 8, 8}, // ranges of 2056 words: the last one is short
+		{300, 1, 256, 75},      // one line per range, and Ps to spare
+	} {
+		t.Run(fmt.Sprintf("heap=%d/procs=%d", tc.heapWords, tc.procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			opts := []tm.Option{tm.WithHeapWords(tc.heapWords), tm.WithMaxThreads(tc.threads), tm.WithMaxStores(1 << 8)}
+			dev, cur := plantedImage(t, opts)
+			r, err := NewPersistentWF(dev, true, opts...)
+			if err != nil {
+				t.Fatalf("attach: %v", err)
+			}
+			nonZero := 0
+			for i := 0; i < tc.heapWords; i++ {
+				iv, is := dev.ImagePair(i)
+				if v, s := r.words[i].Load(); v != iv || s != is {
+					t.Fatalf("heap word %d = (%d,%d), image (%d,%d)", i, v, s, iv, is)
+				}
+				if iv != 0 || is != 0 {
+					nonZero++
+				}
+			}
+			rep := r.LastRecovery()
+			if rep.Ranges != tc.wantRanges || rep.HeapWords != tc.heapWords || rep.WordsLoaded != nonZero || rep.Duration <= 0 {
+				t.Errorf("report %+v; want %d ranges, %d heap words, %d loaded, a duration", rep, tc.wantRanges, tc.heapWords, nonZero)
+			}
+			// The last transaction's request closed, but no one flushes that
+			// CAS: durably it is open, and recovery re-applies it.
+			if !rep.Pending || rep.PendingSeq != cur || rep.StaleLogEntriesSkipped != 0 {
+				t.Errorf("report %+v; want transaction %d pending, no stale log entries", rep, cur)
+			}
+
+			// Two words beyond curTx, far enough apart to fall into two
+			// ranges whenever there are two; the higher one is further beyond.
+			low, high := tc.heapWords/5, tc.heapWords-7
+			dev.FlushPair(0, high, 1, cur+9)
+			dev.FlushPair(0, low, 1, cur+1)
+			dev.Fence(0)
+			dev.Crash()
+			_, err = NewPersistentWF(dev, true, opts...)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("heap word %d is durable at sequence %d,", low, cur+1)) {
+				t.Fatalf("attach = %v, want ErrCorrupt naming heap word %d at sequence %d", err, low, cur+1)
+			}
+		})
+	}
+}
+
+// TestAttachSplitWalkThenNullRecovery: with the walk split (two Ps), what
+// attach does after it still sees the whole heap — a pending curTx is applied
+// through the helping path, and every slot's operation tag resumes from its
+// durable word, so the first wait-free operation after recovery runs instead
+// of being answered from the old heap's result word. A wait-free transaction
+// is crashed at every persistence event; the report says Pending exactly when
+// the image's request was open.
+func TestAttachSplitWalkThenNullRecovery(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	sawPending, sawClosed := false, false
+	for k := 1; ; k++ {
+		e, dev := newPTM(t, true, pmem.StrictMode, int64(k))
+		e.Update(func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 100); tx.Store(tm.Root(1), 200); return 1 })
+		acked := runUntilCrash(dev, k, func() {
+			e.Update(func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 111); tx.Store(tm.Root(1), 222); return 2 })
+		})
+		dev.Crash()
+		cur, _ := dev.ImagePair(1 << 14) // curTx's image: pair word HeapWords of smallOpts
+		open := dev.ImageRaw(hdrWords+tidOf(cur)*slotLogStride(1<<10)) == cur
+		r, err := newPTMOn(dev, true, true)
+		if err != nil {
+			t.Fatalf("k=%d: attach: %v", k, err)
+		}
+		rep := r.LastRecovery()
+		if rep.Ranges != 2 || rep.Pending != open || (open && rep.PendingSeq != seqOf(cur)) {
+			t.Fatalf("k=%d: report %+v; image's request open = %v at sequence %d", k, rep, open, seqOf(cur))
+		}
+		sawPending, sawClosed = sawPending || rep.Pending, sawClosed || !rep.Pending
+		if got := r.Update(func(tx tm.Tx) uint64 {
+			return tx.Load(tm.Root(0))<<16 | tx.Load(tm.Root(1))
+		}); got != 100<<16|200 && got != 111<<16|222 || (acked && got != 111<<16|222) {
+			t.Fatalf("k=%d acked=%v: first operation after recovery returned %#x", k, acked, got)
+		}
+		if acked {
+			break
+		}
+	}
+	if !sawPending || !sawClosed {
+		t.Fatalf("crash points that left curTx pending: %v, not pending: %v; the sweep must reach both", sawPending, sawClosed)
+	}
+}

@@ -92,7 +92,7 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 }
 
 // TestAttachAllocsIndependentOfLiveWords: recovery allocates the engine and
-// one read buffer, not one object per recovered word.
+// the walk's per-range results, not one object per recovered word.
 func TestAttachAllocsIndependentOfLiveWords(t *testing.T) {
 	if !dcas.Native {
 		t.Skip("the pointer emulation allocates one pair per recovered word by design")

@@ -395,18 +395,20 @@ func (e *Engine) closeRequest(s *slot, txid uint64) {
 // — normally the owner, which claims at commit — is already applying txid,
 // the redundant copy/apply/flush work is skipped in favour of a
 // bounded wait for the request to close. On return the request is closed
-// unless a newer transaction superseded txid.
-func (e *Engine) helpApply(txid uint64, helper *slot) {
+// unless a newer transaction superseded txid. stale is the number of log
+// entries it skipped as another transaction's (non-zero only on a recovered
+// log; attach reports it).
+func (e *Engine) helpApply(txid uint64, helper *slot) (stale int) {
 	owner := &e.slots[tidOf(txid)]
 	if owner.request.Load() != txid {
-		return
+		return 0
 	}
 	if !e.claimHelp(owner, txid) {
-		return // the claimant closed the request while we backed off
+		return 0 // the claimant closed the request while we backed off
 	}
 	n := owner.logNum.Load()
 	if n == 0 || n > uint64(e.cfg.MaxStores) {
-		return
+		return 0
 	}
 	if uint64(cap(helper.helpBuf)) < 2*n {
 		helper.helpBuf = make([]uint64, 2*n)
@@ -416,7 +418,7 @@ func (e *Engine) helpApply(txid uint64, helper *slot) {
 		buf[i] = owner.logEnt[i].Load()
 	}
 	if owner.request.Load() != txid {
-		return // the write-set was re-used; the transaction is done
+		return 0 // the write-set was re-used; the transaction is done
 	}
 	helper.st.helps.Add(1)
 	e.obsEvent(obs.EvHelp, helper.id, seqOf(txid))
@@ -433,6 +435,7 @@ func (e *Engine) helpApply(txid uint64, helper *slot) {
 	for i := uint64(headEntries); i < n; i++ {
 		if buf[2*i]&^addrMask != stamp {
 			buf[2*i] = 0
+			stale++
 		}
 		buf[2*i] &= addrMask
 	}
@@ -449,6 +452,7 @@ func (e *Engine) helpApply(txid uint64, helper *slot) {
 		e.flushWords(helper, buf, 2, seq)
 	}
 	e.closeRequest(helper, txid)
+	return stale
 }
 
 // Read implements tm.Engine: a read-only transaction. It first helps apply

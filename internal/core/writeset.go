@@ -11,6 +11,16 @@ import (
 // transactions (less than 40 stores) do a linear lookup").
 const linearMax = 40
 
+// wsFirst is the number of entries the owner-private half of a write-set
+// holds when its slot's first store allocates it; wsGrow is the factor it
+// grows by, up to the configured MaxStores, when a transaction needs more. A
+// slot nobody claims holds nothing, and one that only ever runs short
+// transactions holds wsFirst entries and no hash index.
+const (
+	wsFirst = 64
+	wsGrow  = 2
+)
+
 // writeSet is a thread slot's redo log: the paper's WriteSet (Alg. 1).
 //
 // The entries themselves — (address, value) word pairs plus the store count
@@ -21,6 +31,11 @@ const linearMax = 40
 // whole transform phase works on the mirror with ordinary loads and stores,
 // and publish() copies the final entries into the shared array once, just
 // before the request opens — helpers never look earlier.
+//
+// The shared array is sized for MaxStores from the start (it is the paper's
+// log, at a fixed place in the device). The owner-private half grows with the
+// transactions the slot runs (grow) and keeps what it has grown to: len(keys)
+// is its current capacity, cap the limit.
 type writeSet struct {
 	num *atomic.Uint64  // shared store count (numStores), published at commit
 	ent []atomic.Uint64 // shared entries: ent[2i] = stamped address, ent[2i+1] = value
@@ -29,7 +44,7 @@ type writeSet struct {
 	vals []uint64 // owner-private value mirror (vals[i] == ent[2i+1])
 
 	n   int // owner-private count during the transform phase
-	cap int
+	cap int // MaxStores: the store count no transaction may exceed
 
 	// summary is a one-word superset of the addresses held: summaryBit(a) is
 	// set for every entry's address a. A load whose bit is clear is answered
@@ -39,7 +54,9 @@ type writeSet struct {
 	// which is still a superset.
 	summary uint64
 
-	// Intrusive hash index, owner-private, versioned so reset is O(1).
+	// Intrusive hash index, owner-private, versioned so reset is O(1). It is
+	// allocated, for the capacity of the moment, by the first transaction
+	// that crosses linearMax (buildHash).
 	buckets []int32
 	bver    []uint32
 	next    []int32
@@ -58,20 +75,28 @@ type writeSet struct {
 }
 
 func newWriteSet(num *atomic.Uint64, ent []atomic.Uint64, maxStores int) writeSet {
-	nb := 1
-	for nb < 2*maxStores {
-		nb <<= 1
+	return writeSet{num: num, ent: ent, cap: maxStores}
+}
+
+// grow makes room for one more entry: wsFirst entries at first, then wsGrow
+// times what there is, clamped to cap — where it panics with
+// tm.ErrTooManyStores instead. The hash index is sized by the capacity, so it
+// is dropped, and rebuilt if this transaction is using it: buildHash links
+// the entries in entry order, which is the order they were linked in the
+// first time, so every chain still has its newest entry at the head — what
+// rollbackTo's unlinking rests on.
+func (w *writeSet) grow() {
+	if w.n >= w.cap {
+		panic(tm.ErrTooManyStores)
 	}
-	return writeSet{
-		num:     num,
-		ent:     ent,
-		keys:    make([]uint64, maxStores),
-		vals:    make([]uint64, maxStores),
-		cap:     maxStores,
-		buckets: make([]int32, nb),
-		bver:    make([]uint32, nb),
-		next:    make([]int32, maxStores),
-		mask:    uint32(nb - 1),
+	size := min(max(wsGrow*len(w.keys), wsFirst), w.cap)
+	keys, vals := make([]uint64, size), make([]uint64, size)
+	copy(keys, w.keys)
+	copy(vals, w.vals)
+	w.keys, w.vals = keys, vals
+	w.buckets, w.bver, w.next = nil, nil, nil
+	if w.hashed {
+		w.buildHash()
 	}
 }
 
@@ -158,8 +183,8 @@ func (w *writeSet) addOrReplace(addr, val uint64) {
 			}
 		}
 	}
-	if w.n >= w.cap {
-		panic(tm.ErrTooManyStores)
+	if w.n >= len(w.keys) {
+		w.grow()
 	}
 	i := w.n
 	w.keys[i], w.vals[i] = addr, val
@@ -175,8 +200,18 @@ func (w *writeSet) addOrReplace(addr, val uint64) {
 }
 
 // buildHash indexes the existing entries once the linear threshold is
-// crossed.
+// crossed, allocating the index if the slot has none for its capacity.
 func (w *writeSet) buildHash() {
+	if w.next == nil {
+		nb := 1
+		for nb < 2*len(w.keys) {
+			nb <<= 1
+		}
+		w.buckets = make([]int32, nb)
+		w.bver = make([]uint32, nb)
+		w.next = make([]int32, len(w.keys))
+		w.mask = uint32(nb - 1)
+	}
 	w.hashed = true
 	for i := 0; i < w.n; i++ {
 		b := w.bucket(w.keys[i])

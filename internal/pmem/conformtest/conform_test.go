@@ -222,22 +222,56 @@ func TestImagePairsMatchesImagePair(t *testing.T) {
 		d.FlushPair(0, 1, 555, 9) // pending: no fence follows
 		for _, win := range [][2]int{{0, n}, {5, 13}, {n - 1, 1}, {7, 0}} {
 			lo, cnt := win[0], win[1]
-			got := make([]pmem.Pair, cnt)
-			d.ImagePairs(lo, got)
+			got := d.ImagePairs(lo, cnt)
+			if len(got) != cnt {
+				t.Fatalf("window [%d,+%d): view of %d words", lo, cnt, len(got))
+			}
 			for i, p := range got {
 				if v, s := d.ImagePair(lo + i); p.Val != v || p.Seq != s {
 					t.Fatalf("window [%d,+%d): word %d = (%d,%d), ImagePair says (%d,%d)", lo, cnt, lo+i, p.Val, p.Seq, v, s)
 				}
 			}
 		}
-		var one [1]pmem.Pair
-		d.ImagePairs(1, one[:])
-		if one[0] != (pmem.Pair{}) {
-			t.Fatalf("un-fenced flush visible in the bulk image: %+v", one[0])
+		if one := d.ImagePairs(1, 1)[0]; one != (pmem.Pair{}) {
+			t.Fatalf("un-fenced flush visible in the bulk image: %+v", one)
 		}
-		d.ImagePairs(3, one[:])
-		if one[0] != (pmem.Pair{Val: 1003, Seq: 4}) {
-			t.Fatalf("word 3 = %+v, want (1003,4)", one[0])
+		if one := d.ImagePairs(3, 1)[0]; one != (pmem.Pair{Val: 1003, Seq: 4}) {
+			t.Fatalf("word 3 = %+v, want (1003,4)", one)
+		}
+	})
+}
+
+// TestImagePairsIsTheImage: the bulk read is a view of the image, not a copy.
+// A strict program that leaves lines staged on two slots finds them in the
+// view — ImagePairs settles once, like every image observer — word for word
+// as ImagePair reports them; two views of one window share their memory; and
+// a view taken before a later write-back shows that write-back, which is the
+// lifetime rule seen from the other side: a view is only good until the
+// device is next written.
+func TestImagePairsIsTheImage(t *testing.T) {
+	forEach(t, func(t *testing.T, mk func(tb testing.TB, cfg pmem.Config) pmem.Device) {
+		d := mk(t, smallCfg(pmem.StrictMode))
+		n := d.PairWords()
+		for i := 0; i < n; i += 2 {
+			d.FlushPair(i/2%2, i, uint64(7000+i), uint64(i+1)) // staged: no ordering point follows
+		}
+		view := d.ImagePairs(0, n)
+		for i, p := range view {
+			v, s := d.ImagePair(i)
+			if p.Val != v || p.Seq != s {
+				t.Fatalf("word %d: view (%d,%d), ImagePair (%d,%d)", i, p.Val, p.Seq, v, s)
+			}
+			if want := (pmem.Pair{Val: uint64(7000 + i), Seq: uint64(i + 1)}); i%2 == 0 && p != want {
+				t.Fatalf("staged word %d missing from the view: %+v, want %+v", i, p, want)
+			}
+		}
+		if again := d.ImagePairs(5, 3); &again[0] != &view[5] {
+			t.Fatalf("two views of word 5 at %p and %p: ImagePairs copied", &again[0], &view[5])
+		}
+		d.FlushPair(0, 1, 42, 99)
+		d.Fence(0)
+		if view[1] != (pmem.Pair{Val: 42, Seq: 99}) {
+			t.Fatalf("view taken before a write-back does not show it: %+v", view[1])
 		}
 	})
 }

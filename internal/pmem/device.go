@@ -97,9 +97,10 @@ type Device interface {
 	// ImagePair returns the persistent image of TM word idx (quiescence
 	// required).
 	ImagePair(idx int) (val, seq uint64)
-	// ImagePairs copies the persistent image of TM words [lo, lo+len(dst))
-	// into dst (quiescence required): recovery's bulk read.
-	ImagePairs(lo int, dst []Pair)
+	// ImagePairs returns the persistent image of TM words [lo, lo+n) in
+	// place (quiescence required): recovery's bulk read. The view is
+	// read-only and valid until the device is next written or closed.
+	ImagePairs(lo, n int) []Pair
 	// ImageRaw returns the persistent image of raw word off.
 	ImageRaw(off int) uint64
 	// RawWords returns the size of the raw region in words.

@@ -263,14 +263,20 @@ func NewOver(cfg Config, raw, pairs []uint64, backing Backing) (*Sim, error) {
 		backing: backing,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
-	// The fresh view is zero already: storing only the non-zero words leaves
-	// its pages, and a fresh image's, unwritten.
-	for i, v := range raw {
-		if v != 0 {
-			d.rawVol[i].Store(v)
-		}
-	}
+	d.loadRaw()
 	return d, nil
+}
+
+// An atomic.Uint64 is one 64-bit word on every target (loadRaw reads a slice
+// of them as the words they hold); anything else fails to compile here.
+var _ [0]struct{} = [unsafe.Sizeof(atomic.Uint64{}) - 8]struct{}{}
+
+// loadRaw sets the volatile raw view to the image in one copy, with plain
+// stores: its callers are the constructor, which has not published the device
+// yet, and Crash, whose contract is quiescence — whatever hands the device
+// back to its users afterwards orders the copy before their atomic accesses.
+func (d *Sim) loadRaw() {
+	copy(unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(d.rawVol))), len(d.rawVol)), d.rawImg)
 }
 
 // Mode returns the device's durability model.
@@ -678,9 +684,7 @@ func (d *Sim) reload() {
 	for s := range d.pending {
 		d.pending[s] = slotBuf{}
 	}
-	for i := range d.rawVol {
-		d.rawVol[i].Store(d.rawImg[i])
-	}
+	d.loadRaw()
 }
 
 // Close is an orderly power-off (quiescence required): every staged flush
@@ -709,14 +713,16 @@ func (d *Sim) ImagePair(idx int) (val, seq uint64) {
 	return val, seq
 }
 
-// ImagePairs copies the persistent image of TM words [lo, lo+len(dst)) into
-// dst. Callers must be quiescent: unlike ImagePair it takes no line lock.
-func (d *Sim) ImagePairs(lo int, dst []Pair) {
+// ImagePairs returns the persistent image of TM words [lo, lo+n) in place:
+// the interleaved image read as the Pairs it holds (same size, same
+// alignment), not a copy of it. The view is read-only, and valid until the
+// device is next written (any Flush*, Fence, Drain, Crash or ReadFrom) or
+// closed — over a mapped file, a view used after Close touches unmapped
+// memory. Callers must be quiescent: unlike ImagePair it takes no line lock.
+func (d *Sim) ImagePairs(lo, n int) []Pair {
 	d.settle()
-	img := d.pairImg[2*lo : 2*(lo+len(dst))]
-	// The interleaved image read as the Pairs it holds (same size, same
-	// alignment), so the bulk read is one copy.
-	copy(dst, unsafe.Slice((*Pair)(unsafe.Pointer(unsafe.SliceData(img))), len(dst)))
+	img := d.pairImg[2*lo : 2*(lo+n)]
+	return unsafe.Slice((*Pair)(unsafe.Pointer(unsafe.SliceData(img))), n)
 }
 
 // ImageRaw returns the persistent image of raw word off. Intended for
