@@ -20,13 +20,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"onefile/internal/crashcheck"
-	"onefile/internal/pmem"
-	"onefile/internal/pmem/filedev"
 )
 
 var (
@@ -41,18 +38,6 @@ var (
 	deviceFlag  = flag.String("device", "sim", "device backend: sim (in-memory simulator) or file (mmap-backed file)")
 	fileDirFlag = flag.String("file-dir", "", "scratch directory for -device file (default: /dev/shm if present, else TMPDIR)")
 )
-
-// fileFactory builds each sweep point's device as a freshly formatted mmap
-// file under dir. Points run sequentially, so two alternating paths suffice.
-func fileFactory(dir string) crashcheck.DeviceFactory {
-	n := 0
-	return func(cfg pmem.Config) (pmem.Device, error) {
-		n++
-		path := filepath.Join(dir, fmt.Sprintf("sweep-%d.img", n%2))
-		os.Remove(path)
-		return filedev.Create(path, cfg)
-	}
-}
 
 func main() {
 	flag.Parse()
@@ -107,7 +92,7 @@ func main() {
 			os.Exit(2)
 		}
 		cleanup = func() { os.RemoveAll(dir) }
-		cfg.Device = fileFactory(dir)
+		cfg.Device = crashcheck.FileDevices(dir, 1)
 	default:
 		fmt.Fprintf(os.Stderr, "onefile-crashcheck: unknown -device %q (want sim or file)\n", *deviceFlag)
 		os.Exit(2)

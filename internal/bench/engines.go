@@ -12,11 +12,10 @@ import (
 	"fmt"
 
 	"onefile/internal/core"
+	"onefile/internal/crashcheck"
 	"onefile/internal/pmem"
-	"onefile/internal/romulus"
 	"onefile/internal/tl2"
 	"onefile/internal/tm"
-	"onefile/internal/undolog"
 )
 
 // VolatileEngines are the STM engine names of the volatile evaluation
@@ -41,56 +40,17 @@ func NewVolatile(name string, opts ...tm.Option) (tm.Engine, error) {
 	return nil, fmt.Errorf("bench: unknown volatile engine %q", name)
 }
 
-// persistentFns resolves an engine name to its device-config and constructor
-// functions (the bool argument of the constructor selects attach/recover).
-func persistentFns(name string) (
-	cfgFn func(pmem.Mode, int64, ...tm.Option) pmem.Config,
-	mkFn func(pmem.Device, bool, ...tm.Option) (tm.Engine, error),
-	err error,
-) {
-	switch name {
-	case "OF-LF-PTM":
-		cfgFn = core.DeviceConfig
-		mkFn = func(d pmem.Device, a bool, o ...tm.Option) (tm.Engine, error) {
-			return core.NewPersistentLF(d, a, o...)
-		}
-	case "OF-WF-PTM":
-		cfgFn = core.DeviceConfig
-		mkFn = func(d pmem.Device, a bool, o ...tm.Option) (tm.Engine, error) {
-			return core.NewPersistentWF(d, a, o...)
-		}
-	case "PMDK":
-		cfgFn = undolog.DeviceConfig
-		mkFn = func(d pmem.Device, a bool, o ...tm.Option) (tm.Engine, error) {
-			return undolog.New(d, a, o...)
-		}
-	case "RomulusLog":
-		cfgFn = romulus.DeviceConfig
-		mkFn = func(d pmem.Device, a bool, o ...tm.Option) (tm.Engine, error) {
-			return romulus.NewLog(d, a, o...)
-		}
-	case "RomulusLR":
-		cfgFn = romulus.DeviceConfig
-		mkFn = func(d pmem.Device, a bool, o ...tm.Option) (tm.Engine, error) {
-			return romulus.NewLR(d, a, o...)
-		}
-	default:
-		return nil, nil, fmt.Errorf("bench: unknown persistent engine %q", name)
-	}
-	return cfgFn, mkFn, nil
-}
-
 // NewPersistent builds a persistent engine by name on a fresh device.
 func NewPersistent(name string, mode pmem.Mode, seed int64, opts ...tm.Option) (tm.Engine, pmem.Device, error) {
-	cfgFn, mkFn, err := persistentFns(name)
+	def, err := crashcheck.EngineByName(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	dev, err := pmem.New(cfgFn(mode, seed, opts...))
+	dev, err := pmem.New(def.DeviceConfig(mode, seed, opts...))
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := mkFn(dev, false, opts...)
+	e, err := def.New(dev, false, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -100,11 +60,11 @@ func NewPersistent(name string, mode pmem.Mode, seed int64, opts ...tm.Option) (
 // RecoverPersistent re-attaches an engine by name to an existing device, as
 // a restarted process would after a crash.
 func RecoverPersistent(name string, dev pmem.Device, opts ...tm.Option) (tm.Engine, error) {
-	_, mkFn, err := persistentFns(name)
+	def, err := crashcheck.EngineByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return mkFn(dev, true, opts...)
+	return def.New(dev, true, opts...)
 }
 
 // Point is one measured data point of a figure: a series name, the swept

@@ -20,7 +20,7 @@ type attachBackend struct {
 }
 
 func attachBackends(t *testing.T) []attachBackend {
-	return []attachBackend{{"sim", nil}, {"file", fileFactory(testutil.TmpfsDir(t))}}
+	return []attachBackend{{"sim", nil}, {"file", FileDevices(testutil.TmpfsDir(t), 1)}}
 }
 
 // TestAttachRejectsWordBeyondCurTx: null recovery rests on durable words
@@ -40,15 +40,11 @@ func TestAttachRejectsWordBeyondCurTx(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						dev, err := backend.fac.newDevice(def.DeviceConfig(pmem.StrictMode, 1, engineOpts()...))
+						dev, e, err := openEngine(def, backend.fac, pmem.StrictMode, 1)
 						if err != nil {
 							t.Fatal(err)
 						}
 						defer dev.Close()
-						e, err := def.New(dev, false, engineOpts()...)
-						if err != nil {
-							t.Fatal(err)
-						}
 						e.Update(func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 7); return 0 })
 						cur := e.(*core.Engine).CurSeq()
 

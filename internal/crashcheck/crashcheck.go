@@ -1,13 +1,38 @@
+// Package crashcheck is the systematic crash-consistency verifier for every
+// persistent engine in this repository. Where internal/bench's kill test
+// crashes at *random* persistence events, crashcheck enumerates *all* of
+// them, following the systematic-enumeration methodology of the PMDK
+// validation line of work (Raad et al.).
+//
+// A scenario is the system under crash. There are three: one engine running
+// the canonical Program; the same Program submitted through the group-commit
+// combiner in chunks (Config.Batch); and a ShardedProgram over N devices
+// with cross-shard two-phase commits (Config.Shards). One driver crashes
+// them all (scenario.go). crashAt counts the persistence events
+// (pwb/pfence/drain) of a run with one hook shared by every device, and on a
+// re-run panics at event i and at every later one, so the power failure hits
+// the whole machine at once and a dead process makes nothing more durable;
+// then every device Crashes. recoverAndVerify re-attaches and demands that
+// recovery succeeds, that every allocator audits clean, that the state is
+// the sequential oracle's after exactly the acknowledged transactions or
+// after those plus the whole unit in flight (an intermediate prefix of a
+// chunk is a TORN BATCH), and that the system still commits.
+//
+// In RelaxedMode the device additionally drops a seed-chosen subset of
+// buffered-but-unfenced flushes at the crash, so each enumeration is swept
+// across device seeds. Every Violation carries what replays it exactly.
 package crashcheck
 
 import (
-	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 
 	"onefile/internal/core"
 	"onefile/internal/pmem"
+	"onefile/internal/pmem/filedev"
 	"onefile/internal/romulus"
-	"onefile/internal/talloc"
 	"onefile/internal/tm"
 	"onefile/internal/undolog"
 )
@@ -53,6 +78,10 @@ func EngineByName(name string) (EngineDef, error) {
 	return EngineDef{}, fmt.Errorf("crashcheck: unknown persistent engine %q", name)
 }
 
+// oneFile lists the OneFile PTMs: the engines with a group-commit combiner
+// (tm.Combining) and the engines a shard.Store is built from.
+var oneFile = []string{"OF-LF-PTM", "OF-WF-PTM"}
+
 // engineOpts sizes the engines under test. Small on purpose: the sweep
 // re-runs the workload once per persistence event, so recovery cost (which
 // scales with the heap for Romulus's replica copy and OneFile's image scan)
@@ -64,12 +93,6 @@ func engineOpts() []tm.Option {
 		tm.WithMaxStores(1 << 10),
 	}
 }
-
-// crashSignal is the panic value of the simulated power failure. Once the
-// hook fires it keeps firing for every later persistence event, so a dead
-// process cannot make anything more durable (e.g. a rollback running inside
-// a deferred handler while the crash panic unwinds).
-type crashSignal struct{ event int }
 
 // DeviceFactory builds a fresh device for one sweep point. nil means the
 // in-memory simulator (pmem.New). A file-backed factory must return a
@@ -83,29 +106,45 @@ func (f DeviceFactory) newDevice(cfg pmem.Config) (pmem.Device, error) {
 	return f(cfg)
 }
 
+// FileDevices formats each device as a fresh mmap-backed file in dir. Points
+// run one after another, so the files are reused round-robin: live is the
+// number of devices one point holds (the shard count, else 1), and 2×live
+// paths keep a point's set apart from the set of the point before it.
+func FileDevices(dir string, live int) DeviceFactory {
+	live = max(live, 1)
+	n := 0
+	return func(cfg pmem.Config) (pmem.Device, error) {
+		n++
+		path := filepath.Join(dir, fmt.Sprintf("sweep-%d.img", n%(2*live)))
+		os.Remove(path)
+		return filedev.Create(path, cfg)
+	}
+}
+
 // Config parameterises a matrix run.
 type Config struct {
-	// Engines to sweep; nil = all persistent engines.
+	// Engines to sweep; nil = every engine the scenario admits.
 	Engines []string
-	// Txns is the number of mixed-operation transactions after container
-	// setup.
+	// Txns is the number of mixed transactions after the setup ones.
 	Txns int
 	// Seed derives the workload program.
 	Seed int64
 	// Stride checks every Stride-th event index (1 = exhaustive).
 	Stride int
-	// Batch > 1 runs the combined-transaction sweep: workload transactions
-	// are submitted in chunks of Batch through the engine's group-commit
-	// combiner, and recovery must be all-or-nothing across each whole
-	// chunk (batched.go). Only combining engines (the OneFile PTMs) are
-	// eligible; with no explicit Engines they are the default set.
+	// Batch > 1 submits the workload through the group-commit combiner in
+	// chunks of Batch; recovery must be all-or-nothing per chunk.
 	Batch int
+	// Shards ≥ 2 runs the cross-shard workload over Shards devices, each
+	// shard the named engine. Batch and Shards need OneFile PTMs and exclude
+	// each other.
+	Shards int
 	// Strict enables the StrictMode sweep.
 	Strict bool
-	// RelaxedSeeds are device seeds for the RelaxedMode sweeps; empty
-	// disables RelaxedMode.
+	// RelaxedSeeds are device seeds for the RelaxedMode sweeps (shard i's
+	// device gets seed+i); empty disables RelaxedMode.
 	RelaxedSeeds []int64
-	// Device builds the device for each sweep point; nil = simulator.
+	// Device builds the device for each sweep point; nil = simulator. A
+	// sharded sweep holds Shards devices per point (see FileDevices).
 	Device DeviceFactory
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -118,157 +157,47 @@ type Violation struct {
 	DevSeed int64
 	Seed    int64
 	Txns    int
+	Batch   int
+	Shards  int
 	Event   int
 	Detail  string
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("%s mode=%d devseed=%d wlseed=%d txns=%d event=%d: %s",
-		v.Engine, v.Mode, v.DevSeed, v.Seed, v.Txns, v.Event, v.Detail)
+	return fmt.Sprintf("%s mode=%d devseed=%d wlseed=%d txns=%d batch=%d shards=%d event=%d: %s",
+		v.Engine, v.Mode, v.DevSeed, v.Seed, v.Txns, v.Batch, v.Shards, v.Event, v.Detail)
 }
 
 // Result summarises a matrix run.
 type Result struct {
 	Points     int            // crash points exercised
-	Events     map[string]int // canonical-workload event count per engine
+	Events     map[string]int // canonical-workload event count per scenario
 	Violations []Violation
 }
 
-// Enumerate runs the canonical workload to completion on a fresh device and
-// returns the number of persistence events it issues (the crash-point
-// space). The count is a pure function of (engine, program): the workload is
-// single-threaded and every engine schedules deterministically.
-func Enumerate(def EngineDef, mode pmem.Mode, p *Program) (int, error) {
-	return EnumerateOn(nil, def, mode, p)
-}
-
-// EnumerateOn is Enumerate with an explicit device factory (nil = simulator).
-func EnumerateOn(fac DeviceFactory, def EngineDef, mode pmem.Mode, p *Program) (int, error) {
-	dev, err := fac.newDevice(def.DeviceConfig(mode, 1, engineOpts()...))
-	if err != nil {
-		return 0, err
+// newScenario builds the scenario cfg describes for def, or says why cfg
+// does not admit def.
+func newScenario(cfg Config, def EngineDef) (scenario, error) {
+	isOneFile := slices.Contains(oneFile, def.Name)
+	switch {
+	case cfg.Shards > 1 && cfg.Batch > 1:
+		return nil, fmt.Errorf("crashcheck: a sharded sweep submits no batches (Shards=%d, Batch=%d)", cfg.Shards, cfg.Batch)
+	case cfg.Shards > 1 && !isOneFile:
+		return nil, fmt.Errorf("crashcheck: %s cannot be sharded; shards are OneFile PTMs", def.Name)
+	case cfg.Shards > 1:
+		return sharded{def.Name, NewShardedProgram(cfg.Seed, cfg.Shards, cfg.Txns)}, nil
+	case cfg.Batch > 1 && !isOneFile:
+		return nil, fmt.Errorf("crashcheck: %s has no group-commit combiner; batched sweep is not meaningful", def.Name)
+	case cfg.Batch > 1:
+		return batched{single{def, NewProgram(cfg.Seed, cfg.Txns)}, cfg.Batch}, nil
 	}
-	defer dev.Close()
-	e, err := def.New(dev, false, engineOpts()...)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	dev.SetHook(func(pmem.Event) { n++ })
-	p.run(e, func() {})
-	dev.SetHook(nil)
-	return n, nil
-}
-
-// RunPoint runs the canonical workload on a fresh device, crashes at
-// persistence event number event (1-based), recovers, and verifies every
-// invariant. It returns (completed, err): completed is true when the
-// workload finished before reaching the event (the index is past the end of
-// the trace), err is non-nil on an invariant violation.
-func RunPoint(def EngineDef, mode pmem.Mode, devSeed int64, p *Program, event int) (completed bool, err error) {
-	return RunPointOn(nil, def, mode, devSeed, p, event)
-}
-
-// RunPointOn is RunPoint with an explicit device factory (nil = simulator).
-func RunPointOn(fac DeviceFactory, def EngineDef, mode pmem.Mode, devSeed int64, p *Program, event int) (completed bool, err error) {
-	dev, err := fac.newDevice(def.DeviceConfig(mode, devSeed, engineOpts()...))
-	if err != nil {
-		return false, err
-	}
-	defer dev.Close()
-	e, err := def.New(dev, false, engineOpts()...)
-	if err != nil {
-		return false, err
-	}
-
-	n := 0
-	dev.SetHook(func(pmem.Event) {
-		n++
-		if n >= event {
-			panic(crashSignal{event: event})
-		}
-	})
-	acked := 0
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); ok {
-					crashed = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		p.run(e, func() { acked++ })
-	}()
-	dev.SetHook(nil)
-	if !crashed {
-		return true, nil
-	}
-
-	// The power failure: lose everything that was not durable.
-	dev.Crash()
-
-	return false, RecoverAndVerify(def, dev, p, acked)
-}
-
-// RecoverAndVerify re-attaches def's engine to dev (which must hold a
-// post-crash image) and checks every recovery invariant against the oracle:
-// recovery succeeds, the allocator audits clean, the logical state is
-// exactly StateAfter(acked) or StateAfter(acked+1), and the recovered engine
-// still commits. Shared by the enumerated sweep, the torn-msync tests and
-// the whole-process kill harness.
-func RecoverAndVerify(def EngineDef, dev pmem.Device, p *Program, acked int) error {
-	// Invariant 1: recovery must succeed (magic intact, no corruption).
-	r, err := def.New(dev, true, engineOpts()...)
-	if err != nil {
-		return fmt.Errorf("recovery failed after %d acked txns: %w", acked, err)
-	}
-
-	// Invariant 2: the heap must tile into valid allocator blocks.
-	auditOK := false
-	r.Read(func(tx tm.Tx) uint64 {
-		db, ok := r.(interface{ DynBase() tm.Ptr })
-		if !ok {
-			return 0
-		}
-		_, _, auditOK = talloc.Audit(tx, db.DynBase())
-		return 0
-	})
-	if !auditOK {
-		return fmt.Errorf("allocator audit failed after %d acked txns", acked)
-	}
-
-	// Invariant 3: differential state. The crash interrupted transaction
-	// acked+1 (if any); recovery must land on exactly the oracle state
-	// after acked or acked+1 transactions — all-or-nothing, never torn,
-	// and never losing an acknowledged commit.
-	got := readState(r)
-	next := acked + 1
-	if next > p.Len() {
-		next = p.Len()
-	}
-	if got != p.StateAfter(acked) && got != p.StateAfter(next) {
-		return fmt.Errorf(
-			"oracle divergence after %d acked txns:\n--- recovered ---\n%s\n--- want (k=%d) ---\n%s\n--- or (k=%d) ---\n%s",
-			acked, got, acked, p.StateAfter(acked), next, p.StateAfter(next))
-	}
-
-	// Invariant 4: liveness — the recovered engine still commits and reads.
-	r.Update(func(tx tm.Tx) uint64 {
-		tx.Store(tm.Root(8), 0xBEEF)
-		return 0
-	})
-	if v := r.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(8)) }); v != 0xBEEF {
-		return errors.New("post-recovery update lost")
-	}
-	return nil
+	return single{def, NewProgram(cfg.Seed, cfg.Txns)}, nil
 }
 
 // Run executes the crash-point matrix described by cfg and returns the
-// aggregated result. It never stops at the first violation: the full list
-// of failing points is part of the report.
+// aggregated result. A configuration it does not admit is an error before
+// any point runs. It never stops at the first violation: the full list of
+// failing points is part of the report.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Txns <= 0 {
 		cfg.Txns = 10
@@ -279,27 +208,33 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
+	cfg.Batch = max(cfg.Batch, 1)
+	cfg.Shards = max(cfg.Shards, 1)
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	names := cfg.Engines
 	if len(names) == 0 {
-		if cfg.Batch > 1 {
-			names = []string{"OF-LF-PTM", "OF-WF-PTM"}
+		if cfg.Batch > 1 || cfg.Shards > 1 {
+			names = oneFile
 		} else {
 			for _, d := range Engines() {
 				names = append(names, d.Name)
 			}
 		}
 	}
-	p := NewProgram(cfg.Seed, cfg.Txns)
-	res := &Result{Events: map[string]int{}}
-
-	type sweep struct {
-		mode    pmem.Mode
-		devSeed int64
+	scs := make([]scenario, len(names))
+	for i, name := range names {
+		def, err := EngineByName(name)
+		if err != nil {
+			return nil, err
+		}
+		if scs[i], err = newScenario(cfg, def); err != nil {
+			return nil, err
+		}
 	}
+
 	var sweeps []sweep
 	if cfg.Strict {
 		sweeps = append(sweeps, sweep{pmem.StrictMode, 1})
@@ -308,40 +243,26 @@ func Run(cfg Config) (*Result, error) {
 		sweeps = append(sweeps, sweep{pmem.RelaxedMode, s})
 	}
 
-	for _, name := range names {
-		def, err := EngineByName(name)
-		if err != nil {
-			return nil, err
-		}
+	res := &Result{Events: map[string]int{}}
+	for i, sc := range scs {
 		for _, sw := range sweeps {
-			var events int
-			var err error
-			if cfg.Batch > 1 {
-				events, err = EnumerateBatchedOn(cfg.Device, def, sw.mode, p, cfg.Batch)
-			} else {
-				events, err = EnumerateOn(cfg.Device, def, sw.mode, p)
-			}
+			count, err := runPoint(sc, cfg.Device, sw, 0)
 			if err != nil {
-				return nil, fmt.Errorf("crashcheck: enumerating %s: %w", name, err)
+				return nil, fmt.Errorf("crashcheck: enumerating %s: %w", sc.name(), err)
 			}
-			res.Events[name] = events
-			logf("%s mode=%d devseed=%d batch=%d: %d persistence events, checking every %d",
-				name, sw.mode, sw.devSeed, cfg.Batch, events, cfg.Stride)
-			for i := 1; i <= events; i += cfg.Stride {
-				var completed bool
-				if cfg.Batch > 1 {
-					completed, err = RunPointBatchedOn(cfg.Device, def, sw.mode, sw.devSeed, p, cfg.Batch, i)
-				} else {
-					completed, err = RunPointOn(cfg.Device, def, sw.mode, sw.devSeed, p, i)
-				}
-				if completed {
-					break
+			res.Events[sc.name()] = count.events
+			logf("%s mode=%d devseed=%d batch=%d shards=%d: %d persistence events, checking every %d",
+				sc.name(), sw.mode, sw.devSeed, cfg.Batch, cfg.Shards, count.events, cfg.Stride)
+			for event := 1; event <= count.events; event += cfg.Stride {
+				tr, err := runPoint(sc, cfg.Device, sw, event)
+				if err == nil && !tr.crashed {
+					break // the workload finished before the event
 				}
 				res.Points++
 				if err != nil {
 					v := Violation{
-						Engine: name, Mode: sw.mode, DevSeed: sw.devSeed,
-						Seed: cfg.Seed, Txns: cfg.Txns, Event: i, Detail: err.Error(),
+						Engine: names[i], Mode: sw.mode, DevSeed: sw.devSeed, Seed: cfg.Seed,
+						Txns: cfg.Txns, Batch: cfg.Batch, Shards: cfg.Shards, Event: event, Detail: err.Error(),
 					}
 					res.Violations = append(res.Violations, v)
 					logf("VIOLATION %s", v)

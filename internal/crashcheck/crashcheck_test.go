@@ -1,31 +1,18 @@
 package crashcheck
 
 import (
+	"strings"
 	"testing"
 
+	"onefile/internal/pmem"
 	"onefile/internal/testutil"
 )
 
-// TestCrashMatrix is the acceptance sweep: crash at every persistence event
-// of the canonical workload, for every persistent engine, in StrictMode and
-// (full mode) across eight RelaxedMode device seeds, and demand zero
-// violations. -short bounds the run for CI's race build: a smaller program,
-// two relaxed seeds, and a stride over the relaxed event space (StrictMode
-// stays exhaustive — it is the cheap half and the paper's core claim).
-func TestCrashMatrix(t *testing.T) {
-	seed := testutil.Seed(t, 1)
-	cfg := Config{
-		Seed:         seed,
-		Txns:         6,
-		Stride:       1,
-		Strict:       true,
-		RelaxedSeeds: []int64{1, 2, 3, 4, 5, 6, 7, 8},
-		Logf:         t.Logf,
-	}
-	if testing.Short() {
-		cfg.Txns = 4
-		cfg.RelaxedSeeds = nil // strided relaxed sweep lives in its own test
-	}
+// runMatrix runs cfg and fails t on an error, on any violation, or when the
+// matrix exercised no crash point.
+func runMatrix(t *testing.T, cfg Config) {
+	t.Helper()
+	cfg.Logf = t.Logf
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +26,27 @@ func TestCrashMatrix(t *testing.T) {
 	}
 }
 
+// TestCrashMatrix is the acceptance sweep: crash at every persistence event
+// of the canonical workload, for every persistent engine, in StrictMode and
+// (full mode) across eight RelaxedMode device seeds, and demand zero
+// violations. -short bounds the run for CI's race build: a smaller program,
+// and the relaxed sweep left to a strided test (StrictMode stays
+// exhaustive — it is the cheap half and the paper's core claim).
+func TestCrashMatrix(t *testing.T) {
+	cfg := Config{
+		Seed:         testutil.Seed(t, 1),
+		Txns:         6,
+		Stride:       1,
+		Strict:       true,
+		RelaxedSeeds: []int64{1, 2, 3, 4, 5, 6, 7, 8},
+	}
+	if testing.Short() {
+		cfg.Txns = 4
+		cfg.RelaxedSeeds = nil // strided relaxed sweep lives in its own test
+	}
+	runMatrix(t, cfg)
+}
+
 // TestCrashMatrixRelaxedStride keeps a strided RelaxedMode sweep in the
 // -short tier so the buffered-flush drop path is exercised under the race
 // detector too, at a bounded cost.
@@ -46,23 +54,12 @@ func TestCrashMatrixRelaxedStride(t *testing.T) {
 	if !testing.Short() {
 		t.Skip("covered exhaustively by TestCrashMatrix in full mode")
 	}
-	seed := testutil.Seed(t, 1)
-	res, err := Run(Config{
-		Seed:         seed,
+	runMatrix(t, Config{
+		Seed:         testutil.Seed(t, 1),
 		Txns:         4,
 		Stride:       5,
 		RelaxedSeeds: []int64{11, 12, 13},
-		Logf:         t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	if res.Points == 0 {
-		t.Fatal("matrix exercised no crash points")
-	}
 }
 
 // TestCrashMatrixCombined is the batch-atomicity sweep (satellite of the
@@ -71,39 +68,108 @@ func TestCrashMatrixRelaxedStride(t *testing.T) {
 // event must recover to a state before or after each whole chunk — never an
 // intermediate prefix (a torn batch). StrictMode, both OneFile PTMs.
 func TestCrashMatrixCombined(t *testing.T) {
-	seed := testutil.Seed(t, 1)
 	cfg := Config{
-		Seed:   seed,
+		Seed:   testutil.Seed(t, 1),
 		Txns:   8,
 		Batch:  4,
 		Stride: 1,
 		Strict: true,
-		Logf:   t.Logf,
 	}
 	if testing.Short() {
 		cfg.Txns = 5
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	t.Logf("combined sweep: %d crash points, %d violations", res.Points, len(res.Violations))
-	if res.Points == 0 {
-		t.Fatal("combined matrix exercised no crash points")
+	runMatrix(t, cfg)
+}
+
+// TestRunRejectsConfig: a configuration the driver does not admit is an
+// error before any point runs — not a silent per-op fallback, and not a
+// partial sweep of the engines listed before the offending one.
+func TestRunRejectsConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"batch=4,PMDK", Config{Batch: 4, Engines: []string{"PMDK"}}},
+		{"batch=4,OF-LF-PTM+PMDK", Config{Batch: 4, Engines: []string{"OF-LF-PTM", "PMDK"}}},
+		{"shards=2,batch=4", Config{Shards: 2, Batch: 4}},
+		{"shards=2,RomulusLog", Config{Shards: 2, Engines: []string{"RomulusLog"}}},
+		{"shards=3,OF-WF-PTM+PMDK", Config{Shards: 3, Engines: []string{"OF-WF-PTM", "PMDK"}}},
+		{"unknown engine", Config{Engines: []string{"OF-LF-PTM", "NoSuchPTM"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Txns, cfg.Strict = 3, true
+			cfg.Device = func(c pmem.Config) (pmem.Device, error) {
+				t.Error("a rejected configuration opened a device")
+				return pmem.New(c)
+			}
+			cfg.Logf = func(format string, args ...any) {
+				t.Errorf("a rejected configuration ran: "+format, args...)
+			}
+			res, err := Run(cfg)
+			if err == nil {
+				t.Fatalf("Run accepted the configuration: %+v", res)
+			}
+			t.Log(err)
+		})
 	}
 }
 
-// TestBatchedSweepRejectsNonCombining: batched mode on an engine without a
-// combiner is a configuration error, not a silent per-op fallback.
-func TestBatchedSweepRejectsNonCombining(t *testing.T) {
-	_, err := Run(Config{
-		Seed: 1, Txns: 3, Batch: 4, Strict: true,
-		Engines: []string{"PMDK"},
-	})
-	if err == nil {
-		t.Fatal("batched sweep on PMDK did not error")
+// TestViolationNamesWorkload: a violation line carries every value the
+// workload depends on, so replaying it with the printed values runs the
+// same points.
+func TestViolationNamesWorkload(t *testing.T) {
+	v := Violation{Engine: "OF-WF-PTM", Mode: pmem.StrictMode, DevSeed: 3, Seed: 7,
+		Txns: 8, Batch: 4, Shards: 2, Event: 19, Detail: "boom"}
+	for _, want := range []string{"OF-WF-PTM", "devseed=3", "wlseed=7", "txns=8", "batch=4", "shards=2", "event=19", "boom"} {
+		if !strings.Contains(v.String(), want) {
+			t.Errorf("%q does not name %s", v, want)
+		}
+	}
+}
+
+// TestCheckOracle exercises the oracle check on both sides of its window.
+// No passing matrix reaches the torn branch, so it is driven here with
+// digests straight from a program: every prefix strictly inside an
+// in-flight chunk is a TORN BATCH, both ends of the chunk pass, and any
+// state outside [acked, acked+inflight] diverges.
+func TestCheckOracle(t *testing.T) {
+	p := NewProgram(1, 8)
+	seen := map[string]int{}
+	for k := 0; k <= p.Len(); k++ {
+		if prev, dup := seen[p.StateAfter(k)]; dup {
+			t.Fatalf("oracle digests after %d and %d transactions collide", prev, k)
+		}
+		seen[p.StateAfter(k)] = k
+	}
+
+	const acked, inflight = 4, 4 // chunk [5,8]
+	for k := 0; k <= p.Len(); k++ {
+		err := checkOracle(p, p.StateAfter(k), acked, inflight)
+		switch {
+		case k == acked || k == acked+inflight:
+			if err != nil {
+				t.Errorf("k=%d: an end of the chunk was refused: %v", k, err)
+			}
+		case k > acked && k < acked+inflight:
+			if err == nil || !strings.HasPrefix(err.Error(), "TORN BATCH") {
+				t.Errorf("k=%d: intermediate prefix gave %v, want TORN BATCH", k, err)
+			}
+		default:
+			if err == nil || !strings.HasPrefix(err.Error(), "oracle divergence") {
+				t.Errorf("k=%d: state outside the window gave %v, want divergence", k, err)
+			}
+		}
+	}
+	if err := checkOracle(p, "not a digest", acked, inflight); err == nil || !strings.HasPrefix(err.Error(), "oracle divergence") {
+		t.Errorf("a foreign state gave %v, want divergence", err)
+	}
+	// One transaction in flight: the window is {acked, acked+1}, and a crash
+	// after the last transaction has nothing in flight to recover to.
+	if err := checkOracle(p, p.StateAfter(acked+2), acked, 1); err == nil || strings.HasPrefix(err.Error(), "TORN") {
+		t.Errorf("two past a solo transaction gave %v, want divergence", err)
+	}
+	if err := checkOracle(p, p.StateAfter(p.Len()), p.Len(), 1); err != nil {
+		t.Errorf("the final state after every ack was refused: %v", err)
 	}
 }

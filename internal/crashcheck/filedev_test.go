@@ -1,58 +1,28 @@
 package crashcheck
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"onefile/internal/pmem"
-	"onefile/internal/pmem/filedev"
 	"onefile/internal/testutil"
 )
-
-// fileFactory builds a DeviceFactory backed by the mmap file device in dir.
-// The sweep runs its points sequentially and every point formats from
-// scratch, so one path is reused (removed before each Create).
-func fileFactory(dir string) DeviceFactory {
-	n := 0
-	return func(cfg pmem.Config) (pmem.Device, error) {
-		n++
-		path := filepath.Join(dir, fmt.Sprintf("sweep-%d.img", n%2))
-		os.Remove(path)
-		return filedev.Create(path, cfg)
-	}
-}
 
 // TestCrashMatrixFileDevice re-runs the enumerated crash matrix with every
 // device a real mmap-backed file: the same engines, the same workload, the
 // same oracle — only the persistence layer changes. Zero violations proves
 // the engines' recovery protocol does not secretly depend on the simulator.
 func TestCrashMatrixFileDevice(t *testing.T) {
-	seed := testutil.Seed(t, 1)
 	cfg := Config{
-		Seed:         seed,
+		Seed:         testutil.Seed(t, 1),
 		Txns:         6,
 		Stride:       1,
 		Strict:       true,
 		RelaxedSeeds: []int64{1, 2},
-		Device:       fileFactory(testutil.TmpfsDir(t)),
-		Logf:         t.Logf,
+		Device:       FileDevices(testutil.TmpfsDir(t), 1),
 	}
 	if testing.Short() {
 		cfg.Txns = 4
 		cfg.Stride = 3
 		cfg.RelaxedSeeds = nil
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	t.Logf("file-device matrix: %d crash points, %d violations", res.Points, len(res.Violations))
-	if res.Points == 0 {
-		t.Fatal("matrix exercised no crash points")
-	}
+	runMatrix(t, cfg)
 }

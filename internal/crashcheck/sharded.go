@@ -7,21 +7,91 @@ import (
 	"onefile/internal/core"
 	"onefile/internal/pmem"
 	"onefile/internal/shard"
-	"onefile/internal/talloc"
 	"onefile/internal/tm"
 )
 
-// sharded.go extends the enumerated crash matrix across a partitioned
-// multi-engine store (internal/shard): N devices, one per shard, with the
-// crash-event counter SHARED across all of them so a simulated power
-// failure hits the whole machine at one global persistence event — exactly
-// the adversary the cross-shard two-phase commit must survive. The sweep
-// crashes at every event index of a canonical cross-shard workload, then
-// re-attaches the full device set (running in-doubt resolution) and checks
-// the recovered state against a cross-shard sequential oracle: after a
-// crash anywhere inside a 2PC — between prepares, after the decide, during
-// the applies — the store must hold exactly the oracle state after k or
-// k+1 whole workload transactions, never a torn transfer.
+// sharded is the crash matrix's scenario over a partitioned multi-engine
+// store (internal/shard): N devices, one per shard, all under crashAt's one
+// event counter, so a simulated power failure hits the whole machine at one
+// global persistence event — exactly the adversary the cross-shard two-phase
+// commit must survive. After a crash the full device set is re-attached
+// (running in-doubt resolution) and checked against a cross-shard
+// sequential oracle: after a crash anywhere inside a 2PC — between
+// prepares, after the decide, during the applies — the store must hold
+// exactly the oracle state after k or k+1 whole workload transactions,
+// never a torn transfer. Every shard's allocator audits clean (the 2PC
+// staging blocks are ordinary allocations), and the recovered store must
+// still commit a cross-shard transaction.
+type sharded struct {
+	engine string // OF-LF-PTM or OF-WF-PTM, on every shard
+	*ShardedProgram
+}
+
+func (s sharded) name() string { return fmt.Sprintf("%s x%d", s.engine, s.Shards) }
+
+func (s sharded) open(fac DeviceFactory, mode pmem.Mode, devSeed int64) ([]pmem.Device, func(func(int)) error, error) {
+	st, devs, err := s.start(fac, mode, devSeed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return devs, func(ack func(int)) error { return s.run(st, ack) }, nil
+}
+
+// start formats one device per shard (seeds devSeed+i, so RelaxedMode
+// reorders independently per shard) and a fresh store over them.
+func (s sharded) start(fac DeviceFactory, mode pmem.Mode, devSeed int64) (*shard.Store, []pmem.Device, error) {
+	var devs []pmem.Device
+	for i := 0; i < s.Shards; i++ {
+		d, err := fac.newDevice(core.DeviceConfig(mode, devSeed+int64(i), engineOpts()...))
+		if err != nil {
+			closeAll(devs)
+			return nil, nil, err
+		}
+		devs = append(devs, d)
+	}
+	st, err := s.store(devs, false)
+	if err != nil {
+		closeAll(devs)
+		return nil, nil, err
+	}
+	return st, devs, nil
+}
+
+func (s sharded) store(devs []pmem.Device, attach bool) (*shard.Store, error) {
+	return shard.NewPersistent(devs, s.engine == "OF-WF-PTM", attach, identityPart(s.Shards), engineOpts()...)
+}
+
+func (sharded) inflight(int) int { return 1 }
+
+func (s sharded) attach(devs []pmem.Device) (recovered, error) {
+	st, err := s.store(devs, true)
+	if err != nil {
+		return recovered{}, err
+	}
+	r := recovered{
+		state: func() string { return readShardedState(st) },
+		live: func() error {
+			last := st.Shards() - 1
+			if _, err := st.UpdateCross([]uint64{0, uint64(last)}, func(m tm.MultiTx) uint64 {
+				m.Store(0, tm.Root(2), 0xBEEF)
+				m.Store(last, tm.Root(2), 0xBEEF)
+				return 0
+			}); err != nil {
+				return fmt.Errorf("post-recovery cross-shard update failed: %w", err)
+			}
+			v0 := st.ReadOn(0, func(tx tm.Tx) uint64 { return tx.Load(tm.Root(2)) })
+			vl := st.ReadOn(last, func(tx tm.Tx) uint64 { return tx.Load(tm.Root(2)) })
+			if v0 != 0xBEEF || vl != 0xBEEF {
+				return fmt.Errorf("post-recovery cross-shard update lost: (%#x, %#x)", v0, vl)
+			}
+			return nil
+		},
+	}
+	for i := 0; i < st.Shards(); i++ {
+		r.engines = append(r.engines, st.Engine(i))
+	}
+	return r, nil
+}
 
 // shardInitialPot funds each shard's transfer balance so cross-shard
 // debits never wrap.
@@ -116,10 +186,9 @@ func identityPart(n int) shard.Partitioner {
 }
 
 // run executes the program on st, one store-level transaction per workload
-// transaction, calling acked after each one returns.
-func (p *ShardedProgram) run(st *shard.Store, acked func()) {
-	for _, t := range p.txns {
-		tc := t
+// transaction, calling ack(1) after each one returns.
+func (p *ShardedProgram) run(st *shard.Store, ack func(n int)) error {
+	for _, tc := range p.txns {
 		switch {
 		case tc.setup > 0:
 			st.UpdateOn(tc.setup-1, func(tx tm.Tx) uint64 {
@@ -134,7 +203,7 @@ func (p *ShardedProgram) run(st *shard.Store, acked func()) {
 				m.Store(tc.b, tm.Root(1), tc.gen)
 				return 0
 			}); err != nil {
-				panic(err)
+				return fmt.Errorf("cross-shard txn %d: %w", tc.gen, err)
 			}
 		default:
 			st.UpdateOn(tc.a, func(tx tm.Tx) uint64 {
@@ -143,8 +212,9 @@ func (p *ShardedProgram) run(st *shard.Store, acked func()) {
 				return 0
 			})
 		}
-		acked()
+		ack(1)
 	}
+	return nil
 }
 
 // readShardedState reads the recovered store's logical state back into an
@@ -157,257 +227,4 @@ func readShardedState(st *shard.Store) string {
 		gens[s] = st.ReadOn(s, func(tx tm.Tx) uint64 { return tx.Load(tm.Root(1)) })
 	}
 	return digestShards(pots, gens)
-}
-
-// newShardedStore builds the device set (one per shard, seeds devSeed+i so
-// RelaxedMode reorders independently per shard) and a fresh or attached
-// store over it. The caller owns the returned devices.
-func (p *ShardedProgram) newShardedStore(fac DeviceFactory, mode pmem.Mode, devSeed int64, waitFree, attach bool, devs []pmem.Device) (*shard.Store, []pmem.Device, error) {
-	opened := devs == nil
-	if opened {
-		for i := 0; i < p.Shards; i++ {
-			d, err := fac.newDevice(core.DeviceConfig(mode, devSeed+int64(i), engineOpts()...))
-			if err != nil {
-				for _, c := range devs {
-					c.Close()
-				}
-				return nil, nil, err
-			}
-			devs = append(devs, d)
-		}
-	}
-	st, err := shard.NewPersistent(devs, waitFree, attach, identityPart(p.Shards), engineOpts()...)
-	if err != nil {
-		if opened {
-			for _, c := range devs {
-				c.Close()
-			}
-		}
-		return nil, nil, err
-	}
-	return st, devs, nil
-}
-
-// EnumerateSharded runs the sharded workload to completion on fresh
-// devices and returns the total number of persistence events across ALL
-// shard devices — the crash-point space of one sweep. Deterministic for a
-// fixed (program, mode, waitFree): the workload is single-threaded and
-// every store-level transaction schedules its engine transactions in a
-// fixed order.
-func EnumerateSharded(fac DeviceFactory, mode pmem.Mode, p *ShardedProgram, waitFree bool) (int, error) {
-	st, devs, err := p.newShardedStore(fac, mode, 1, waitFree, false, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		for _, d := range devs {
-			d.Close()
-		}
-	}()
-	n := 0
-	for _, d := range devs {
-		d.SetHook(func(pmem.Event) { n++ })
-	}
-	p.run(st, func() {})
-	for _, d := range devs {
-		d.SetHook(nil)
-	}
-	return n, nil
-}
-
-// RunShardedPoint runs the sharded workload on fresh devices, crashes the
-// whole machine at global persistence event number event (1-based, counted
-// across every shard device), recovers the full device set and verifies
-// the cross-shard invariants. Returns (completed, err) like RunPointOn.
-func RunShardedPoint(fac DeviceFactory, mode pmem.Mode, devSeed int64, p *ShardedProgram, waitFree bool, event int) (completed bool, err error) {
-	st, devs, err := p.newShardedStore(fac, mode, devSeed, waitFree, false, nil)
-	if err != nil {
-		return false, err
-	}
-	defer func() {
-		for _, d := range devs {
-			d.Close()
-		}
-	}()
-
-	// One counter across all devices: the crash is a whole-machine event.
-	// Once it fires it keeps firing, so nothing on any shard becomes
-	// durable after the "power failure".
-	n := 0
-	for _, d := range devs {
-		d.SetHook(func(pmem.Event) {
-			n++
-			if n >= event {
-				panic(crashSignal{event: event})
-			}
-		})
-	}
-	acked := 0
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); ok {
-					crashed = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		p.run(st, func() { acked++ })
-	}()
-	for _, d := range devs {
-		d.SetHook(nil)
-	}
-	if !crashed {
-		return true, nil
-	}
-
-	for _, d := range devs {
-		d.Crash()
-	}
-	return false, RecoverShardedAndVerify(devs, p, waitFree, acked)
-}
-
-// RecoverShardedAndVerify attaches a sharded store to devs (which must
-// hold a post-crash image set), letting in-doubt resolution run, and
-// checks every recovery invariant: attach succeeds on all shards, each
-// shard's allocator audits clean (the 2PC staging blocks are ordinary
-// allocations), the logical state across ALL shards equals the sequential
-// oracle after exactly acked or acked+1 workload transactions — so a
-// cross-shard transfer is all-or-nothing over the whole store — and the
-// recovered store still commits cross-shard transactions.
-func RecoverShardedAndVerify(devs []pmem.Device, p *ShardedProgram, waitFree bool, acked int) error {
-	st, _, err := p.newShardedStore(nil, pmem.StrictMode, 0, waitFree, true, devs)
-	if err != nil {
-		return fmt.Errorf("sharded recovery failed after %d acked txns: %w", acked, err)
-	}
-
-	for s := 0; s < st.Shards(); s++ {
-		e := st.Engine(s)
-		auditOK := false
-		e.Read(func(tx tm.Tx) uint64 {
-			_, _, auditOK = talloc.Audit(tx, e.DynBase())
-			return 0
-		})
-		if !auditOK {
-			return fmt.Errorf("shard %d: allocator audit failed after %d acked txns", s, acked)
-		}
-	}
-
-	got := readShardedState(st)
-	next := acked + 1
-	if next > p.Len() {
-		next = p.Len()
-	}
-	if got != p.StateAfter(acked) && got != p.StateAfter(next) {
-		return fmt.Errorf(
-			"cross-shard oracle divergence after %d acked txns:\n--- recovered ---\n%s\n--- want (k=%d) ---\n%s\n--- or (k=%d) ---\n%s",
-			acked, got, acked, p.StateAfter(acked), next, p.StateAfter(next))
-	}
-
-	// Liveness: the recovered store must still commit a 2PC transaction.
-	last := st.Shards() - 1
-	if _, err := st.UpdateCross([]uint64{0, uint64(last)}, func(m tm.MultiTx) uint64 {
-		m.Store(0, tm.Root(2), 0xBEEF)
-		m.Store(last, tm.Root(2), 0xBEEF)
-		return 0
-	}); err != nil {
-		return fmt.Errorf("post-recovery cross-shard update failed: %w", err)
-	}
-	v0 := st.ReadOn(0, func(tx tm.Tx) uint64 { return tx.Load(tm.Root(2)) })
-	vl := st.ReadOn(last, func(tx tm.Tx) uint64 { return tx.Load(tm.Root(2)) })
-	if v0 != 0xBEEF || vl != 0xBEEF {
-		return fmt.Errorf("post-recovery cross-shard update lost: (%#x, %#x)", v0, vl)
-	}
-	return nil
-}
-
-// ShardedConfig parameterises a sharded matrix run.
-type ShardedConfig struct {
-	// Shards is the number of engines/devices (>= 2); 0 defaults to 2.
-	Shards int
-	// Txns is the number of mixed transactions after the per-shard setup.
-	Txns int
-	// Seed derives the workload program.
-	Seed int64
-	// Stride checks every Stride-th event index (1 = exhaustive).
-	Stride int
-	// WaitFree selects the wait-free engine variant per shard.
-	WaitFree bool
-	// Strict enables the StrictMode sweep.
-	Strict bool
-	// RelaxedSeeds are base device seeds for the RelaxedMode sweeps (each
-	// shard device gets base+shardIndex); empty disables RelaxedMode.
-	RelaxedSeeds []int64
-	// Device builds each shard device; nil = simulator. A file-backed
-	// factory must keep Shards devices alive per point.
-	Device DeviceFactory
-	// Logf, when non-nil, receives progress lines.
-	Logf func(format string, args ...any)
-}
-
-// RunSharded executes the cross-shard crash matrix and returns the
-// aggregated result (the Events map is keyed by an engine×shards label).
-func RunSharded(cfg ShardedConfig) (*Result, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 2
-	}
-	if cfg.Txns <= 0 {
-		cfg.Txns = 8
-	}
-	if cfg.Stride <= 0 {
-		cfg.Stride = 1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	name := fmt.Sprintf("OF-LF-PTM x%d", cfg.Shards)
-	if cfg.WaitFree {
-		name = fmt.Sprintf("OF-WF-PTM x%d", cfg.Shards)
-	}
-	p := NewShardedProgram(cfg.Seed, cfg.Shards, cfg.Txns)
-	res := &Result{Events: map[string]int{}}
-
-	type sweep struct {
-		mode    pmem.Mode
-		devSeed int64
-	}
-	var sweeps []sweep
-	if cfg.Strict {
-		sweeps = append(sweeps, sweep{pmem.StrictMode, 1})
-	}
-	for _, s := range cfg.RelaxedSeeds {
-		sweeps = append(sweeps, sweep{pmem.RelaxedMode, s})
-	}
-
-	for _, sw := range sweeps {
-		events, err := EnumerateSharded(cfg.Device, sw.mode, p, cfg.WaitFree)
-		if err != nil {
-			return nil, fmt.Errorf("crashcheck: enumerating %s: %w", name, err)
-		}
-		res.Events[name] = events
-		logf("%s mode=%d devseed=%d: %d persistence events across %d devices, checking every %d",
-			name, sw.mode, sw.devSeed, events, cfg.Shards, cfg.Stride)
-		for i := 1; i <= events; i += cfg.Stride {
-			completed, err := RunShardedPoint(cfg.Device, sw.mode, sw.devSeed, p, cfg.WaitFree, i)
-			if completed {
-				break
-			}
-			res.Points++
-			if err != nil {
-				v := Violation{
-					Engine: name, Mode: sw.mode, DevSeed: sw.devSeed,
-					Seed: cfg.Seed, Txns: cfg.Txns, Event: i, Detail: err.Error(),
-				}
-				res.Violations = append(res.Violations, v)
-				logf("VIOLATION %s", v)
-			}
-		}
-	}
-	return res, nil
 }

@@ -2,12 +2,9 @@ package crashcheck
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"onefile/internal/pmem"
-	"onefile/internal/pmem/filedev"
 	"onefile/internal/testutil"
 )
 
@@ -24,18 +21,18 @@ func TestShardedOracle(t *testing.T) {
 		}
 		seen[p.StateAfter(k)] = k
 	}
-	st, devs, err := p.newShardedStore(nil, pmem.StrictMode, 1, false, false, nil)
+	st, devs, err := sharded{"OF-LF-PTM", p}.start(nil, pmem.StrictMode, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		st.Close()
-		for _, d := range devs {
-			d.Close()
-		}
+		closeAll(devs)
 	}()
 	acked := 0
-	p.run(st, func() { acked++ })
+	if err := p.run(st, func(n int) { acked += n }); err != nil {
+		t.Fatal(err)
+	}
 	if acked != p.Len() {
 		t.Fatalf("acked %d of %d transactions", acked, p.Len())
 	}
@@ -44,58 +41,27 @@ func TestShardedOracle(t *testing.T) {
 	}
 }
 
-// TestShardedEnumerationDeterministic: the whole-machine event count must
-// be reproducible, or point indices would not name unique crash sites.
-func TestShardedEnumerationDeterministic(t *testing.T) {
-	p := NewShardedProgram(3, 2, 6)
-	a, err := EnumerateSharded(nil, pmem.StrictMode, p, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EnumerateSharded(nil, pmem.StrictMode, p, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b || a == 0 {
-		t.Fatalf("event counts %d vs %d", a, b)
-	}
-	t.Logf("2-shard canonical workload: %d persistence events", a)
-}
-
-// TestCrashMatrixSharded is the issue's cross-shard matrix on the
-// simulator: every global persistence event of the 2-shard and 3-shard
-// canonical workloads, strict and relaxed, with zero tolerated atomicity
-// violations.
+// TestCrashMatrixSharded is the cross-shard matrix on the simulator: every
+// global persistence event of the 2-shard and 3-shard canonical workloads,
+// strict and relaxed, with zero tolerated atomicity violations.
 func TestCrashMatrixSharded(t *testing.T) {
 	for _, shards := range []int{2, 3} {
-		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := ShardedConfig{
+			cfg := Config{
+				Engines:      []string{"OF-LF-PTM"},
 				Shards:       shards,
 				Txns:         8,
 				Seed:         testutil.Seed(t, 1),
 				Stride:       1,
 				Strict:       true,
 				RelaxedSeeds: []int64{1, 2},
-				Logf:         t.Logf,
 			}
 			if testing.Short() {
 				cfg.Txns = 5
 				cfg.Stride = 4
 				cfg.RelaxedSeeds = []int64{1}
 			}
-			res, err := RunSharded(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			if res.Points == 0 {
-				t.Fatal("matrix exercised no crash points")
-			}
-			t.Logf("sharded matrix (%d shards): %d crash points, %d violations",
-				shards, res.Points, len(res.Violations))
+			runMatrix(t, cfg)
 		})
 	}
 }
@@ -103,71 +69,38 @@ func TestCrashMatrixSharded(t *testing.T) {
 // TestCrashMatrixShardedWaitFree sweeps the wait-free engine variant: the
 // 2PC path must be engine-flavour agnostic.
 func TestCrashMatrixShardedWaitFree(t *testing.T) {
-	cfg := ShardedConfig{
-		Shards:   2,
-		Txns:     6,
-		Seed:     testutil.Seed(t, 2),
-		Stride:   1,
-		WaitFree: true,
-		Strict:   true,
-		Logf:     t.Logf,
+	cfg := Config{
+		Engines: []string{"OF-WF-PTM"},
+		Shards:  2,
+		Txns:    6,
+		Seed:    testutil.Seed(t, 2),
+		Stride:  1,
+		Strict:  true,
 	}
 	if testing.Short() {
 		cfg.Txns = 4
 		cfg.Stride = 5
 	}
-	res, err := RunSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	if res.Points == 0 {
-		t.Fatal("matrix exercised no crash points")
-	}
-	t.Logf("wait-free sharded matrix: %d crash points, %d violations", res.Points, len(res.Violations))
-}
-
-// shardedFileFactory keeps up to 2*shards live device files (one point's
-// set plus the previous, already-closed set) in dir.
-func shardedFileFactory(dir string, shards int) DeviceFactory {
-	n := 0
-	return func(cfg pmem.Config) (pmem.Device, error) {
-		n++
-		path := filepath.Join(dir, fmt.Sprintf("shard-sweep-%d.img", n%(2*shards)))
-		os.Remove(path)
-		return filedev.Create(path, cfg)
-	}
+	runMatrix(t, cfg)
 }
 
 // TestCrashMatrixShardedFileDevice re-runs the cross-shard matrix with
-// every shard device a real mmap-backed file, as the issue requires: the
-// 2PC recovery protocol must not secretly depend on the simulator.
+// every shard device a real mmap-backed file: the 2PC recovery protocol
+// must not secretly depend on the simulator.
 func TestCrashMatrixShardedFileDevice(t *testing.T) {
 	const shards = 2
-	cfg := ShardedConfig{
-		Shards: shards,
-		Txns:   6,
-		Seed:   testutil.Seed(t, 3),
-		Stride: 1,
-		Strict: true,
-		Device: shardedFileFactory(testutil.TmpfsDir(t), shards),
-		Logf:   t.Logf,
+	cfg := Config{
+		Engines: []string{"OF-LF-PTM"},
+		Shards:  shards,
+		Txns:    6,
+		Seed:    testutil.Seed(t, 3),
+		Stride:  1,
+		Strict:  true,
+		Device:  FileDevices(testutil.TmpfsDir(t), shards),
 	}
 	if testing.Short() {
 		cfg.Txns = 4
 		cfg.Stride = 5
 	}
-	res, err := RunSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	if res.Points == 0 {
-		t.Fatal("matrix exercised no crash points")
-	}
-	t.Logf("file-device sharded matrix: %d crash points, %d violations", res.Points, len(res.Violations))
+	runMatrix(t, cfg)
 }

@@ -31,38 +31,31 @@ import (
 
 // tornTrace is the raw material of one torn crash point: the encoded durable
 // image at the last completed fence, the encoded image at the crash event
-// (all flushed data), and the ack count.
+// (all flushed data), and the crashAt trace with its ack count.
 type tornTrace struct {
+	trace
 	synced []byte
 	final  []byte
-	acked  int
 }
 
 // runTornTrace executes the program on a strict simulator, crashing at
 // persistence event `event` (1-based), and captures the images bracketing
-// the un-synced tail. completed reports the event index is past the trace.
-func runTornTrace(def EngineDef, p *Program, event int) (completed bool, tr tornTrace, err error) {
-	dev, err := pmem.New(def.DeviceConfig(pmem.StrictMode, 1, engineOpts()...))
+// the un-synced tail. tr.crashed is false when the event is past the trace.
+func runTornTrace(def EngineDef, p *Program, event int) (tr tornTrace, err error) {
+	devs, run, err := single{def, p}.open(nil, pmem.StrictMode, 1)
 	if err != nil {
-		return false, tr, err
+		return tr, err
 	}
-	e, err := def.New(dev, false, engineOpts()...)
-	if err != nil {
-		return false, tr, err
-	}
+	defer closeAll(devs)
+	dev := devs[0]
 	// The sweep starts after the format, like the enumerated matrix: the
 	// formatted image is the baseline the fault injection never disturbs
 	// (format completion is the guarantee under test, not its internals).
 	var synced bytes.Buffer
 	if _, err := dev.WriteTo(&synced); err != nil {
-		return false, tr, err
+		return tr, err
 	}
-	n := 0
-	dev.SetHook(func(ev pmem.Event) {
-		n++
-		if n >= event {
-			panic(crashSignal{event: event})
-		}
+	tr.trace, err = crashAt(devs, run, event, func(ev pmem.Event) {
 		// The fence completed (the crash is at a later event): everything
 		// flushed so far is msync'd. In strict mode the image IS the set of
 		// completed flushes, so snapshotting it here captures exactly the
@@ -74,29 +67,16 @@ func runTornTrace(def EngineDef, p *Program, event int) (completed bool, tr torn
 			}
 		}
 	})
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); ok {
-					crashed = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		p.run(e, func() { tr.acked++ })
-	}()
-	dev.SetHook(nil)
-	if !crashed {
-		return true, tr, nil
+	if err != nil || !tr.crashed {
+		return tr, err
 	}
+	// A strict crash keeps every flush, so the crashed image is the final one.
 	var final bytes.Buffer
 	if _, err := dev.WriteTo(&final); err != nil {
-		return false, tr, err
+		return tr, err
 	}
 	tr.synced, tr.final = synced.Bytes(), final.Bytes()
-	return false, tr, nil
+	return tr, nil
 }
 
 // decodeImg splits an encoded snapshot into raw words and interleaved
@@ -190,11 +170,11 @@ func TestTornMsyncBatchRecovery(t *testing.T) {
 			cfg := def.DeviceConfig(pmem.StrictMode, 1, engineOpts()...)
 			points := 0
 			for event := 1; ; event += stride {
-				completed, tr, err := runTornTrace(def, p, event)
+				tr, err := runTornTrace(def, p, event)
 				if err != nil {
 					t.Fatalf("event %d: trace: %v", event, err)
 				}
-				if completed {
+				if !tr.crashed {
 					break
 				}
 				for _, ts := range tornSeeds {
@@ -208,7 +188,7 @@ func TestTornMsyncBatchRecovery(t *testing.T) {
 					if _, err := fdev.ReadFrom(bytes.NewReader(torn)); err != nil {
 						t.Fatalf("event %d: loading torn image: %v", event, err)
 					}
-					if err := RecoverAndVerify(def, fdev, p, tr.acked); err != nil {
+					if err := recoverAndVerify(single{def, p}, []pmem.Device{fdev}, tr.acked); err != nil {
 						keep := filepath.Join(os.TempDir(), fmt.Sprintf("onefile-torn-%s-ev%d-seed%d.img", def.Name, event, ts))
 						fdev.Close()
 						if cerr := os.Rename(path, keep); cerr != nil {

@@ -1,30 +1,3 @@
-// Package crashcheck is the systematic crash-consistency verifier for every
-// persistent engine in this repository. Where internal/bench's kill test
-// crashes at *random* persistence events, crashcheck enumerates *all* of
-// them: it runs a canonical workload once to count the persistence events
-// (pwb/pfence/drain) it issues, then re-runs it once per event index i,
-// simulating a whole-process crash at exactly event i (the pre-event hook of
-// internal/pmem panics before the event takes effect, and keeps panicking so
-// a "dead" process cannot make anything else durable), invokes pmem.Crash,
-// re-attaches the engine and verifies:
-//
-//   - recovery succeeds (magic, sequence bounds — the engines' own attach
-//     invariants, e.g. core.ErrCorrupt, fail the run);
-//   - the allocator audits clean (talloc.Audit tiles the heap exactly);
-//   - the recovered logical state equals the sequential oracle model after
-//     exactly k committed transactions, where k is the number of Update
-//     calls that returned before the crash or that number plus one (the
-//     in-flight transaction is all-or-nothing, never torn);
-//   - the recovered engine still commits and reads (liveness).
-//
-// In RelaxedMode the device additionally drops a seed-chosen subset of
-// buffered-but-unfenced flushes at the crash, so the same enumeration is
-// swept across device seeds — every failure report carries (engine, mode,
-// device seed, workload seed, event index) and is exactly replayable.
-//
-// The design follows the systematic-enumeration methodology of the PMDK
-// validation line of work (Raad et al.), replacing random kill timing with
-// exhaustive persistence-event coverage.
 package crashcheck
 
 import (
@@ -202,25 +175,6 @@ func (m *model) digest() string {
 
 // --- engine-side execution and read-back ---
 
-// runSetup executes the leading container-creation transactions (each is
-// its own engine transaction), calling acked(1) per transaction, and
-// returns the container handles plus the remaining workload transactions.
-func (p *Program) runSetup(e tm.Engine, acked func(n int)) (q *containers.Queue, hs *containers.HashSet, tmp *containers.TreeMap, rest []txn) {
-	i := 0
-	for ; i < len(p.txns) && p.txns[i].setup > 0; i++ {
-		switch p.txns[i].setup {
-		case 1:
-			q = containers.NewQueue(e, slotQueue)
-		case 2:
-			hs = containers.NewHashSet(e, slotSet)
-		case 3:
-			tmp = containers.NewTreeMap(e, slotMap)
-		}
-		acked(1)
-	}
-	return q, hs, tmp, p.txns[i:]
-}
-
 // applyOps applies one workload transaction's container operations inside
 // tx.
 func (p *Program) applyOps(tx tm.Tx, t txn, q *containers.Queue, hs *containers.HashSet, tmp *containers.TreeMap) {
@@ -242,20 +196,55 @@ func (p *Program) applyOps(tx tm.Tx, t txn, q *containers.Queue, hs *containers.
 	}
 }
 
-// run executes the whole program on e, one engine transaction per workload
-// transaction, calling acked after each Update returns. Container handles
-// are attach-or-create; they are created by the setup transactions.
-func (p *Program) run(e tm.Engine, acked func()) {
-	q, hs, tmp, rest := p.runSetup(e, func(int) { acked() })
-	for _, t := range rest {
-		tcopy := t
-		e.Update(func(tx tm.Tx) uint64 {
-			tx.Store(tm.Root(slotGen), tcopy.gen)
-			p.applyOps(tx, tcopy, q, hs, tmp)
-			return 0
-		})
-		acked()
+// run executes the whole program on e and calls ack(n) as each submission
+// of n workload transactions returns. The container-creation transactions
+// run first, one engine transaction each: the handles must exist before any
+// body uses them. With batch > 1 the rest are submitted in chunks of batch
+// through tm.Batch, else as one Update each.
+func (p *Program) run(e tm.Engine, batch int, ack func(n int)) error {
+	var q *containers.Queue
+	var hs *containers.HashSet
+	var tmp *containers.TreeMap
+	rest := p.txns
+	for ; len(rest) > 0 && rest[0].setup > 0; rest = rest[1:] {
+		switch rest[0].setup {
+		case 1:
+			q = containers.NewQueue(e, slotQueue)
+		case 2:
+			hs = containers.NewHashSet(e, slotSet)
+		case 3:
+			tmp = containers.NewTreeMap(e, slotMap)
+		}
+		ack(1)
 	}
+	body := func(t txn) func(tm.Tx) uint64 {
+		return func(tx tm.Tx) uint64 {
+			tx.Store(tm.Root(slotGen), t.gen)
+			p.applyOps(tx, t, q, hs, tmp)
+			return 0
+		}
+	}
+	if batch <= 1 {
+		for _, t := range rest {
+			e.Update(body(t))
+			ack(1)
+		}
+		return nil
+	}
+	for start := 0; start < len(rest); start += batch {
+		chunk := rest[start:min(start+batch, len(rest))]
+		fns := make([]func(tm.Tx) uint64, len(chunk))
+		for i, t := range chunk {
+			fns[i] = body(t)
+		}
+		for i, r := range tm.Batch(e, fns) {
+			if r.Err != nil {
+				return fmt.Errorf("batched txn %d: %w", start+i, r.Err)
+			}
+		}
+		ack(len(chunk))
+	}
+	return nil
 }
 
 // readState reads the recovered engine's logical state back into a model
