@@ -195,6 +195,22 @@ func TestTable1OneFileCounts(t *testing.T) {
 			}
 		}
 	}
+	// The rows above measure OF-WF-PTM through UpdatePublished. A lone
+	// Update on it publishes nothing: its unpublished round is the
+	// lock-free commit, and costs exactly the OF-LF-PTM row.
+	for _, nw := range []int{1, 4, 8, 32} {
+		lf, err := MeasureOpCountsStride("OF-LF-PTM", nw, 200, pmem.PairLineWords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wf, err := measureOpCounts("OF-WF-PTM", nw, 200, pmem.PairLineWords, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wf.Engine = lf.Engine; wf != lf {
+			t.Errorf("Nw=%d: a lone OF-WF-PTM Update costs %+v, OF-LF-PTM %+v", nw, wf, lf)
+		}
+	}
 }
 
 // TestTable1CoalescedContiguous pins the flush-coalescing accounting: a

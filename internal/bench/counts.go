@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"onefile/internal/core"
 	"onefile/internal/pmem"
 	"onefile/internal/tm"
 )
@@ -52,8 +53,16 @@ func MeasureOpCounts(engine string, nw, iters int) (OpCounts, error) {
 }
 
 // MeasureOpCountsStride is MeasureOpCounts with the written words spaced
-// stride heap words apart (stride 1 = contiguous).
+// stride heap words apart (stride 1 = contiguous). The OneFile PTMs are
+// measured through UpdatePublished, so the OF-WF-PTM row is the paper's
+// published path (§III-E) and not the lock-free commit a lone Update takes.
 func MeasureOpCountsStride(engine string, nw, iters, stride int) (OpCounts, error) {
+	return measureOpCounts(engine, nw, iters, stride, true)
+}
+
+// measureOpCounts is MeasureOpCountsStride; published=false measures a
+// OneFile PTM through Update instead.
+func measureOpCounts(engine string, nw, iters, stride int, published bool) (OpCounts, error) {
 	opts := []tm.Option{
 		tm.WithHeapWords(1 << 16),
 		tm.WithMaxThreads(8),
@@ -63,13 +72,17 @@ func MeasureOpCountsStride(engine string, nw, iters, stride int) (OpCounts, erro
 	if err != nil {
 		return OpCounts{}, err
 	}
-	block := tm.Ptr(e.Update(func(tx tm.Tx) uint64 {
+	update := e.Update
+	if of, ok := e.(*core.Engine); ok && published {
+		update = of.UpdatePublished
+	}
+	block := tm.Ptr(update(func(tx tm.Tx) uint64 {
 		b := tx.Alloc(nw * stride)
 		tx.Store(tm.Root(0), uint64(b))
 		return uint64(b)
 	}))
 	// Warm-up (first transactions pay one-off costs).
-	e.Update(func(tx tm.Tx) uint64 {
+	update(func(tx tm.Tx) uint64 {
 		for i := 0; i < nw; i++ {
 			tx.Store(block+tm.Ptr(i*stride), 1)
 		}
@@ -78,7 +91,7 @@ func MeasureOpCountsStride(engine string, nw, iters, stride int) (OpCounts, erro
 	before := e.Stats()
 	for it := 0; it < iters; it++ {
 		v := uint64(it + 2)
-		e.Update(func(tx tm.Tx) uint64 {
+		update(func(tx tm.Tx) uint64 {
 			for i := 0; i < nw; i++ {
 				tx.Store(block+tm.Ptr(i*stride), v)
 			}

@@ -18,7 +18,10 @@ import (
 // — so any difference from the golden numbers is a change to what a listed
 // workload executes, not noise. They were recorded at 42f5189, the last
 // commit that had a second commit protocol beside the ten steps of §III-B;
-// none of the three took it there.
+// none of the three took it there. The containers mix's pwb count has since
+// fallen from 2,706 to 2,416: a lone wait-free update commits unpublished and
+// no longer writes the aggregate's two result words (the result-array line
+// and, on 45 % of the commits, a second log line).
 
 var countedOpts = []tm.Option{
 	tm.WithHeapWords(1 << 16),
@@ -163,7 +166,7 @@ func TestCountedPass(t *testing.T) {
 		want counted
 	}{
 		{"kv drain", kvDrains, counted{commits: 8, pwb: 890, pdrain: 24}},
-		{"containers mix", containerMix, counted{commits: 200, pwb: 2706, pdrain: 600}},
+		{"containers mix", containerMix, counted{commits: 200, pwb: 2416, pdrain: 600}},
 		{"batch of 16", batch16, counted{commits: 8, pwb: 24, pdrain: 24}},
 	} {
 		t.Run(p.name, func(t *testing.T) {

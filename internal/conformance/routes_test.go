@@ -200,7 +200,6 @@ func (a histCounts) sub(b histCounts) histCounts {
 
 func TestRouteEquivalence(t *testing.T) {
 	for _, eng := range routeEngines {
-		waitFree := eng.name == "OF-WF" || eng.name == "OF-WF-PTM"
 		persistent := eng.name == "OF-LF-PTM" || eng.name == "OF-WF-PTM"
 		for _, b := range routeBodies {
 			t.Run(eng.name+"/"+b.name, func(t *testing.T) {
@@ -247,25 +246,19 @@ func TestRouteEquivalence(t *testing.T) {
 					}
 
 					// How often the body ran: solo, once, on every entry of
-					// every variant.
-					wantRuns := int32(1)
-					if b.fails != nil && waitFree {
-						wantRuns = runs.Load() // how often a failing published body is tried is not pinned here
-					}
-					if runs.Load() != wantRuns {
-						t.Error(at("body ran %d times, want %d", runs.Load(), wantRuns))
+					// every variant, failing bodies included.
+					if runs.Load() != 1 {
+						t.Error(at("body ran %d times, want 1", runs.Load()))
 					}
 
 					// Stats. Commits counts each committed operation's
 					// transaction once; a read-only body is a read commit.
 					if b.fails == nil {
-						// (A wait-free engine publishes the operation on every
-						// entry but UpdateExclusive, and delivering even a
-						// read-only body's result is a transaction on its
-						// result words.)
-						published := waitFree && r.name != "UpdateExclusive"
+						// (A lone wait-free update commits unpublished, as a
+						// lock-free one does, so a read-only body is a read
+						// commit on every entry of every variant.)
 						wantCommits, wantReads := uint64(1), uint64(0)
-						if b.words == 0 && !published {
+						if b.words == 0 {
 							wantCommits, wantReads = 0, 1
 						}
 						if d.Commits != wantCommits || d.ReadCommits != wantReads {

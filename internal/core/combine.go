@@ -163,10 +163,20 @@ func (x *batchExec) grow(n int) {
 // contained on its own. It runs under the engine's usual retry/helping
 // regime, so it may execute several times; each execution re-arms the undo
 // log for its own slot's write-set.
+//
+// A batch of one that overflows inside a wait-free aggregate re-raises the
+// overflow to the aggregate's contain: only the aggregate knows whether
+// other published operations filled the write-set (it then drops the batch
+// for a later, smaller aggregate) or the operation overflows alone (a
+// terminal failure, which collectWF turns back into this batch's verdict).
+// Longer batches keep the verdict: their members are retried alone.
 func (x *batchExec) runOps(u *uTx, fns []func(tm.Tx) uint64) {
-	u.s.ws.beginUndo()
+	nested := u.s.ws.beginUndo()
 	for i, fn := range fns {
 		res, pv := contain(u, fn)
+		if nested && len(fns) == 1 && isOverflow(pv) {
+			panic(pv)
+		}
 		// ErrTooManyStores asks for a retry alone — the overflow may be the
 		// batch's fault, not the op's; any other panic is the op's error.
 		x.res[i], x.errs[i], x.solo[i] = res, nil, isOverflow(pv)
@@ -398,21 +408,7 @@ func (e *Engine) execBatch(batch []*combReq, solo bool) {
 	c := &e.comb
 	var x *batchExec
 	if e.waitFree {
-		// The body may run concurrently on helper goroutines (§III-E), and
-		// still be running on one after this call has returned: it owns its
-		// copy of the operations (batch is the combiner's scratch, and its
-		// requests are recycled), each execution builds its own record, and
-		// the engine's committed return value selects the one whose effects
-		// committed.
-		fns := make([]func(tm.Tx) uint64, len(batch))
-		for i, q := range batch {
-			fns[i] = q.fn
-		}
-		x = tm.Collect(e.Update, func(tx tm.Tx) *batchExec {
-			x := newBatchExec(len(fns))
-			x.runOps(tx.(*uTx), fns)
-			return x
-		})
+		x = e.collectWF(batch)
 	} else {
 		// Attempts run sequentially on this goroutine, so the record and
 		// the operation list are combiner-private and the closure-free body
@@ -487,6 +483,36 @@ func (e *Engine) execBatch(batch []*combReq, solo bool) {
 		one := [1]*combReq{q}
 		e.execBatch(one[:], false)
 	}
+}
+
+// collectWF runs batch as one transaction on a wait-free engine. The body
+// may run concurrently on helper goroutines (§III-E), and still be running
+// on one after this call has returned: it owns its copy of the operations
+// (batch is the combiner's scratch, and its requests are recycled), each
+// execution builds its own record, and the engine's committed return value
+// selects the one whose effects committed. A batch of one that overflows
+// alone inside an aggregate fails there terminally (runOps), and Update
+// re-raises the overflow here: the record runOps would have returned says
+// so with solo.
+func (e *Engine) collectWF(batch []*combReq) (x *batchExec) {
+	fns := make([]func(tm.Tx) uint64, len(batch))
+	for i, q := range batch {
+		fns[i] = q.fn
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			if len(fns) > 1 || !isOverflow(r) {
+				panic(r)
+			}
+			x = newBatchExec(1)
+			x.solo[0] = true
+		}
+	}()
+	return tm.Collect(e.Update, func(tx tm.Tx) *batchExec {
+		x := newBatchExec(len(fns))
+		x.runOps(tx.(*uTx), fns)
+		return x
+	})
 }
 
 // initLF lazily builds the lock-free path's reusable execution record and

@@ -19,11 +19,14 @@
 // The paper has one update protocol — the ten steps of §III-B; the
 // wait-free variant only changes who runs the body — and so does this
 // package: every update entry (Update, UpdateExclusive, AsyncUpdate,
-// BatchUpdate) is an adapter over one staged pipeline, admit → run the body
-// or bodies into the slot's write-set → commit → apply → persist → resolve
-// (txn.go, DESIGN.md §4). A batch is N bodies in the run stage (combine.go)
-// and a wait-free aggregate is the same round with the published operations
-// as its bodies (waitfree.go). Recovery is the paper's null recovery
+// BatchUpdate, UpdatePublished) is an adapter over one staged pipeline,
+// admit → run the body or bodies into the slot's write-set → commit → apply
+// → persist → resolve (txn.go, DESIGN.md §4). A batch is N bodies in the run
+// stage (combine.go) and a wait-free aggregate is the same round with the
+// published operations as its bodies (waitfree.go). A wait-free update
+// first runs up to fastRounds rounds of its own body unpublished, and
+// publishes when they lose or another operation is published (Kogan and
+// Petrank's fast-path-slow-path). Recovery is the paper's null recovery
 // (§III-D): durable words never run ahead of the durable curTx, so attach
 // has one action, finishing a pending curTx through the helping path.
 //
@@ -255,10 +258,15 @@ type Engine struct {
 	// ungated hot path pays one load of excl.gate per acquire.
 	excl exclusive
 
-	// The two globally contended words, each padded onto its own line.
-	_         [64]byte
-	curTx     atomic.Uint64
-	_         [56]byte
+	// The globally contended words, each padded onto its own line.
+	_     [64]byte
+	curTx atomic.Uint64
+	_     [56]byte
+	// published counts the operations between publication and
+	// unpublication (updateWF). A wait-free update runs unpublished rounds
+	// only while it reads zero (update).
+	published atomic.Int32
+	_         [60]byte
 	claimHint atomic.Uint32
 	_         [60]byte
 }

@@ -113,7 +113,7 @@ func TestWaitFreePanicDelivery(t *testing.T) {
 	boom := errors.New("body boom")
 	caught := func() (r any) {
 		defer func() { r = recover() }()
-		e.Update(func(tx tm.Tx) uint64 {
+		e.UpdatePublished(func(tx tm.Tx) uint64 {
 			tx.Store(tm.Root(0), 7)
 			panic(boom)
 		})
@@ -121,6 +121,9 @@ func TestWaitFreePanicDelivery(t *testing.T) {
 	}()
 	if caught != boom {
 		t.Fatalf("submitter recovered %v, want the body's panic value", caught)
+	}
+	if n := e.published.Load(); n != 0 {
+		t.Fatalf("published counter = %d after the panic, want 0: every later update would skip its unpublished rounds", n)
 	}
 	if got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(0)) }); got != 0 {
 		t.Fatalf("failed op leaked a store: root = %d", got)
@@ -133,14 +136,14 @@ func TestWaitFreePanicDelivery(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			e.Update(func(tx tm.Tx) uint64 {
+			e.UpdatePublished(func(tx tm.Tx) uint64 {
 				tx.Store(tm.Root(1), tx.Load(tm.Root(1))+1)
 				return 0
 			})
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		e.Update(func(tx tm.Tx) uint64 {
+		e.UpdatePublished(func(tx tm.Tx) uint64 {
 			tx.Store(tm.Root(2), tx.Load(tm.Root(2))+1)
 			return 0
 		})
@@ -175,7 +178,7 @@ func TestWaitFreeOverflowAggregationInnocent(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				// 6 distinct stores each: any two ops fit MaxStores=16
 				// with the result-word reservations, three do not.
-				e.Update(func(tx tm.Tx) uint64 {
+				e.UpdatePublished(func(tx tm.Tx) uint64 {
 					for w := 0; w < 6; w++ {
 						tx.Store(tm.Root(8+gg*6+w), uint64(i+1))
 					}
@@ -195,6 +198,50 @@ func TestWaitFreeOverflowAggregationInnocent(t *testing.T) {
 				t.Fatalf("slot %d word %d = %d, want %d", g, w, got, rounds)
 			}
 		}
+	}
+}
+
+// TestWaitFreeOverflowBatchOfOneInnocent is the same promise for a combiner
+// batch of one, which runs inside the aggregate as one operation that
+// contains its own: when it overflows only because another published
+// operation filled the write-set, the aggregate drops it for a later,
+// smaller one instead of resolving it with ErrTooManyStores; when it
+// overflows alone, that is still its error.
+func TestWaitFreeOverflowBatchOfOneInnocent(t *testing.T) {
+	e := NewWF(tm.WithHeapWords(1<<14), tm.WithMaxThreads(4), tm.WithMaxStores(16))
+	defer e.Close()
+	stores := func(first, n int, v uint64) func(tm.Tx) uint64 {
+		return func(tx tm.Tx) uint64 {
+			for i := 0; i < n; i++ {
+				tx.Store(tm.Root(first+i), v)
+			}
+			return uint64(n)
+		}
+	}
+	// Slot 0 holds a published operation of 6 stores, placed by hand; the
+	// batch's submitter is admitted on slot 1, so its aggregate executes
+	// slot 0's operation first: 2+6 entries, then 2+10 of the batch's, and
+	// 20 > 16.
+	e.slots[0].claimed.Store(1)
+	e.published.Add(1)
+	e.slots[0].opSlot.Store(&opDesc{fn: stores(32, 6, 1), tag: 1, birth: seqOf(e.curTx.Load())})
+	if v, err := e.AsyncUpdate(stores(8, 10, 2)).Wait(); err != nil || v != 10 {
+		t.Fatalf("batch of one beside another operation: (%d, %v), want (10, nil)", v, err)
+	}
+	_, tagW := e.resultWord(0)
+	got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tagW)<<32 | tx.Load(tm.Root(37))<<16 | tx.Load(tm.Root(17)) })
+	if want := uint64(1<<32 | 1<<16 | 2); got != want {
+		t.Fatalf("tag<<32|Root(37)<<16|Root(17) = %#x, want %#x: both operations committed", got, want)
+	}
+	e.slots[0].opSlot.Store(nil)
+
+	// Still published, so the batch is aggregated, alone: 2+15 entries.
+	if _, err := e.AsyncUpdate(stores(8, 15, 3)).Wait(); !errors.Is(err, tm.ErrTooManyStores) {
+		t.Fatalf("batch of one overflowing alone: err %v, want ErrTooManyStores", err)
+	}
+	e.published.Add(-1)
+	if got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(8)) }); got != 2 {
+		t.Fatalf("Root(8) = %d after the failed batch, want 2", got)
 	}
 }
 

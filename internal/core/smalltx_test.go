@@ -79,31 +79,37 @@ func TestUpdateSmallBasic(t *testing.T) {
 // update there is: a solo two-word, one-line commit costs the ten steps'
 // three pwbs (log line, curTx, the modified line) and three drains, on both
 // PTM variants and in both durability modes — nothing is cheaper than that.
+// A lone wait-free Update is an unpublished round and costs the same; the
+// published path adds the aggregate's two result words: a second log line
+// and a second heap line.
 func TestUpdateSmallPTMCost(t *testing.T) {
 	for _, wf := range []bool{false, true} {
 		for _, mode := range []pmem.Mode{pmem.StrictMode, pmem.RelaxedMode} {
 			t.Run(fmt.Sprintf("wf=%v/mode=%d", wf, mode), func(t *testing.T) {
 				e, _ := newPTM(t, wf, mode, 1)
-				// Warm the path once (log region faults).
-				e.Update(func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 1); return 0 })
-				before := e.Stats()
-				const n = 10
-				for i := uint64(0); i < n; i++ {
-					v := i
-					e.Update(func(tx tm.Tx) uint64 {
-						tx.Store(tm.Root(0), v)
-						tx.Store(tm.Root(1), v*3)
-						return 0
-					})
+				cost := func(update func(func(tm.Tx) uint64) uint64, wantPwb uint64) {
+					t.Helper()
+					// Warm the path once (log region faults).
+					update(func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 1); return 0 })
+					before := e.Stats()
+					const n = 10
+					for i := uint64(0); i < n; i++ {
+						v := i
+						update(func(tx tm.Tx) uint64 {
+							tx.Store(tm.Root(0), v)
+							tx.Store(tm.Root(1), v*3)
+							return 0
+						})
+					}
+					d := e.Stats().Sub(before)
+					if d.Commits != n || d.Pwb != wantPwb*n || d.Pdrain != 3*n || d.Pfence != 0 {
+						t.Fatalf("over %d ops: commits=%d pwb=%d pdrain=%d pfence=%d, want %d/%d/%d/0",
+							n, d.Commits, d.Pwb, d.Pdrain, d.Pfence, n, wantPwb*n, 3*n)
+					}
 				}
-				d := e.Stats().Sub(before)
-				wantPwb := uint64(3 * n)
+				cost(e.Update, 3)
 				if wf {
-					wantPwb = 5 * n // the aggregate's two result words: a second log line, a second heap line
-				}
-				if d.Commits != n || d.Pwb != wantPwb || d.Pdrain != 3*n || d.Pfence != 0 {
-					t.Fatalf("over %d ops: commits=%d pwb=%d pdrain=%d pfence=%d, want %d/%d/%d/0",
-						n, d.Commits, d.Pwb, d.Pdrain, d.Pfence, n, wantPwb, 3*n)
+					cost(e.UpdatePublished, 5)
 				}
 			})
 		}

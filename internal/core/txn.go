@@ -103,28 +103,40 @@ func runBody(fn func(tm.Tx) uint64, tx tm.Tx) (res uint64, ok bool) {
 }
 
 // The update pipeline (DESIGN.md §4). Every public update entry — Update,
-// UpdateExclusive, and the combiner's AsyncUpdate/BatchUpdate through
-// execBatch — is an adapter over run, which walks the stages
+// UpdateExclusive, UpdatePublished, and the combiner's AsyncUpdate/
+// BatchUpdate through execBatch — is an adapter over run, which walks the
+// stages
 //
 //	admit → run the body into the slot's write-set → commit → apply →
 //	persist → resolve
 //
 // with one round of §III-B (load curTx, help if pending, transform, commit)
 // written once, in round, and looped by update: unbounded on the lock-free
-// path, and once per aggregate by the wait-free publication loop
-// (runPublished). There is one commit, the paper's ten steps; the entries
-// differ only in the mode they pass.
+// path, at most fastRounds times unpublished on the wait-free one, and once
+// per aggregate by the wait-free publication loop (runPublished). There is
+// one commit, the paper's ten steps; the entries differ only in the mode
+// they pass.
 type updateMode uint8
 
 const (
-	// modeFull: Update, AsyncUpdate and BatchUpdate. The lock-free loop or
-	// wait-free publication.
+	// modeFull: Update, AsyncUpdate and BatchUpdate. The lock-free loop, or
+	// on a wait-free engine its unpublished rounds, then publication.
 	modeFull updateMode = iota
 	// modeExclusive: UpdateExclusive. Admission bypasses the exclusivity
 	// gate and the lock-free loop is used even on the wait-free engines
 	// (exclusive.go).
 	modeExclusive
+	// modePublished: UpdatePublished. Publication at once on a wait-free
+	// engine, the lock-free loop on a lock-free one.
+	modePublished
 )
+
+// fastRounds bounds the unpublished rounds a wait-free update runs before
+// it publishes. A round is lost only to another transaction's commit, so an
+// update publishes within fastRounds commits of its start and the §III-E
+// bound runs from there. A constant, not an option: EXPERIMENTS.md ("Wait-free
+// when it has to be") measures 1, 2, 4 and 8.
+const fastRounds = 8
 
 // roundStatus is how one round of §III-B ended.
 type roundStatus uint8
@@ -170,13 +182,26 @@ func (e *Engine) run(fn func(tm.Tx) uint64, mode updateMode) uint64 {
 	return res
 }
 
-// update drives fn to a commit on the claimed slot s: by publishing it on a
-// wait-free engine, by looping rounds until one commits otherwise.
+// UpdatePublished is Update without the unpublished rounds: on a wait-free
+// engine it publishes fn at once and runs the paper's §III-E path alone, so
+// Table I and the single-engine crash matrix keep measuring that path. A
+// lock-free engine publishes nothing; there it is Update.
+func (e *Engine) UpdatePublished(fn func(tx tm.Tx) uint64) uint64 { return e.run(fn, modePublished) }
+
+// update drives fn to a commit on the claimed slot s by looping rounds until
+// one commits: without bound on a lock-free engine and for UpdateExclusive.
+// A wait-free update loops at most fastRounds of them, with no descriptor
+// and no result words, and only while no operation is published — the
+// counter is read before every round, so once one is, each other slot
+// finishes at most the one unpublished commit it had begun. Then it
+// publishes (updateWF). modePublished publishes at once.
 func (e *Engine) update(s *slot, fn func(tm.Tx) uint64, mode updateMode) uint64 {
-	if e.waitFree && mode != modeExclusive {
-		return e.updateWF(s, fn)
+	wf := e.waitFree && mode != modeExclusive
+	limit := fastRounds
+	if mode == modePublished {
+		limit = 0
 	}
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; !wf || attempt < limit && e.published.Load() == 0; attempt++ {
 		oldTx := e.curTx.Load() // step 1
 		res, st := e.round(s, oldTx, fn, attempt)
 		switch st {
@@ -189,6 +214,7 @@ func (e *Engine) update(s *slot, fn func(tm.Tx) uint64, mode updateMode) uint64 
 		}
 		return res
 	}
+	return e.updateWF(s, fn)
 }
 
 // round is one pass over steps 2–10 of §III-B against the curTx value the

@@ -25,20 +25,24 @@ func (e *Engine) resultWord(tid int) (val, tag tm.Ptr) {
 // updateWF is the bounded wait-free update path (§III-E): publish the
 // operation, then alternate between helping the pending transaction and
 // committing an aggregate transaction that executes every published
-// operation — including, necessarily, our own.
+// operation — including, necessarily, our own. The published counter is
+// raised before the descriptor is stored and lowered after it is cleared, so
+// while any descriptor can be seen, no slot starts an unpublished round.
 func (e *Engine) updateWF(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 	s.opTag++
+	e.published.Add(1)
 	d := &opDesc{fn: fn, tag: s.opTag, birth: seqOf(e.curTx.Load())}
 	s.opSlot.Store(d)
 	// Unpublish on every exit, panics included: a descriptor left behind
 	// would be re-executed by every later aggregate — the submitter's own
 	// next Update, or any helper's — raising one operation's failure on
-	// arbitrary innocent transactions. The descriptor's lifetime ends
-	// here; hand it to hazard eras. The free callback poisons the
-	// descriptor so tests can detect a protocol violation (in C++ this
-	// would be the actual deallocation).
+	// arbitrary innocent transactions, and would keep every update on this
+	// path. The descriptor's lifetime ends here; hand it to hazard eras. The
+	// free callback poisons the descriptor so tests can detect a protocol
+	// violation (in C++ this would be the actual deallocation).
 	defer func() {
 		s.opSlot.Store(nil)
+		e.published.Add(-1)
 		e.eras.Retire(s.id, d.birth, seqOf(e.curTx.Load()), func() { d.reclaimed.Store(true) })
 	}()
 	res, failed := e.runPublished(s, d)

@@ -20,7 +20,7 @@ func TestWFAggregationHappens(t *testing.T) {
 	go func() { // slow publisher: its op sleeps on every self-execution
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			e.Update(func(tx tm.Tx) uint64 {
+			e.UpdatePublished(func(tx tm.Tx) uint64 {
 				time.Sleep(20 * time.Millisecond)
 				tx.Store(tm.Root(0), tx.Load(tm.Root(0))+1)
 				return 0
@@ -60,7 +60,7 @@ func TestWFDescriptorsReclaimed(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				e.Update(func(tx tm.Tx) uint64 {
+				e.UpdatePublished(func(tx tm.Tx) uint64 {
 					tx.Store(tm.Root(0), tx.Load(tm.Root(0))+1)
 					return 0
 				})
@@ -90,7 +90,7 @@ func TestWFResultsReturnedToRightCaller(t *testing.T) {
 			defer wg.Done()
 			for i := uint64(0); i < per; i++ {
 				want := id<<32 | i
-				got := e.Update(func(tx tm.Tx) uint64 {
+				got := e.UpdatePublished(func(tx tm.Tx) uint64 {
 					tx.Store(tm.Root(1), tx.Load(tm.Root(1))+1)
 					return want
 				})
@@ -164,7 +164,7 @@ func TestWFMixedSizes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				n := 1 << (w % 5) // 1..16 stores
-				e.Update(func(tx tm.Tx) uint64 {
+				e.UpdatePublished(func(tx tm.Tx) uint64 {
 					p := tx.Alloc(n)
 					for j := 0; j < n; j++ {
 						tx.Store(p+tm.Ptr(j), uint64(j))
@@ -228,7 +228,7 @@ func TestWFPTMAggregatedDurability(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				e.Update(func(tx tm.Tx) uint64 {
+				e.UpdatePublished(func(tx tm.Tx) uint64 {
 					tx.Store(tm.Root(0), tx.Load(tm.Root(0))+1)
 					return 0
 				})

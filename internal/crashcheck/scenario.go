@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"onefile/internal/core"
 	"onefile/internal/pmem"
 	"onefile/internal/talloc"
 	"onefile/internal/tm"
@@ -189,7 +190,10 @@ func checkOracle(o oracle, got string, acked, inflight int) error {
 }
 
 // single runs the canonical Program on one engine, one engine transaction
-// per workload transaction.
+// per workload transaction. A OneFile engine runs it through
+// UpdatePublished: a lone goroutine's update on OF-WF-PTM never publishes
+// otherwise, and this matrix would sweep the lock-free commit twice instead
+// of the paper's wait-free path (§III-E).
 type single struct {
 	def EngineDef
 	*Program
@@ -202,8 +206,16 @@ func (s single) open(fac DeviceFactory, mode pmem.Mode, devSeed int64) ([]pmem.D
 	if err != nil {
 		return nil, nil, err
 	}
+	if of, ok := e.(*core.Engine); ok {
+		e = publishing{of}
+	}
 	return []pmem.Device{dev}, func(ack func(int)) error { return s.run(e, 1, ack) }, nil
 }
+
+// publishing is a OneFile engine whose Update is UpdatePublished.
+type publishing struct{ *core.Engine }
+
+func (p publishing) Update(fn func(tm.Tx) uint64) uint64 { return p.UpdatePublished(fn) }
 
 func (single) inflight(int) int { return 1 }
 
