@@ -133,16 +133,17 @@ type flushLine struct {
 }
 
 // slotStats are one slot's operation counters: owner-written (uncontended),
-// summed by Engine.Stats. Exactly one cache line.
+// summed by Engine.Stats.
 type slotStats struct {
-	commits     atomic.Uint64
-	aborts      atomic.Uint64
-	readCommits atomic.Uint64
-	readAborts  atomic.Uint64
-	helps       atomic.Uint64
-	cas         atomic.Uint64
-	dcas        atomic.Uint64
-	aggregated  atomic.Uint64
+	commits            atomic.Uint64
+	aborts             atomic.Uint64
+	readCommits        atomic.Uint64
+	readAborts         atomic.Uint64
+	helps              atomic.Uint64
+	cas                atomic.Uint64
+	dcas               atomic.Uint64
+	aggregated         atomic.Uint64
+	readsBeforePending atomic.Uint64
 }
 
 // slot is one thread slot: registration state, the slot's write-set/redo
@@ -380,7 +381,7 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 			s.logNum = &s.localReq[1]
 			s.logEnt = make([]atomic.Uint64, 2*cfg.MaxStores)
 		}
-		s.ws = newWriteSet(s.logNum, s.logEnt, cfg.MaxStores)
+		s.ws = newWriteSet(s.logNum, s.logEnt, e.MaxStores())
 		s.helpBuf = make([]uint64, 0)
 		s.utx = uTx{e: e, s: s}
 		s.rtx = rTx{e: e}
@@ -589,6 +590,7 @@ func (e *Engine) Stats() tm.Stats {
 		s.CAS += st.cas.Load()
 		s.DCAS += st.dcas.Load()
 		s.AggregatedOp += st.aggregated.Load()
+		s.ReadsBeforePending += st.readsBeforePending.Load()
 	}
 	s.Batches = e.comb.batches.Load()
 	s.BatchedOps = e.comb.batchedOps.Load()

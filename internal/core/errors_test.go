@@ -245,6 +245,43 @@ func TestWaitFreeOverflowBatchOfOneInnocent(t *testing.T) {
 	}
 }
 
+// TestWaitFreeStoreLimitIsPathFree: on a wait-free engine whether a body
+// fits must not depend on the path it commits on. Published, the aggregate
+// reserves two result words beside it, so every update is held to
+// MaxStores−2: that many stores commit through Update (unpublished, on an
+// idle engine) and through UpdatePublished alike, and MaxStores−1 or
+// MaxStores fail with ErrTooManyStores on both.
+func TestWaitFreeStoreLimitIsPathFree(t *testing.T) {
+	const maxStores = 16
+	e := NewWF(tm.WithHeapWords(1<<14), tm.WithMaxThreads(4), tm.WithMaxStores(maxStores))
+	defer e.Close()
+	if got := e.MaxStores(); got != maxStores-2 {
+		t.Errorf("MaxStores() = %d on a wait-free engine, want %d", got, maxStores-2)
+	}
+	verdict := func(update func(func(tm.Tx) uint64) uint64, n int) (r any) {
+		defer func() { r = recover() }()
+		update(func(tx tm.Tx) uint64 {
+			for i := 0; i < n; i++ {
+				tx.Store(tm.Root(i), uint64(n))
+			}
+			return 0
+		})
+		return nil
+	}
+	for _, n := range []int{maxStores - 2, maxStores - 1, maxStores} {
+		var want any
+		if n > maxStores-2 {
+			want = tm.ErrTooManyStores
+		}
+		if got := verdict(e.Update, n); got != want {
+			t.Errorf("Update of %d stores (MaxStores %d): %v, want %v", n, maxStores, got, want)
+		}
+		if got := verdict(e.UpdatePublished, n); got != want {
+			t.Errorf("UpdatePublished of %d stores (MaxStores %d): %v, want %v", n, maxStores, got, want)
+		}
+	}
+}
+
 func TestRecoverOnVolatileEngineErrors(t *testing.T) {
 	e := NewLF(smallOpts()...)
 	if err := e.Recover(); err == nil {

@@ -227,5 +227,14 @@ func (e *Engine) CurSeq() uint64 { return seqOf(e.curTx.Load()) }
 // HeapWords returns the configured heap size (sharded-store sizing aid).
 func (e *Engine) HeapWords() int { return e.cfg.HeapWords }
 
-// MaxStores returns the configured per-transaction write-set capacity.
-func (e *Engine) MaxStores() int { return e.cfg.MaxStores }
+// MaxStores returns the most distinct words one transaction body may store:
+// the configured MaxStores, less two on a wait-free engine. There every
+// update, published or not, is held to what fits beside the two result
+// words an aggregate reserves for it, so whether a body fits does not depend
+// on contention (tm.ErrTooManyStores).
+func (e *Engine) MaxStores() int {
+	if e.waitFree {
+		return max(e.cfg.MaxStores-2, 0)
+	}
+	return e.cfg.MaxStores
+}

@@ -17,9 +17,14 @@ import (
 // first execution of it. Then:
 //
 //   - the others commit the operation for it, within MaxThreads+1 curTx
-//     advances of its birth (the sequence of its tag word, read with
-//     Snapshot, against the birth in its descriptor): a goroutine stopped in
-//     the middle of a transaction stops nobody;
+//     advances of the moment its descriptor became visible (the sequence of
+//     its tag word, read with Snapshot, against curTx's sequence when the
+//     body first ran, on whichever goroutine): a goroutine stopped in the
+//     middle of a transaction stops nobody. Not from the birth in the
+//     descriptor: updateWF takes it before it stores the descriptor, the
+//     submitter can be descheduled in between, and the published counter,
+//     already raised, sends the workers to publish and commit their own
+//     operations meanwhile — commits no bound can count;
 //   - no unpublished round starts while the operation is published: a
 //     worker's Update that began with the submitter parked, and runs its
 //     body on its own slot unpublished while the submitter is still parked,
@@ -89,16 +94,14 @@ func TestWaitFreeProgressBound(t *testing.T) {
 					time.Sleep(10 * time.Microsecond)
 				}
 				sub := e.acquire(false)
-				var birth atomic.Uint64
+				var visible atomic.Uint64
 				var parkOnce atomic.Bool
 				parked, release, done := make(chan struct{}), make(chan struct{}), make(chan uint64)
 				go func() {
 					// The test releases sub once it has read the tag word:
 					// the next claimant of the slot would publish over it.
 					done <- e.update(sub, func(tx tm.Tx) uint64 {
-						if d := sub.opSlot.Load(); d != nil {
-							birth.Store(d.birth)
-						}
+						visible.CompareAndSwap(0, seqOf(e.curTx.Load()))
 						if tx.(*uTx).s == sub && parkOnce.CompareAndSwap(false, true) {
 							close(parked)
 							<-release
@@ -137,15 +140,15 @@ func TestWaitFreeProgressBound(t *testing.T) {
 				if !ok || tag != sub.opTag {
 					t.Fatalf("round %d: tag word holds %d, want the operation's tag %d", r, tag, sub.opTag)
 				}
-				b := birth.Load()
-				if seq > b+uint64(workers+1)+1 {
-					t.Errorf("round %d: operation born at sequence %d committed at %d: %d curTx advances, bound MaxThreads+1 = %d",
-						r, b, seq, seq-b, workers+2)
+				v := visible.Load()
+				if seq > v+uint64(workers+1)+1 {
+					t.Errorf("round %d: operation first executed at sequence %d committed at %d: %d curTx advances, bound MaxThreads+1 = %d",
+						r, v, seq, seq-v, workers+2)
 				}
-				maxAdv = max(maxAdv, seq-b)
+				maxAdv = max(maxAdv, seq-v)
 				e.release(sub)
 			}
-			t.Logf("%d of %d rounds parked the submitter; at most %d curTx advances from birth to commit", parkedRounds, rounds, maxAdv)
+			t.Logf("%d of %d rounds parked the submitter; at most %d curTx advances from first execution to commit", parkedRounds, rounds, maxAdv)
 			if parkedRounds == 0 {
 				t.Errorf("the submitter never parked in %d rounds: nothing ran beside a published operation", rounds)
 			}

@@ -481,11 +481,12 @@ func (e *Engine) helpApply(txid uint64, helper *slot) (stale int) {
 	return stale
 }
 
-// Read implements tm.Engine: a read-only transaction. It first helps apply
-// any committed-but-unapplied transaction (to observe a globally consistent
-// view), then runs the body with seq-validated loads, retrying on
-// validation failure. On the wait-free variants a body that fails ReadTries
-// times is published as an operation, bounding the retries (§III-E).
+// Read implements tm.Engine: a read-only transaction. It runs the body with
+// seq-validated loads at a snapshot that needs no helping — the one before
+// curTx if curTx is still being applied — and helps apply a pending
+// transaction only when that attempt aborts, retrying on validation failure.
+// On the wait-free variants a body that fails ReadTries helped attempts is
+// published as an operation, bounding the retries (§III-E).
 //
 // The fast path snapshots curTx exactly once, reuses the slot's embedded
 // read handle and runs the body with no closure — a conflict-free read-only
@@ -504,12 +505,33 @@ func (e *Engine) Read(fn func(tx tm.Tx) uint64) uint64 {
 
 // readLoop is the retry loop shared by the observed and unobserved Read
 // entry points.
+//
+// Its first attempt helps nobody. If curTx is pending — committed, its
+// request still open — the attempt reads at the sequence before it: the
+// snapshot a reader that loaded curTx just before the commit CAS would have
+// used. That transaction's own predecessor closed before the CAS, so every
+// word is at its value of that snapshot until the pending apply phase
+// overwrites it, and every overwrite carries a newer sequence, which aborts
+// the load as Alg. 1 always did. The read then linearizes before the pending
+// transaction, which has not completed: no operation returns while a
+// transaction it observed is open (its committer closes before returning,
+// helpers close what they help, runPublished closes what executed its
+// operation; DESIGN.md §8). Only when that attempt aborts does the read help
+// and retry as before; the extra attempt is not one of the ReadTries.
 func (e *Engine) readLoop(s *slot, fn func(tx tm.Tx) uint64) uint64 {
-	for tries := 0; ; tries++ {
-		oldTx := e.curTx.Load()
-		if e.pending(oldTx) {
-			e.helpApply(oldTx, s)
+	oldTx := e.curTx.Load()
+	if e.pending(oldTx) {
+		s.rtx.startSeq = seqOf(oldTx) - 1
+		if res, ok := runBody(fn, &s.rtx); ok {
+			s.st.readCommits.Add(1)
+			s.st.readsBeforePending.Add(1)
+			return res
 		}
+		s.st.readAborts.Add(1)
+		e.obsEvent(obs.EvReadAbort, s.id, seqOf(oldTx))
+		e.helpApply(oldTx, s)
+	}
+	for tries := 0; ; tries++ {
 		s.rtx.startSeq = seqOf(oldTx)
 		if res, ok := runBody(fn, &s.rtx); ok {
 			s.st.readCommits.Add(1)
@@ -523,6 +545,9 @@ func (e *Engine) readLoop(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 			return e.updateWF(s, fn)
 		}
 		e.contendedPause(tries)
+		if oldTx = e.curTx.Load(); e.pending(oldTx) {
+			e.helpApply(oldTx, s)
+		}
 	}
 }
 

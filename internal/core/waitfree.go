@@ -71,7 +71,7 @@ func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, bool) {
 	for attempt := 0; ; attempt++ {
 		oldTx := e.curTx.Load()
 		e.eras.Protect(s.id, seqOf(oldTx))
-		if res, failed, done := e.opResult(s.id, d.tag); done {
+		if res, failed, done := e.opResult(s, d.tag); done {
 			return res, failed
 		}
 		if e.curTx.Load() != oldTx {
@@ -114,7 +114,8 @@ func (e *Engine) aggregateBody(tx tm.Tx) uint64 {
 	u := tx.(*uTx)
 	s := u.s
 	ws := &s.ws
-	ws.beginUndo() // contain rolls single operations back out of the shared write-set
+	ws.beginUndo()           // contain rolls single operations back out of the shared write-set
+	ws.cap = e.cfg.MaxStores // the whole log: each body's own limit leaves room for its two result words
 	for t := range e.slots {
 		d := e.slots[t].opSlot.Load()
 		if d == nil {
@@ -172,23 +173,30 @@ func (e *Engine) aggregateBody(tx tm.Tx) uint64 {
 	return 0
 }
 
-// opResult reports whether slot tid's operation with the given tag has been
-// executed by a committed-and-applied transaction, and its result. failed
-// reports the terminal-failure verdict (opFailBit): the body panicked, its
-// effects were rolled back, and the submitter must re-raise the parked
-// panic value.
-func (e *Engine) opResult(tid int, tag uint64) (res uint64, failed, done bool) {
-	valW, tagW := e.resultWord(tid)
+// opResult reports whether slot s's operation with the given tag has been
+// executed by a committed transaction and, if so, returns its result once
+// that transaction has closed. failed reports the terminal-failure verdict
+// (opFailBit): the body panicked, its effects were rolled back, and the
+// submitter must re-raise the parked panic value.
+//
+// The tag word is applied, so the transaction that executed the operation
+// committed at the tag's sequence, but it may still be applying the
+// operation's other words. The operation must not complete before they
+// are: a Read's first attempt reads before a pending transaction (readLoop),
+// so the submitter's next Read would miss them. If that transaction is still
+// curTx and open, the submitter helps it closed — one helpApply, which
+// returns with the request closed; if curTx has moved on, it closed before.
+func (e *Engine) opResult(s *slot, tag uint64) (res uint64, failed, done bool) {
+	valW, tagW := e.resultWord(s.id)
 	tagVal, tagSeq, ok := e.words[tagW].Snapshot()
 	if !ok || (tagVal != tag && tagVal != tag|opFailBit) {
 		return 0, false, false
 	}
-	resVal, resSeq, ok := e.words[valW].Snapshot()
-	if ok && resSeq >= tagSeq {
-		return resVal, tagVal != tag, true
+	if cur := e.curTx.Load(); seqOf(cur) == tagSeq && e.pending(cur) {
+		e.helpApply(cur, s)
 	}
-	// The tag is applied but the value word is not yet, or a DCAS is landing
-	// on one of the two right now: the transaction is still in its apply
-	// phase; the caller will help and retry.
-	return 0, false, false
+	// Closed: the value word holds what the tag's transaction stored, and no
+	// later transaction writes it before this slot publishes again.
+	res, _ = e.words[valW].Load()
+	return res, tagVal != tag, true
 }

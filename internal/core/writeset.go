@@ -44,7 +44,12 @@ type writeSet struct {
 	vals []uint64 // owner-private value mirror (vals[i] == ent[2i+1])
 
 	n   int // owner-private count during the transform phase
-	cap int // MaxStores: the store count no transaction may exceed
+	cap int // the store count this transaction may not exceed
+	// limit is what reset sets cap to: the engine's per-body store limit
+	// (Engine.MaxStores). A wait-free aggregate raises cap to the log's full
+	// MaxStores for itself (aggregateBody): the two entries above limit are
+	// the result words it reserves beside the operation it executes.
+	limit int
 
 	// summary is a one-word superset of the addresses held: summaryBit(a) is
 	// set for every entry's address a. A load whose bit is clear is answered
@@ -74,13 +79,14 @@ type writeSet struct {
 	undoVal   []uint64
 }
 
-func newWriteSet(num *atomic.Uint64, ent []atomic.Uint64, maxStores int) writeSet {
-	return writeSet{num: num, ent: ent, cap: maxStores}
+func newWriteSet(num *atomic.Uint64, ent []atomic.Uint64, limit int) writeSet {
+	return writeSet{num: num, ent: ent, cap: limit, limit: limit}
 }
 
 // grow makes room for one more entry: wsFirst entries at first, then wsGrow
 // times what there is, clamped to cap — where it panics with
-// tm.ErrTooManyStores instead. The hash index is sized by the capacity, so it
+// tm.ErrTooManyStores instead, also when the entries grown for an earlier,
+// wider cap have room left. The hash index is sized by the capacity, so it
 // is dropped, and rebuilt if this transaction is using it: buildHash links
 // the entries in entry order, which is the order they were linked in the
 // first time, so every chain still has its newest entry at the head — what
@@ -103,6 +109,7 @@ func (w *writeSet) grow() {
 // reset discards the write-set for a new transform phase.
 func (w *writeSet) reset() {
 	w.n = 0
+	w.cap = w.limit
 	w.summary = 0
 	w.hashed = false
 	w.recording = false
@@ -183,7 +190,7 @@ func (w *writeSet) addOrReplace(addr, val uint64) {
 			}
 		}
 	}
-	if w.n >= len(w.keys) {
+	if w.n >= len(w.keys) || w.n >= w.cap {
 		w.grow()
 	}
 	i := w.n

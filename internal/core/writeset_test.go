@@ -240,6 +240,7 @@ func newFullWriteSet(capacity int) *writeSet {
 		keys:    make([]uint64, capacity),
 		vals:    make([]uint64, capacity),
 		cap:     capacity,
+		limit:   capacity,
 		buckets: make([]int32, nb),
 		bver:    make([]uint32, nb),
 		next:    make([]int32, capacity),

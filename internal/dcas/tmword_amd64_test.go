@@ -3,8 +3,12 @@
 package dcas
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
+
+	"onefile/internal/hugepage"
+	"onefile/internal/testutil"
 )
 
 // TestSlabAlignment: every word of a slab of any length — odd ones
@@ -39,6 +43,25 @@ func TestAlign16Shifts(t *testing.T) {
 	if &s[0] != &raw[1] || len(s) != n {
 		t.Fatalf("align16 returned %d words at %p, want %d at %p", len(s), &s[0], n, &raw[1])
 	}
+}
+
+// TestSlabOnHugePages: a slab of txn-wf's size (2²¹ words, 32 MiB), once
+// used, is backed by transparent huge pages where the kernel has them
+// (package hugepage); skipped where THP is off. Used: where MADV_COLLAPSE is
+// refused, huge pages come only as the advised range is faulted in.
+func TestSlabOnHugePages(t *testing.T) {
+	s := NewSlab(1 << 21)
+	for i := 0; i < len(s); i += 4096 / 16 {
+		s[i].Store(1, 1)
+	}
+	start := uintptr(unsafe.Pointer(&s[0]))
+	first := (start + hugepage.Size - 1) &^ (hugepage.Size - 1) // the first whole huge page
+	kb := testutil.AnonHugeKB(t, first)
+	t.Logf("the mapping holding the slab's first whole huge page has %d kB on huge pages", kb)
+	if kb == 0 {
+		t.Errorf("a %d MiB slab has no huge page", len(s)*16>>20)
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestTMWordLayout: the word is the paper's — 16 bytes, value in the low

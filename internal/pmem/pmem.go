@@ -56,6 +56,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"onefile/internal/hugepage"
 )
 
 // LineWords is the cache-line size in 64-bit words (64 bytes).
@@ -223,12 +225,17 @@ type Sim struct {
 var ErrBadConfig = errors.New("pmem: invalid device configuration")
 
 // New creates the in-process simulator: the model over fresh memory. The
-// persistent image starts zeroed (a fresh DIMM).
+// persistent image starts zeroed (a fresh DIMM), on huge pages where the
+// platform gives them (package hugepage): merges and recovery's walk read it
+// at random and end to end.
 func New(cfg Config) (*Sim, error) {
 	if cfg.RawWords < 0 || cfg.PairWords < 0 {
 		return nil, ErrBadConfig
 	}
-	return NewOver(cfg, make([]uint64, cfg.RawWords), make([]uint64, 2*cfg.PairWords), nil)
+	raw, pairs := make([]uint64, cfg.RawWords), make([]uint64, 2*cfg.PairWords)
+	hugepage.Advise(raw)
+	hugepage.Advise(pairs)
+	return NewOver(cfg, raw, pairs, nil)
 }
 
 // NewOver runs the device model over a persistent image the caller owns: raw

@@ -143,8 +143,12 @@ var (
 	// live allocated block.
 	ErrBadFree = errors.New("tm: free of invalid pointer")
 	// ErrTooManyStores reports a transaction exceeding the per-transaction
-	// write-set capacity (Config.MaxStores). The contract is uniform
-	// across every engine: the Store/Alloc/Free that would overflow
+	// write-set capacity (Config.MaxStores). On the OneFile wait-free
+	// engines the capacity of every update is MaxStores−2, whether it
+	// commits on its own or published inside another thread's aggregate,
+	// which reserves two result words beside it: a body of MaxStores−1
+	// stores fails there however contended the engine is. The contract is
+	// uniform across every engine: the Store/Alloc/Free that would overflow
 	// panics with exactly this value, the transaction's effects are fully
 	// undone (eager engines roll back their in-place stores and release
 	// their locks; lazy engines just discard the buffer), and the engine
@@ -185,6 +189,10 @@ type Stats struct {
 	AggregatedOp uint64 // operations executed via wait-free aggregation
 	Batches      uint64 // combined transactions executed by the group-commit layer
 	BatchedOps   uint64 // operations that ran through combined transactions
+	// ReadsBeforePending counts read-only transactions that found the last
+	// committed transaction still being applied and completed at the
+	// snapshot before it, without helping (OneFile's first read attempt).
+	ReadsBeforePending uint64
 
 	// FastCommits is always 0.
 	//
@@ -210,6 +218,8 @@ func (s Stats) Add(o Stats) Stats {
 		Batches:      s.Batches + o.Batches,
 		BatchedOps:   s.BatchedOps + o.BatchedOps,
 		FastCommits:  s.FastCommits + o.FastCommits,
+
+		ReadsBeforePending: s.ReadsBeforePending + o.ReadsBeforePending,
 	}
 }
 
@@ -230,5 +240,7 @@ func (s Stats) Sub(o Stats) Stats {
 		Batches:      s.Batches - o.Batches,
 		BatchedOps:   s.BatchedOps - o.BatchedOps,
 		FastCommits:  s.FastCommits - o.FastCommits,
+
+		ReadsBeforePending: s.ReadsBeforePending - o.ReadsBeforePending,
 	}
 }
