@@ -4,30 +4,7 @@ import (
 	"testing"
 
 	"onefile/internal/core"
-	"onefile/internal/tm"
 )
-
-func TestHashSetBucketCountIsCapped(t *testing.T) {
-	e := core.NewLF(
-		tm.WithHeapWords(1<<19),
-		tm.WithMaxThreads(8),
-		tm.WithMaxStores(1<<15),
-	)
-	h := NewHashSet(e, 0)
-	// Push far past the last growth trigger (4·hsMaxBuckets keys).
-	for i := uint64(0); i < 4*hsMaxBuckets+500; i++ {
-		h.Add(i)
-	}
-	if h.Buckets() != hsMaxBuckets {
-		t.Fatalf("buckets = %d, want capped at %d", h.Buckets(), hsMaxBuckets)
-	}
-	// Everything still findable with long chains.
-	for i := uint64(0); i < 4*hsMaxBuckets+500; i += 997 {
-		if !h.Contains(i) {
-			t.Fatalf("lost key %d after cap", i)
-		}
-	}
-}
 
 func TestQueueInterleavedEnqueueDequeue(t *testing.T) {
 	e := core.NewWF(testOpts...)

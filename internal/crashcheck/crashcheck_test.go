@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"onefile/containers"
+	"onefile/internal/core"
 	"onefile/internal/pmem"
 	"onefile/internal/testutil"
 )
@@ -79,6 +81,22 @@ func TestCrashMatrixCombined(t *testing.T) {
 		cfg.Txns = 5
 	}
 	runMatrix(t, cfg)
+}
+
+// TestProgramSplitsTheHashSet: the programs of the single-engine and
+// combined matrices, full and -short, grow their hash set by at least one
+// bucket split, so those matrices crash inside a split's transaction too.
+func TestProgramSplitsTheHashSet(t *testing.T) {
+	fresh := containers.NewHashSet(core.NewLF(engineOpts()...), slotSet).Buckets()
+	for _, txns := range []int{6, 8} {
+		e := core.NewLF(engineOpts()...)
+		if err := NewProgram(testutil.Seed(t, 1), txns).run(e, 1, func(int) {}); err != nil {
+			t.Fatal(err)
+		}
+		if got := containers.NewHashSet(e, slotSet).Buckets(); got <= fresh {
+			t.Errorf("txns=%d: the program leaves %d buckets, as many as a new set: no split", txns, got)
+		}
+	}
 }
 
 // TestRunRejectsConfig: a configuration the driver does not admit is an
