@@ -66,14 +66,6 @@ func (t *RBTree) Add(k uint64) bool {
 
 // AddTx inserts k as part of the caller's transaction.
 func (t *RBTree) AddTx(tx Tx, k uint64) bool {
-	_, existed := t.putTx(tx, k, 0, false)
-	return !existed
-}
-
-// putTx inserts or updates key k with value v. When overwrite is false an
-// existing key is left untouched. It returns the previous value and
-// whether the key already existed.
-func (t *RBTree) putTx(tx Tx, k, v uint64, overwrite bool) (prev uint64, existed bool) {
 	nilN := t.nilNode(tx)
 	y := nilN
 	x := t.root(tx)
@@ -82,11 +74,7 @@ func (t *RBTree) putTx(tx Tx, k, v uint64, overwrite bool) (prev uint64, existed
 		kx := key(tx, x)
 		switch {
 		case k == kx:
-			prev = tx.Load(x + tnVal)
-			if overwrite {
-				tx.Store(x+tnVal, v)
-			}
-			return prev, true
+			return false
 		case k < kx:
 			x = left(tx, x)
 		default:
@@ -95,7 +83,7 @@ func (t *RBTree) putTx(tx Tx, k, v uint64, overwrite bool) (prev uint64, existed
 	}
 	z := tx.Alloc(tnWords)
 	tx.Store(z+tnKey, k)
-	tx.Store(z+tnVal, v)
+	tx.Store(z+tnVal, 0) // unused by a set; stored so an Add writes the words it always has
 	setLeft(tx, z, nilN)
 	setRight(tx, z, nilN)
 	setParent(tx, z, y)
@@ -109,7 +97,7 @@ func (t *RBTree) putTx(tx Tx, k, v uint64, overwrite bool) (prev uint64, existed
 	}
 	t.insertFixup(tx, z)
 	tx.Store(t.desc+rbSize, tx.Load(t.desc+rbSize)+1)
-	return 0, false
+	return true
 }
 
 func (t *RBTree) rotateLeft(tx Tx, x Ptr) {
@@ -237,17 +225,11 @@ func (t *RBTree) Remove(k uint64) bool {
 
 // RemoveTx deletes k as part of the caller's transaction.
 func (t *RBTree) RemoveTx(tx Tx, k uint64) bool {
+	nilN := t.nilNode(tx)
 	z := t.findNode(tx, k)
-	if z == t.nilNode(tx) {
+	if z == nilN {
 		return false
 	}
-	t.removeNode(tx, z)
-	return true
-}
-
-// removeNode unlinks and frees node z, which the caller found in the tree.
-func (t *RBTree) removeNode(tx Tx, z Ptr) {
-	nilN := t.nilNode(tx)
 	y := z
 	yWasBlack := !isRed(tx, y)
 	var x Ptr
@@ -284,6 +266,7 @@ func (t *RBTree) removeNode(tx Tx, z Ptr) {
 	}
 	tx.Store(t.desc+rbSize, tx.Load(t.desc+rbSize)-1)
 	tx.Free(z)
+	return true
 }
 
 func (t *RBTree) deleteFixup(tx Tx, x Ptr) {

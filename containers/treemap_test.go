@@ -1,12 +1,17 @@
 package containers
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
 	"onefile/internal/core"
 	"onefile/internal/pmem"
+	"onefile/internal/talloc"
+	"onefile/internal/testutil"
 	"onefile/internal/tm"
 )
 
@@ -176,11 +181,332 @@ func TestTreeMapSurvivesCrash(t *testing.T) {
 	}
 }
 
+// tmHeightBound is the tallest B+-tree n keys can build by inserts alone:
+// every node but the root keeps at least tmMinFill entries (a split leaves
+// tmLeftHalf keys on the left and the rest on the right, a leaf's keys or an
+// inner node's children), and the root at least two children, so a tree of
+// height h ≥ 2 holds at least 2·tmMinFill^(h−1) keys.
+func tmHeightBound(n int) int {
+	const tmMinFill = min(tmLeftHalf, tmCap+1-tmLeftHalf)
+	h := 1
+	for least := 2 * tmMinFill; least <= n; least *= tmMinFill {
+		h++
+	}
+	return h
+}
+
+// tmStoreBound is the most words one Put or Delete stores in a tree of
+// height h. A Put that splits every level stores, at each, the node's own
+// tmNodeWords words and a new node — its header, its tmNodeWords zeroed
+// words and one allocator word — then a new root (the same again) and the
+// descriptor's root, height and size. A Delete shifts or frees (three
+// words) one node a level and frees at most h roots, which is less.
+func tmStoreBound(h int) int { return (h+1)*(2*tmNodeWords+2) + 3 }
+
+// allocatedWords is talloc.Audit's count of words in allocated blocks.
+func allocatedWords(t *testing.T, e *core.Engine) uint64 {
+	t.Helper()
+	var words uint64
+	var ok bool
+	e.Read(func(tx Tx) uint64 {
+		words, _, ok = talloc.Audit(tx, e.DynBase())
+		return 0
+	})
+	if !ok {
+		t.Fatal("talloc.Audit: the heap does not tile into blocks")
+	}
+	return words
+}
+
+// TestTreeMapShape: 2¹⁶ puts in random order build a tree no taller than
+// the B+-tree bound, and deleting every key in another order leaves one
+// empty root leaf and exactly the allocated words there were before the
+// first put: every node a delete emptied was freed.
+func TestTreeMapShape(t *testing.T) {
+	e := core.NewLF(tm.WithHeapWords(1<<20), tm.WithMaxThreads(4), tm.WithMaxStores(1<<10))
+	m := NewTreeMap(e, 0)
+	before := allocatedWords(t, e)
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(testutil.Seed(t, 5)))
+	for _, k := range rng.Perm(n) {
+		m.Put(uint64(k)*7, uint64(k))
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	h := m.Height()
+	t.Logf("%d keys: height %d (bound %d), %d allocated words", n, h, tmHeightBound(n), allocatedWords(t, e))
+	if m.Len() != n || h < 2 || h > tmHeightBound(n) {
+		t.Fatalf("%d keys: Len %d, height %d, bound %d", n, m.Len(), h, tmHeightBound(n))
+	}
+	for i, k := range rng.Perm(n) {
+		if v, ok := m.Delete(uint64(k) * 7); !ok || v != uint64(k) {
+			t.Fatalf("Delete(%d) = %d, %v", k*7, v, ok)
+		}
+		if i%(n/8) == 0 {
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("after %d deletes: %v", i+1, err)
+			}
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Len() != 0 || m.Height() != 1 {
+		t.Fatalf("emptied map: Len %d, height %d", m.Len(), m.Height())
+	}
+	if after := allocatedWords(t, e); after != before {
+		t.Fatalf("allocated words %d before the puts, %d after deleting every key", before, after)
+	}
+}
+
+// separators returns every key of every inner node of m.
+func separators(m *TreeMap) []uint64 {
+	return tm.Collect(m.e.Read, func(tx Tx) []uint64 {
+		var out []uint64
+		var walk func(n Ptr, lvl, h int)
+		walk = func(n Ptr, lvl, h int) {
+			if lvl == h-1 {
+				return
+			}
+			cnt := int(tx.Load(n + tmCount))
+			for i := 0; i <= cnt; i++ {
+				if i < cnt {
+					out = append(out, tx.Load(n+tmKeys+Ptr(i)))
+				}
+				walk(Ptr(tx.Load(n+tmSlots+Ptr(i))), lvl+1, h)
+			}
+		}
+		walk(Ptr(tx.Load(m.desc+tmRoot)), 0, int(tx.Load(m.desc+tmHeight)))
+		return out
+	})
+}
+
+// TestTreeMapRangeAcrossLeaves holds Range to a sorted model on a
+// three-level tree: ranges that start or end on a separator or next to
+// one, that span many leaves, that stop at max, that are empty, and with
+// lo > hi — then again after deletes have freed a run of leaves.
+func TestTreeMapRangeAcrossLeaves(t *testing.T) {
+	e := core.NewWF(testOpts...)
+	m := NewTreeMap(e, 11)
+	present := map[uint64]bool{}
+	rng := rand.New(rand.NewSource(testutil.Seed(t, 6)))
+	for _, k := range rng.Perm(3000) {
+		m.Put(uint64(k)*10, uint64(k)*10+1)
+		present[uint64(k)*10] = true
+	}
+	check := func(stage string) {
+		t.Helper()
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		keys := sortedKeys(present)
+		seps := separators(m)
+		if len(seps) < tmCap+1 {
+			t.Fatalf("%s: %d separators: the tree is not three levels deep", stage, len(seps))
+		}
+		type query struct {
+			lo, hi uint64
+			max    int
+		}
+		var qs []query
+		for _, s := range seps {
+			qs = append(qs,
+				query{s, s + 500, 1000}, query{s - 1, s + 90, 1000}, query{s + 1, s + 3000, 1000},
+				query{s - 200, s, 1000}, query{s - 200, s - 1, 1000}, query{s, s, 1}, query{s, s + 5, 0},
+				query{s - 100, s + 20000, 37}, query{s + 1, s + 9, 5}, query{s + 10, s - 10, 5})
+		}
+		qs = append(qs, query{0, MaxValue, 1 << 20}, query{0, MaxValue, 100}, query{30000, MaxValue, 10},
+			query{29990, 40000, 10}, query{1, 9, 10}, query{MaxValue, MaxValue, 1}, query{5, 0, 10})
+		for _, q := range qs {
+			var want []Entry
+			if q.lo <= q.hi {
+				for _, k := range keys[sort.Search(len(keys), func(i int) bool { return keys[i] >= q.lo }):] {
+					if k > q.hi || len(want) == q.max {
+						break
+					}
+					want = append(want, Entry{k, k + 1})
+				}
+			}
+			if got := m.Range(q.lo, q.hi, q.max); !slices.Equal(got, want) {
+				t.Fatalf("%s: Range(%d, %d, %d) = %v, want %v", stage, q.lo, q.hi, q.max, got, want)
+			}
+		}
+	}
+	check("3,000 keys")
+	for k := uint64(8000); k < 20000; k += 10 {
+		m.Delete(k)
+		delete(present, k)
+	}
+	for k := uint64(21000); k < 30000; k += 20 {
+		m.Delete(k)
+		delete(present, k)
+	}
+	check("after deletes")
+}
+
+// TestTreeMapStoresPerOp runs 2¹⁷ toggles of a 2¹⁷-key space, about half
+// full, on OF-WF-PTM, whose bodies may store MaxStores−2 words, with
+// MaxStores set from tmStoreBound: a Put or Delete that stored more than
+// the bound would fail with tm.ErrTooManyStores.
+func TestTreeMapStoresPerOp(t *testing.T) {
+	const keySpace = 1 << 17
+	h := tmHeightBound(keySpace)
+	opts := []tm.Option{tm.WithHeapWords(1 << 20), tm.WithMaxThreads(4), tm.WithMaxStores(tmStoreBound(h) + 2)}
+	dev, err := pmem.New(core.DeviceConfig(pmem.StrictMode, 3, opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewPersistentWF(dev, false, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewTreeMap(e, 0)
+	rng := rand.New(rand.NewSource(testutil.Seed(t, 7)))
+	present := make([]bool, keySpace)
+	for _, k := range rng.Perm(keySpace)[:keySpace/2] {
+		m.Put(uint64(k), uint64(k))
+		present[k] = true
+	}
+	tallest := 0
+	for i := 0; i < keySpace; i++ {
+		k := rng.Intn(keySpace)
+		if present[k] {
+			m.Delete(uint64(k))
+		} else {
+			m.Put(uint64(k), uint64(i))
+		}
+		present[k] = !present[k]
+		if i%4096 == 0 {
+			tallest = max(tallest, m.Height())
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("height ≤ %d (bound %d): at most %d stores per operation, MaxStores %d", tallest, h, tmStoreBound(h), e.MaxStores())
+	if tallest > h {
+		t.Fatalf("height %d above the bound %d the store limit was sized for", tallest, h)
+	}
+}
+
+// rbMapPut inserts k → v into a map in the layout that preceded the B+-tree
+// — an RBTree whose nodes carry the value at tnVal — with RBTree's own
+// insert and a raw store of the value.
+func rbMapPut(tx Tx, t *RBTree, k, v uint64) {
+	t.AddTx(tx, k)
+	tx.Store(t.findNode(tx, k)+tnVal, v)
+}
+
+// TestTreeMapMigratesRBLayout: an image holding a red-black map crashes and
+// re-attaches; NewTreeMap migrates it in one transaction, every value is
+// where it was, the red-black nodes are freed, and the map goes on working.
+// A map too large for the write-set fails with tm.ErrTooManyStores and is
+// left as it was.
+func TestTreeMapMigratesRBLayout(t *testing.T) {
+	opts := []tm.Option{tm.WithHeapWords(1 << 18), tm.WithMaxThreads(4), tm.WithMaxStores(1 << 14)}
+	for _, n := range []int{0, 1, tmCap, tmCap + 1, 300, 2500} {
+		dev, err := pmem.New(core.DeviceConfig(pmem.StrictMode, 9, opts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := core.NewPersistentWF(dev, false, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := allocatedWords(t, e)
+		rb := NewRBTree(e, 2)
+		keys := rand.New(rand.NewSource(int64(n))).Perm(4 * n)[:n]
+		for lo := 0; lo < n; lo += 16 {
+			e.Update(func(tx Tx) uint64 {
+				for _, k := range keys[lo:min(lo+16, n)] {
+					rbMapPut(tx, rb, uint64(k), uint64(k)*3+1)
+				}
+				return 0
+			})
+		}
+		dev.Crash()
+		r, err := core.NewPersistentWF(dev, true, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewTreeMap(r, 2)
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%d keys: %v", n, err)
+		}
+		if m.desc != rb.desc || m.Len() != n || m.Height() > tmHeightBound(n) {
+			t.Fatalf("%d keys: migrated to desc %d (was %d), Len %d, height %d", n, m.desc, rb.desc, m.Len(), m.Height())
+		}
+		in := map[uint64]bool{}
+		for _, k := range keys {
+			in[uint64(k)] = true
+		}
+		for k := uint64(0); k < uint64(4*n); k++ {
+			if v, ok := m.Get(k); ok != in[k] || ok && v != k*3+1 {
+				t.Fatalf("%d keys: Get(%d) = %d, %v after migration", n, k, v, ok)
+			}
+		}
+		if got := m.Range(0, MaxValue, n+1); len(got) != n {
+			t.Fatalf("%d keys: Range returned %d entries", n, len(got))
+		}
+		if m2 := NewTreeMap(r, 2); m2.Len() != n || m2.Height() != m.Height() {
+			t.Fatal("a second handle on the migrated map disagrees")
+		}
+		for k := uint64(4 * n); k < uint64(5*n); k++ {
+			m.Put(k, k)
+		}
+		for k := uint64(0); k < uint64(5*n); k++ {
+			m.Delete(k)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%d keys, emptied: %v", n, err)
+		}
+		// What stays allocated is the descriptor's block and one empty
+		// leaf: no red-black node survived the migration.
+		if got, want := allocatedWords(t, r), base+(4+1)+(tmNodeWords+1); got != want {
+			t.Fatalf("%d keys: %d words allocated after emptying the migrated map, want %d", n, got, want)
+		}
+		r.Close()
+		dev.Close()
+	}
+
+	// Too large: a migration of 200 entries cannot fit 62 stores.
+	dev, err := pmem.New(core.DeviceConfig(pmem.StrictMode, 9, smallStoreOpts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewPersistentWF(dev, false, smallStoreOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := NewRBTree(e, 2)
+	for k := uint64(0); k < 200; k++ {
+		e.Update(func(tx Tx) uint64 { rbMapPut(tx, rb, k, k+7); return 0 })
+	}
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !errors.Is(err, tm.ErrTooManyStores) {
+				t.Fatalf("NewTreeMap of 200 red-black entries at 62 stores: recovered %v", err)
+			}
+		}()
+		NewTreeMap(e, 2)
+	}()
+	if rb.Len() != 200 || rb.CheckInvariants() != nil {
+		t.Fatal("the failed migration changed the red-black map")
+	}
+	for k := uint64(0); k < 200; k++ {
+		if v := e.Read(func(tx Tx) uint64 { return tx.Load(rb.findNode(tx, k) + tnVal) }); v != k+7 {
+			t.Fatalf("value of %d is %d after the failed migration", k, v)
+		}
+	}
+}
+
 // BenchmarkTreeMapToggle is the txn-wf workload's serial chain alone: one
 // goroutine on OF-WF-PTM over the strict simulator toggles random keys of a
 // 2¹⁷-key space that stays half full, so every operation is one update
-// transaction that walks a 17-level tree — body, commit CAS, apply, flush,
-// close — with nothing contending for it.
+// transaction that descends a five-level B+-tree and shifts or splits a
+// leaf — body, commit CAS, apply, flush, close — with nothing contending for
+// it.
 func BenchmarkTreeMapToggle(b *testing.B) {
 	const keySpace = 1 << 17
 	opts := []tm.Option{tm.WithHeapWords(1 << 21), tm.WithMaxThreads(16), tm.WithMaxStores(1 << 15)}
@@ -216,5 +542,62 @@ func BenchmarkTreeMapToggle(b *testing.B) {
 			m.Put(uint64(k), uint64(i))
 		}
 		present[k] = !present[k]
+	}
+}
+
+// treeMapBench is txn-wf's tree map alone: OF-WF-PTM over the strict
+// simulator, the even keys of a 2¹⁷-key space put in random order, 32 a
+// transaction.
+func treeMapBench(b *testing.B) *TreeMap {
+	const keySpace = 1 << 17
+	opts := []tm.Option{tm.WithHeapWords(1 << 21), tm.WithMaxThreads(16), tm.WithMaxStores(1 << 15)}
+	dev, err := pmem.New(core.DeviceConfig(pmem.StrictMode, 1, opts...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := core.NewPersistentWF(dev, false, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewTreeMap(e, 1)
+	keys := rand.New(rand.NewSource(2)).Perm(keySpace / 2)
+	for lo := 0; lo < len(keys); lo += 32 {
+		e.Update(func(tx Tx) uint64 {
+			for _, k := range keys[lo : lo+32] {
+				m.PutTx(tx, uint64(2*k), uint64(k))
+			}
+			return 0
+		})
+	}
+	return m
+}
+
+// BenchmarkTreeMapGet is txn-wf's tree-map read: one lookup of a random
+// key, half of them present.
+func BenchmarkTreeMapGet(b *testing.B) {
+	m := treeMapBench(b)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := rng.Intn(1 << 17)
+		if _, ok := m.Get(uint64(k)); ok != (k%2 == 0) {
+			b.Fatalf("Get(%d) wrong", k)
+		}
+	}
+}
+
+// BenchmarkTreeMapRange is txn-wf's scan: the entries of a random 100-key
+// span, at most 50 (about 50 at half occupancy).
+func BenchmarkTreeMapRange(b *testing.B) {
+	m := treeMapBench(b)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := uint64(rng.Intn(1<<17 - 100))
+		if es := m.Range(lo, lo+99, 50); len(es) != 50 {
+			b.Fatalf("Range(%d, %d) returned %d entries", lo, lo+99, len(es))
+		}
 	}
 }

@@ -99,6 +99,22 @@ func TestProgramSplitsTheHashSet(t *testing.T) {
 	}
 }
 
+// TestProgramSplitsTheTreeMap: the programs of the full single-engine and
+// combined matrices leave their tree map at least two levels deep, so those
+// matrices crash inside a leaf split's transaction and in operations that
+// descend through an inner node.
+func TestProgramSplitsTheTreeMap(t *testing.T) {
+	for _, txns := range []int{6, 8} {
+		e := core.NewLF(engineOpts()...)
+		if err := NewProgram(testutil.Seed(t, 1), txns).run(e, 1, func(int) {}); err != nil {
+			t.Fatal(err)
+		}
+		if h := containers.NewTreeMap(e, slotMap).Height(); h < 2 {
+			t.Errorf("txns=%d: the program leaves a tree map of height %d: no split", txns, h)
+		}
+	}
+}
+
 // TestRunRejectsConfig: a configuration the driver does not admit is an
 // error before any point runs — not a silent per-op fallback, and not a
 // partial sweep of the engines listed before the offending one.

@@ -22,6 +22,11 @@ const (
 // read back set membership exhaustively.
 const keyUniverse = 48
 
+// mapFill is the keys the first mixed transaction puts into the tree map:
+// one more than a leaf holds, so it splits the root leaf, and every later
+// map operation descends through an inner node.
+const mapFill = 16
+
 // Workload op kinds.
 const (
 	opEnqueue = iota
@@ -57,15 +62,32 @@ type Program struct {
 }
 
 // NewProgram generates the canonical workload: 3 container-creation
-// transactions followed by txns mixed-operation transactions, all derived
-// from seed. The same (seed, txns) pair always yields the same program, the
-// same persistence-event trace, and the same oracle states.
-func NewProgram(seed int64, txns int) *Program {
+// transactions, one that fills the tree map with mapFill keys, and txns
+// mixed-operation transactions, all derived from seed. The same (seed, txns)
+// pair always yields the same program, the same persistence-event trace, and
+// the same oracle states.
+func NewProgram(seed int64, txns int) *Program { return newProgram(seed, txns, mapFill) }
+
+// newProgram is NewProgram with fill keys put into the map first; with no
+// fill keys there is no fill transaction.
+func newProgram(seed int64, txns, fill int) *Program {
 	rng := rand.New(rand.NewSource(seed))
 	p := &Program{Seed: seed}
 	p.txns = append(p.txns, txn{setup: 1}, txn{setup: 2}, txn{setup: 3})
-	for t := 1; t <= txns; t++ {
-		tx := txn{gen: uint64(t)}
+	gen := uint64(0)
+	if fill > 0 {
+		gen++
+		t := txn{gen: gen}
+		keys := rng.Perm(keyUniverse)[:fill]
+		sort.Ints(keys) // ascending: each put appends to its leaf, none shifts
+		for _, k := range keys {
+			t.ops = append(t.ops, txnOp{kind: opMapPut, key: uint64(k), val: rng.Uint64() >> 1})
+		}
+		p.txns = append(p.txns, t)
+	}
+	for range txns {
+		gen++
+		tx := txn{gen: gen}
 		nops := rng.Intn(4) + 2
 		for i := 0; i < nops; i++ {
 			op := txnOp{key: uint64(rng.Intn(keyUniverse)), val: rng.Uint64() >> 1}
