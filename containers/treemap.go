@@ -1,6 +1,10 @@
 package containers
 
-import "onefile/internal/tm"
+import (
+	"math/bits"
+
+	"onefile/internal/tm"
+)
 
 // TreeMap is an ordered uint64 → uint64 map — the paper's §VI "other
 // containers can be implemented" made concrete — stored as a B+-tree of
@@ -8,19 +12,32 @@ import "onefile/internal/tm"
 // every method is wait-free; on a persistent engine the map is durable.
 // Iteration in key order is a single consistent read-only transaction.
 //
-// A node is [count, tmCap keys, slots]. A leaf's slots are the values of its
-// keys. An inner node's count keys are separators and its count+1 slots are
-// children: child i holds the keys in [key i−1, key i). A lookup binary
-// searches one node per level, so the keys it reads sit side by side, and a
-// range walks neighbouring leaves through the path its descent recorded
-// (there are no sibling links to maintain).
+// A node is [word 0, tmCap keys, slots]. An inner node's word 0 is its
+// count, its count keys are separators in order, and its count+1 slots are
+// children: child i holds the keys in [key i−1, key i). A leaf's keys stay
+// in the slot they were written to, each with its value in the slot of the
+// same number, and its word 0 is count | order<<4: nibble j of the order is
+// the slot that holds the leaf's j-th smallest key (after Chen & Jin's
+// wB+-tree, VLDB 2015). All-zero order bits mean the slots are in order, as
+// in a leaf of a bulk load or of a map written before the order word; with
+// two or more keys a real order has a non-zero nibble, so the rule is
+// unambiguous. A lookup binary searches one node per level, through the
+// order at a leaf, and a range walks neighbouring leaves in order through
+// the path its descent recorded (there are no sibling links to maintain).
 //
-// An insert shifts within its leaf. A full node splits in half and the
-// split climbs the path; a root split grows the tree. A delete shifts, and
-// uses free-at-empty (Johnson & Shasha, JCSS 1993): a leaf that empties is
-// freed and removed from its parent, upward, and a root left with one child
-// is replaced by it. Nothing merges or borrows, so a transaction stores
-// O(height × tmNodeWords) words.
+// A leaf insert writes the key and value into the lowest free slot and the
+// new order into word 0; a leaf delete rewrites only word 0, and the key
+// and value it dropped stay behind as garbage. (Dense unsorted leaves,
+// where a delete fills the hole with the last key and a range sorts each
+// leaf, wrote about as little but scanned slower: EXPERIMENTS.md, "A leaf
+// insert writes one slot and one word".) A full leaf splits: its
+// lower half stays where it is under a shorter order, and its upper half is
+// written in order into a new leaf. An inner insert shifts, a full inner
+// node splits in half, the split climbs the path, and a root split grows
+// the tree. Deletes use free-at-empty (Johnson & Shasha, JCSS 1993): a leaf
+// that empties is freed and removed from its parent, upward, and a root
+// left with one child is replaced by it. Nothing merges or borrows, so a
+// transaction stores O(height × tmNodeWords) words.
 type TreeMap struct {
 	e    Engine
 	desc Ptr // [0]=root, [1]=size, [2]=height, [3]=layout tag
@@ -32,11 +49,16 @@ const (
 	tmHeight = 2
 	tmLayout = 3
 
-	// tmBTree tags the B+-tree layout. A map written before it is a
-	// red-black tree of RBTree's nodes: its descriptor was Alloc(3) — a
-	// four-word block — holding [root, size, sentinel nil node] and a zero
-	// word 3. NewTreeMap migrates it.
-	tmBTree = 1
+	// Layout tags. A map written before the B+-tree is a red-black tree of
+	// RBTree's nodes: its descriptor was Alloc(3) — a four-word block —
+	// holding [root, size, sentinel nil node] and a zero word 3. tmBTree
+	// tagged a B+-tree whose leaves kept their keys in slot order with a
+	// plain count in word 0; that is a valid tmPermLeaves image (all-zero
+	// order bits), so NewTreeMap only re-tags it. A binary that knows only
+	// tmBTree cannot open a tmPermLeaves map: it would take it for a
+	// red-black tree and migrate it.
+	tmBTree      = 1
+	tmPermLeaves = 2
 
 	// tmNodeWords is a node: a power of two, so one allocator class holds
 	// it whole. Measured on txn-wf against 16 and 64 (EXPERIMENTS.md, "A
@@ -51,48 +73,115 @@ const (
 	// so each split at one level takes at least 8 below it: a height of h
 	// takes at least 8^(h−1) inserts, and 24 is more than 2^64.
 	tmMaxHeight = 24
+
+	// tmInOrder is the order of a leaf whose slots are in key order: nibble
+	// j is j. It is what all-zero order bits stand for.
+	tmInOrder = 0xEDCBA9876543210
 )
 
 // A node's words fill its block exactly: count, keys and tmCap+1 slots.
 var _ [tmNodeWords - (tmSlots + tmCap + 1)]struct{}
 var _ [(tmSlots + tmCap + 1) - tmNodeWords]struct{}
 
+// A leaf's word 0 holds a 4-bit count and tmCap 4-bit slot numbers.
+var _ [64 - 4*(1+tmCap)]struct{}
+
+// leafWord decodes a leaf's word 0 into its count and its order, with the
+// all-zero order expanded to tmInOrder.
+func leafWord(w uint64) (cnt int, ord uint64) {
+	if ord = w >> 4; ord == 0 {
+		ord = tmInOrder
+	}
+	return int(w & 15), ord
+}
+
+// packLeaf is the word 0 of a leaf holding the first cnt slots of ord.
+func packLeaf(cnt int, ord uint64) uint64 {
+	return uint64(cnt) | (ord&(1<<(4*cnt)-1))<<4
+}
+
+// slotOf is the slot that holds the key of rank j in a leaf of order ord.
+func slotOf(ord uint64, j int) Ptr { return Ptr(ord >> (4 * j) & 15) }
+
+// withSlot is ord with slot s inserted at rank j: ranks j and up move one
+// up.
+func withSlot(ord uint64, j int, s Ptr) uint64 {
+	low := uint64(1)<<(4*j) - 1
+	return ord&low | uint64(s)<<(4*j) | (ord&^low)<<4
+}
+
+// withoutRank is ord with rank j removed: the ranks above it move one down.
+func withoutRank(ord uint64, j int) uint64 {
+	low := uint64(1)<<(4*j) - 1
+	return ord&low | (ord>>4)&^low
+}
+
+// freeSlot is the lowest slot that none of the first cnt ranks of ord
+// holds; there is one whenever cnt < tmCap.
+func freeSlot(ord uint64, cnt int) Ptr {
+	used := uint16(0)
+	for j := 0; j < cnt; j++ {
+		used |= 1 << slotOf(ord, j)
+	}
+	return Ptr(bits.TrailingZeros16(^used))
+}
+
 // tmPath is the descent to one leaf: the node at each level, from the root
-// (level 0) to the leaf (level h−1), its count, and at inner levels the
-// child taken.
+// (level 0) to the leaf (level h−1), its count, at inner levels the child
+// taken, and the leaf's order.
 type tmPath struct {
 	node [tmMaxHeight]Ptr
 	cnt  [tmMaxHeight]int
 	idx  [tmMaxHeight]int
+	perm uint64
 	h    int
 }
 
+// visit records node n at level lvl of p: its count and, at the leaf, its
+// order.
+func (p *tmPath) visit(tx Tx, lvl int, n Ptr) {
+	w := tx.Load(n + tmCount)
+	p.node[lvl] = n
+	if lvl == p.h-1 {
+		p.cnt[lvl], p.perm = leafWord(w)
+	} else {
+		p.cnt[lvl] = int(w)
+	}
+}
+
 // NewTreeMap attaches to (or creates in) root slot rootSlot of e. A map
-// written as a red-black tree is migrated to the B+-tree first, in one
-// transaction that stores about five words per entry; a map too large for
-// that transaction's write-set panics with tm.ErrTooManyStores, as any
-// oversize transaction does, and is left as it was.
+// written before the order word (tag tmBTree) is re-tagged in a one-store
+// transaction; its leaves are already valid. A map written as a red-black
+// tree is migrated to the B+-tree first, in one transaction that stores
+// about five words per entry; a map too large for that transaction's
+// write-set panics with tm.ErrTooManyStores, as any oversize transaction
+// does, and is left as it was.
 func NewTreeMap(e Engine, rootSlot int) *TreeMap {
 	m := &TreeMap{e: e, desc: initRoot(e, rootSlot, func(tx Tx) Ptr {
 		d := tx.Alloc(4)
 		tx.Store(d+tmRoot, uint64(tx.Alloc(tmNodeWords)))
 		tx.Store(d+tmHeight, 1)
-		tx.Store(d+tmLayout, tmBTree)
+		tx.Store(d+tmLayout, tmPermLeaves)
 		return d
 	})}
-	if e.Read(func(tx Tx) uint64 { return tx.Load(m.desc + tmLayout) }) != tmBTree {
+	if e.Read(func(tx Tx) uint64 { return tx.Load(m.desc + tmLayout) }) != tmPermLeaves {
 		e.Update(func(tx Tx) uint64 { m.migrateTx(tx); return 0 })
 	}
 	return m
 }
 
-// migrateTx rebuilds a red-black map as a B+-tree: it walks the old tree
-// in order, freeing each node, bulk-loads full leaves and the inner levels
-// above them, and rewrites the descriptor in place (word 2, the sentinel,
-// becomes the height).
+// migrateTx brings an older map to tmPermLeaves. A tmBTree map only changes
+// its tag. A red-black map is rebuilt: migrateTx walks the old tree in
+// order, freeing each node, bulk-loads full leaves in slot order (all-zero
+// order bits) and the inner levels above them, and rewrites the descriptor
+// in place (word 2, the sentinel, becomes the height).
 func (m *TreeMap) migrateTx(tx Tx) {
-	if tx.Load(m.desc+tmLayout) == tmBTree {
+	switch tx.Load(m.desc + tmLayout) {
+	case tmPermLeaves:
 		return // another handle migrated it first
+	case tmBTree:
+		tx.Store(m.desc+tmLayout, tmPermLeaves)
+		return
 	}
 	old := RBTree{desc: m.desc}
 	nilN := old.nilNode(tx)
@@ -148,7 +237,7 @@ func (m *TreeMap) migrateTx(tx Tx) {
 	}
 	tx.Store(m.desc+tmRoot, level[0])
 	tx.Store(m.desc+tmHeight, height)
-	tx.Store(m.desc+tmLayout, tmBTree)
+	tx.Store(m.desc+tmLayout, tmPermLeaves)
 }
 
 // groups splits n items into the fewest groups of at most per, as evenly as
@@ -166,12 +255,13 @@ func groups(n, per int) []int {
 }
 
 // search returns how many of node n's cnt keys are below k — or, with
-// upper, at most k: the child of an inner node that holds k.
-func search(tx Tx, n Ptr, cnt int, k uint64, upper bool) int {
+// upper, at most k: the child of an inner node that holds k. The key of
+// rank j is in slot j of ord: tmInOrder in an inner node.
+func search(tx Tx, n Ptr, cnt int, ord uint64, k uint64, upper bool) int {
 	lo, hi := 0, cnt
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if km := tx.Load(n + tmKeys + Ptr(mid)); km < k || upper && km == k {
+		if km := tx.Load(n + tmKeys + slotOf(ord, mid)); km < k || upper && km == k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -181,30 +271,20 @@ func search(tx Tx, n Ptr, cnt int, k uint64, upper bool) int {
 }
 
 // find descends to the leaf that holds or would hold k, recording the path,
-// and returns the leaf's position for k and whether k is there.
+// and returns k's rank in the leaf and whether k is there.
 func (m *TreeMap) find(tx Tx, k uint64, p *tmPath) (i int, found bool) {
 	n := Ptr(tx.Load(m.desc + tmRoot))
 	p.h = int(tx.Load(m.desc + tmHeight))
 	for lvl := 0; ; lvl++ {
-		cnt := int(tx.Load(n + tmCount))
-		p.node[lvl], p.cnt[lvl] = n, cnt
+		p.visit(tx, lvl, n)
 		if lvl == p.h-1 {
-			i = search(tx, n, cnt, k, false)
-			return i, i < cnt && tx.Load(n+tmKeys+Ptr(i)) == k
+			i = search(tx, n, p.cnt[lvl], p.perm, k, false)
+			return i, i < p.cnt[lvl] && tx.Load(n+tmKeys+slotOf(p.perm, i)) == k
 		}
-		i = search(tx, n, cnt, k, true)
+		i = search(tx, n, p.cnt[lvl], tmInOrder, k, true)
 		p.idx[lvl] = i
 		n = Ptr(tx.Load(n + tmSlots + Ptr(i)))
 	}
-}
-
-// inner is the number of slots an inner node has beyond its keys: 1 above
-// the leaf level of path p, 0 at it.
-func (p *tmPath) inner(lvl int) int {
-	if lvl < p.h-1 {
-		return 1
-	}
-	return 0
 }
 
 // Put sets k → v and returns the previous value, if any.
@@ -220,81 +300,109 @@ func (m *TreeMap) PutTx(tx Tx, k, v uint64) (prev uint64, existed bool) {
 	var p tmPath
 	i, found := m.find(tx, k, &p)
 	if found {
-		at := p.node[p.h-1] + tmSlots + Ptr(i)
+		at := p.node[p.h-1] + tmSlots + slotOf(p.perm, i)
 		prev = tx.Load(at)
 		tx.Store(at, v)
 		return prev, true
 	}
-	m.insertAt(tx, &p, p.h-1, i, k, v)
+	m.insertLeaf(tx, &p, i, k, v)
 	tx.Store(m.desc+tmSize, tx.Load(m.desc+tmSize)+1)
 	return 0, false
 }
 
-// insertAt puts key k at position i of the node at level lvl of path p,
-// with slot word s: in a leaf, k's value at slot i; in an inner node, the
-// new right sibling of child i, at slot i+1. A full node splits, and the
-// first key of the right half goes up as its separator (an inner node's
-// middle key moves up instead of being copied).
-func (m *TreeMap) insertAt(tx Tx, p *tmPath, lvl, i int, k, s uint64) {
-	for {
-		n, cnt, in := p.node[lvl], p.cnt[lvl], p.inner(lvl)
-		si := i + in // s's slot
+// insertLeaf puts k → v at rank i of the leaf of path p. In a leaf with
+// room that is three stores: the key and value into the lowest free slot and
+// the new order. A full leaf splits: the tmLeftHalf lowest of its keys and k
+// stay where they are under a shorter order (k in a free slot, if it is one
+// of them), the rest are written in order into a new right leaf, and the
+// right leaf's first key goes up as its separator.
+func (m *TreeMap) insertLeaf(tx Tx, p *tmPath, i int, k, v uint64) {
+	lvl := p.h - 1
+	n, cnt, ord := p.node[lvl], p.cnt[lvl], p.perm
+	if cnt < tmCap {
+		s := freeSlot(ord, cnt)
+		tx.Store(n+tmKeys+s, k)
+		tx.Store(n+tmSlots+s, v)
+		tx.Store(n+tmCount, packLeaf(cnt+1, withSlot(ord, i, s)))
+		return
+	}
+	all := withSlot(ord, i, tmCap) // the cnt+1 ranks; "slot" tmCap is k
+	right := tx.Alloc(tmNodeWords)
+	for r := tmLeftHalf; r <= cnt; r++ {
+		rk, rv := k, v
+		if s := slotOf(all, r); s != tmCap {
+			rk, rv = tx.Load(n+tmKeys+s), tx.Load(n+tmSlots+s)
+		}
+		tx.Store(right+tmKeys+Ptr(r-tmLeftHalf), rk)
+		tx.Store(right+tmSlots+Ptr(r-tmLeftHalf), rv)
+	}
+	tx.Store(right+tmCount, uint64(cnt+1-tmLeftHalf))
+	if i < tmLeftHalf {
+		s := freeSlot(ord, tmLeftHalf-1)
+		tx.Store(n+tmKeys+s, k)
+		tx.Store(n+tmSlots+s, v)
+		ord = withSlot(ord, i, s)
+	}
+	tx.Store(n+tmCount, packLeaf(tmLeftHalf, ord))
+	m.insertInner(tx, p, lvl, tx.Load(right+tmKeys), right)
+}
+
+// insertInner puts separator k and the new node r that split off the node
+// at level lvl of path p into that node's parent, just right of it. A full
+// parent splits in half — its middle key moves up instead of being copied —
+// and the split climbs the path; a root split grows the tree.
+func (m *TreeMap) insertInner(tx Tx, p *tmPath, lvl int, k uint64, r Ptr) {
+	for ; lvl > 0; lvl-- {
+		n, cnt, i := p.node[lvl-1], p.cnt[lvl-1], p.idx[lvl-1]
 		if cnt < tmCap {
 			for j := cnt; j > i; j-- {
 				tx.Store(n+tmKeys+Ptr(j), tx.Load(n+tmKeys+Ptr(j-1)))
-			}
-			for j := cnt + in; j > si; j-- {
-				tx.Store(n+tmSlots+Ptr(j), tx.Load(n+tmSlots+Ptr(j-1)))
+				tx.Store(n+tmSlots+Ptr(j+1), tx.Load(n+tmSlots+Ptr(j)))
 			}
 			tx.Store(n+tmKeys+Ptr(i), k)
-			tx.Store(n+tmSlots+Ptr(si), s)
+			tx.Store(n+tmSlots+Ptr(i+1), uint64(r))
 			tx.Store(n+tmCount, uint64(cnt+1))
 			return
 		}
-		// Split the node's tmCap+1 keys: the left keeps tmLeftHalf, and the
-		// right takes the ones from r (past the separator of an inner node).
+		// Split the node's tmCap+1 keys and tmCap+2 children: the left keeps
+		// tmLeftHalf keys, key tmLeftHalf goes up, the right takes the rest.
 		var keys [tmCap + 1]uint64
-		var slots [tmCap + 2]uint64
+		var kids [tmCap + 2]uint64
 		for j := 0; j < cnt; j++ {
 			keys[j] = tx.Load(n + tmKeys + Ptr(j))
 		}
-		for j := 0; j < cnt+in; j++ {
-			slots[j] = tx.Load(n + tmSlots + Ptr(j))
+		for j := 0; j <= cnt; j++ {
+			kids[j] = tx.Load(n + tmSlots + Ptr(j))
 		}
 		copy(keys[i+1:], keys[i:cnt])
 		keys[i] = k
-		copy(slots[si+1:], slots[si:cnt+in])
-		slots[si] = s
+		copy(kids[i+2:], kids[i+1:cnt+1])
+		kids[i+1] = uint64(r)
 		for j := i; j < tmLeftHalf; j++ {
 			tx.Store(n+tmKeys+Ptr(j), keys[j])
 		}
-		for j := si; j < tmLeftHalf+in; j++ {
-			tx.Store(n+tmSlots+Ptr(j), slots[j])
+		for j := i + 1; j <= tmLeftHalf; j++ {
+			tx.Store(n+tmSlots+Ptr(j), kids[j])
 		}
 		tx.Store(n+tmCount, tmLeftHalf)
-		r := tmLeftHalf + in
 		right := tx.Alloc(tmNodeWords)
-		for j := r; j <= cnt; j++ {
-			tx.Store(right+tmKeys+Ptr(j-r), keys[j])
+		for j := tmLeftHalf + 1; j <= cnt; j++ {
+			tx.Store(right+tmKeys+Ptr(j-tmLeftHalf-1), keys[j])
 		}
-		for j := r; j <= cnt+in; j++ {
-			tx.Store(right+tmSlots+Ptr(j-r), slots[j])
+		for j := tmLeftHalf + 1; j <= cnt+1; j++ {
+			tx.Store(right+tmSlots+Ptr(j-tmLeftHalf-1), kids[j])
 		}
-		tx.Store(right+tmCount, uint64(cnt+1-r))
-		k, s = keys[tmLeftHalf], uint64(right)
-		if lvl == 0 { // a new root above the two halves
-			root := tx.Alloc(tmNodeWords)
-			tx.Store(root+tmKeys, k)
-			tx.Store(root+tmSlots, uint64(n))
-			tx.Store(root+tmSlots+1, s)
-			tx.Store(root+tmCount, 1)
-			tx.Store(m.desc+tmRoot, uint64(root))
-			tx.Store(m.desc+tmHeight, uint64(p.h+1))
-			return
-		}
-		lvl--
-		i = p.idx[lvl]
+		tx.Store(right+tmCount, uint64(cnt-tmLeftHalf))
+		k, r = keys[tmLeftHalf], right
 	}
+	// A new root above the two halves.
+	root := tx.Alloc(tmNodeWords)
+	tx.Store(root+tmKeys, k)
+	tx.Store(root+tmSlots, uint64(p.node[0]))
+	tx.Store(root+tmSlots+1, uint64(r))
+	tx.Store(root+tmCount, 1)
+	tx.Store(m.desc+tmRoot, uint64(root))
+	tx.Store(m.desc+tmHeight, uint64(p.h+1))
 }
 
 // Get returns the value mapped to k.
@@ -312,7 +420,7 @@ func (m *TreeMap) GetTx(tx Tx, k uint64) (v uint64, ok bool) {
 	if !found {
 		return 0, false
 	}
-	return tx.Load(p.node[p.h-1] + tmSlots + Ptr(i)), true
+	return tx.Load(p.node[p.h-1] + tmSlots + slotOf(p.perm, i)), true
 }
 
 // Delete removes k and returns the value it mapped to, if any.
@@ -330,32 +438,36 @@ func (m *TreeMap) DeleteTx(tx Tx, k uint64) (prev uint64, existed bool) {
 	if !found {
 		return 0, false
 	}
-	prev = tx.Load(p.node[p.h-1] + tmSlots + Ptr(i))
+	prev = tx.Load(p.node[p.h-1] + tmSlots + slotOf(p.perm, i))
 	m.removeAt(tx, &p, i)
 	tx.Store(m.desc+tmSize, tx.Load(m.desc+tmSize)-1)
 	return prev, true
 }
 
-// removeAt removes key i and its value from the leaf of path p. A non-root
-// node left with nothing is freed and removed from its parent instead —
-// child c with key c−1, or key 0 when c is 0 — and a root inner node left
+// removeAt removes rank i from the leaf of path p by rewriting its order
+// alone. A non-root leaf left with nothing is freed and removed from its
+// parent instead — child c with key c−1, or key 0 when c is 0 — and so is
+// an inner node that loses its only child, upward; a root inner node left
 // with one child is replaced by it, down to a root with a key or a leaf.
 func (m *TreeMap) removeAt(tx Tx, p *tmPath, i int) {
-	lvl, ki, si := p.h-1, i, i
-	for ; lvl > 0 && p.cnt[lvl]+p.inner(lvl) == 1; lvl-- {
-		tx.Free(p.node[lvl])
-		c := p.idx[lvl-1]
-		ki, si = max(c-1, 0), c
+	lvl := p.h - 1
+	if cnt := p.cnt[lvl]; cnt > 1 || lvl == 0 {
+		tx.Store(p.node[lvl]+tmCount, packLeaf(cnt-1, withoutRank(p.perm, i)))
+		return
 	}
-	n, cnt, in := p.node[lvl], p.cnt[lvl], p.inner(lvl)
-	for j := ki; j < cnt-1; j++ {
+	tx.Free(p.node[lvl])
+	for lvl--; lvl > 0 && p.cnt[lvl] == 0; lvl-- {
+		tx.Free(p.node[lvl])
+	}
+	n, cnt, c := p.node[lvl], p.cnt[lvl], p.idx[lvl]
+	for j := max(c-1, 0); j < cnt-1; j++ {
 		tx.Store(n+tmKeys+Ptr(j), tx.Load(n+tmKeys+Ptr(j+1)))
 	}
-	for j := si; j < cnt+in-1; j++ {
+	for j := c; j < cnt; j++ {
 		tx.Store(n+tmSlots+Ptr(j), tx.Load(n+tmSlots+Ptr(j+1)))
 	}
 	tx.Store(n+tmCount, uint64(cnt-1))
-	if lvl > 0 || cnt > 1 || p.h == 1 {
+	if lvl > 0 || cnt > 1 {
 		return
 	}
 	root, h := n, p.h
@@ -386,7 +498,8 @@ type Entry struct {
 
 // Range returns up to max entries with Key in [lo, hi], ascending, from one
 // consistent read-only transaction — a linearizable range query. It reads
-// the leaves left to right: past a leaf's last key it climbs the path to the
+// the leaves left to right, each in the order of its nibbles (nothing is
+// sorted at read time): past a leaf's last key it climbs the path to the
 // first level with a child further right, stopping there if that child's
 // separator is above hi, and descends along leftmost children.
 func (m *TreeMap) Range(lo, hi uint64, max int) []Entry {
@@ -401,11 +514,12 @@ func (m *TreeMap) Range(lo, hi uint64, max int) []Entry {
 		for {
 			n := p.node[leaf]
 			for ; i < p.cnt[leaf]; i++ {
-				k := tx.Load(n + tmKeys + Ptr(i))
+				s := slotOf(p.perm, i)
+				k := tx.Load(n + tmKeys + s)
 				if k > hi {
 					return out
 				}
-				out = append(out, k, tx.Load(n+tmSlots+Ptr(i)))
+				out = append(out, k, tx.Load(n+tmSlots+s))
 				if len(out) == 2*max {
 					return out
 				}
@@ -424,7 +538,7 @@ func (m *TreeMap) Range(lo, hi uint64, max int) []Entry {
 			p.idx[lvl] = c
 			n = Ptr(tx.Load(p.node[lvl] + tmSlots + Ptr(c)))
 			for lvl++; ; lvl++ {
-				p.node[lvl], p.cnt[lvl] = n, int(tx.Load(n+tmCount))
+				p.visit(tx, lvl, n)
 				if lvl == leaf {
 					break
 				}
@@ -442,10 +556,11 @@ func (m *TreeMap) Range(lo, hi uint64, max int) []Entry {
 }
 
 // CheckInvariants verifies, in one read-only transaction, the B+-tree's
-// shape: the layout tag, every count within a node's bounds, keys strictly
-// ascending inside every separator interval, no empty leaf but the root, a
-// root with a key whenever the height is above 1, and the stored size
-// equal to the key count. Tests rely on it.
+// shape: the layout tag, every count within a node's bounds, every leaf's
+// order naming distinct slots below tmCap, keys strictly ascending (in
+// order-word order at a leaf) inside every separator interval, no empty
+// leaf but the root, a root with a key whenever the height is above 1, and
+// the stored size equal to the key count. Tests rely on it.
 func (m *TreeMap) CheckInvariants() error {
 	var err error
 	m.e.Read(func(tx Tx) uint64 {
@@ -456,7 +571,7 @@ func (m *TreeMap) CheckInvariants() error {
 }
 
 func (m *TreeMap) checkTx(tx Tx) error {
-	if tx.Load(m.desc+tmLayout) != tmBTree {
+	if tx.Load(m.desc+tmLayout) != tmPermLeaves {
 		return errLayout
 	}
 	h := int(tx.Load(m.desc + tmHeight))
@@ -472,13 +587,25 @@ func (m *TreeMap) checkTx(tx Tx) error {
 	// [lo, hi) — or [lo, ∞) when open.
 	var walk func(n Ptr, lvl int, lo, hi uint64, open bool) error
 	walk = func(n Ptr, lvl int, lo, hi uint64, open bool) error {
-		cnt := int(tx.Load(n + tmCount))
+		w := tx.Load(n + tmCount)
+		cnt, ord := int(w), uint64(tmInOrder)
+		if lvl == h-1 {
+			cnt, ord = leafWord(w)
+			seen := uint16(0)
+			for j := 0; j < cnt; j++ {
+				s := slotOf(ord, j)
+				if s >= tmCap || seen&(1<<s) != 0 {
+					return errLeafOrder
+				}
+				seen |= 1 << s
+			}
+		}
 		if cnt > tmCap {
 			return errNodeCount
 		}
 		prev, first := lo, true
 		for j := 0; j < cnt; j++ {
-			k := tx.Load(n + tmKeys + Ptr(j))
+			k := tx.Load(n + tmKeys + slotOf(ord, j))
 			if k < lo || !open && k >= hi || !first && k <= prev {
 				return errKeyOrder
 			}
@@ -516,10 +643,11 @@ func (m *TreeMap) checkTx(tx Tx) error {
 
 // B+-tree invariant violations reported by CheckInvariants.
 var (
-	errLayout       = errored("treemap: descriptor is not tagged as a B+-tree")
+	errLayout       = errored("treemap: descriptor is not tagged as a B+-tree with ordered leaves")
 	errBadHeight    = errored("treemap: height outside [1, 24]")
 	errRootOneChild = errored("treemap: inner root with a single child")
 	errNodeCount    = errored("treemap: node count above capacity")
+	errLeafOrder    = errored("treemap: leaf order repeats a slot or names one past the last")
 	errKeyOrder     = errored("treemap: key out of order or outside its separators")
 	errEmptyLeaf    = errored("treemap: empty non-root leaf")
 	errKeyCount     = errored("treemap: stored size does not match key count")

@@ -110,7 +110,9 @@ func TestTreeMapRange(t *testing.T) {
 }
 
 // TestTreeMapAtomicRangeUnderWrites: a range scan must never observe a
-// partially applied multi-key transaction.
+// partially applied multi-key transaction. Every other transaction deletes
+// key 2 and the next puts it back, so ranges also read a leaf order word
+// that the writer keeps rewriting.
 func TestTreeMapAtomicRangeUnderWrites(t *testing.T) {
 	e := core.NewLF(testOpts...)
 	m := NewTreeMap(e, 11)
@@ -120,11 +122,16 @@ func TestTreeMapAtomicRangeUnderWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint64(1); i < 1500; i++ {
-			// Write three keys atomically with the same generation.
+			// Write three keys atomically with the same generation; an even
+			// generation deletes key 2 instead.
 			e.Update(func(tx Tx) uint64 {
-				m.PutTx(tx, 1, i)
-				m.PutTx(tx, 2, i)
-				m.PutTx(tx, 3, i)
+				for k := uint64(1); k <= 3; k++ {
+					if k == 2 && i%2 == 0 {
+						m.DeleteTx(tx, k)
+					} else {
+						m.PutTx(tx, k, i)
+					}
+				}
 				return 0
 			})
 		}
@@ -141,8 +148,15 @@ func TestTreeMapAtomicRangeUnderWrites(t *testing.T) {
 		if len(es) == 0 {
 			continue
 		}
-		for i := 1; i < len(es); i++ {
-			if es[i].Val != es[0].Val {
+		want := []uint64{1, 2, 3}
+		if es[0].Val%2 == 0 {
+			want = []uint64{1, 3}
+		}
+		if len(es) != len(want) {
+			t.Fatalf("torn range scan: %v", es)
+		}
+		for i := range es {
+			if es[i].Key != want[i] || es[i].Val != es[0].Val {
 				t.Fatalf("torn range scan: %v", es)
 			}
 		}
@@ -196,12 +210,16 @@ func tmHeightBound(n int) int {
 }
 
 // tmStoreBound is the most words one Put or Delete stores in a tree of
-// height h. A Put that splits every level stores, at each, the node's own
-// tmNodeWords words and a new node — its header, its tmNodeWords zeroed
-// words and one allocator word — then a new root (the same again) and the
-// descriptor's root, height and size. A Delete shifts or frees (three
-// words) one node a level and frees at most h roots, which is less.
-func tmStoreBound(h int) int { return (h+1)*(2*tmNodeWords+2) + 3 }
+// height h. A Put that splits every level stores, at the leaf, a new right
+// leaf — its header, its tmNodeWords zeroed words and one allocator word —
+// and the left leaf's order word, key and value; at each inner level, the
+// node's own tmNodeWords words and a new node; then a new root and the
+// descriptor's root, height and size. A Delete frees (three words) one node
+// a level, shifts one inner node and frees at most h roots, which is less.
+func tmStoreBound(h int) int {
+	const node = tmNodeWords + 2
+	return (node + 3) + (h-1)*(tmNodeWords+node) + node + 3
+}
 
 // allocatedWords is talloc.Audit's count of words in allocated blocks.
 func allocatedWords(t *testing.T, e *core.Engine) uint64 {
@@ -260,26 +278,49 @@ func TestTreeMapShape(t *testing.T) {
 	}
 }
 
+// walkTree calls leaf on every leaf of m, left to right, and inner on every
+// inner node with its count.
+func walkTree(tx Tx, m *TreeMap, leaf func(n Ptr), inner func(n Ptr, cnt int)) {
+	h := int(tx.Load(m.desc + tmHeight))
+	var walk func(n Ptr, lvl int)
+	walk = func(n Ptr, lvl int) {
+		if lvl == h-1 {
+			leaf(n)
+			return
+		}
+		cnt := int(tx.Load(n + tmCount)) // an inner node's word 0 is its count
+		inner(n, cnt)
+		for i := 0; i <= cnt; i++ {
+			walk(Ptr(tx.Load(n+tmSlots+Ptr(i))), lvl+1)
+		}
+	}
+	walk(Ptr(tx.Load(m.desc+tmRoot)), 0)
+}
+
 // separators returns every key of every inner node of m.
 func separators(m *TreeMap) []uint64 {
 	return tm.Collect(m.e.Read, func(tx Tx) []uint64 {
 		var out []uint64
-		var walk func(n Ptr, lvl, h int)
-		walk = func(n Ptr, lvl, h int) {
-			if lvl == h-1 {
-				return
+		walkTree(tx, m, func(Ptr) {}, func(n Ptr, cnt int) {
+			for i := 0; i < cnt; i++ {
+				out = append(out, tx.Load(n+tmKeys+Ptr(i)))
 			}
-			cnt := int(tx.Load(n + tmCount))
-			for i := 0; i <= cnt; i++ {
-				if i < cnt {
-					out = append(out, tx.Load(n+tmKeys+Ptr(i)))
-				}
-				walk(Ptr(tx.Load(n+tmSlots+Ptr(i))), lvl+1, h)
-			}
-		}
-		walk(Ptr(tx.Load(m.desc+tmRoot)), 0, int(tx.Load(m.desc+tmHeight)))
+		})
 		return out
 	})
+}
+
+// leafWords returns every leaf of m, left to right, with its word 0.
+func leafWords(m *TreeMap) (leaves []Ptr, words []uint64) {
+	packed := tm.Collect(m.e.Read, func(tx Tx) []uint64 {
+		var out []uint64
+		walkTree(tx, m, func(n Ptr) { out = append(out, uint64(n), tx.Load(n+tmCount)) }, func(Ptr, int) {})
+		return out
+	})
+	for i := 0; i < len(packed); i += 2 {
+		leaves, words = append(leaves, Ptr(packed[i])), append(words, packed[i+1])
+	}
+	return leaves, words
 }
 
 // TestTreeMapRangeAcrossLeaves holds Range to a sorted model on a
@@ -437,6 +478,9 @@ func TestTreeMapMigratesRBLayout(t *testing.T) {
 		if m.desc != rb.desc || m.Len() != n || m.Height() > tmHeightBound(n) {
 			t.Fatalf("%d keys: migrated to desc %d (was %d), Len %d, height %d", n, m.desc, rb.desc, m.Len(), m.Height())
 		}
+		if _, words := leafWords(m); slices.ContainsFunc(words, func(w uint64) bool { return w>>4 != 0 }) {
+			t.Fatalf("%d keys: a bulk-loaded leaf has order bits: %#x", n, words)
+		}
 		in := map[uint64]bool{}
 		for _, k := range keys {
 			in[uint64(k)] = true
@@ -498,6 +542,249 @@ func TestTreeMapMigratesRBLayout(t *testing.T) {
 		if v := e.Read(func(tx Tx) uint64 { return tx.Load(rb.findNode(tx, k) + tnVal) }); v != k+7 {
 			t.Fatalf("value of %d is %d after the failed migration", k, v)
 		}
+	}
+}
+
+// countingTx counts the loads and stores a body makes through it. Alloc and
+// Free go to the wrapped Tx, so the allocator's own stores are not counted.
+type countingTx struct {
+	Tx
+	loads, stores int
+}
+
+func (c *countingTx) Load(p Ptr) uint64 {
+	c.loads++
+	return c.Tx.Load(p)
+}
+
+func (c *countingTx) Store(p Ptr, v uint64) {
+	c.stores++
+	c.Tx.Store(p, v)
+}
+
+// storesOf runs body in one update transaction of e and returns the words
+// it stored.
+func storesOf(e Engine, body func(tx Tx)) int {
+	return int(e.Update(func(tx Tx) uint64 {
+		c := &countingTx{Tx: tx}
+		body(c)
+		return uint64(c.stores)
+	}))
+}
+
+// leafCount is the count of the leaf a descent for k reaches.
+func leafCount(m *TreeMap, k uint64) int {
+	return int(m.e.Read(func(tx Tx) uint64 {
+		var p tmPath
+		m.find(tx, k, &p)
+		return uint64(p.cnt[p.h-1])
+	}))
+}
+
+// TestTreeMapLeafStores pins what a leaf operation writes, counted through a
+// wrapping Tx: a Put of a new key into a leaf with room stores the key, its
+// value, the leaf's word 0 and the size (4 words); an overwrite stores the
+// value (1); a Delete that leaves a key in its leaf, or empties a root leaf,
+// stores word 0 and the size (2). None of them shifts a key.
+func TestTreeMapLeafStores(t *testing.T) {
+	forEach(t, func(t *testing.T, e Engine) {
+		m := NewTreeMap(e, 11)
+		rng := rand.New(rand.NewSource(testutil.Seed(t, 8)))
+		present := map[uint64]bool{}
+		var puts, overwrites, deletes int
+		for i := 0; i < 4000; i++ {
+			k := uint64(rng.Intn(600))
+			cnt := leafCount(m, k)
+			switch {
+			case present[k] && rng.Intn(2) == 0:
+				if got := storesOf(e, func(tx Tx) { m.PutTx(tx, k, uint64(i)) }); got != 1 {
+					t.Fatalf("step %d: overwrite of %d stored %d words, want 1", i, k, got)
+				}
+				overwrites++
+			case present[k]:
+				got := storesOf(e, func(tx Tx) { m.DeleteTx(tx, k) })
+				if cnt > 1 || m.Height() == 1 {
+					if got != 2 {
+						t.Fatalf("step %d: delete of %d from a leaf of %d stored %d words, want 2", i, k, cnt, got)
+					}
+					deletes++
+				}
+				delete(present, k)
+			default:
+				got := storesOf(e, func(tx Tx) { m.PutTx(tx, k, uint64(i)) })
+				if cnt < tmCap {
+					if got != 4 {
+						t.Fatalf("step %d: put of %d into a leaf of %d stored %d words, want 4", i, k, cnt, got)
+					}
+					puts++
+				}
+				present[k] = true
+			}
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if m.Height() < 2 || puts < 500 || overwrites < 500 || deletes < 500 {
+			t.Fatalf("height %d; %d puts, %d overwrites, %d deletes counted", m.Height(), puts, overwrites, deletes)
+		}
+	})
+}
+
+// withNibble is ord with rank j's nibble set to s.
+func withNibble(ord uint64, j int, s uint64) uint64 {
+	return ord&^(15<<(4*j)) | s<<(4*j)
+}
+
+// TestTreeMapInvariantsReadTheOrder: CheckInvariants reports a leaf whose
+// order names one slot twice or names slot tmCap, and one whose order has
+// two ranks swapped, and accepts the leaf again once its word is restored.
+func TestTreeMapInvariantsReadTheOrder(t *testing.T) {
+	e := core.NewLF(testOpts...)
+	m := NewTreeMap(e, 11)
+	for _, k := range []uint64{50, 10, 40, 20, 30} {
+		m.Put(k, k)
+	}
+	m.Delete(40)
+	m.Put(35, 35) // in the slot 40 left
+	leaves, words := leafWords(m)
+	if len(leaves) != 1 {
+		t.Fatalf("%d leaves", len(leaves))
+	}
+	leaf, w := leaves[0], words[0]
+	cnt, ord := leafWord(w)
+	if cnt != 5 || w>>4 == 0 {
+		t.Fatalf("leaf word %#x: want 5 keys out of slot order", w)
+	}
+	setWord := func(w uint64) {
+		e.Update(func(tx Tx) uint64 { tx.Store(leaf+tmCount, w); return 0 })
+	}
+	for _, tc := range []struct {
+		name string
+		ord  uint64
+		want error
+	}{
+		{"duplicated slot", withNibble(ord, 3, uint64(slotOf(ord, 1))), errLeafOrder},
+		{"slot tmCap", withNibble(ord, 4, tmCap), errLeafOrder},
+		{"swapped pair", withNibble(withNibble(ord, 1, uint64(slotOf(ord, 2))), 2, uint64(slotOf(ord, 1))), errKeyOrder},
+	} {
+		setWord(packLeaf(cnt, tc.ord))
+		if err := m.CheckInvariants(); err != tc.want {
+			t.Errorf("%s (order %#x over %#x): CheckInvariants = %v, want %v", tc.name, tc.ord, ord, err, tc.want)
+		}
+		setWord(w)
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s, restored: %v", tc.name, err)
+		}
+	}
+}
+
+// countingEngine counts the loads and stores of every update body; only for
+// a lock-free engine, whose bodies run on the caller's goroutine.
+type countingEngine struct {
+	Engine
+	loads, stores int
+}
+
+func (c *countingEngine) Update(fn func(tx Tx) uint64) uint64 {
+	var ct countingTx
+	r := c.Engine.Update(func(tx Tx) uint64 {
+		ct = countingTx{Tx: tx}
+		return fn(&ct)
+	})
+	c.loads += ct.loads
+	c.stores += ct.stores
+	return r
+}
+
+// TestTreeMapReadsSlotOrderLeaves: an image written before the order word —
+// layout tag tmBTree, every leaf's word 0 a plain count over keys in slot
+// order — crashes and re-attaches; NewTreeMap re-tags it in one store
+// without walking it, every value is where it was, and puts, deletes and
+// ranges on it agree with a model.
+func TestTreeMapReadsSlotOrderLeaves(t *testing.T) {
+	dev, err := pmem.New(core.DeviceConfig(pmem.StrictMode, 11, testOpts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewPersistentLF(dev, false, testOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewTreeMap(e, 4)
+	const n = 1000
+	model := map[uint64]uint64{}
+	for k := uint64(0); k < n; k++ {
+		m.Put(3*k, k)
+		model[3*k] = k
+	}
+	leaves, words := leafWords(m)
+	for _, w := range words {
+		if cnt, ord := leafWord(w); packLeaf(cnt, ord) != packLeaf(cnt, tmInOrder) {
+			t.Fatalf("ascending puts left a leaf out of slot order: %#x", w)
+		}
+	}
+	e.Update(func(tx Tx) uint64 {
+		for i, leaf := range leaves {
+			tx.Store(leaf+tmCount, words[i]&15)
+		}
+		tx.Store(m.desc+tmLayout, tmBTree)
+		return 0
+	})
+	dev.Crash()
+	r, err := core.NewPersistentLF(dev, true, testOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce := &countingEngine{Engine: r}
+	m = NewTreeMap(ce, 4)
+	if ce.stores != 1 || ce.loads > 2 {
+		t.Fatalf("NewTreeMap of a tag-%d map: %d loads, %d stores; want one store and no walk", tmBTree, ce.loads, ce.stores)
+	}
+	if _, words := leafWords(m); len(words) < 2 || slices.ContainsFunc(words, func(w uint64) bool { return w>>4 != 0 }) {
+		t.Fatalf("re-tagging rewrote a leaf: %#x", words)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 3*n; k++ {
+		if v, ok := m.Get(k); ok != (k%3 == 0) || ok && v != k/3 {
+			t.Fatalf("Get(%d) = %d, %v on the re-tagged map", k, v, ok)
+		}
+	}
+	rng := rand.New(rand.NewSource(testutil.Seed(t, 12)))
+	for i := 0; i < 4000; i++ {
+		k := uint64(rng.Intn(3 * n))
+		switch rng.Intn(3) {
+		case 0:
+			prev, existed := m.Put(k, uint64(i))
+			if mv, mok := model[k]; existed != mok || mok && prev != mv {
+				t.Fatalf("step %d: Put(%d) = %d, %v; model %d, %v", i, k, prev, existed, mv, mok)
+			}
+			model[k] = uint64(i)
+		case 1:
+			prev, existed := m.Delete(k)
+			if mv, mok := model[k]; existed != mok || mok && prev != mv {
+				t.Fatalf("step %d: Delete(%d) = %d, %v; model %d, %v", i, k, prev, existed, mv, mok)
+			}
+			delete(model, k)
+		default:
+			hi := k + uint64(rng.Intn(200))
+			var want []Entry
+			for _, mk := range sortedKeys(model) {
+				if mk >= k && mk <= hi && len(want) < 40 {
+					want = append(want, Entry{mk, model[mk]})
+				}
+			}
+			if got := m.Range(k, hi, 40); !slices.Equal(got, want) {
+				t.Fatalf("step %d: Range(%d, %d, 40) = %v, want %v", i, k, hi, got, want)
+			}
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Len() != len(model) {
+		t.Fatalf("Len %d, model %d", m.Len(), len(model))
 	}
 }
 
