@@ -40,7 +40,7 @@ import (
 )
 
 var (
-	addr = flag.String("addr", ":6380", "RESP listen address")
+	addr        = flag.String("addr", ":6380", "RESP listen address")
 	metricsAddr = flag.String("metrics", "",
 		"serve /metrics, /debug/vars and /debug/flightrecorder on this address (empty: disabled)")
 	filePath = flag.String("file", "",
@@ -48,7 +48,7 @@ var (
 	numShards = flag.Int("shards", 1, "hash-partition the keyspace over this many engines")
 	waitFree  = flag.Bool("waitfree", false, "use the bounded wait-free engine (default lock-free)")
 	buckets   = flag.Int("buckets", 1<<20, "hash-index buckets per shard (rounded up to a power of two)")
-	heapWords = flag.Int("heap", 1<<22, "transactional heap words per shard engine")
+	heapWords = flag.Int("heap", 1<<22, "transactional heap words per shard engine (onefile-bench -fig kv -kv-addr preloads 2^20 keys by default, which need 1<<25)")
 	maxStores = flag.Int("maxstores", 0, "per-transaction write-set capacity (0: engine default)")
 	seed      = flag.Int64("seed", 1, "seed for the emulated device's relaxed-ordering adversary")
 )

@@ -26,6 +26,7 @@ import (
 	"net"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"onefile/internal/kvserver"
@@ -125,19 +126,9 @@ func kvServerFor(cfg *KVConfig) (addr string, stop func() error, err error) {
 	if cfg.Addr != "" {
 		return cfg.Addr, nil, nil
 	}
-	buckets := 1
-	for buckets < cfg.Keys {
-		buckets <<= 1
-	}
-	// Heap sizing: an entry block is ~3 header words plus the packed
-	// key+value bytes, allocator headers on top; 24 words/key is ample
-	// for short keys and small values, with the bucket array and slack.
-	heap := 1
-	for heap < cfg.Keys*24+buckets+1<<18 {
-		heap <<= 1
-	}
+	buckets := kvBuckets(cfg.Keys)
 	opts := []tm.Option{
-		tm.WithHeapWords(heap),
+		tm.WithHeapWords(kvHeapWords(cfg.Keys)),
 		tm.WithMaxThreads(64),
 		tm.WithMaxStores(1 << 15),
 	}
@@ -167,6 +158,29 @@ func kvServerFor(cfg *KVConfig) (addr string, stop func() error, err error) {
 		return e.Close()
 	}
 	return ln.Addr().String(), stop, nil
+}
+
+// kvBuckets is the hash-index size for keys entries: the next power of two.
+func kvBuckets(keys int) int {
+	buckets := 1
+	for buckets < keys {
+		buckets <<= 1
+	}
+	return buckets
+}
+
+// kvHeapWords is the transactional heap, in words, that holds keys entries
+// of the harness's keys and values: the in-process server's size, and the
+// -heap an external onefile-kv needs for the preload. An entry block is ~3
+// header words plus the packed key+value bytes, allocator headers on top;
+// 24 words/key is ample for short keys and small values, with the bucket
+// array and slack.
+func kvHeapWords(keys int) int {
+	heap := 1
+	for heap < keys*24+kvBuckets(keys)+1<<18 {
+		heap <<= 1
+	}
+	return heap
 }
 
 // kvKeys precomputes the key strings ("k" + 7 digits: short, fixed-width,
@@ -214,6 +228,10 @@ func kvLoad(addr string, keys []string, val string, cfg *KVConfig) error {
 							return
 						}
 						if err := v.Err(); err != nil {
+							if cfg.Addr != "" && strings.Contains(err.Error(), "heap exhausted") {
+								err = fmt.Errorf("%w: the server at %s cannot hold %d keys; start onefile-kv with -heap %d or pass fewer -keys",
+									err, cfg.Addr, cfg.Keys, kvHeapWords(cfg.Keys))
+							}
 							errs <- fmt.Errorf("load SET: %w", err)
 							return
 						}

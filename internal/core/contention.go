@@ -23,18 +23,35 @@ import (
 // The fixes: slot admission parks excess goroutines on a FIFO wait list
 // (release wakes exactly one), and helpers deduplicate through a CAS-claimed
 // per-slot help ticket with a *bounded* backoff that falls back to full
-// helping (preserving lock-/wait-freedom; see DESIGN.md). The two budgets
-// are sized once, from GOMAXPROCS, when the engine is built: the
-// oversubscription sweep (`onefile-bench -fig 13 -procs 1`) cannot tell a
-// budget re-tuned from the help/abort rate from one left at its initial
-// value (EXPERIMENTS.md, "Contention knobs, pinned").
+// helping (preserving lock-/wait-freedom; see DESIGN.md).
+//
+// The two waits for an apply phase — a deduplicated helper waiting for the
+// claimant to close the request, a loser of the commit CAS waiting for the
+// winner to close — first poll their condition up to waitSpin times (spin),
+// and only then fall back to their bounded Gosched loops. What is awaited
+// is another P finishing an apply phase of a few hundred nanoseconds; a
+// yield there hands the CPU to nobody and costs a trip through the
+// scheduler. On one P the awaited goroutine cannot run while we poll, so
+// waitSpin is 0 there and every wait is the yield loop alone. Slot
+// admission does not poll: an acquirer that found every slot claimed waits
+// for goroutines that may need the very P it would keep polling
+// (EXPERIMENTS.md, "A loser waits for the winner's close").
+//
+// A released slot goes to a per-P cache (a sync.Pool, whose items are
+// P-local), and acquire tries that slot first: a goroutine keeps reusing its
+// P's slot, whose claim word no other P touches in steady state.
+//
+// The three budgets are sized once, from GOMAXPROCS, when the engine is
+// built: the oversubscription sweep (`onefile-bench -fig 13 -procs 1`)
+// cannot tell a budget re-tuned from the help/abort rate from one left at
+// its initial value (EXPERIMENTS.md, "Contention knobs, pinned").
 //
 // Nothing here rotates workers at transaction boundaries: with flat TM words
 // a worker preempted mid-transaction pins nothing other workers' reads
 // depend on (DESIGN.md §9, EXPERIMENTS.md "Oversubscription without the
 // boundary yield").
 
-// Bounds of the two budgets contention.init sizes from GOMAXPROCS.
+// Bounds of the budgets contention.init sizes from GOMAXPROCS.
 const (
 	// acquireSpinMin/Max bound how many full claim-scan passes (one
 	// Gosched between passes) an acquiring goroutine makes before parking.
@@ -49,11 +66,15 @@ const (
 	// retryPauseMax caps the yields of contendedPause (bounded backoff
 	// after a lost commit CAS or failed validation).
 	retryPauseMax = 4
+	// waitSpinPolls is how many times a wait polls its condition before
+	// its yield loop when more than one P can run. It adds at most that
+	// many loads to the delay constant of the progress argument.
+	waitSpinPolls = 4096
 )
 
-// contention is the engine's contention-management state: the two budgets,
-// fixed once the engine is built, and the parking list of the
-// slot-admission path.
+// contention is the engine's contention-management state: the budgets,
+// fixed once the engine is built, the per-P slot cache and the parking list
+// of the slot-admission path.
 type contention struct {
 	// spinBudget is how many claim-scan passes acquire makes (with one
 	// Gosched between passes) before parking.
@@ -61,6 +82,11 @@ type contention struct {
 	// helpBackoff is how many request-recheck rounds a helper that lost
 	// the help-ticket race waits before falling back to full helping.
 	helpBackoff int
+	// waitSpin is how many polls a wait makes before its first yield:
+	// waitSpinPolls with more than one P, 0 with one.
+	waitSpin int
+	// slotCache holds released slots per P (release, acquire).
+	slotCache sync.Pool
 	// waiters counts goroutines registered on (or entering) the parking
 	// list; release skips the park mutex entirely while it is zero.
 	waiters atomic.Int32
@@ -82,6 +108,21 @@ func (c *contention) init(procs int) {
 		c.spinBudget = min(4*procs, acquireSpinMax)
 	}
 	c.helpBackoff = min(max(32*procs, helpBackoffMin), helpBackoffMax)
+	if procs > 1 {
+		c.waitSpin = waitSpinPolls
+	}
+}
+
+// spin polls done up to waitSpin times and reports whether it held. It is
+// the first phase of claimHelp's and contendedPause's waits; the caller's
+// bounded yield loop is the second.
+func (c *contention) spin(done func() bool) bool {
+	for i := 0; i < c.waitSpin; i++ {
+		if done() {
+			return true
+		}
+	}
+	return false
 }
 
 // tryClaim makes one scan over the slots from start, claiming the first
@@ -185,19 +226,24 @@ func (e *Engine) wakeAll() {
 // txid, whose owner slot is owner. The ticket holds the highest txid whose
 // apply phase some thread has claimed (values only grow: a CAS can only
 // install a larger txid, and the owner's commit-time store installs the
-// globally newest one). On a lost claim the helper backs off re-checking
-// whether the claimant closed the request; the backoff is bounded, and on
-// expiry the helper falls back to full helping — a preempted (or dead)
-// claimant therefore delays completion by at most helpBackoff yields, which
-// preserves the lock-free and §III-E wait-free progress bounds.
-// Returns false iff the request closed during the backoff.
+// globally newest one). On a lost claim the helper waits for the claimant
+// to close the request: waitSpin polls, then helpBackoff rounds of recheck
+// and yield. The wait is bounded, and on expiry the helper falls back to
+// full helping — a preempted (or dead) claimant therefore delays completion
+// by at most waitSpin polls and helpBackoff yields, which preserves the
+// lock-free and §III-E wait-free progress bounds.
+// Returns false iff the request closed during the wait.
 func (e *Engine) claimHelp(owner *slot, txid uint64) bool {
 	t := owner.helpTicket.Load()
 	if t < txid && owner.helpTicket.CompareAndSwap(t, txid) {
 		return true // sole claimant: do the work
 	}
+	closed := func() bool { return owner.request.Load() != txid }
+	if e.cm.spin(closed) {
+		return false
+	}
 	for i := 0; i < e.cm.helpBackoff; i++ {
-		if owner.request.Load() != txid {
+		if closed() {
 			return false
 		}
 		runtime.Gosched()
@@ -205,16 +251,19 @@ func (e *Engine) claimHelp(owner *slot, txid uint64) bool {
 	return true
 }
 
-// contendedPause yields briefly after a lost commit CAS or a failed
-// validation, letting the winner finish its apply phase instead of
-// immediately re-colliding with it. round is the caller's consecutive
-// failure count; the pause is bounded (at most retryPauseMax+1 yields), so
-// every retry loop keeps its progress property.
+// contendedPause waits after a lost commit CAS or a failed validation,
+// letting the winner finish its apply phase instead of immediately
+// re-colliding with it: it polls until curTx is no longer pending — the
+// winner closed — and then returns at once. When the spin runs out (or on
+// one P, where it is 0) it yields round+1 times. round is the caller's
+// consecutive failure count; the pause is bounded (waitSpin polls and at
+// most retryPauseMax+1 yields), so every retry loop keeps its progress
+// property.
 func (e *Engine) contendedPause(round int) {
-	if round > retryPauseMax {
-		round = retryPauseMax
+	if e.cm.spin(func() bool { return !e.pending(e.curTx.Load()) }) {
+		return
 	}
-	for i := 0; i <= round; i++ {
+	for i := 0; i <= min(round, retryPauseMax); i++ {
 		runtime.Gosched()
 	}
 }

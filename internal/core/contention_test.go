@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,6 +102,97 @@ func TestAcquireParkWake(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("parked acquirer was never woken by release")
 	}
+
+	// Under load: a goroutine parked for the only slot must complete its
+	// quota while another loops Update on that slot. The looping one would
+	// find the slot in its P's cache on its next acquire; release skips the
+	// cache while someone is parked, so the parked one is not starved by it.
+	const quota = 200
+	s = e.acquire(false)
+	parksBefore := e.cm.parks.Load()
+	var completed atomic.Int32
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for i := 0; i < quota; i++ {
+			e.Update(func(tx tm.Tx) uint64 {
+				tx.Store(tm.Root(2), tx.Load(tm.Root(2))+1)
+				return 0
+			})
+			completed.Add(1)
+		}
+	}()
+	waitFor(t, "the quota goroutine to park", func() bool {
+		return e.cm.parks.Load() > parksBefore
+	})
+	stop := make(chan struct{})
+	hogDone := make(chan struct{})
+	go func() {
+		defer close(hogDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e.Update(func(tx tm.Tx) uint64 {
+				// Hold the slot long enough for the other goroutine's scan
+				// passes to run out, so that it parks again.
+				for t0 := time.Now(); time.Since(t0) < 20*time.Microsecond; {
+				}
+				tx.Store(tm.Root(1), tx.Load(tm.Root(1))+1)
+				return 0
+			})
+		}
+	}()
+	e.release(s)
+	select {
+	case <-finished:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("a parked goroutine sharing the only slot with a looping one finished %d of %d updates in 20 s",
+			completed.Load(), quota)
+	}
+	close(stop)
+	<-hogDone
+	if got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(2)) }); got != quota {
+		t.Fatalf("counter = %d, want %d", got, quota)
+	}
+	t.Logf("%d parks while two goroutines shared one slot", e.cm.parks.Load()-parksBefore)
+}
+
+// TestSoloGoroutineKeepsItsSlot: a goroutine alone on an engine runs every
+// Read and Update on one slot — the slot its P cached, or the hint's when a
+// collection emptied the cache or the goroutine moved to another P.
+func TestSoloGoroutineKeepsItsSlot(t *testing.T) {
+	for name, mk := range map[string]func() *Engine{
+		"lf": func() *Engine { return NewLF(smallOpts()...) },
+		"wf": func() *Engine { return NewWF(smallOpts()...) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := mk()
+			defer e.Close()
+			for i := 0; i < 2000; i++ {
+				e.Update(func(tx tm.Tx) uint64 {
+					tx.Store(tm.Root(0), tx.Load(tm.Root(0))+1)
+					return 0
+				})
+				e.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(0)) })
+				if i%500 == 0 {
+					runtime.GC() // empties the per-P cache
+				}
+			}
+			used := 0
+			for i := range e.slots {
+				st := &e.slots[i].st
+				if st.commits.Load()+st.readCommits.Load() > 0 {
+					used++
+				}
+			}
+			if used != 1 {
+				t.Fatalf("one goroutine ran its transactions on %d slots, want 1", used)
+			}
+		})
+	}
 }
 
 // TestAcquireParkClose verifies that Close wakes parked acquirers and they
@@ -139,40 +232,46 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestHelpTicket exercises the helper-deduplication ticket: first claimant
-// wins, a loser backs off and (a) returns false when the claimant closes
-// the request, (b) falls back to full helping when it does not.
+// wins, a loser waits and (a) returns false when the claimant closes the
+// request, (b) falls back to full helping when it does not — with the spin
+// phase on, as on more than one P, and with it off.
 func TestHelpTicket(t *testing.T) {
-	e := NewLF(smallOpts()...)
-	defer e.Close()
-	owner := &e.slots[0]
-	e.cm.helpBackoff = helpBackoffMin // keep the fallback loops short
+	for _, spin := range []int{0, waitSpinPolls} {
+		e := NewLF(smallOpts()...)
+		owner := &e.slots[0]
+		e.cm.helpBackoff = helpBackoffMin // keep the fallback loops short
+		e.cm.waitSpin = spin
 
-	owner.request.Store(42)
-	if !e.claimHelp(owner, 42) {
-		t.Fatal("first claim of an open request must win")
-	}
-	if got := owner.helpTicket.Load(); got != 42 {
-		t.Fatalf("ticket = %d after claim, want 42", got)
-	}
-	// Losing claimant, request still open: bounded backoff must expire into
-	// the full-help fallback (true), never block progress.
-	if !e.claimHelp(owner, 42) {
-		t.Fatal("backoff with the request still open must fall back to helping")
-	}
-	// Losing claimant, request closed meanwhile: helper stands down.
-	owner.request.Store(0)
-	if e.claimHelp(owner, 42) {
-		t.Fatal("claim of a closed request must report done")
-	}
-	// Tickets only grow: an older transaction can never reclaim.
-	if got := owner.helpTicket.Load(); got != 42 {
-		t.Fatalf("ticket moved backwards: %d", got)
+		owner.request.Store(42)
+		if !e.claimHelp(owner, 42) {
+			t.Fatalf("spin %d: first claim of an open request must win", spin)
+		}
+		if got := owner.helpTicket.Load(); got != 42 {
+			t.Fatalf("spin %d: ticket = %d after claim, want 42", spin, got)
+		}
+		// Losing claimant, request still open: the bounded wait must expire
+		// into the full-help fallback (true), never block progress.
+		if !e.claimHelp(owner, 42) {
+			t.Fatalf("spin %d: a wait with the request still open must fall back to helping", spin)
+		}
+		// Losing claimant, request closed meanwhile: helper stands down.
+		owner.request.Store(0)
+		if e.claimHelp(owner, 42) {
+			t.Fatalf("spin %d: claim of a closed request must report done", spin)
+		}
+		// Tickets only grow: an older transaction can never reclaim.
+		if got := owner.helpTicket.Load(); got != 42 {
+			t.Fatalf("spin %d: ticket moved backwards: %d", spin, got)
+		}
+		e.Close()
 	}
 }
 
-// TestBudgetSizing: the two budgets are sized once from GOMAXPROCS and stay
-// inside their bounds — helpBackoffMax is the constant in the progress
-// argument — from one schedulable thread to more than any host has.
+// TestBudgetSizing: the budgets are sized once from GOMAXPROCS and stay
+// inside their bounds — helpBackoffMax yields and waitSpinPolls polls are
+// the constants in the progress argument — from one schedulable thread to
+// more than any host has. On one P nothing spins: the goroutine a wait
+// waits for cannot run while the waiter polls.
 func TestBudgetSizing(t *testing.T) {
 	for _, procs := range []int{1, 2, 8, 64, 1024} {
 		var c contention
@@ -183,10 +282,16 @@ func TestBudgetSizing(t *testing.T) {
 		if c.helpBackoff < helpBackoffMin || c.helpBackoff > helpBackoffMax {
 			t.Errorf("procs=%d: helpBackoff %d outside [%d,%d]", procs, c.helpBackoff, helpBackoffMin, helpBackoffMax)
 		}
+		if procs > 1 && (c.waitSpin < 1 || c.waitSpin > waitSpinPolls) {
+			t.Errorf("procs=%d: waitSpin %d outside [1,%d]", procs, c.waitSpin, waitSpinPolls)
+		}
 	}
 	var one contention
 	one.init(1)
 	if one.spinBudget != acquireSpinMin {
 		t.Errorf("one schedulable thread spins %d passes before parking, want %d", one.spinBudget, acquireSpinMin)
+	}
+	if one.waitSpin != 0 {
+		t.Errorf("one schedulable thread polls %d times before yielding, want 0", one.waitSpin)
 	}
 }

@@ -643,7 +643,9 @@ func (e *Engine) Recover() error {
 }
 
 // acquire claims a thread slot — MaxThreads acts as a concurrency throttle —
-// and is the pipeline's one admission. The common case is one load of the
+// and is the pipeline's one admission. The common case is one claim CAS on
+// the slot this P released last (the per-P cache, contention.go), whose
+// claim word no other P touches in steady state; then one load of the
 // rotation hint (no RMW on it: a solo caller reuses the same slot run after
 // run) and one claim CAS on that slot; claimSlow owns everything off the
 // happy path. Transactions begun after Close fail fast.
@@ -659,9 +661,12 @@ func (e *Engine) acquire(bypassGate bool) *slot {
 	if e.closed.Load() {
 		panic(tm.ErrEngineClosed)
 	}
-	s := &e.slots[e.claimHint.Load()]
-	if s.claimed.Load() != 0 || !s.claimed.CompareAndSwap(0, 1) {
-		s = e.claimSlow()
+	s, _ := e.cm.slotCache.Get().(*slot)
+	if s == nil || !s.claimed.CompareAndSwap(0, 1) {
+		s = &e.slots[e.claimHint.Load()]
+		if s.claimed.Load() != 0 || !s.claimed.CompareAndSwap(0, 1) {
+			s = e.claimSlow()
+		}
 	}
 	pass := false
 	for !bypassGate && !pass && e.excl.gate.v.Load() != 0 {
@@ -706,12 +711,16 @@ func (e *Engine) claimSlow() *slot {
 // pipeline's one way out, also for a claim that never entered a transaction
 // (an acquirer that found the gate closed) — the admission token must be
 // passed on either way, or a parked acquirer waits for a release that
-// already happened.
+// already happened. With no acquirer parked the slot goes to this P's
+// cache for its next acquire; with one parked it does not, so the woken
+// acquirer is not beaten to the slot by the cache.
 func (e *Engine) release(s *slot) {
 	s.claimed.Store(0)
 	if e.cm.waiters.Load() > 0 {
 		e.wakeOne()
+		return
 	}
+	e.cm.slotCache.Put(s)
 }
 
 // pending reports whether txid is committed but possibly not fully applied:

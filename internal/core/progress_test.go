@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -162,5 +164,88 @@ func TestWaitFreeProgressBound(t *testing.T) {
 				t.Errorf("hazard-era violations: %d", n)
 			}
 		})
+	}
+}
+
+// TestUpdatePassesAParkedCommitter holds the helper's wait to its bound
+// (§III-A, DESIGN.md §9). A committer is parked in its apply phase — after
+// the commit CAS, at the first pwb of its word flushes, its help ticket
+// claimed and its request open — through the device hook. A concurrent
+// Update then loses the help ticket to it and waits for a close that never
+// comes: its polls (none on one P) and its bounded yields run out, it helps
+// the parked transaction closed and commits its own, all while the
+// committer stays parked.
+func TestUpdatePassesAParkedCommitter(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		for _, wf := range []bool{false, true} {
+			t.Run(fmt.Sprintf("procs=%d/wf=%v", procs, wf), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				e, dev := newPTM(t, wf, pmem.StrictMode, 1)
+				defer e.Close()
+				if want := map[int]int{1: 0, 2: waitSpinPolls}[procs]; e.cm.waitSpin != want {
+					t.Fatalf("waitSpin = %d at %d Ps, want %d", e.cm.waitSpin, procs, want)
+				}
+				x, y := tm.Root(0), tm.Root(1)
+				e.Update(func(tx tm.Tx) uint64 { tx.Store(x, 1); return 0 })
+
+				// The committer's events, in order: log pwb, drain, curTx
+				// pwb, drain, then the apply phase's word pwbs.
+				var drains atomic.Int32
+				var once atomic.Bool
+				parked, release := make(chan struct{}), make(chan struct{})
+				sim := dev.(*pmem.Sim)
+				sim.SetHook(func(ev pmem.Event) {
+					if once.Load() {
+						return
+					}
+					if ev == pmem.EvDrain {
+						drains.Add(1)
+					} else if ev == pmem.EvPwb && drains.Load() == 2 && once.CompareAndSwap(false, true) {
+						close(parked)
+						<-release
+					}
+				})
+				defer sim.SetHook(nil)
+				committed := make(chan struct{})
+				go func() {
+					defer close(committed)
+					e.Update(func(tx tm.Tx) uint64 { tx.Store(x, 2); return 0 })
+				}()
+				<-parked
+				parkedTx := e.curTx.Load()
+				if !e.pending(parkedTx) {
+					t.Fatal("the parked committer's transaction is not pending")
+				}
+
+				before := e.Stats()
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					e.Update(func(tx tm.Tx) uint64 { tx.Store(y, tx.Load(x)+10); return 0 })
+				}()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("an Update beside a parked committer did not commit: the wait blocked")
+				}
+				select {
+				case <-committed:
+					t.Fatal("the committer returned while parked")
+				default:
+				}
+				d := e.Stats().Sub(before)
+				if d.Helps < 1 || d.Commits != 1 {
+					t.Errorf("Update beside a parked committer: %d helps, %d commits; want ≥ 1 and 1", d.Helps, d.Commits)
+				}
+				if e.pending(parkedTx) {
+					t.Error("the parked committer's transaction is still pending")
+				}
+				if got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(y) }); got != 12 {
+					t.Errorf("y = %d, want 12 (the Update read the parked transaction's write)", got)
+				}
+				close(release)
+				<-committed
+			})
+		}
 	}
 }
