@@ -22,7 +22,7 @@
 // -latency runs the observability-layer latency sweep: every OneFile
 // variant with a metrics registry attached, reporting engine-side
 // begin→commit p50/p99/p999 per execution path (direct update, read-only,
-// combiner solo fast path, combined batch op). The percentiles come from
+// AsyncUpdate, BatchUpdate op). The percentiles come from
 // the engines' own log-bucketed histograms (internal/obs), so they cover
 // every operation issued, not a caller-side sample.
 //
@@ -565,7 +565,7 @@ func runBatchFig() error {
 // submit→reply percentiles. With -kv-addr it measures an externally
 // started onefile-kv; otherwise an in-process server over a persistent
 // engine on a loopback listener. The per-point duration follows -dur but
-// is floored at 2s (a service measurement needs the combiner and the
+// is floored at 2s (a service measurement needs the engine and the
 // socket path warmed), except under -quick.
 func runKVFig() error {
 	cfg := bench.KVConfig{

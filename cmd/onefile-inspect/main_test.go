@@ -56,7 +56,7 @@ func TestInspectSnapshot(t *testing.T) {
 	}
 
 	// Durable state the report must show: two root slots, one of them
-	// pointing at an allocated block, written partly through the combiner.
+	// pointing at an allocated block, written partly through BatchUpdate.
 	e.Update(func(tx tm.Tx) uint64 {
 		tx.Store(tm.Root(3), 7777)
 		return 0

@@ -1,17 +1,17 @@
 // onefile-kv is the network-facing durable KV service: a RESP-protocol
 // server (GET/SET/DEL/INCR/MGET/SCAN, pipelining — redis-cli speaks to it)
 // whose storage is a OneFile persistent transactional memory. Every write
-// command is one transaction submitted through the engine's group-commit
-// combiner, so concurrent and pipelined clients share commit pipelines and
-// persistence-fence rounds; a reply is only sent after the transaction is
-// durable.
+// command is one transaction, and a pipelined window of them shares one
+// (internal/kvserver/drain.go), so a pipelining client shares commit
+// pipelines and persistence-fence rounds; a reply is only sent after the
+// transaction is durable.
 //
 //	onefile-kv -addr :6380 -file /var/lib/onefile/kv.img -metrics :8080
 //	redis-cli -p 6380 set hello world
 //
 // With -shards N the keyspace is hash-partitioned over N engines (one
 // device file per shard under -file, now a directory); each shard has its
-// own combiner and commit stream, so disjoint keys commit concurrently.
+// own commit stream, so disjoint keys commit concurrently.
 // Without -file the store runs on the in-process emulated NVM: same
 // engine, same transactions, but state dies with the process — useful for
 // benchmarking the service layer itself.

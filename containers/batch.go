@@ -2,20 +2,18 @@ package containers
 
 import "onefile/internal/tm"
 
-// Batched entry points. Each value is submitted as its own operation to the
-// engine's group-commit combiner (tm.Batch), so on the OneFile engines the
-// whole call — and any concurrent submitters' operations — merges into as
-// few physical transactions as the batch bound allows: one commit pipeline
-// and, on the persistent engines, one fence round per merged batch instead
-// of per element. On an engine without a combiner each element is an
-// ordinary solo transaction, so the methods are portable (but then carry no
+// Batched entry points. Each value is its own operation of one tm.Batch
+// call, so on the OneFile engines the whole call runs in as few physical
+// transactions as the batch bound allows: one commit pipeline and, on the
+// persistent engines, one fence round per batch instead of per element. On
+// an engine that does not batch each element is an ordinary solo
+// transaction, so the methods are portable (but then carry no
 // cross-element atomicity, exactly like calling the per-element methods in
 // a loop).
 //
 // Submitting per element (rather than one big op doing the whole slice)
-// keeps each operation's write-set small — a combined transaction that
-// overflows falls back to per-op solo commits, never to a failure — and
-// lets independent callers' elements interleave into shared batches.
+// keeps each operation's write-set small: a batch transaction that
+// overflows falls back to per-op solo commits, never to a failure.
 
 // batchErr returns the first operation error in res, if any.
 func batchErr(res []tm.BatchResult) error {
@@ -27,8 +25,8 @@ func batchErr(res []tm.BatchResult) error {
 	return nil
 }
 
-// EnqueueAll appends every value of vs, in order, through the engine's
-// group-commit combiner.
+// EnqueueAll appends every value of vs, in order, as one
+// batch.
 func (q *Queue) EnqueueAll(vs []uint64) error {
 	fns := make([]func(Tx) uint64, len(vs))
 	for i, v := range vs {
@@ -37,7 +35,7 @@ func (q *Queue) EnqueueAll(vs []uint64) error {
 	return batchErr(tm.Batch(q.e, fns))
 }
 
-// DequeueAll removes up to n values through the combiner and returns them
+// DequeueAll removes up to n values as one batch and returns them
 // oldest-first. Fewer than n are returned if the queue runs empty.
 func (q *Queue) DequeueAll(n int) ([]uint64, error) {
 	fns := make([]func(Tx) uint64, n)
@@ -61,7 +59,7 @@ func (q *Queue) DequeueAll(n int) ([]uint64, error) {
 }
 
 // PushAll pushes every value of vs, in order (vs[len-1] ends up on top),
-// through the engine's group-commit combiner.
+// as one batch.
 func (s *Stack) PushAll(vs []uint64) error {
 	fns := make([]func(Tx) uint64, len(vs))
 	for i, v := range vs {
@@ -70,9 +68,9 @@ func (s *Stack) PushAll(vs []uint64) error {
 	return batchErr(tm.Batch(s.e, fns))
 }
 
-// AddAll inserts every key of ks through the engine's group-commit combiner
-// and returns how many were newly added (duplicates — within ks or with the
-// existing set — count once).
+// AddAll inserts every key of ks as one batch and returns how many were
+// newly added (duplicates — within ks or with the existing set — count
+// once).
 func (h *HashSet) AddAll(ks []uint64) (int, error) {
 	fns := make([]func(Tx) uint64, len(ks))
 	for i, k := range ks {

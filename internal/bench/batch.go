@@ -11,26 +11,26 @@ import (
 )
 
 // This file is the group-commit sweep (`onefile-bench -fig batch`): SPS
-// throughput and persistence-fence cost of the combining layer
+// throughput and persistence-fence cost of the batch entries
 // (internal/core/combine.go) as the batch window grows, against the direct
 // per-op commit path as baseline. Two regimes:
 //
 //   - Contended (Threads > 1): several submitters drive tm.Batch against a
 //     small hot working set — the scenario group commit exists for (think
-//     database group commit amortising a log fsync across clients). The
-//     combiner drains every pending submission into one transaction, so the
-//     write-set dedupe collapses the repeated hot-word writes and the whole
-//     drain pays one commit and one fence round.
+//     database group commit amortising a log fsync across clients). Each
+//     batch is one transaction, so the write-set dedupe collapses its
+//     repeated hot-word writes and the whole batch pays one commit and one
+//     fence round; concurrent batches conflict as concurrent Updates do.
 //   - Single submitter (Threads <= 1): each measured batch is exactly one
-//     combined engine transaction, isolating the commit-pipeline
-//     amortisation itself (one curTx advance, one apply pass, one fence
-//     round per batch) from scheduling and dedupe effects.
+//     engine transaction, isolating the commit-pipeline amortisation itself
+//     (one curTx advance, one apply pass, one fence round per batch) from
+//     scheduling and dedupe effects.
 //
 // The solo-latency pair measures the other side of the bargain: a lone
-// AsyncUpdate must ride the solo fast path at parity with Update.
+// AsyncUpdate, a batch of one, must stay at parity with Update.
 
 // BatchEngines are the engines the sweep runs: the four OneFile variants
-// (only they implement the combiner).
+// (only they implement tm.Combining).
 var BatchEngines = []string{"OF-LF", "OF-WF", "OF-LF-PTM", "OF-WF-PTM"}
 
 // BatchWindows are the swept batch sizes.
@@ -58,9 +58,8 @@ type BatchPoint struct {
 
 // batchRun measures one point on e: window <= 0 is the direct baseline
 // (one Update per operation), otherwise each round submits window
-// operations through tm.Batch. cfg.Threads submitters run concurrently;
-// with several, the active combiner drains their simultaneous submissions
-// into shared transactions, so a committed batch can span submitters.
+// operations through tm.Batch. cfg.Threads submitters run concurrently,
+// each batch one transaction of its own caller's.
 func batchRun(e tm.Engine, cfg BatchConfig, window int) BatchPoint {
 	arr := newBigArray(e, 0, cfg.Entries)
 	round := window
@@ -178,8 +177,8 @@ func BatchSweep(name string, windows []int, cfg BatchConfig) ([]BatchPoint, erro
 }
 
 // BatchSoloLatency measures single-submitter latency in ns/op for the named
-// engine: direct Update versus a lone AsyncUpdate (the combiner's solo fast
-// path, which must stay at parity — no batch ever forms). Interleaved
+// engine: direct Update versus a lone AsyncUpdate (a batch of one, which
+// must stay at parity). Interleaved
 // repetitions, median of each side.
 func BatchSoloLatency(name string, cfg BatchConfig, iters, reps int) (direct, combined float64, err error) {
 	if reps < 1 {

@@ -3,8 +3,8 @@ package bench
 // KV service load harness: YCSB-style key-value mixes driven over real
 // sockets against the RESP front end (internal/kvserver, cmd/onefile-kv).
 // Unlike the engine benchmarks in this package, the measured path is the
-// whole service — RESP parsing, the pipelining window, the combining
-// layer's group commits, and the persistent engine — which is what
+// whole service — RESP parsing, the pipelining window (one transaction per
+// drain), and the persistent engine — which is what
 // `onefile-bench -fig kv` reports into BENCH_*.json.
 //
 // By default the harness starts an in-process server over a persistent

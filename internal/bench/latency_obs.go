@@ -13,7 +13,7 @@ import (
 // Engine-side latency percentiles, measured by the observability layer
 // (internal/obs) rather than by caller-side stopwatches: the engine's own
 // begin→commit histograms see every path — direct updates, read-only
-// transactions, the combiner's solo fast path and combined batches — at
+// transactions, AsyncUpdate and BatchUpdate — at
 // the point where the paper's progress argument applies, and the
 // log-bucketed histograms hold the full distribution (no reservoir, no
 // sample cap), so the p999 comes from every operation issued.

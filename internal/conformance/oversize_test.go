@@ -5,7 +5,7 @@ package conformance
 // MaxStores panics with exactly that value, the transaction's effects are
 // fully undone (eager engines roll back in-place stores and release their
 // locks), and the engine stays usable. Layers with an error return
-// translate the panic: combiner futures carry it as the submission's
+// translate the panic: futures carry it as the operation's
 // error, and the sharded store's cross-shard staging path returns it
 // wrapped. Every branch is pinned here, over every engine.
 

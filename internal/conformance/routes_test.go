@@ -69,7 +69,7 @@ type route struct {
 	// futures: failures arrive as the future's error; otherwise they are
 	// re-raised on the caller.
 	futures bool
-	// combined: the entry goes through the combiner (Batches/BatchedOps).
+	// combined: the entry runs a batch (Batches/BatchedOps).
 	combined bool
 	call     func(e *core.Engine, fn func(tm.Tx) uint64) outcome
 }
@@ -183,19 +183,19 @@ func heapDigest(e *core.Engine) string {
 }
 
 // histCounts snapshots the sample counts of the sink's histograms.
-type histCounts struct{ update, read, solo, batch, batchSize, drainSpan uint64 }
+type histCounts struct{ update, read, solo, batch, batchSize uint64 }
 
 func countsOf(o *core.EngineObs) histCounts {
 	return histCounts{
 		update: o.UpdateLat.Count(), read: o.ReadLat.Count(),
 		solo: o.SoloLat.Count(), batch: o.BatchLat.Count(),
-		batchSize: o.BatchSize.Count(), drainSpan: o.DrainSpan.Count(),
+		batchSize: o.BatchSize.Count(),
 	}
 }
 
 func (a histCounts) sub(b histCounts) histCounts {
 	return histCounts{a.update - b.update, a.read - b.read,
-		a.solo - b.solo, a.batch - b.batch, a.batchSize - b.batchSize, a.drainSpan - b.drainSpan}
+		a.solo - b.solo, a.batch - b.batch, a.batchSize - b.batchSize}
 }
 
 func TestRouteEquivalence(t *testing.T) {
@@ -252,21 +252,24 @@ func TestRouteEquivalence(t *testing.T) {
 					}
 
 					// Stats. Commits counts each committed operation's
-					// transaction once; a read-only body is a read commit.
-					if b.fails == nil {
-						// (A lone wait-free update commits unpublished, as a
-						// lock-free one does, so a read-only body is a read
-						// commit on every entry of every variant.)
-						wantCommits, wantReads := uint64(1), uint64(0)
-						if b.words == 0 {
-							wantCommits, wantReads = 0, 1
-						}
-						if d.Commits != wantCommits || d.ReadCommits != wantReads {
-							t.Error(at("Commits %d ReadCommits %d, want %d and %d", d.Commits, d.ReadCommits, wantCommits, wantReads))
-						}
-						if persistent && d.Pfence != 0 {
-							t.Error(at("the commit issued %d pfences, want 0", d.Pfence))
-						}
+					// transaction once; a read-only body is a read commit
+					// (a lone wait-free update commits unpublished, as a
+					// lock-free one does, so on every entry of every
+					// variant). A body that fails commits nothing and is
+					// neither: a batch of one fails its transaction as
+					// Update's body fails Update's.
+					wantCommits, wantReads := uint64(1), uint64(0)
+					switch {
+					case b.fails != nil:
+						wantCommits = 0
+					case b.words == 0:
+						wantCommits, wantReads = 0, 1
+					}
+					if d.Commits != wantCommits || d.ReadCommits != wantReads {
+						t.Error(at("Commits %d ReadCommits %d, want %d and %d", d.Commits, d.ReadCommits, wantCommits, wantReads))
+					}
+					if persistent && d.Pfence != 0 {
+						t.Error(at("the commit issued %d pfences, want 0", d.Pfence))
 					}
 					var wantBatches uint64
 					if r.combined {
@@ -276,20 +279,18 @@ func TestRouteEquivalence(t *testing.T) {
 						t.Error(at("Batches %d BatchedOps %d, want %d each", d.Batches, d.BatchedOps, wantBatches))
 					}
 
-					// Histograms, per the table in DESIGN.md §11. (A body
-					// that fails leaves through a panic or as an empty
-					// transaction; only its submit→resolve sample is pinned.)
+					// Histograms, per the table in DESIGN.md §11. A body
+					// that fails has no begin→commit sample on any entry;
+					// a future's call→resolve sample still counts it.
 					want := histCounts{}
 					switch r.name {
 					case "AsyncUpdate":
 						want.solo = 1
 					case "BatchUpdate":
-						want.batch, want.batchSize, want.drainSpan = 1, 1, 1
+						want.batch, want.batchSize = 1, 1
 					}
 					if b.fails == nil {
 						want.update = 1
-					} else {
-						h.update = 0
 					}
 					if h != want {
 						t.Error(at("histogram samples %+v, want %+v", h, want))

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"onefile/internal/pmem"
 	"onefile/internal/tm"
@@ -202,50 +201,30 @@ func TestCombineOverflowSolo(t *testing.T) {
 	}
 }
 
-// TestCombineClosedParked: Close must resolve queued submissions with
-// ErrEngineClosed so parked submitters wake, and submissions after Close
-// fail immediately.
-func TestCombineClosedParked(t *testing.T) {
+// TestCombineAfterCloseCarriesErrEngineClosed: AsyncUpdate and
+// BatchUpdate on a closed engine run nothing and carry ErrEngineClosed.
+func TestCombineAfterCloseCarriesErrEngineClosed(t *testing.T) {
 	e := NewLF(smallOpts()...)
-	// Occupy the combiner slot so the submission below queues instead of
-	// running on the solo fast path.
-	if !e.comb.active.CompareAndSwap(0, 1) {
-		t.Fatal("combiner busy on a fresh engine")
-	}
-	fut := e.AsyncUpdate(func(tx tm.Tx) uint64 { return 1 })
-	if fut.Done() {
-		t.Fatal("submission ran despite an active combiner")
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := fut.Wait()
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	select {
-	case err := <-done:
-		if !errors.Is(err, tm.ErrEngineClosed) {
-			t.Fatalf("parked submitter got %v, want ErrEngineClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked submitter never woke after Close")
-	}
-	if _, err := e.AsyncUpdate(func(tx tm.Tx) uint64 { return 1 }).Wait(); !errors.Is(err, tm.ErrEngineClosed) {
+	var ran atomic.Bool
+	body := func(tx tm.Tx) uint64 { ran.Store(true); return 1 }
+	if _, err := e.AsyncUpdate(body).Wait(); !errors.Is(err, tm.ErrEngineClosed) {
 		t.Fatalf("submit after Close: err = %v, want ErrEngineClosed", err)
 	}
-	for _, r := range e.BatchUpdate([]func(tm.Tx) uint64{func(tx tm.Tx) uint64 { return 1 }}) {
+	for _, r := range e.BatchUpdate([]func(tm.Tx) uint64{body, body}) {
 		if !errors.Is(r.Err, tm.ErrEngineClosed) {
 			t.Fatalf("batch after Close: err = %v, want ErrEngineClosed", r.Err)
 		}
 	}
+	if ran.Load() {
+		t.Fatal("a body ran on a closed engine")
+	}
 }
 
-// TestCombineSoloFastPath: with an idle combiner, AsyncUpdate resolves on
-// return (the caller ran the op itself) and a non-combining alloc/free op
-// behaves exactly like Update.
+// TestCombineSoloFastPath: AsyncUpdate runs the op on the caller, and an
+// alloc/free op behaves exactly like Update.
 func TestCombineSoloFastPath(t *testing.T) {
 	for name, e := range combineEngines(t) {
 		t.Run(name, func(t *testing.T) {
@@ -256,9 +235,6 @@ func TestCombineSoloFastPath(t *testing.T) {
 				tx.Free(p)
 				return v
 			})
-			if !fut.Done() {
-				t.Fatal("solo fast path did not resolve synchronously")
-			}
 			if v, err := fut.Wait(); err != nil || v != 5 {
 				t.Fatalf("Wait = (%d, %v), want (5, nil)", v, err)
 			}

@@ -245,8 +245,8 @@ type Engine struct {
 	// admission and the helper deduplication budget.
 	cm contention
 
-	// comb is the group-commit combining layer (combine.go): AsyncUpdate/
-	// BatchUpdate submissions merged into single engine transactions.
+	// comb is the batch entries' state (combine.go): AsyncUpdate and
+	// BatchUpdate run several operations as one engine transaction.
 	comb combiner
 
 	// obsv is the attached observability sink (obs.go), nil when nothing
@@ -622,10 +622,6 @@ func (e *Engine) Close() error {
 	// Wake acquirers parked on the exclusivity gate (exclusive.go): they
 	// re-check closed and fail fast.
 	e.gateBroadcast()
-	// Fail queued combiner submissions: their submitters are parked on
-	// futures, not on the slot wait list, so the wake-all above cannot
-	// reach them (combine.go).
-	e.failPending(tm.ErrEngineClosed)
 	return nil
 }
 

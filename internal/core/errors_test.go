@@ -201,11 +201,11 @@ func TestWaitFreeOverflowAggregationInnocent(t *testing.T) {
 	}
 }
 
-// TestWaitFreeOverflowBatchOfOneInnocent is the same promise for a combiner
-// batch of one, which runs inside the aggregate as one operation that
-// contains its own: when it overflows only because another published
-// operation filled the write-set, the aggregate drops it for a later,
-// smaller one instead of resolving it with ErrTooManyStores; when it
+// TestWaitFreeOverflowBatchOfOneInnocent is the same promise for an
+// AsyncUpdate, a batch of one, which runs inside the aggregate as one
+// operation that contains its own: when it overflows only because another
+// published operation filled the write-set, the aggregate drops it for a
+// later, smaller one instead of resolving it with ErrTooManyStores; when it
 // overflows alone, that is still its error.
 func TestWaitFreeOverflowBatchOfOneInnocent(t *testing.T) {
 	e := NewWF(tm.WithHeapWords(1<<14), tm.WithMaxThreads(4), tm.WithMaxStores(16))

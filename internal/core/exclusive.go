@@ -116,10 +116,10 @@ func (e *Engine) BeginExclusive() {
 	}
 	x.gate.v.Store(1)
 	// Drain: wait for every claimed slot to release and every granted
-	// anti-starvation pass to be consumed. Parked acquirers and queued
-	// combiner submitters hold no claim, so this terminates as soon as
-	// the currently running transactions — including the one guaranteed
-	// transaction of each pass holder — commit or abort. The passes load
+	// anti-starvation pass to be consumed. Parked acquirers hold no
+	// claim, so this terminates as soon as the currently running
+	// transactions — including the one guaranteed transaction of each pass
+	// holder — commit or abort. The passes load
 	// precedes the claim scan: a consumed pass's claim CAS is ordered
 	// before its passes decrement, so a zero passes count means every
 	// pass holder's claim is visible to the scan (or already released).

@@ -126,6 +126,47 @@ func BenchmarkReadTx(b *testing.B) {
 	}
 }
 
+// BenchmarkAsyncUpdate is a lone AsyncUpdate, a batch of one on the
+// caller. On LF-PTM its one allocation is the future (CI fails above it).
+func BenchmarkAsyncUpdate(b *testing.B) {
+	for _, wf := range []bool{false, true} {
+		b.Run(map[bool]string{false: "LF-PTM", true: "WF-PTM"}[wf], func(b *testing.B) {
+			e := newBenchPTM(b, wf)
+			for i := 0; i < 1024; i++ {
+				e.AsyncUpdate(updateTxBody)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.AsyncUpdate(updateTxBody)
+			}
+		})
+	}
+}
+
+// BenchmarkBatchUpdate is one BatchUpdate of 16 operations, each
+// incrementing its own word: one transaction of 16 stores.
+func BenchmarkBatchUpdate(b *testing.B) {
+	fns := make([]func(tm.Tx) uint64, 16)
+	for i := range fns {
+		p := tm.Root(i)
+		fns[i] = func(tx tm.Tx) uint64 { tx.Store(p, tx.Load(p)+1); return 0 }
+	}
+	for _, wf := range []bool{false, true} {
+		b.Run(map[bool]string{false: "LF-PTM", true: "WF-PTM"}[wf], func(b *testing.B) {
+			e := newBenchPTM(b, wf)
+			for i := 0; i < 1024; i++ {
+				e.BatchUpdate(fns)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.BatchUpdate(fns)
+			}
+		})
+	}
+}
+
 func BenchmarkEmptyUpdateTx(b *testing.B) {
 	e := NewLF(benchOpts()...)
 	b.ReportAllocs()

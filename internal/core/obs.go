@@ -20,30 +20,23 @@ import (
 // (bounded atomics, no loops), so instrumentation does not change the
 // engines' progress bounds — see DESIGN.md §11.
 
-// EngineObs bundles an engine's observability sinks: begin→commit latency
-// histograms per path, combiner distribution histograms, and the flight
-// recorder. Fields may be nil (recording through them is a no-op);
-// normally RegisterMetrics builds a fully populated one.
+// EngineObs bundles an engine's observability sinks: latency histograms
+// per path, the batch-size histogram, and the flight recorder. Fields may
+// be nil (recording through them is a no-op); normally RegisterMetrics
+// builds a fully populated one.
 type EngineObs struct {
-	// UpdateLat is the begin→commit latency of direct Update transactions
-	// (including transactions the combiner executes — the combined paths
-	// additionally record below).
+	// UpdateLat is the begin→commit latency of update transactions
+	// (including a batch's — the batch entries additionally record below).
 	UpdateLat *obs.Histogram
 	// ReadLat is the begin→completion latency of Read transactions.
 	ReadLat *obs.Histogram
-	// SoloLat is the begin→resolve latency of AsyncUpdate submissions
-	// that rode the solo fast path.
+	// SoloLat is the call→resolve latency of AsyncUpdate calls.
 	SoloLat *obs.Histogram
-	// BatchLat is the submit→resolve latency of operations executed
-	// through combined transactions.
+	// BatchLat is the call→resolve latency of BatchUpdate operations.
 	BatchLat *obs.Histogram
-	// BatchSize is the operations-per-combined-transaction distribution.
+	// BatchSize is the operations-per-batch-transaction distribution.
 	BatchSize *obs.Histogram
-	// DrainSpan is the operations-per-combiner-drain distribution (one
-	// drain may split into several combined transactions).
-	DrainSpan *obs.Histogram
-	// Rec is the flight recorder (commit/abort/help/park/drain/era-stall
-	// events).
+	// Rec is the flight recorder (commit/abort/help/park events).
 	Rec *obs.Recorder
 }
 
@@ -125,13 +118,11 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, prefix string) *EngineObs {
 		ReadLat: reg.Histogram(prefix+"_read_latency_ns",
 			"begin-to-completion latency of read-only transactions", "ns"),
 		SoloLat: reg.Histogram(prefix+"_solo_latency_ns",
-			"begin-to-resolve latency of solo-fast-path AsyncUpdate submissions", "ns"),
+			"call-to-resolve latency of AsyncUpdate calls", "ns"),
 		BatchLat: reg.Histogram(prefix+"_batch_op_latency_ns",
-			"submit-to-resolve latency of operations in combined transactions", "ns"),
+			"call-to-resolve latency of BatchUpdate operations", "ns"),
 		BatchSize: reg.Histogram(prefix+"_batch_size_ops",
-			"operations per combined transaction", "ops"),
-		DrainSpan: reg.Histogram(prefix+"_drain_span_ops",
-			"operations per combiner drain", "ops"),
+			"operations per batch transaction", "ops"),
 		Rec: obs.NewRecorder(recorderDepth),
 	}
 	reg.AddRecorder(prefix, o.Rec)

@@ -249,3 +249,77 @@ func TestUpdatePassesAParkedCommitter(t *testing.T) {
 		}
 	}
 }
+
+// TestAsyncUpdatePassesAParkedSubmitter: an AsyncUpdate stopped inside its
+// own body stops no other AsyncUpdate. A's body stores a word and then
+// blocks, on its first execution only; B's AsyncUpdate beside it must
+// resolve within the deadline, at one P and two. Once A is released, each
+// effect is present exactly once: A's blocked execution lost to B's commit
+// and A's retry committed.
+func TestAsyncUpdatePassesAParkedSubmitter(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		for _, wf := range []bool{false, true} {
+			t.Run(fmt.Sprintf("procs=%d/wf=%v", procs, wf), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				e, _ := newPTM(t, wf, pmem.StrictMode, 1)
+				defer e.Close()
+				x, y := tm.Root(0), tm.Root(1)
+				inc := func(tx tm.Tx, p tm.Ptr) { tx.Store(p, tx.Load(p)+1) }
+
+				var first atomic.Bool
+				parked, release := make(chan struct{}), make(chan struct{})
+				var releaseOnce sync.Once
+				unpark := func() { releaseOnce.Do(func() { close(release) }) }
+				defer unpark()
+				aDone := make(chan error, 1)
+				go func() {
+					_, err := e.AsyncUpdate(func(tx tm.Tx) uint64 {
+						inc(tx, x)
+						if first.CompareAndSwap(false, true) {
+							close(parked)
+							<-release
+						}
+						return 0
+					}).Wait()
+					aDone <- err
+				}()
+				<-parked
+
+				bDone := make(chan error, 1)
+				go func() {
+					_, err := e.AsyncUpdate(func(tx tm.Tx) uint64 { inc(tx, y); return 0 }).Wait()
+					bDone <- err
+				}()
+				select {
+				case err := <-bDone:
+					if err != nil {
+						t.Fatalf("B's AsyncUpdate: %v", err)
+					}
+				case <-time.After(2 * time.Second):
+					unpark()
+					<-aDone
+					t.Fatal("an AsyncUpdate beside a parked one did not resolve within 2 s")
+				}
+				select {
+				case <-aDone:
+					t.Fatal("A's AsyncUpdate returned while its body was parked")
+				default:
+				}
+
+				unpark()
+				select {
+				case err := <-aDone:
+					if err != nil {
+						t.Fatalf("A's AsyncUpdate: %v", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("A's AsyncUpdate did not finish once released")
+				}
+				got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(x)<<32 | tx.Load(y) })
+				if got != 1<<32|1 {
+					t.Fatalf("x<<32|y = %#x, want %#x: an effect is missing or doubled", got, uint64(1<<32|1))
+				}
+			})
+		}
+	}
+}

@@ -103,8 +103,8 @@ func runBody(fn func(tm.Tx) uint64, tx tm.Tx) (res uint64, ok bool) {
 }
 
 // The update pipeline (DESIGN.md §4). Every public update entry — Update,
-// UpdateExclusive, UpdatePublished, and the combiner's AsyncUpdate/
-// BatchUpdate through execBatch — is an adapter over run, which walks the
+// UpdateExclusive, UpdatePublished, and AsyncUpdate/BatchUpdate through
+// execBatch — is an adapter over run, which walks the
 // stages
 //
 //	admit → run the body into the slot's write-set → commit → apply →

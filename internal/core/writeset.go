@@ -280,18 +280,17 @@ type wsMark struct {
 // reset() disarms it, so ordinary transactions never pay for the undo log.
 // Called at the start of every execution of the body (executions on the
 // wait-free engines may run on helper goroutines, each against its own
-// slot's write-set). nested reports that an enclosing scope had armed it
-// already: a combined batch executing inside a wait-free aggregate.
-func (w *writeSet) beginUndo() (nested bool) {
+// slot's write-set). An enclosing scope may have armed it already: a batch
+// executing inside a wait-free aggregate.
+func (w *writeSet) beginUndo() {
 	if w.recording {
 		// Truncating here would invalidate marks the aggregate took before
 		// this operation; keep the outer scope's entries (reset() disarms).
-		return true
+		return
 	}
 	w.recording = true
 	w.undoIdx = w.undoIdx[:0]
 	w.undoVal = w.undoVal[:0]
-	return false
 }
 
 // mark checkpoints the write-set before one operation of a combined

@@ -5,8 +5,8 @@
 // validation line of work (Raad et al.).
 //
 // A scenario is the system under crash. There are three: one engine running
-// the canonical Program; the same Program submitted through the group-commit
-// combiner in chunks (Config.Batch); and a ShardedProgram over N devices
+// the canonical Program; the same Program run as batches in chunks
+// (Config.Batch); and a ShardedProgram over N devices
 // with cross-shard two-phase commits (Config.Shards). One driver crashes
 // them all (scenario.go). crashAt counts the persistence events
 // (pwb/pfence/drain) of a run with one hook shared by every device, and on a
@@ -78,8 +78,8 @@ func EngineByName(name string) (EngineDef, error) {
 	return EngineDef{}, fmt.Errorf("crashcheck: unknown persistent engine %q", name)
 }
 
-// oneFile lists the OneFile PTMs: the engines with a group-commit combiner
-// (tm.Combining) and the engines a shard.Store is built from.
+// oneFile lists the OneFile PTMs: the engines that batch (tm.Combining)
+// and the engines a shard.Store is built from.
 var oneFile = []string{"OF-LF-PTM", "OF-WF-PTM"}
 
 // engineOpts sizes the engines under test. Small on purpose: the sweep
@@ -131,8 +131,7 @@ type Config struct {
 	Seed int64
 	// Stride checks every Stride-th event index (1 = exhaustive).
 	Stride int
-	// Batch > 1 submits the workload through the group-commit combiner in
-	// chunks of Batch; recovery must be all-or-nothing per chunk.
+	// Batch > 1 runs the workload as tm.Batch calls in chunks of Batch; recovery must be all-or-nothing per chunk.
 	Batch int
 	// Shards ≥ 2 runs the cross-shard workload over Shards devices, each
 	// shard the named engine. Batch and Shards need OneFile PTMs and exclude
@@ -187,7 +186,7 @@ func newScenario(cfg Config, def EngineDef) (scenario, error) {
 	case cfg.Shards > 1:
 		return sharded{def.Name, NewShardedProgram(cfg.Seed, cfg.Shards, cfg.Txns)}, nil
 	case cfg.Batch > 1 && !isOneFile:
-		return nil, fmt.Errorf("crashcheck: %s has no group-commit combiner; batched sweep is not meaningful", def.Name)
+		return nil, fmt.Errorf("crashcheck: %s does not batch; batched sweep is not meaningful", def.Name)
 	case cfg.Batch > 1:
 		return batched{single{def, NewProgram(cfg.Seed, cfg.Txns)}, cfg.Batch}, nil
 	}

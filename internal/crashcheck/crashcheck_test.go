@@ -65,8 +65,8 @@ func TestCrashMatrixRelaxedStride(t *testing.T) {
 }
 
 // TestCrashMatrixCombined is the batch-atomicity sweep (satellite of the
-// group-commit layer): workload transactions are merged into combined
-// engine transactions by the combiner, and a crash at every persistence
+// group-commit layer): workload transactions are run as batches, each one
+// engine transaction, and a crash at every persistence
 // event must recover to a state before or after each whole chunk — never an
 // intermediate prefix (a torn batch). StrictMode, both OneFile PTMs.
 func TestCrashMatrixCombined(t *testing.T) {

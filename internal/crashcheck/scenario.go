@@ -241,10 +241,10 @@ func (s single) attach(devs []pmem.Device) (recovered, error) {
 }
 
 // batched runs the canonical Program with its mixed transactions submitted
-// through the engine's group-commit combiner (tm.Batch) in chunks of batch,
-// so one physical transaction carries several workload transactions and
-// the whole chunk is the unit in flight. Only engines whose combiner merges
-// submissions (tm.Combining: the OneFile PTMs) are eligible; the portable
+// as tm.Batch calls in chunks of batch, so one physical transaction carries
+// several workload transactions and the whole chunk is the unit in flight.
+// Only engines that run a batch as one transaction (tm.Combining: the
+// OneFile PTMs) are eligible; the portable
 // fallback runs one engine transaction per operation, which has no batch
 // atomicity to verify.
 type batched struct {

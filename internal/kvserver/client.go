@@ -4,7 +4,7 @@ package kvserver
 // soak and the smoke scripts: synchronous Do for request/response and
 // Send/Flush/Recv for explicit pipelining. One Client is one connection
 // and is not safe for concurrent use — the harness opens one per worker,
-// which is also what makes the server-side combiner see real concurrency.
+// which is also what makes the server see concurrent transactions.
 
 import (
 	"bufio"

@@ -16,7 +16,7 @@ import (
 
 const (
 	// drainCommands and drainBytes bound one drain: the first keeps a
-	// transaction's work bounded (it is the combiner's own batch bound),
+	// transaction's work bounded (it is the engine's own batch bound),
 	// the second keeps a drain of SETs inside the default write-set.
 	drainCommands = 256
 	drainBytes    = 64 << 10
@@ -160,7 +160,7 @@ func (c *connState) run() {
 }
 
 // exec runs ops, all of one shard, as one transaction — an update through
-// the combiner if any of them writes, a read-only transaction if none does
+// Backend.Async if any of them writes, a read-only transaction if none does
 // — and stores their results in res. A transaction that fails (write-set
 // or heap overflow, a body panic such as INCR of a non-integer) fails as a
 // whole and commits nothing, so it is re-run as its two halves, split

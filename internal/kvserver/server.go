@@ -10,11 +10,12 @@ package kvserver
 // pipelining one. The handler turns the drain into a flat list of
 // single-shard index operations plus one in-order reply record per command,
 // runs each maximal same-shard run of that list as ONE transaction —
-// through the group-commit combiner (tm.AsyncUpdate) when the run holds a
-// write, as Engine.Read when it does not — then writes every reply in order
-// and flushes. One commit CAS and one persistence round per run, however
-// many commands it holds; a lone command is a drain of one through the same
-// code. Across connections the combiner still merges concurrent drains.
+// through tm.AsyncUpdate when the run holds a write, as Engine.Read when it
+// does not — then writes every reply in order and flushes. One commit CAS
+// and one persistence round per run, however many commands it holds; a lone
+// command is a drain of one through the same code. Concurrent connections'
+// drains commit as concurrent Updates do: retried on a lock-free engine,
+// aggregated on a wait-free one.
 //
 // The contract with clients:
 //
@@ -35,8 +36,7 @@ package kvserver
 //     so the handler re-runs it as its two halves until the failing command
 //     stands alone: it gets the error, its neighbours succeed.
 //
-// Reads inside a drain that also writes run in the update transaction and so
-// pass through the combiner; a read-only drain stays a read transaction
+// Reads inside a drain that also writes run in the update transaction; a read-only drain stays a read transaction
 // (DESIGN.md §10, "Pipeline drains").
 
 import (
@@ -54,15 +54,15 @@ import (
 )
 
 // Backend is the storage a Server runs on: one engine, or N engines behind
-// a partitioner. Async must route through the engine's combiner when it
-// has one.
+// a partitioner. Async must route through the engine's AsyncUpdate when
+// it has one (tm.AsyncUpdate).
 type Backend interface {
 	// Shards returns the number of independent partitions.
 	Shards() int
 	// ShardFor returns the home shard of a key hash.
 	ShardFor(h uint64) int
-	// Async submits fn as an update transaction on the given shard and
-	// returns its future.
+	// Async runs fn as an update transaction on the given shard and
+	// returns its resolved future.
 	Async(shard int, fn func(tm.Tx) uint64) *tm.Future
 	// Read runs fn as a read-only transaction on the given shard.
 	Read(shard int, fn func(tm.Tx) uint64) uint64
@@ -83,8 +83,8 @@ func (b EngineBackend) Stats() tm.Stats                          { return b.E.St
 
 // ShardedBackend serves from a sharded store: every key lives wholly on
 // its home shard (the Index layout repeats per shard), so each command is
-// a single-shard transaction submitted to that shard's own combiner and
-// disjoint keys commit on independent streams.
+// a single-shard transaction on that shard's own engine and disjoint keys
+// commit on independent streams.
 type ShardedBackend struct{ St *shard.Store }
 
 func (b ShardedBackend) Shards() int           { return b.St.Shards() }
@@ -170,12 +170,8 @@ func NewServer(be Backend, ix *Index, reg *obs.Registry) *Server {
 // Init creates (or re-attaches to) the index on every shard. Must be
 // called once before serving.
 func (s *Server) Init() error {
-	futs := make([]*tm.Future, s.be.Shards())
-	for i := range futs {
-		futs[i] = s.be.Async(i, func(tx tm.Tx) uint64 { s.ix.InitTx(tx); return 0 })
-	}
-	for i, f := range futs {
-		if _, err := f.Wait(); err != nil {
+	for i := 0; i < s.be.Shards(); i++ {
+		if _, err := s.be.Async(i, func(tx tm.Tx) uint64 { s.ix.InitTx(tx); return 0 }).Wait(); err != nil {
 			return fmt.Errorf("kvserver: init shard %d: %w", i, err)
 		}
 	}

@@ -187,8 +187,8 @@ func TestServerScan(t *testing.T) {
 }
 
 // TestServerPipelining sends a burst of commands before reading any reply
-// and checks the replies come back in order — the path where the combiner
-// sees a full window from one connection.
+// and checks the replies come back in order — the path where one drain
+// holds a full window from one connection.
 func TestServerPipelining(t *testing.T) {
 	e := core.NewWF(testOpts()...)
 	defer e.Close()

@@ -1,9 +1,8 @@
 // Package kvserver is the network-facing durable key-value service: a
 // RESP-protocol server (GET/SET/DEL/INCR/MGET/SCAN, pipelining) that runs
 // every pipelined window of a connection as one transaction on a OneFile
-// engine, submitted through the group-commit combiner so concurrent
-// connections share commit pipelines and persistence-fence rounds too
-// (DESIGN.md §10). cmd/onefile-kv is the
+// engine, so a window shares one commit pipeline and one
+// persistence-fence round (DESIGN.md §10). cmd/onefile-kv is the
 // binary; internal/bench drives it over real sockets for the YCSB-style
 // service benchmarks.
 //
@@ -271,7 +270,7 @@ func (ix *Index) DelTx(tx tm.Tx, h uint64, key []byte) uint64 {
 
 // IncrTx atomically adds delta to the decimal integer stored at key (an
 // absent key counts as 0) and returns the new value. A non-integer value
-// panics ErrNotInteger, which the combiner delivers as the submission's
+// panics ErrNotInteger, which Backend.Async delivers as the future's
 // error — the transaction leaves no trace.
 func (ix *Index) IncrTx(tx tm.Tx, h uint64, key []byte, delta int64) uint64 {
 	var cur int64

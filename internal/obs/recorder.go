@@ -7,7 +7,7 @@ import (
 )
 
 // Flight recorder: a fixed-size ring buffer of recent events (transaction
-// commits, aborts, helps, parks, batch drains...), recorded lock-free from
+// commits, aborts, helps, parks...), recorded lock-free from
 // any goroutine and dumpable on demand. It answers the question post-hoc
 // profiling cannot: *what was the engine doing right before things went
 // wrong* — e.g. a helping storm shows up as EvHelp and EvAbort events
@@ -40,8 +40,6 @@ const (
 	EvPark
 	// EvUnpark is a parked goroutine resuming (arg: waiters).
 	EvUnpark
-	// EvBatchDrain is a combiner drain (arg: operations drained).
-	EvBatchDrain
 )
 
 // String names the kind for dumps.
@@ -59,8 +57,6 @@ func (k EventKind) String() string {
 		return "park"
 	case EvUnpark:
 		return "unpark"
-	case EvBatchDrain:
-		return "batch-drain"
 	}
 	return "unknown"
 }

@@ -34,7 +34,7 @@ func TestRecorderWraparound(t *testing.T) {
 // what was recorded, oldest first.
 func TestRecorderPartialFill(t *testing.T) {
 	r := NewRecorder(64)
-	kinds := []EventKind{EvPark, EvUnpark, EvBatchDrain, EvHelp}
+	kinds := []EventKind{EvPark, EvUnpark, EvAbort, EvHelp}
 	for i, k := range kinds {
 		r.Record(k, i, uint64(100+i))
 	}
@@ -111,7 +111,7 @@ func TestRecorderNilSafe(t *testing.T) {
 
 // TestEventKindStrings pins the dump vocabulary.
 func TestEventKindStrings(t *testing.T) {
-	for k := EvCommit; k <= EvBatchDrain; k++ {
+	for k := EvCommit; k <= EvUnpark; k++ {
 		if k.String() == "unknown" {
 			t.Fatalf("kind %d has no name", k)
 		}

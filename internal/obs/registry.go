@@ -203,7 +203,7 @@ func (r *Registry) Histogram(name, help, unit string) *Histogram {
 
 // CounterFunc registers a counter sampled from fn — the unification hook
 // for counters that already live elsewhere (tm.Stats fields, pmem device
-// counters, combiner batch counts). fn must be safe for concurrent calls
+// counters, batch counts). fn must be safe for concurrent calls
 // and should be monotonic. Nil-safe.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	if r == nil {

@@ -1,6 +1,6 @@
 // Package shard implements a partitioned transactional store: N
-// independent OneFile engines — each with its own curTx, device, combiner
-// and contention manager — behind one keyed interface.
+// independent OneFile engines — each with its own curTx, device and
+// contention manager — behind one keyed interface.
 //
 // OneFile's throughput ceiling is structural: one curTx word means one
 // serial stream of committed transactions no matter how many cores help
@@ -188,7 +188,7 @@ func (st *Store) Shards() int { return len(st.engines) }
 func (st *Store) ShardFor(key uint64) int { return st.part.Shard(key) }
 
 // Engine returns shard i's engine, for direct use of engine-level APIs
-// (combined submission, metrics, stats) on a single shard.
+// (batches, metrics, stats) on a single shard.
 func (st *Store) Engine(i int) *core.Engine { return st.engines[i] }
 
 // Update implements tm.Sharded: fn runs as an ordinary update transaction

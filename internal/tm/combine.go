@@ -3,74 +3,31 @@ package tm
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
-// This file is the engine-neutral face of the group-commit combining layer.
-// Engines that can merge independently submitted update operations into one
-// physical transaction (one commit pipeline, one persistence-fence round)
-// implement Combining; AsyncUpdate and Batch are the entry points callers
-// use, with a per-operation fallback for engines that cannot combine.
+// This file is the engine-neutral face of the batch entries. Engines that
+// can run several update operations as one physical transaction (one commit
+// pipeline, one persistence-fence round) implement Combining; AsyncUpdate
+// and Batch are the entry points callers use, with a per-operation fallback
+// for engines that cannot.
 
-// Future is the pending result of a combinable update submission. The zero
-// value is ready to use. A Future is resolved exactly once, by the engine;
-// callers only read it (Wait/Done). Waiters allocate the wake channel
-// lazily, so a submission that completes before anyone blocks — a solo
-// submitter's — never touches the channel machinery.
+// Future is the result of an AsyncUpdate. The operation has run before
+// AsyncUpdate returns, so a Future is always resolved and Wait never
+// blocks.
 type Future struct {
-	state atomic.Uint32 // 0 pending, 1 resolved (release-stores val/err)
-	val   uint64
-	err   error
-	ch    atomic.Pointer[chan struct{}]
+	val uint64
+	err error
 }
 
-// Resolve completes the future with (val, err) and wakes every waiter.
-// It is engine-internal: exactly one Resolve per Future, never from user
-// code.
-func (f *Future) Resolve(val uint64, err error) {
-	f.val, f.err = val, err
-	f.state.Store(1)
-	// A waiter that installed its channel before the store above is seen
-	// here; one that installs after re-checks state and never blocks.
-	if p := f.ch.Load(); p != nil {
-		close(*p)
-	}
-}
+// Resolve sets the future's result. It is engine-internal: one call, before
+// the future is returned.
+func (f *Future) Resolve(val uint64, err error) { f.val, f.err = val, err }
 
-// Reset returns a resolved future to its unresolved state for reuse. Only
-// the owner may call it, and only once every waiter of the previous use has
-// returned from Wait — the caller's synchronisation (it held those waiters'
-// results) is what makes the plain stores safe.
-func (f *Future) Reset() {
-	f.state.Store(0)
-	f.ch.Store(nil)
-	f.val, f.err = 0, nil
-}
-
-// Done reports whether the result is available without blocking.
-func (f *Future) Done() bool { return f.state.Load() == 1 }
-
-// Wait blocks until the future resolves and returns its result. The error
-// is nil on success, ErrEngineClosed if the engine shut down before the
-// operation ran, ErrTooManyStores if the operation alone overflows the
-// write-set, or the operation body's own panic value (wrapped if it was not
-// an error).
-func (f *Future) Wait() (uint64, error) {
-	if f.state.Load() == 1 {
-		return f.val, f.err
-	}
-	ch := make(chan struct{})
-	if !f.ch.CompareAndSwap(nil, &ch) {
-		ch = *f.ch.Load() // another waiter got there first; share its channel
-	}
-	if f.state.Load() == 1 {
-		// The resolver may have loaded a nil channel pointer just before
-		// our install; its state store is visible, so the result is too.
-		return f.val, f.err
-	}
-	<-ch
-	return f.val, f.err
-}
+// Wait returns the future's result. The error is nil on success,
+// ErrEngineClosed if the engine was closed, ErrTooManyStores if the
+// operation alone overflows the write-set, or the operation body's own
+// panic value (wrapped if it was not an error).
+func (f *Future) Wait() (uint64, error) { return f.val, f.err }
 
 // BatchResult is one operation's outcome in a Batch call.
 type BatchResult struct {
@@ -78,31 +35,27 @@ type BatchResult struct {
 	Err error
 }
 
-// Combining is implemented by engines with a group-commit combiner: the
-// four OneFile variants. Submitted operations are executed exactly once,
-// possibly merged with other submissions into a single engine transaction
-// (sharing its commit CAS, apply pass and persistence fences), in
-// submission order within a batch. Operation bodies have the same contract
-// as Update bodies — they may run several times and on other goroutines —
-// and must not themselves submit to or wait on the same engine's combiner.
+// Combining is implemented by engines that run a batch of update
+// operations as one transaction: the four OneFile variants. Each operation
+// is executed exactly once, in order within its batch, and the operations
+// of one transaction share its commit CAS, apply pass and persistence
+// fences. Operation bodies have the same contract as Update bodies — they
+// may run several times and on other goroutines.
 type Combining interface {
 	Engine
-	// AsyncUpdate submits fn for execution and returns its future. When
-	// the combiner is idle the caller runs fn itself (the solo fast path:
-	// the future is resolved on return); otherwise the active combiner
-	// picks it up. Body panics are delivered as the future's error, not
-	// re-raised on the submitter.
+	// AsyncUpdate runs fn as a batch of one on the caller and returns its
+	// resolved future. It has Update's progress bounds. Body panics are
+	// delivered as the future's error, not re-raised on the caller.
 	AsyncUpdate(fn func(Tx) uint64) *Future
-	// BatchUpdate submits every fn, lets the combiner merge them into as
-	// few engine transactions as the batch bound allows, and waits for
-	// all results. Operations that fall inside one combined transaction
-	// commit and (on persistent engines) become durable atomically.
+	// BatchUpdate runs every fn on the caller, in order, in as few engine
+	// transactions as the batch bound allows, and returns all results.
+	// Operations that fall inside one transaction commit and (on
+	// persistent engines) become durable atomically.
 	BatchUpdate(fns []func(Tx) uint64) []BatchResult
 }
 
-// AsyncUpdate submits fn to e's combiner when it has one. For an engine
-// without a combiner fn runs synchronously; the returned future is already
-// resolved.
+// AsyncUpdate runs fn through e's AsyncUpdate when e is Combining, and as
+// an Update otherwise; either way the returned future is resolved.
 func AsyncUpdate(e Engine, fn func(Tx) uint64) *Future {
 	if c, ok := e.(Combining); ok {
 		return c.AsyncUpdate(fn)
@@ -113,10 +66,10 @@ func AsyncUpdate(e Engine, fn func(Tx) uint64) *Future {
 }
 
 // Batch runs every fn as an update operation and returns their results in
-// order. On a Combining engine the operations are merged into as few
-// physical transactions as possible (amortising the commit pipeline and,
-// on PTMs, the fence round); elsewhere each fn is its own Update and the
-// batch carries no atomicity (a panic propagates, exactly as Update).
+// order. On a Combining engine the operations share as few physical
+// transactions as the batch bound allows (amortising the commit pipeline
+// and, on PTMs, the fence round); elsewhere each fn is its own Update and
+// the batch carries no atomicity (a panic propagates, exactly as Update).
 func Batch(e Engine, fns []func(Tx) uint64) []BatchResult {
 	if c, ok := e.(Combining); ok {
 		return c.BatchUpdate(fns)

@@ -153,7 +153,7 @@ var (
 	// undone (eager engines roll back their in-place stores and release
 	// their locks; lazy engines just discard the buffer), and the engine
 	// remains usable. Layers with an error return translate the panic:
-	// combiner futures carry it as the submission's error (Future.Wait),
+	// futures carry it as the operation's error (Future.Wait),
 	// and a sharded store's UpdateCross returns it wrapped when the
 	// cross-shard staging area would overflow a participant.
 	ErrTooManyStores = errors.New("tm: transaction write-set overflow")
@@ -187,8 +187,8 @@ type Stats struct {
 	Pfence       uint64 // persistent fences issued
 	Pdrain       uint64 // ordering drains issued (atomic-RMW-as-fence points)
 	AggregatedOp uint64 // operations executed via wait-free aggregation
-	Batches      uint64 // combined transactions executed by the group-commit layer
-	BatchedOps   uint64 // operations that ran through combined transactions
+	Batches      uint64 // batch transactions executed (AsyncUpdate, BatchUpdate)
+	BatchedOps   uint64 // operations that ran through batch transactions
 	// ReadsBeforePending counts read-only transactions that found the last
 	// committed transaction still being applied and completed at the
 	// snapshot before it, without helping (OneFile's first read attempt).

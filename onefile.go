@@ -58,26 +58,28 @@ type (
 	Option = tm.Option
 	// Stats is a snapshot of engine activity counters.
 	Stats = tm.Stats
-	// Future is the pending result of an AsyncUpdate submission.
+	// Future is the result of an AsyncUpdate, resolved before it is
+	// returned.
 	Future = tm.Future
 	// BatchResult is one operation's outcome in a Batch call.
 	BatchResult = tm.BatchResult
-	// Combining is implemented by engines with a group-commit combiner
-	// (all four OneFile variants).
+	// Combining is implemented by engines that run a batch of operations
+	// as one transaction (all four OneFile variants).
 	Combining = tm.Combining
 )
 
-// Group-commit entry points (DESIGN.md §10). On the OneFile engines,
-// independently submitted operations are merged into as few physical
-// transactions as possible, sharing one commit pipeline and — on the
-// persistent variants — one persistence-fence round; elsewhere they fall
-// back to plain Update.
+// Batch entry points (DESIGN.md §10). On the OneFile engines a batch's
+// operations run on the caller in as few physical transactions as the
+// batch bound allows, sharing one commit pipeline and — on the persistent
+// variants — one persistence-fence round; elsewhere they fall back to plain
+// Update.
 var (
-	// AsyncUpdate submits fn to e's combiner and returns its future.
+	// AsyncUpdate runs fn as a batch of one and returns its resolved
+	// future: a body panic is the future's error.
 	AsyncUpdate = tm.AsyncUpdate
 	// Batch runs every fn as an update operation and returns the results
-	// in order; on a Combining engine one combined transaction's
-	// operations commit (and persist) atomically.
+	// in order; on a Combining engine one batch transaction's operations
+	// commit (and persist) atomically.
 	Batch = tm.Batch
 )
 
