@@ -1,9 +1,14 @@
 // Package containers provides the transactional data structures the paper
-// builds on OneFile (§V, §VI): a queue, a stack, a sorted linked-list set,
-// a resizable hash set and a red-black tree set. Every container is written
-// once against the engine-neutral tm interface, so the same code runs —
-// with the progress and durability properties of the chosen engine — on all
-// four OneFile variants and on every baseline PTM/STM in this repository.
+// builds on OneFile (§V, §VI) and a few beyond it: a queue (Queue), a stack
+// (Stack), a sorted linked-list set (ListSet), a hash set grown by linear
+// hashing (HashSet), the paper's red-black tree set (RBTree), an ordered
+// uint64 → uint64 map stored as a B+-tree (TreeMap), a double-ended queue
+// (Deque) and a counter (Counter). Every container is written once against
+// the engine-neutral tm interface, so the same code runs — with the
+// progress and durability properties of the chosen engine — on all four
+// OneFile variants and on every baseline PTM/STM in this repository. Where
+// a read-only handle offers tm.RangeLoader, TreeMap reads a node in one
+// call; everywhere else it loads word by word.
 // On a wait-free engine these are wait-free containers; on a persistent
 // engine their state survives crashes.
 //

@@ -24,6 +24,9 @@ import (
 // unambiguous. A lookup binary searches one node per level, through the
 // order at a leaf, and a range walks neighbouring leaves in order through
 // the path its descent recorded (there are no sibling links to maintain).
+// In a read-only transaction whose handle is a tm.RangeLoader, a node's
+// count and keys are one LoadN, searched locally, and a range reads each
+// leaf whole in one; elsewhere the same code loads word by word (tmView).
 //
 // A leaf insert writes the key and value into the lowest free slot and the
 // new order into word 0; a leaf delete rewrites only word 0, and the key
@@ -126,6 +129,45 @@ func freeSlot(ord uint64, cnt int) Ptr {
 	return Ptr(bits.TrailingZeros16(^used))
 }
 
+// tmHead is a node's count and keys: what a descent reads of an inner node,
+// and of the leaf a lookup ends at.
+const tmHead = tmSlots
+
+// tmView reads a map's nodes inside one transaction: the first words of the
+// node at hand in one LoadN when the handle is a tm.RangeLoader, every word
+// through Load otherwise (update transactions, engines without LoadN). It
+// holds one node at a time — the view LoadN returned, which the next LoadN
+// overwrites — so a node is read whole once and then searched locally.
+type tmView struct {
+	tx Tx
+	rl tm.RangeLoader // nil: word by word
+	n  Ptr            // the node at hand
+	w  []uint64       // its first len(w) words; nil without rl
+}
+
+// newView probes tx for LoadN, once per transaction.
+func newView(tx Tx) tmView {
+	rl, _ := tx.(tm.RangeLoader)
+	return tmView{tx: tx, rl: rl}
+}
+
+// at makes n the node at hand and, when the handle can, reads its first
+// words words in one LoadN.
+func (v *tmView) at(n Ptr, words int) {
+	v.n = n
+	if v.rl != nil {
+		v.w = v.rl.LoadN(n, words)
+	}
+}
+
+// word returns word i of the node at hand.
+func (v *tmView) word(i Ptr) uint64 {
+	if i < Ptr(len(v.w)) {
+		return v.w[i]
+	}
+	return v.tx.Load(v.n + i)
+}
+
 // tmPath is the descent to one leaf: the node at each level, from the root
 // (level 0) to the leaf (level h−1), its count, at inner levels the child
 // taken, and the leaf's order.
@@ -137,10 +179,16 @@ type tmPath struct {
 	h    int
 }
 
-// visit records node n at level lvl of p: its count and, at the leaf, its
-// order.
-func (p *tmPath) visit(tx Tx, lvl int, n Ptr) {
-	w := tx.Load(n + tmCount)
+// visit makes node n at level lvl of p the one at hand in v — its head, or
+// its first leafWords words at the leaf — and records its count and, at the
+// leaf, its order.
+func (p *tmPath) visit(v *tmView, lvl int, n Ptr, leafWords int) {
+	if lvl == p.h-1 {
+		v.at(n, leafWords)
+	} else {
+		v.at(n, tmHead)
+	}
+	w := v.word(tmCount)
 	p.node[lvl] = n
 	if lvl == p.h-1 {
 		p.cnt[lvl], p.perm = leafWord(w)
@@ -254,14 +302,15 @@ func groups(n, per int) []int {
 	return out
 }
 
-// search returns how many of node n's cnt keys are below k — or, with
-// upper, at most k: the child of an inner node that holds k. The key of
-// rank j is in slot j of ord: tmInOrder in an inner node.
-func search(tx Tx, n Ptr, cnt int, ord uint64, k uint64, upper bool) int {
+// search returns how many of the cnt keys of the node at hand in v are
+// below k — or, with upper, at most k: the child of an inner node that
+// holds k. The key of rank j is in slot j of ord: tmInOrder in an inner
+// node.
+func search(v *tmView, cnt int, ord uint64, k uint64, upper bool) int {
 	lo, hi := 0, cnt
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if km := tx.Load(n + tmKeys + slotOf(ord, mid)); km < k || upper && km == k {
+		if km := v.word(tmKeys + slotOf(ord, mid)); km < k || upper && km == k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -271,19 +320,20 @@ func search(tx Tx, n Ptr, cnt int, ord uint64, k uint64, upper bool) int {
 }
 
 // find descends to the leaf that holds or would hold k, recording the path,
-// and returns k's rank in the leaf and whether k is there.
-func (m *TreeMap) find(tx Tx, k uint64, p *tmPath) (i int, found bool) {
-	n := Ptr(tx.Load(m.desc + tmRoot))
-	p.h = int(tx.Load(m.desc + tmHeight))
+// and returns k's rank in the leaf and whether k is there. The leaf is left
+// at hand in v, its first leafWords words read at once.
+func (m *TreeMap) find(v *tmView, k uint64, p *tmPath, leafWords int) (i int, found bool) {
+	n := Ptr(v.tx.Load(m.desc + tmRoot))
+	p.h = int(v.tx.Load(m.desc + tmHeight))
 	for lvl := 0; ; lvl++ {
-		p.visit(tx, lvl, n)
+		p.visit(v, lvl, n, leafWords)
 		if lvl == p.h-1 {
-			i = search(tx, n, p.cnt[lvl], p.perm, k, false)
-			return i, i < p.cnt[lvl] && tx.Load(n+tmKeys+slotOf(p.perm, i)) == k
+			i = search(v, p.cnt[lvl], p.perm, k, false)
+			return i, i < p.cnt[lvl] && v.word(tmKeys+slotOf(p.perm, i)) == k
 		}
-		i = search(tx, n, p.cnt[lvl], tmInOrder, k, true)
+		i = search(v, p.cnt[lvl], tmInOrder, k, true)
 		p.idx[lvl] = i
-		n = Ptr(tx.Load(n + tmSlots + Ptr(i)))
+		n = Ptr(v.word(tmSlots + Ptr(i)))
 	}
 }
 
@@ -298,7 +348,8 @@ func (m *TreeMap) Put(k, v uint64) (prev uint64, existed bool) {
 // PutTx sets k → v inside the caller's transaction.
 func (m *TreeMap) PutTx(tx Tx, k, v uint64) (prev uint64, existed bool) {
 	var p tmPath
-	i, found := m.find(tx, k, &p)
+	view := newView(tx)
+	i, found := m.find(&view, k, &p, tmHead)
 	if found {
 		at := p.node[p.h-1] + tmSlots + slotOf(p.perm, i)
 		prev = tx.Load(at)
@@ -416,11 +467,12 @@ func (m *TreeMap) Get(k uint64) (v uint64, ok bool) {
 // GetTx reads k inside the caller's transaction.
 func (m *TreeMap) GetTx(tx Tx, k uint64) (v uint64, ok bool) {
 	var p tmPath
-	i, found := m.find(tx, k, &p)
+	view := newView(tx)
+	i, found := m.find(&view, k, &p, tmHead)
 	if !found {
 		return 0, false
 	}
-	return tx.Load(p.node[p.h-1] + tmSlots + slotOf(p.perm, i)), true
+	return view.word(tmSlots + slotOf(p.perm, i)), true
 }
 
 // Delete removes k and returns the value it mapped to, if any.
@@ -434,7 +486,8 @@ func (m *TreeMap) Delete(k uint64) (prev uint64, existed bool) {
 // DeleteTx removes k inside the caller's transaction.
 func (m *TreeMap) DeleteTx(tx Tx, k uint64) (prev uint64, existed bool) {
 	var p tmPath
-	i, found := m.find(tx, k, &p)
+	view := newView(tx)
+	i, found := m.find(&view, k, &p, tmHead)
 	if !found {
 		return 0, false
 	}
@@ -501,26 +554,27 @@ type Entry struct {
 // the leaves left to right, each in the order of its nibbles (nothing is
 // sorted at read time): past a leaf's last key it climbs the path to the
 // first level with a child further right, stopping there if that child's
-// separator is above hi, and descends along leftmost children.
+// separator is above hi, and descends along leftmost children. With LoadN
+// each leaf is one call, which also validates the slots outside [lo, hi].
 func (m *TreeMap) Range(lo, hi uint64, max int) []Entry {
 	if lo > hi || max <= 0 {
 		return nil
 	}
-	packed := tm.Collect(m.e.Read, func(tx Tx) []uint64 {
-		out := make([]uint64, 0, 2*min(max, 64))
+	return tm.Collect(m.e.Read, func(tx Tx) []Entry {
+		out := make([]Entry, 0, min(max, 64))
 		var p tmPath
-		i, _ := m.find(tx, lo, &p)
+		v := newView(tx)
+		i, _ := m.find(&v, lo, &p, tmNodeWords)
 		leaf := p.h - 1
 		for {
-			n := p.node[leaf]
 			for ; i < p.cnt[leaf]; i++ {
 				s := slotOf(p.perm, i)
-				k := tx.Load(n + tmKeys + s)
+				k := v.word(tmKeys + s)
 				if k > hi {
 					return out
 				}
-				out = append(out, k, tx.Load(n+tmSlots+s))
-				if len(out) == 2*max {
+				out = append(out, Entry{Key: k, Val: v.word(tmSlots + s)})
+				if len(out) == max {
 					return out
 				}
 			}
@@ -536,23 +590,18 @@ func (m *TreeMap) Range(lo, hi uint64, max int) []Entry {
 				return out
 			}
 			p.idx[lvl] = c
-			n = Ptr(tx.Load(p.node[lvl] + tmSlots + Ptr(c)))
+			n := Ptr(tx.Load(p.node[lvl] + tmSlots + Ptr(c)))
 			for lvl++; ; lvl++ {
-				p.visit(tx, lvl, n)
+				p.visit(&v, lvl, n, tmNodeWords)
 				if lvl == leaf {
 					break
 				}
 				p.idx[lvl] = 0
-				n = Ptr(tx.Load(n + tmSlots))
+				n = Ptr(v.word(tmSlots))
 			}
 			i = 0
 		}
 	})
-	out := make([]Entry, 0, len(packed)/2)
-	for i := 0; i+1 < len(packed); i += 2 {
-		out = append(out, Entry{Key: packed[i], Val: packed[i+1]})
-	}
-	return out
 }
 
 // CheckInvariants verifies, in one read-only transaction, the B+-tree's

@@ -576,7 +576,8 @@ func storesOf(e Engine, body func(tx Tx)) int {
 func leafCount(m *TreeMap, k uint64) int {
 	return int(m.e.Read(func(tx Tx) uint64 {
 		var p tmPath
-		m.find(tx, k, &p)
+		v := newView(tx)
+		m.find(&v, k, &p, tmHead)
 		return uint64(p.cnt[p.h-1])
 	}))
 }

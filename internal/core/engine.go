@@ -174,7 +174,7 @@ type slot struct {
 
 	opTag uint64 // owner-private monotonic tag for this slot's ops
 
-	_ [64]byte
+	_ [56]byte // 64 less rtx's view pointer: claimed keeps its offset
 	// claimed is CASed by every acquiring thread.
 	claimed atomic.Uint32
 	_       [60]byte
@@ -384,7 +384,7 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 		s.ws = newWriteSet(s.logNum, s.logEnt, e.MaxStores())
 		s.helpBuf = make([]uint64, 0)
 		s.utx = uTx{e: e, s: s}
-		s.rtx = rTx{e: e}
+		s.rtx = rTx{e: e, view: new([tm.MaxLoadN]uint64)}
 	}
 
 	if attach {

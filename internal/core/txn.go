@@ -66,13 +66,26 @@ func (t *uTx) Alloc(n int) tm.Ptr { return talloc.Alloc(t, n) }
 func (t *uTx) Free(p tm.Ptr) { talloc.Free(t, p) }
 
 // rTx is the read-only transaction handle: seq-validated loads straight off
-// the heap — no write-set consultation, no mutation.
+// the heap — no write-set consultation, no mutation. It is the one handle
+// with LoadN: an update's loads consult the write-set word by word, and
+// doing that behind one call cost txn-wf's preload transactions 22 %
+// (EXPERIMENTS.md, "A read-only transaction reads a tree node in one
+// call", which also measures why view is not embedded).
 type rTx struct {
 	e        *Engine
 	startSeq uint64
+	// view backs LoadN's result: the handle's own, because a caller's
+	// buffer would escape through the tm.RangeLoader interface and
+	// heap-allocate per call. It is allocated apart, not embedded, so the
+	// slot keeps its size and every field its offset: txn-wf's mode mix
+	// moves with layouts (ROADMAP item 10).
+	view *[tm.MaxLoadN]uint64
 }
 
-var _ tm.Tx = (*rTx)(nil)
+var (
+	_ tm.Tx          = (*rTx)(nil)
+	_ tm.RangeLoader = (*rTx)(nil)
+)
 
 func (t *rTx) Load(p tm.Ptr) uint64 {
 	t.e.checkPtr(p)
@@ -81,6 +94,28 @@ func (t *rTx) Load(p tm.Ptr) uint64 {
 		panic(abortSignal{})
 	}
 	return val
+}
+
+// LoadN implements tm.RangeLoader: Load's sequence check on each of n
+// consecutive words, behind one bounds check.
+func (t *rTx) LoadN(p tm.Ptr, n int) []uint64 {
+	if p == 0 || n < 1 || n > tm.MaxLoadN || uint64(p) > uint64(t.e.cfg.HeapWords-n) {
+		badRange(p, n)
+	}
+	words := t.e.words[p : int(p)+n]
+	view := t.view[:len(words)]
+	for i := range words {
+		val, seq := words[i].Load()
+		if seq > t.startSeq {
+			panic(abortSignal{})
+		}
+		view[i] = val
+	}
+	return view
+}
+
+func badRange(p tm.Ptr, n int) {
+	panic(fmt.Errorf("core: heap range of %d words at %d out of range", n, p))
 }
 
 func (t *rTx) Store(tm.Ptr, uint64) { panic(tm.ErrUpdateInReadTx) }

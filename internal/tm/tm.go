@@ -57,6 +57,27 @@ type Tx interface {
 	Free(p Ptr)
 }
 
+// MaxLoadN is the most words one RangeLoader.LoadN call reads: a TreeMap
+// node.
+const MaxLoadN = 32
+
+// RangeLoader is implemented by a Tx that reads a run of consecutive words
+// in one call. It is optional: a body probes for it once (tx.(RangeLoader))
+// and falls back to Load when the handle lacks it. Only the OneFile
+// engines' read-only handle has it; update handles and the baseline engines
+// do not.
+type RangeLoader interface {
+	// LoadN returns words p … p+n−1, 1 ≤ n ≤ MaxLoadN, each validated as
+	// Load validates it: the same snapshot, the same abort rule, the same
+	// panic on a range outside the heap. The slice is a view into a buffer
+	// the handle owns, not a copy: it is valid only until the next LoadN on
+	// the same handle or the end of the body, whichever comes first. The
+	// body must not write it, keep it, or return it (copy out what it needs
+	// longer), and must not hold one view across a call that may itself
+	// call LoadN, such as a container's *Tx method.
+	LoadN(p Ptr, n int) []uint64
+}
+
 // Engine is a transactional-memory engine: four OneFile variants and four
 // baseline engines implement it. Engines are safe for concurrent use.
 type Engine interface {
