@@ -36,6 +36,7 @@ package kvserver
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"strconv"
 
 	"onefile/internal/tm"
@@ -52,6 +53,16 @@ const (
 	// scanBucketBudget bounds how many bucket chains one SCAN step walks,
 	// so a scan over a sparse table stays a short read transaction.
 	scanBucketBudget = 2048
+	// scanKeysOnStack is how many keys a SCAN step gathers on the stack
+	// before its list moves to the heap: the list is allocated for the
+	// keys found, never for COUNT, which is the client's and may be any
+	// positive int.
+	scanKeysOnStack = 64
+	// valueBufSize is the initial size of the buffer one body execution
+	// reads GET values and SCAN keys into: a 32-command window of 64-byte
+	// values fits without growing it. A larger buffer saves a SCAN-heavy
+	// window its growth but costs every window that reads less.
+	valueBufSize = 2 << 10
 )
 
 // Root slots used by the index. They are below shard.UserRoots, so the same
@@ -152,12 +163,21 @@ func storeBytes(tx tm.Tx, p tm.Ptr, b []byte) {
 	}
 }
 
-func loadBytes(tx tm.Tx, p tm.Ptr, n int) []byte {
-	out := make([]byte, wordsFor(n)*8)
-	for i := 0; i < len(out); i += 8 {
-		binary.LittleEndian.PutUint64(out[i:], tx.Load(p+tm.Ptr(i/8)))
+// readBytes appends the n bytes stored from word p on to *buf, one
+// transactional Load per word, and returns them as a sub-slice of *buf
+// whose capacity ends at its length: a later append to *buf never writes
+// through it. When an append outgrows *buf's array, the bytes returned
+// before still point into the old array, which nothing writes again. So
+// every value and key one body execution reads lands in the execution's
+// one buffer (Index.apply), not in an allocation of its own.
+func readBytes(tx tm.Tx, buf *[]byte, p tm.Ptr, n int) []byte {
+	b := slices.Grow(*buf, wordsFor(n)*8)
+	off := len(b)
+	for i := 0; i < n; i += 8 {
+		b = binary.LittleEndian.AppendUint64(b, tx.Load(p+tm.Ptr(i/8)))
 	}
-	return out[:n]
+	*buf = b[:off+n]
+	return b[off : off+n : off+n]
 }
 
 // entry field offsets.
@@ -207,15 +227,21 @@ func (ix *Index) find(tx tm.Tx, slot tm.Ptr, h uint64, key []byte) (prevLink, e 
 }
 
 // GetTx returns key's value, or ok=false. Read-only: safe under
-// Engine.Read.
+// Engine.Read. The value is an allocation of its own; Index.apply reads
+// through get into its execution's buffer instead.
 func (ix *Index) GetTx(tx tm.Tx, h uint64, key []byte) (val []byte, ok bool) {
+	return ix.get(tx, new([]byte), h, key)
+}
+
+// get is GetTx with the value appended to *buf (see readBytes).
+func (ix *Index) get(tx tm.Tx, buf *[]byte, h uint64, key []byte) (val []byte, ok bool) {
 	slot := ix.bucketSlot(tx, h&(ix.buckets-1), false)
 	_, e := ix.find(tx, slot, h, key)
 	if e == 0 {
 		return nil, false
 	}
 	kl, vl := entryLens(tx.Load(e + fLens))
-	return loadBytes(tx, e+fKey+tm.Ptr(wordsFor(kl)), vl), true
+	return readBytes(tx, buf, e+fKey+tm.Ptr(wordsFor(kl)), vl), true
 }
 
 // SetTx inserts or replaces key → val. Returns 1 if the key is new.
@@ -293,14 +319,18 @@ func (ix *Index) CountTx(tx tm.Tx) uint64 { return tx.Load(tm.Root(rootCount)) }
 // limit keys, and returns the bucket to resume from (0 = table exhausted).
 // It inspects at most scanBucketBudget buckets per call so one step stays a
 // short read transaction; a sparse table may therefore return zero keys
-// with a non-zero cursor, exactly like Redis SCAN. Read-only.
-func (ix *Index) ScanTx(tx tm.Tx, cursor uint64, limit int) (keys [][]byte, next uint64) {
+// with a non-zero cursor, exactly like Redis SCAN. Read-only. The key bytes
+// are appended to *buf (see readBytes), and the key list is allocated once
+// the walk is over, for the keys it found.
+func (ix *Index) ScanTx(tx tm.Tx, buf *[]byte, cursor uint64, limit int) (keys [][]byte, next uint64) {
 	if limit <= 0 {
 		limit = 10
 	}
+	var onStack [scanKeysOnStack][]byte
+	found := onStack[:0]
 	var heads [warmBatch]tm.Ptr
 	b := cursor
-	for inspected := 0; b < ix.buckets && inspected < scanBucketBudget && len(keys) < limit; {
+	for inspected := 0; b < ix.buckets && inspected < scanBucketBudget && len(found) < limit; {
 		slot := ix.bucketSlot(tx, b, false)
 		if slot == 0 {
 			// Whole segment absent: skip to the next one.
@@ -323,19 +353,19 @@ func (ix *Index) ScanTx(tx tm.Tx, cursor uint64, limit int) (keys [][]byte, next
 		for _, e := range heads[:n] {
 			for ; e != 0; e = tm.Ptr(tx.Load(e + fNext)) {
 				kl, _ := entryLens(tx.Load(e + fLens))
-				keys = append(keys, loadBytes(tx, e+fKey, kl))
+				found = append(found, readBytes(tx, buf, e+fKey, kl))
 			}
 			b++
 			inspected++
-			if len(keys) >= limit {
+			if len(found) >= limit {
 				break
 			}
 		}
 	}
 	if b >= ix.buckets {
-		return keys, 0
+		b = 0
 	}
-	return keys, b
+	return slices.Clone(found), b
 }
 
 // op is one single-shard index operation of a pipeline drain (drain.go).
@@ -364,9 +394,11 @@ const (
 )
 
 // keyed reports whether the op looks one key up; write whether it stores
-// (both read the order of the constants above).
+// (both read the order of the constants above); reads whether its result
+// holds bytes read from the store.
 func (k opKind) keyed() bool { return k <= opIncr }
 func (k opKind) write() bool { return k >= opSet && k <= opIncr }
+func (k opKind) reads() bool { return k == opGet || k == opScan }
 
 // result is what one op produced in one execution of its body.
 type result struct {
@@ -409,14 +441,20 @@ func (ix *Index) warm(tx tm.Tx, ops []op) {
 
 // apply runs ops in order inside the enclosing transaction and returns a
 // freshly allocated record of their results (one per execution: see op).
+// The bytes the execution reads — GET values, SCAN keys — land in one
+// buffer that it allocates too, and the record points into it.
 func (ix *Index) apply(tx tm.Tx, ops []op) []result {
 	ix.warm(tx, ops)
 	res := make([]result, len(ops))
+	var buf []byte
+	if slices.ContainsFunc(ops, func(o op) bool { return o.kind.reads() }) {
+		buf = make([]byte, 0, valueBufSize)
+	}
 	for i := range ops {
 		o, r := &ops[i], &res[i]
 		switch o.kind {
 		case opGet:
-			r.val, r.ok = ix.GetTx(tx, o.h, o.key)
+			r.val, r.ok = ix.get(tx, &buf, o.h, o.key)
 		case opSet:
 			r.n = ix.SetTx(tx, o.h, o.key, o.val)
 		case opDel:
@@ -424,7 +462,7 @@ func (ix *Index) apply(tx tm.Tx, ops []op) []result {
 		case opIncr:
 			r.n = ix.IncrTx(tx, o.h, o.key, o.n)
 		case opScan:
-			r.keys, r.n = ix.ScanTx(tx, o.h, int(o.n))
+			r.keys, r.n = ix.ScanTx(tx, &buf, o.h, int(o.n))
 		case opCount:
 			r.n = ix.CountTx(tx)
 		}
