@@ -42,18 +42,18 @@ const combineBatchMax = 256
 // combiner is the batch entries' state: the counters Stats reports, on a
 // cache line of their own, and the lock-free path's execution records.
 //
-// The tail pads it to 376 bytes, the size it had while it held a
-// submission queue, so the engine fields declared after it (obsv, excl,
-// curTx, published, claimHint) keep the offsets they have been measured
-// at. At 168 bytes `txn-wf`, which never calls a batch entry, read 8 %
-// fewer ops/s in 6 of 6 rounds (EXPERIMENTS.md, "AsyncUpdate is a call").
+// The tail pads it to 392 bytes so the engine fields declared after it
+// (obsv, excl, curTx, published, claimHint) keep the offsets they have
+// been measured at (TestEngineLayout). At 168 bytes `txn-wf`, which never
+// calls a batch entry, read 8 % fewer ops/s in 6 of 6 rounds
+// (EXPERIMENTS.md, "AsyncUpdate is a call").
 type combiner struct {
 	_          [64]byte
 	batches    atomic.Uint64 // batch transactions executed
 	batchedOps atomic.Uint64 // operations executed through them
 	_          [48]byte
 	lf         sync.Pool // *lfBatch
-	_          [208]byte
+	_          [224]byte
 }
 
 // batchExec is one execution's per-operation results.

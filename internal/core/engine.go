@@ -54,7 +54,6 @@ import (
 	"time"
 
 	"onefile/internal/dcas"
-	"onefile/internal/he"
 	"onefile/internal/pmem"
 	"onefile/internal/talloc"
 	"onefile/internal/tm"
@@ -197,11 +196,14 @@ type slot struct {
 
 // opDesc is a published wait-free operation: the Go closure standing in for
 // the paper's std::function, plus the monotonic tag used for exactly-once
-// execution and the hazard-era lifetime bookkeeping of §IV-B.
+// execution. The garbage collector frees it once no slot or helper holds
+// it, which is what §IV-B's hazard-era scheme does for the C++ closures.
 type opDesc struct {
-	fn    func(tm.Tx) uint64
-	tag   uint64
-	birth uint64 // curTx sequence when published (hazard era birth)
+	fn  func(tm.Tx) uint64
+	tag uint64
+	// birth is the curTx sequence read before publication. An aggregate
+	// whose snapshot is older skips the operation (aggregateBody).
+	birth uint64
 
 	// fail parks the panic value of a terminally failed execution until
 	// the submitter re-raises it (updateWF). Racing executions may each
@@ -210,11 +212,6 @@ type opDesc struct {
 	// sequenced before the commit that tagged opFailBit is visible to the
 	// submitter through that commit's apply phase.
 	fail atomic.Pointer[any]
-
-	// reclaimed is set by the hazard-era free callback. Under Go's GC the
-	// object stays valid, so this flag turns what would be a
-	// use-after-free in C++ into a detectable protocol violation.
-	reclaimed atomic.Bool
 }
 
 // Engine is a OneFile transactional-memory engine. Create one with NewLF,
@@ -230,14 +227,11 @@ type Engine struct {
 
 	slots []slot
 
-	eras *he.Eras // hazard-era domain: reclamation of published closures (§IV-B)
-
 	curTxImg    int    // pair-region index of curTx's persistent image
 	dynBase     tm.Ptr // first dynamically allocatable heap word
 	resultsBase tm.Ptr // first wait-free result word
 
-	heViolations atomic.Uint64
-	closed       atomic.Bool
+	closed atomic.Bool
 
 	lastRecovery RecoveryReport // what attach did; zero on a formatted engine
 
@@ -345,7 +339,6 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 		dev:      dev,
 		words:    dcas.NewSlab(cfg.HeapWords),
 		slots:    make([]slot, cfg.MaxThreads),
-		eras:     he.New(cfg.MaxThreads),
 		curTxImg: cfg.HeapWords,
 	}
 	if dev != nil {
@@ -600,14 +593,6 @@ func (e *Engine) Stats() tm.Stats {
 	}
 	return s
 }
-
-// HEViolations returns how often a hazard-era-protected operation
-// descriptor was observed after reclamation. It must always be zero; tests
-// assert it.
-func (e *Engine) HEViolations() uint64 { return e.heViolations.Load() }
-
-// Eras exposes the engine's hazard-era domain (test aid).
-func (e *Engine) Eras() *he.Eras { return e.eras }
 
 // DynBase returns the first dynamically allocatable heap word (audit aid).
 func (e *Engine) DynBase() tm.Ptr { return e.dynBase }

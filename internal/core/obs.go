@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 
-	"onefile/internal/he"
 	"onefile/internal/obs"
 	"onefile/internal/tm"
 )
@@ -68,8 +67,8 @@ const recorderDepth = 4096
 //   - every tm.Stats counter, by reflection — a field added to tm.Stats
 //     appears in /metrics without further wiring (and the reflection test
 //     in internal/tm keeps Stats.Sub honest for the same field);
-//   - the contention-layer gauges (parked waiters, park count, hazard-era
-//     staleness) and the hazard-era violation counter;
+//   - the contention-layer gauges (parked waiters, park count) and the
+//     curTx sequence;
 //   - the latency/batch histograms and the flight recorder of EngineObs.
 //
 // Returns nil (and attaches nothing) on a nil registry — the no-sink fast
@@ -95,22 +94,9 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, prefix string) *EngineObs {
 	reg.GaugeFunc(prefix+"_parked_waiters",
 		"goroutines currently parked or entering the wait list",
 		func() float64 { return float64(e.cm.waiters.Load()) })
-	reg.CounterFunc(prefix+"_he_violations_total",
-		"hazard-era protocol violations (must stay 0)",
-		func() float64 { return float64(e.heViolations.Load()) })
 	reg.GaugeFunc(prefix+"_curtx_seq",
 		"current transaction sequence number",
 		func() float64 { return float64(seqOf(e.curTx.Load())) })
-	reg.GaugeFunc(prefix+"_era_staleness_seqs",
-		"curTx sequence minus minimum announced hazard era (reclamation lag)",
-		func() float64 {
-			cur := seqOf(e.curTx.Load())
-			min := e.eras.MinProtected()
-			if min == he.None || min >= cur {
-				return 0
-			}
-			return float64(cur - min)
-		})
 
 	o := &EngineObs{
 		UpdateLat: reg.Histogram(prefix+"_update_latency_ns",

@@ -124,9 +124,6 @@ func TestObsNoLossAllVariants(t *testing.T) {
 			if commits == 0 {
 				t.Error("flight recorder saw no commit events")
 			}
-			if e.HEViolations() != 0 {
-				t.Errorf("hazard-era violations: %d", e.HEViolations())
-			}
 		})
 	}
 }
@@ -163,8 +160,7 @@ func TestRegisterMetricsReflection(t *testing.T) {
 	}
 	for _, want := range []string{
 		"onefile_of_lf_parks_total", "onefile_of_lf_parked_waiters",
-		"onefile_of_lf_he_violations_total", "onefile_of_lf_curtx_seq",
-		"onefile_of_lf_era_staleness_seqs", "onefile_of_lf_update_latency_ns_count 10",
+		"onefile_of_lf_curtx_seq", "onefile_of_lf_update_latency_ns_count 10",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -160,9 +160,6 @@ func TestWaitFreeProgressBound(t *testing.T) {
 			if n := violations.Load(); n != 0 {
 				t.Errorf("%d unpublished rounds started while an operation was published", n)
 			}
-			if n := e.HEViolations(); n != 0 {
-				t.Errorf("hazard-era violations: %d", n)
-			}
 		})
 	}
 }

@@ -171,9 +171,6 @@ func TestUpdateSmallContended(t *testing.T) {
 			if got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(0)) }); got != total.Load() {
 				t.Fatalf("Root(0) = %d, want %d lost-update-free increments", got, total.Load())
 			}
-			if v := e.HEViolations(); v != 0 {
-				t.Fatalf("hazard-era violations: %d", v)
-			}
 		})
 	}
 }

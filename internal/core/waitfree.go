@@ -37,13 +37,11 @@ func (e *Engine) updateWF(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 	// would be re-executed by every later aggregate — the submitter's own
 	// next Update, or any helper's — raising one operation's failure on
 	// arbitrary innocent transactions, and would keep every update on this
-	// path. The descriptor's lifetime ends here; hand it to hazard eras. The
-	// free callback poisons the descriptor so tests can detect a protocol
-	// violation (in C++ this would be the actual deallocation).
+	// path. A helper may still hold d after this; the garbage collector
+	// frees it when none does.
 	defer func() {
 		s.opSlot.Store(nil)
 		e.published.Add(-1)
-		e.eras.Retire(s.id, d.birth, seqOf(e.curTx.Load()), func() { d.reclaimed.Store(true) })
 	}()
 	res, failed := e.runPublished(s, d)
 	if failed {
@@ -60,22 +58,17 @@ func (e *Engine) updateWF(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 	return res
 }
 
-// runPublished drives a published operation to completion. This is the one
-// place the engine announces a hazard era: everything that dereferences
-// another slot's published descriptor (aggregateBody) runs inside this loop.
-// The era is announced before the descriptors are read, and the
-// re-validation of curTx afterwards keeps the descriptor-protection argument
-// of §IV-B intact.
+// runPublished drives a published operation to completion.
 func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, bool) {
-	defer e.eras.Clear(s.id)
 	for attempt := 0; ; attempt++ {
 		oldTx := e.curTx.Load()
-		e.eras.Protect(s.id, seqOf(oldTx))
 		if res, failed, done := e.opResult(s, d.tag); done {
 			return res, failed
 		}
 		if e.curTx.Load() != oldTx {
-			continue // era announcement raced with a commit; re-read
+			// A commit landed while opResult looked: an aggregate built
+			// on oldTx would lose its commit CAS and pay contendedPause.
+			continue
 		}
 		// One round of the shared pipeline with the aggregate as its body.
 		// However it ends — helped, aborted (the bounded pause in round
@@ -122,17 +115,13 @@ func (e *Engine) aggregateBody(tx tm.Tx) uint64 {
 			continue
 		}
 		if d.birth > u.startSeq {
-			// Published by a newer era than our snapshot: not
-			// covered by our hazard-era announcement, and
-			// executing it could break isolation. A newer
-			// transaction will pick it up (§IV-B).
-			continue
-		}
-		if d.reclaimed.Load() {
-			// Hazard-era protocol violation (would be a
-			// use-after-free in C++). Never happens; counted so
-			// tests can assert that.
-			e.heViolations.Add(1)
+			// Published after our snapshot: its caller may have seen
+			// newer transactions complete, its own last update among
+			// them, so this snapshot predates the operation. This
+			// aggregate cannot commit (curTx has moved past
+			// startSeq), but a run here is not invisible: a panic on
+			// the stale state would park in d.fail, where the
+			// submitter may re-raise it. A newer aggregate runs it.
 			continue
 		}
 		valW, tagW := e.resultWord(t)

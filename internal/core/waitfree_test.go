@@ -45,35 +45,6 @@ func TestWFAggregationHappens(t *testing.T) {
 	if e.Stats().AggregatedOp == 0 {
 		t.Error("no operation was ever executed on behalf of another thread")
 	}
-	if e.HEViolations() != 0 {
-		t.Fatalf("hazard-era violations: %d", e.HEViolations())
-	}
-}
-
-// TestWFDescriptorsReclaimed: hazard eras must eventually reclaim retired
-// operation descriptors, and never one still in use.
-func TestWFDescriptorsReclaimed(t *testing.T) {
-	e := NewWF(smallOpts()...)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				e.UpdatePublished(func(tx tm.Tx) uint64 {
-					tx.Store(tm.Root(0), tx.Load(tm.Root(0))+1)
-					return 0
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	if e.Eras().Reclaimed() == 0 {
-		t.Error("hazard eras never reclaimed a descriptor")
-	}
-	if e.HEViolations() != 0 {
-		t.Fatalf("hazard-era violations: %d", e.HEViolations())
-	}
 }
 
 // TestWFResultsReturnedToRightCaller: concurrent operations with distinct

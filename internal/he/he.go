@@ -1,13 +1,11 @@
 // Package he implements the Hazard Eras memory-reclamation scheme
-// (Ramalhete & Correia, SPAA 2017), used by the paper for reclaiming the
-// transient closure objects of the wait-free engine (§IV-B) and by the
-// hand-made lock-free baselines for node reclamation.
+// (Ramalhete & Correia, SPAA 2017) for the hand-made lock-free baselines'
+// nodes (internal/lockfree). The paper also uses it for the wait-free
+// engine's closures (§IV-B); here the garbage collector frees those.
 //
 // Each participating thread slot announces the era it is operating in; a
 // retired object may only be reclaimed once its lifetime [birth era,
-// retire era] does not intersect any announced era. In the OneFile engine
-// the era is the transaction sequence number of curTx, exactly as §IV-B
-// prescribes.
+// retire era] does not intersect any announced era.
 //
 // Go's garbage collector would make use-after-reclaim impossible anyway, so
 // the scheme's free callbacks typically just poison a flag — which turns the
@@ -38,9 +36,8 @@ type slotState struct {
 // Eras is a hazard-era domain for a fixed number of thread slots.
 type Eras struct {
 	slots []slotState
-	// era is the domain's own clock, used when the caller does not supply
-	// era values (the lock-free containers). The OneFile engine ignores it
-	// and feeds transaction sequences instead.
+	// era is the domain's clock: callers read it for the eras they
+	// announce and stamp, and tick it when they create or retire objects.
 	era atomic.Uint64
 	// retired lists are owner-private per slot (no locking needed).
 	lists     [][]retired
@@ -59,9 +56,6 @@ func New(n int) *Eras {
 	e.era.Store(1)
 	return e
 }
-
-// Slots returns the number of thread slots.
-func (e *Eras) Slots() int { return len(e.slots) }
 
 // Era returns the domain clock's current era.
 func (e *Eras) Era() uint64 { return e.era.Load() }
@@ -108,21 +102,6 @@ func (e *Eras) Scan(slot int) {
 	e.lists[slot] = kept
 }
 
-// MinProtected returns the smallest era currently announced by any slot, or
-// None when no slot announces one: one wait-free pass over the announcement
-// array. Everything retired before it is reclaimable, so its distance from
-// the current era is the domain's reclamation lag (internal/core exports it
-// as a gauge).
-func (e *Eras) MinProtected() uint64 {
-	min := None
-	for i := range e.slots {
-		if a := e.slots[i].era.Load(); a < min {
-			min = a
-		}
-	}
-	return min
-}
-
 func (e *Eras) overlaps(birth, retire uint64) bool {
 	for i := range e.slots {
 		a := e.slots[i].era.Load()
@@ -135,13 +114,3 @@ func (e *Eras) overlaps(birth, retire uint64) bool {
 
 // Reclaimed returns the number of objects reclaimed so far (test aid).
 func (e *Eras) Reclaimed() uint64 { return e.reclaimed.Load() }
-
-// Pending returns how many objects are awaiting reclamation (test aid;
-// approximate under concurrency).
-func (e *Eras) Pending() int {
-	n := 0
-	for i := range e.lists {
-		n += len(e.lists[i])
-	}
-	return n
-}

@@ -162,14 +162,22 @@ func (c *connState) run() {
 // exec runs ops, all of one shard, as one transaction — an update through
 // Backend.Async if any of them writes, a read-only transaction if none does
 // — and stores their results in res. A transaction that fails (write-set
-// or heap overflow, a body panic such as INCR of a non-integer) fails as a
-// whole and commits nothing, so it is re-run as its two halves, split
-// between commands, until the failing command stands alone and owns the
-// error.
+// or heap overflow, a body panic such as INCR of a non-integer or a load
+// through a corrupt link) fails as a whole and commits nothing, so it is
+// re-run as its two halves, split between commands, until the failing
+// command stands alone and owns the error. A read reports its failure
+// here, through tm.PanicError, as an update's future does.
 func (c *connState) exec(ops []op, res []result) {
 	be, ix, sh := c.s.be, c.s.ix, int(ops[0].shard)
 	var err error
-	run := func(fn func(tm.Tx) uint64) uint64 { return be.Read(sh, fn) }
+	run := func(fn func(tm.Tx) uint64) uint64 {
+		defer func() {
+			if r := recover(); r != nil {
+				err = tm.PanicError(r)
+			}
+		}()
+		return be.Read(sh, fn)
+	}
 	if slices.ContainsFunc(ops, func(o op) bool { return o.kind.write() }) {
 		run = func(fn func(tm.Tx) uint64) (v uint64) {
 			v, err = be.Async(sh, fn).Wait()

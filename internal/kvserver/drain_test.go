@@ -129,6 +129,57 @@ func TestDrainErrorIsolation(t *testing.T) {
 	}
 }
 
+// TestDrainReadBodyPanic: a window with no write whose body panics splits
+// as a window with a write does. The failing command alone answers -ERR,
+// its neighbours answer normally, and the connection and the server stay
+// up. The panic comes from the engine's own pointer check: a bucket head
+// that points past the heap makes a GET of that bucket load out of range.
+func TestDrainReadBodyPanic(t *testing.T) {
+	for _, v := range ptmVariants {
+		t.Run(v.name, func(t *testing.T) {
+			opts := testOpts()
+			e := newPTM(t, v.waitFree, opts...)
+			ix := NewIndex(1 << 10)
+			srv := NewServer(EngineBackend{E: e}, ix, obs.NewRegistry())
+			dial, shutdown := serve(t, srv)
+			defer shutdown()
+			c := dial()
+			defer c.Close()
+			mustDo(t, c, "SET", "bad", "x")
+			mustDo(t, c, "SET", "good", "y")
+			mask := ix.Buckets() - 1
+			bad := HashKey([]byte("bad")) & mask
+			if bad == HashKey([]byte("good"))&mask {
+				t.Fatal("the two keys share a bucket")
+			}
+			wild := uint64(tm.Apply(opts).HeapWords) // the first word past the heap
+			e.Update(func(tx tm.Tx) uint64 {
+				tx.Store(ix.bucketSlot(tx, bad, false), wild)
+				return 0
+			})
+
+			r := pipeline(t, c, []string{"GET", "good"}, []string{"GET", "bad"}, []string{"DBSIZE"})
+			if string(r[0].Str) != "y" || r[2].Int != 2 {
+				t.Errorf("neighbours of the failing GET: %+v and DBSIZE %+v; want \"y\" and 2", r[0], r[2])
+			}
+			if err := r[1].Err(); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("GET through a wild bucket head answered %+v, want an out-of-range error", r[1])
+			}
+			if srv.m.splits.Value() == 0 {
+				t.Error("kv_drain_splits_total did not move")
+			}
+			if v := mustDo(t, c, "PING"); v.Str == nil || string(v.Str) != "PONG" {
+				t.Errorf("PING on the same connection answered %+v", v)
+			}
+			c2 := dial()
+			defer c2.Close()
+			if v := mustDo(t, c2, "GET", "good"); string(v.Str) != "y" {
+				t.Errorf("GET on a new connection answered %+v", v)
+			}
+		})
+	}
+}
+
 // TestDrainOverflow: a window whose combined stores overflow the write-set
 // still succeeds command by command (the halving path), and a command that
 // overflows alone gets the overflow as its own reply.
