@@ -26,17 +26,20 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"onefile"
 	"onefile/internal/core"
 	"onefile/internal/kvserver"
-	"onefile/internal/svc"
 )
 
 var (
@@ -53,6 +56,9 @@ var (
 	seed      = flag.Int64("seed", 1, "seed for the emulated device's relaxed-ordering adversary")
 )
 
+// drainTimeout bounds how long shutdown waits for in-flight work.
+const drainTimeout = 10 * time.Second
+
 func main() {
 	flag.Parse()
 	if err := run(); err != nil {
@@ -61,7 +67,7 @@ func main() {
 }
 
 func run() error {
-	ctx, stop := svc.SignalContext()
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
 	opts := []onefile.Option{onefile.WithHeapWords(*heapWords)}
@@ -152,7 +158,7 @@ func run() error {
 		mux := http.NewServeMux()
 		reg.Mount(mux)
 		go func() {
-			if err := svc.ServeHTTP(ctx, *metricsAddr, mux); err != nil {
+			if err := serveHTTP(ctx, *metricsAddr, mux); err != nil {
 				log.Printf("metrics server: %v", err)
 			}
 		}()
@@ -180,7 +186,7 @@ func run() error {
 	stop() // restore default signal handling: a second signal kills hard
 
 	log.Printf("draining...")
-	sctx, cancel := context.WithTimeout(context.Background(), svc.DefaultDrainTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
 		log.Printf("shutdown: %v (closing store anyway)", err)
@@ -190,5 +196,32 @@ func run() error {
 		return fmt.Errorf("close store: %w", err)
 	}
 	log.Printf("clean shutdown")
+	return nil
+}
+
+// serveHTTP serves mux on addr until ctx is cancelled, then shuts the
+// server down gracefully (in-flight requests finish, bounded by
+// drainTimeout) and returns. It returns instead of exiting, so a failing
+// metrics listener never takes the process down with an engine attached.
+func serveHTTP(ctx context.Context, addr string, mux http.Handler) error {
+	srv := &http.Server{Addr: addr, Handler: mux}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		// ListenAndServe never returns nil; reaching here means the
+		// listener failed before ctx was cancelled.
+		return err
+	case <-ctx.Done():
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		_ = srv.Close()
+		return err
+	}
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
 	return nil
 }

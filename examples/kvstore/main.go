@@ -18,44 +18,29 @@
 //	go run ./examples/kvstore -file /tmp/kv.img    # recovers the first run's data
 //	go run ./cmd/onefile-inspect -file -heap 131072 /tmp/kv.img
 //
-// With -serve the demo becomes a long-running scrapeable service: a
-// metrics registry is attached to the engine, /metrics (Prometheus text),
-// /debug/vars (expvar JSON) and /debug/flightrecorder are served on the
-// given address, and a background workload keeps puts, gets and combined
-// batches flowing so every metric family moves:
-//
-//	go run ./examples/kvstore -serve :8080
-//	curl localhost:8080/metrics
-//
 // With -shards N the store is hash-partitioned over N independent engines:
 // each key's index lives on its home shard (one serial commit stream per
-// shard), per-shard balance pots are moved between shards with atomic
-// cross-shard transactions, and -serve scrapes every shard's metrics under
-// its own onefile_of_lf_ptm_shardI prefix. Combined with -file, PATH names
-// a directory holding one device image per shard, recovered — cross-shard
-// transfers included — on the next run:
+// shard), and per-shard balance pots are moved between shards with atomic
+// cross-shard transactions. Combined with -file, PATH names a directory
+// holding one device image per shard, recovered — cross-shard transfers
+// included — on the next run:
 //
 //	go run ./examples/kvstore -shards 4
 //	go run ./examples/kvstore -shards 4 -file /tmp/kvshards
-//	go run ./examples/kvstore -shards 4 -serve :8080
+//
+// The metrics service over a real workload is cmd/onefile-kv -metrics.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 
 	"onefile"
 	"onefile/containers"
-	"onefile/internal/svc"
 )
 
 var (
-	serveAddr = flag.String("serve", "",
-		"serve /metrics, /debug/vars and /debug/flightrecorder on this address while running a continuous workload")
 	filePath = flag.String("file", "",
 		"back the store with an mmap device file at this path: state persists across runs, and killing the process mid-run leaves a crash image the next run recovers (with -shards, a directory of per-shard files)")
 	numShards = flag.Int("shards", 1,
@@ -141,56 +126,6 @@ func (s *store) TopK(k int) [][2]uint64 {
 	return out
 }
 
-// serve attaches a metrics registry to the engine, keeps a background
-// workload running (direct puts and gets plus combined counter batches, so
-// the direct, read and combined paths all record), and serves the
-// exposition endpoints until a SIGINT/SIGTERM. It then stops the workload
-// and returns, so the caller can close the engine and the NVM — exiting
-// through log.Fatal here would leave a file-backed store with a dirty
-// superblock and force crash recovery on every restart.
-func serve(kv *store, e onefile.Engine, addr string) error {
-	reg := onefile.NewMetricsRegistry()
-	if onefile.RegisterMetrics(reg, e) == nil {
-		return errors.New("engine does not support metrics registration")
-	}
-	sigCtx, stop := svc.SignalContext()
-	defer stop()
-	ctx, cancel := context.WithCancel(sigCtx)
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		const keys = 2000
-		fns := make([]func(onefile.Tx) uint64, 16)
-		for i := range fns {
-			p := onefile.Root(3)
-			fns[i] = func(tx onefile.Tx) uint64 {
-				tx.Store(p, tx.Load(p)+1)
-				return 0
-			}
-		}
-		for i := uint64(1); ctx.Err() == nil; i++ {
-			kv.Put(i%keys+1, i%1000)
-			kv.Get((i * 7) % keys)
-			if i%64 == 0 {
-				for _, r := range onefile.Batch(e, fns) {
-					if r.Err != nil {
-						log.Printf("combined batch: %v", r.Err)
-						return
-					}
-				}
-			}
-		}
-	}()
-	mux := http.NewServeMux()
-	reg.Mount(mux)
-	log.Printf("kvstore: serving /metrics, /debug/vars, /debug/flightrecorder on %s (SIGINT/SIGTERM for clean shutdown)", addr)
-	err := svc.ServeHTTP(ctx, addr, mux)
-	cancel() // stop the workload even if the listener failed on its own
-	<-done   // engine quiescent: safe for the caller to close it
-	return err
-}
-
 // shardedMain is the -shards N demo: a hash-partitioned store whose keys
 // each live on their home shard's index, with a per-shard balance pot
 // (root 3) moved between shards by atomic cross-shard transactions.
@@ -225,15 +160,6 @@ func shardedMain(n int) {
 		subs[i] = open(st.Engine(i))
 	}
 	pot := onefile.Root(3)
-
-	if *serveAddr != "" {
-		// On return the workload is quiescent; the deferred st.Close
-		// closes every shard engine and device, marking superblocks clean.
-		if err := serveSharded(st, subs, *serveAddr); err != nil {
-			log.Printf("serve: %v", err)
-		}
-		return
-	}
 
 	if !existed {
 		for i := uint64(1); i <= 500; i++ {
@@ -300,54 +226,6 @@ func shardKeys(st *onefile.ShardedStore) []uint64 {
 	return out
 }
 
-// serveSharded registers every shard's metrics and keeps a mixed workload
-// running: routed puts/gets on each key's home shard plus a trickle of
-// cross-shard pot transfers, so the per-shard families and the cross-shard
-// counters all move.
-func serveSharded(st *onefile.ShardedStore, subs []*store, addr string) error {
-	reg := onefile.NewMetricsRegistry()
-	if ms := onefile.RegisterShardedMetrics(reg, st); len(ms) != len(subs) {
-		return errors.New("shard metrics registration failed")
-	}
-	pot := onefile.Root(3)
-	keyFor := shardKeys(st)
-	sigCtx, stop := svc.SignalContext()
-	defer stop()
-	ctx, cancel := context.WithCancel(sigCtx)
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		const keys = 2000
-		n := len(subs)
-		for i := uint64(1); ctx.Err() == nil; i++ {
-			k := i%keys + 1
-			subs[st.ShardFor(k)].Put(k, i%1000)
-			g := (i * 7) % keys
-			subs[st.ShardFor(g)].Get(g)
-			if i%32 == 0 && n > 1 {
-				a := int(i % uint64(n))
-				b := (a + 1) % n
-				if _, err := st.UpdateCross([]uint64{keyFor[a], keyFor[b]}, func(m onefile.MultiTx) uint64 {
-					m.Store(a, pot, m.Load(a, pot)-1)
-					m.Store(b, pot, m.Load(b, pot)+1)
-					return 0
-				}); err != nil {
-					log.Printf("cross-shard transfer: %v", err)
-					return
-				}
-			}
-		}
-	}()
-	mux := http.NewServeMux()
-	reg.Mount(mux)
-	log.Printf("kvstore: serving %d-shard /metrics, /debug/vars, /debug/flightrecorder on %s (SIGINT/SIGTERM for clean shutdown)", len(subs), addr)
-	err := svc.ServeHTTP(ctx, addr, mux)
-	cancel()
-	<-done // store quiescent: the caller's deferred st.Close is safe
-	return err
-}
-
 func main() {
 	flag.Parse()
 	if *numShards > 1 {
@@ -384,19 +262,6 @@ func main() {
 		log.Fatal(err)
 	}
 	kv := open(e)
-
-	if *serveAddr != "" {
-		// serve returns with the workload stopped; close the engine, then
-		// return through the deferred nvm.Close so a -file store's
-		// superblock is marked clean instead of leaving a crash image.
-		if err := serve(kv, e, *serveAddr); err != nil {
-			log.Printf("serve: %v", err)
-		}
-		if err := e.Close(); err != nil {
-			log.Printf("engine close: %v", err)
-		}
-		return
-	}
 
 	for i := uint64(1); i <= 500; i++ {
 		kv.Put(i, i*i%1000)

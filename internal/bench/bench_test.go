@@ -274,21 +274,3 @@ func TestPaperOpCountsTable(t *testing.T) {
 		t.Fatal("unknown engine must return -1")
 	}
 }
-
-func TestAblationSmoke(t *testing.T) {
-	if tps := WriteSetLookup(48, 30*time.Millisecond); tps <= 0 {
-		t.Fatal("WriteSetLookup made no progress")
-	}
-	for _, mode := range []pmem.Mode{pmem.StrictMode, pmem.RelaxedMode} {
-		tps, err := DeviceMode(mode, 4, 30*time.Millisecond)
-		if err != nil || tps <= 0 {
-			t.Fatalf("DeviceMode(%d) = %f, %v", mode, tps, err)
-		}
-	}
-	for _, eng := range []string{"OF-LF", "OF-WF"} {
-		tps, err := Serialized(eng, 2, 30*time.Millisecond)
-		if err != nil || tps <= 0 {
-			t.Fatalf("Serialized(%s) = %f, %v", eng, tps, err)
-		}
-	}
-}

@@ -4,8 +4,7 @@
 // (Figs. 5, 6, 9, 10, 11), the latency-percentile workload (Fig. 7), the
 // process-kill resilience test (Fig. 12-right) and the persistence-
 // instruction audit (Table I). The DESIGN.md experiment index maps each
-// experiment to the entry points here; cmd/onefile-bench and the root
-// bench_test.go drive them.
+// experiment to the entry points here; cmd/onefile-bench drives them.
 package bench
 
 import (

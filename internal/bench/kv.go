@@ -5,7 +5,7 @@ package bench
 // Unlike the engine benchmarks in this package, the measured path is the
 // whole service — RESP parsing, the pipelining window (one transaction per
 // drain), and the persistent engine — which is what
-// `onefile-bench -fig kv` reports into BENCH_*.json.
+// `onefile-bench -fig kv` reports.
 //
 // By default the harness starts an in-process server over a persistent
 // engine on a loopback listener (still real TCP sockets and real client

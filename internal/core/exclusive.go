@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"onefile/internal/tm"
 )
@@ -90,13 +89,10 @@ type exclusive struct {
 
 	// Pad the struct to a whole number of cache lines, so embedding it in
 	// Engine does not shift the line offsets of the padded hot fields
-	// declared after it (curTx, claimHint).
+	// declared after it (curTx, claimHint). TestEngineLayout checks the
+	// whole lines on every 64-bit build.
 	_ [20]byte
 }
-
-// The sizing the padding above maintains; fails to compile if exclusive
-// stops being a multiple of the 64-byte line.
-const _ uintptr = -(unsafe.Sizeof(exclusive{}) % 64)
 
 func (x *exclusive) init() { x.waitCond = sync.NewCond(&x.waitMu) }
 

@@ -43,6 +43,12 @@ func TestHeapSlabPointerFree(t *testing.T) {
 // before them must keep them where they are, as combiner's tail pad does.
 // The figures are amd64's, with and without -race.
 func TestEngineLayout(t *testing.T) {
+	// exclusive's tail pad keeps it a whole number of 64-byte lines, so
+	// the fields after it stay line-aligned; the pad is sized for 8-byte
+	// pointers.
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(exclusive{})%64 != 0 {
+		t.Errorf("sizeof(exclusive) = %d, not a whole number of 64-byte lines", unsafe.Sizeof(exclusive{}))
+	}
 	if runtime.GOARCH != "amd64" {
 		t.Skip("offsets measured on amd64")
 	}

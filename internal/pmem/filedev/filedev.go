@@ -151,12 +151,16 @@ func validateSuperblock(sb []uint64, size int) (rawWords, pairWords int, clean b
 	if s != stateClean && s != stateDirty {
 		return 0, 0, false, fmt.Errorf("%w: state word %d is neither clean nor dirty", ErrCorruptSuperblock, s)
 	}
-	rawWords, pairWords = int(sb[sbRawWord]), int(sb[sbPairWord])
 	// Reject sizes whose layout math would overflow or exceed the file
-	// before trusting them, and the empty device no Create can make.
-	if rawWords < 0 || pairWords < 0 || rawWords > (1<<40) || pairWords > (1<<40) || rawWords+pairWords == 0 {
-		return 0, 0, false, fmt.Errorf("%w: implausible region sizes %d/%d", ErrCorruptSuperblock, rawWords, pairWords)
+	// before trusting them, and the empty device no Create can make. The
+	// bound is checked in int64, then the sizes must fit an int (they do
+	// not above 2³¹ words on a 32-bit target).
+	raw, pair := int64(sb[sbRawWord]), int64(sb[sbPairWord])
+	if raw < 0 || pair < 0 || raw > (1<<40) || pair > (1<<40) || raw+pair == 0 ||
+		int64(int(raw)) != raw || int64(int(pair)) != pair {
+		return 0, 0, false, fmt.Errorf("%w: implausible region sizes %d/%d", ErrCorruptSuperblock, raw, pair)
 	}
+	rawWords, pairWords = int(raw), int(pair)
 	if _, _, total := layout(rawWords, pairWords); size < total {
 		return 0, 0, false, fmt.Errorf("%w: file is %d bytes, layout needs %d (truncated image)",
 			ErrCorruptSuperblock, size, total)

@@ -2,10 +2,14 @@ package shard
 
 import (
 	"errors"
+	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"onefile/internal/core"
 	"onefile/internal/pmem"
@@ -443,4 +447,61 @@ func TestStatsSumsEveryCounter(t *testing.T) {
 	if got.Commits != 5 {
 		t.Fatalf("Commits = %d, want 5", got.Commits)
 	}
+}
+
+// TestShardStreamScaling: 4 shards under single-shard transactions on
+// uniformly spread keys sustain at least 3 independent commit streams —
+// total curTx advances over the busiest shard's, the median of three runs.
+// A ratio of per-engine commit counts holds on any host width: one core
+// serialises the cycles, not the streams.
+func TestShardStreamScaling(t *testing.T) {
+	const shards, workers, entries = 4, 8, 1024
+	run := func() float64 {
+		st, err := NewVolatile(shards, false, nil, tm.WithHeapWords(1<<12), tm.WithMaxThreads(2*workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		bases := make([]tm.Ptr, shards)
+		before := make([]uint64, shards)
+		for s := range bases {
+			bases[s] = tm.Ptr(st.UpdateOn(s, func(tx tm.Tx) uint64 { return uint64(tx.Alloc(entries)) }))
+			before[s] = st.Engine(s).CurSeq()
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(rng *rand.Rand) {
+				defer wg.Done()
+				for !stop.Load() {
+					k := rng.Uint64()
+					base := bases[st.ShardFor(k)]
+					i, j := base+tm.Ptr(k%entries), base+tm.Ptr(k/entries%entries)
+					st.Update(k, func(tx tm.Tx) uint64 {
+						a, b := tx.Load(i), tx.Load(j)
+						tx.Store(i, b)
+						tx.Store(j, a)
+						return 0
+					})
+				}
+			}(rand.New(rand.NewSource(int64(w + 1))))
+		}
+		time.Sleep(150 * time.Millisecond)
+		stop.Store(true)
+		wg.Wait()
+		var total, busiest uint64
+		for s := range before {
+			adv := st.Engine(s).CurSeq() - before[s]
+			total += adv
+			busiest = max(busiest, adv)
+		}
+		return float64(total) / float64(busiest)
+	}
+	streams := []float64{run(), run(), run()}
+	sort.Float64s(streams)
+	if !(streams[1] >= 3) { // NaN when nothing committed
+		t.Fatalf("4 shards sustain %.2f independent commit streams (runs %.2f), want >= 3", streams[1], streams)
+	}
+	t.Logf("4 shards: %.2f independent commit streams", streams[1])
 }

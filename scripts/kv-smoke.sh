@@ -3,9 +3,11 @@
 # tmpfs, drive a load burst over real sockets through the bench harness
 # (onefile-bench -fig kv -kv-addr) and a pipelined burst of dependent
 # commands, assert the service and engine metric families moved (the drain
-# histogram among them), SIGTERM for a graceful drain, then reopen the same
-# file and verify the loaded keys survived the shutdown. Run from the
-# repository root; CI's kv-smoke job runs exactly this script.
+# histogram among them) and that /debug/vars and /debug/flightrecorder
+# expose the engine's histograms and commits, SIGTERM for a graceful drain,
+# then reopen the same file and verify the loaded keys survived the
+# shutdown. Run from the repository root; CI's kv-smoke job runs exactly
+# this script.
 set -euo pipefail
 
 addr="${1:-127.0.0.1:16380}"
@@ -76,6 +78,8 @@ exec 3>&- 3<&-
 [ "$burst" = "+OK \$1 a :1 :2 :2 :$keys " ] || fail "pipelined burst answered '$burst'"
 
 metrics=$(curl -fs "http://$maddr/metrics") || fail "metrics endpoint unreachable"
+vars=$(curl -fs "http://$maddr/debug/vars") || fail "/debug/vars unreachable"
+rec=$(curl -fs "http://$maddr/debug/flightrecorder") || fail "/debug/flightrecorder unreachable"
 
 require_nonzero() {
   local fam="$1" line val
@@ -88,7 +92,8 @@ require_nonzero() {
 
 # Service counters and the engine underneath must both be moving: RESP
 # commands served, connections accepted, latency samples recorded, and the
-# persistent engine's commits and write-backs behind them.
+# persistent engine's update and read commits, write-backs and ordering
+# points behind them.
 for fam in \
   kv_cmd_get_total \
   kv_cmd_set_total \
@@ -97,10 +102,25 @@ for fam in \
   kv_set_latency_count \
   kv_drain_commands_count \
   onefile_of_lf_ptm_commits_total \
+  onefile_of_lf_ptm_read_commits_total \
   onefile_of_lf_ptm_batches_total \
-  onefile_of_lf_ptm_pwb_total; do
+  onefile_of_lf_ptm_pwb_total \
+  onefile_of_lf_ptm_pdrain_total \
+  onefile_of_lf_ptm_update_latency_ns_count \
+  onefile_of_lf_ptm_read_latency_ns_count; do
   require_nonzero "$fam"
 done
+
+# The engine's latency histograms in both expositions, and its commits in
+# the flight recorder.
+grep -q '# TYPE onefile_of_lf_ptm_update_latency_ns histogram' <<<"$metrics" \
+  || fail "/metrics missing histogram TYPE line"
+grep -q '"onefile_of_lf_ptm_update_latency_ns"' <<<"$vars" \
+  || fail "/debug/vars missing latency histogram summary"
+grep -q '"p99"' <<<"$vars" \
+  || fail "/debug/vars histogram summary has no percentiles"
+grep -q '"kind": "commit"' <<<"$rec" \
+  || fail "/debug/flightrecorder has no commit events"
 
 # Graceful drain: SIGTERM must flush pending work, close the device with a
 # clean superblock, and exit 0.
