@@ -525,7 +525,7 @@ func runKVFig() error {
 			}
 			rowf(op, "%12.1f", st.OpsPerSec, st.P50, st.P99, st.P999)
 		}
-		rowf("all", "%12.1f", res.Throughput, 0, 0, 0)
+		rowf("all", "%12.1f", res.Throughput, res.P50, res.P99, res.P999)
 	}
 	return nil
 }

@@ -164,11 +164,11 @@ func inspect(path string, out io.Writer, o options) error {
 	fmt.Fprintf(out, "recovery:      null recovery complete (helps=%d)\n", s.Helps)
 	if r, ok := e.(interface{ LastRecovery() core.RecoveryReport }); ok {
 		rep := r.LastRecovery()
-		fmt.Fprintf(out, "  attach:      %v; %d heap words walked in %d range(s), %d non-zero\n",
-			rep.Duration, rep.HeapWords, rep.Ranges, rep.WordsLoaded)
+		fmt.Fprintf(out, "  attach:      %v; %d heap words walked in %d range(s) in %v, %d non-zero\n",
+			rep.Duration, rep.HeapWords, rep.Ranges, rep.Walk, rep.WordsLoaded)
 		if rep.Pending {
-			fmt.Fprintf(out, "  pending:     transaction %d re-applied from its redo log (%d stale log entries skipped)\n",
-				rep.PendingSeq, rep.StaleLogEntriesSkipped)
+			fmt.Fprintf(out, "  pending:     transaction %d re-applied from its redo log in %v (%d stale log entries skipped)\n",
+				rep.PendingSeq, rep.NullRecovery, rep.StaleLogEntriesSkipped)
 		} else {
 			fmt.Fprintln(out, "  pending:     none (curTx's request was durably closed)")
 		}

@@ -128,6 +128,7 @@ func TestInspectSnapshot(t *testing.T) {
 		"recovery:      null recovery complete",
 		"  attach:      ",
 		" heap words walked in ",
+		" range(s) in ",
 		"  pending:     ",
 	} {
 		if !strings.Contains(report, want) {

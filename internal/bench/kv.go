@@ -78,9 +78,10 @@ type KVOpStats struct {
 
 // KVResult is one mix's measurement.
 type KVResult struct {
-	Mix        string
-	Throughput float64 // all operations per second
-	PerOp      map[string]KVOpStats
+	Mix            string
+	Throughput     float64 // all operations per second
+	P50, P99, P999 float64 // submit→reply percentiles over every operation's samples, µs
+	PerOp          map[string]KVOpStats
 }
 
 // kvOpNames indexes the latency buckets (opGet..opScan below).
@@ -356,6 +357,7 @@ func KVBench(mix KVMix, cfg KVConfig) (KVResult, error) {
 	elapsed := time.Since(start).Seconds()
 	res := KVResult{Mix: mix.Name, PerOp: make(map[string]KVOpStats)}
 	var total uint64
+	var all []int64
 	for kind, name := range kvOpNames {
 		var ops uint64
 		var lats []int64
@@ -378,8 +380,11 @@ func KVBench(mix KVMix, cfg KVConfig) (KVResult, error) {
 			P999:      kvPctl(lats, 99.9),
 		}
 		total += ops
+		all = append(all, lats...)
 	}
 	res.Throughput = float64(total) / elapsed
+	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
+	res.P50, res.P99, res.P999 = kvPctl(all, 50), kvPctl(all, 99), kvPctl(all, 99.9)
 	return res, nil
 }
 

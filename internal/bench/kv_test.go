@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -56,5 +57,30 @@ func TestKVPreloadNamesTheHeapItNeeds(t *testing.T) {
 	cfg.Addr = serve(kvHeapWords(keys))
 	if _, err := KVBench(mix, cfg); err != nil {
 		t.Fatalf("preload of %d keys into the heap the error names: %v", keys, err)
+	}
+}
+
+// TestKVAggregatePercentiles: the all-operations percentiles are taken over
+// every operation's samples, so the aggregate p50 is a real latency — above
+// zero — and lies between the smallest and the largest per-operation p50.
+func TestKVAggregatePercentiles(t *testing.T) {
+	cfg := KVConfig{Keys: 4096, Conns: 2, Duration: 100 * time.Millisecond}
+	res, err := KVBench(KVMix{Name: "scan-mix", Read: 45, Update: 45, Scan: 10}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerOp) != len(kvOpNames) {
+		t.Fatalf("measured %d operation kinds, want %d: %+v", len(res.PerOp), len(kvOpNames), res.PerOp)
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, st := range res.PerOp {
+		lo, hi = math.Min(lo, st.P50), math.Max(hi, st.P50)
+	}
+	t.Logf("p50 all %.1f µs, per operation %.1f–%.1f µs; p99 %.1f, p999 %.1f", res.P50, lo, hi, res.P99, res.P999)
+	if res.P50 <= 0 || res.P50 < lo || res.P50 > hi {
+		t.Errorf("aggregate p50 %.1f µs, want above 0 and within the per-operation p50s [%.1f, %.1f]", res.P50, lo, hi)
+	}
+	if res.P99 < res.P50 || res.P999 < res.P99 {
+		t.Errorf("aggregate percentiles out of order: p50 %.1f, p99 %.1f, p999 %.1f", res.P50, res.P99, res.P999)
 	}
 }

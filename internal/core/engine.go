@@ -34,7 +34,8 @@
 //
 //   - Flat TM words. The heap is one pointer-free slab of 16-byte
 //     {value, sequence} words (package dcas) changed by a hardware
-//     double-word CAS where the platform has one; loads are two atomic
+//     double-word CAS where the platform has one — on a persistent engine,
+//     laid over memory its device owns (pmem.Device.PairView); loads are two atomic
 //     loads plus the sequence check the algorithm already performs (see
 //     DESIGN.md §2). Steady-state transactions allocate nothing per word.
 //   - Flush coalescing. The apply phase persists one pwb per modified
@@ -223,7 +224,10 @@ type Engine struct {
 	dev      pmem.Device // nil for the volatile variants
 	stamps   uint64      // stampMask on a persistent engine, 0 on a volatile one
 
-	words []dcas.TMWord // the transactional heap: one TM word per tm.Ptr
+	// words is the transactional heap, one TM word per tm.Ptr: on a
+	// persistent engine of the native build laid over its device's pair view,
+	// otherwise a slab of its own.
+	words []dcas.TMWord
 
 	slots []slot
 
@@ -233,7 +237,8 @@ type Engine struct {
 
 	closed atomic.Bool
 
-	lastRecovery RecoveryReport // what attach did; zero on a formatted engine
+	lastRecovery *RecoveryReport // what attach did; nil on a formatted engine
+	_            [48]byte        // the report's 56 bytes when it was a value: cm, comb and obsv keep their offsets
 
 	// cm is the contention-management layer (contention.go): parked slot
 	// admission and the helper deduplication budget.
@@ -337,12 +342,8 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 		cfg:      cfg,
 		waitFree: waitFree,
 		dev:      dev,
-		words:    dcas.NewSlab(cfg.HeapWords),
 		slots:    make([]slot, cfg.MaxThreads),
 		curTxImg: cfg.HeapWords,
-	}
-	if dev != nil {
-		e.stamps = stampMask
 	}
 	e.cm.init(runtime.GOMAXPROCS(0))
 	e.excl.init()
@@ -351,11 +352,16 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 	if int(e.dynBase)+64 > cfg.HeapWords || uint64(cfg.HeapWords) > addrMask {
 		return nil, fmt.Errorf("core: heap of %d words too small for %d thread slots", cfg.HeapWords, cfg.MaxThreads)
 	}
+	zeroed := true // the heap holds only zeros
 	if dev != nil {
 		want := DeviceConfig(dev.Mode(), 0, func(c *tm.Config) { *c = cfg })
 		if dev.RawWords() < want.RawWords || dev.PairWords() < want.PairWords {
 			return nil, ErrBadDevice
 		}
+		e.words, zeroed = dcas.SlabOver(cfg.HeapWords, dev.PairView)
+		e.stamps = stampMask
+	} else {
+		e.words = dcas.NewSlab(cfg.HeapWords)
 	}
 
 	stride := slotLogStride(cfg.MaxStores)
@@ -386,12 +392,18 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 		}
 		return e, nil
 	}
-	e.format()
+	e.format(zeroed)
 	return e, nil
 }
 
-// format initialises a fresh heap (single-threaded).
-func (e *Engine) format() {
+// format initialises a fresh heap (single-threaded). A heap that may hold
+// words — a device's pair view that an engine used before — is cleared
+// first; a fresh one already reads zero everywhere, and clearing it would
+// be a second pass over the whole heap.
+func (e *Engine) format(zeroed bool) {
+	if !zeroed {
+		clear(e.words)
+	}
 	store := func(p tm.Ptr, v uint64) {
 		e.words[p].Store(v, 0)
 		if e.dev != nil {
@@ -415,10 +427,17 @@ func (e *Engine) format() {
 
 // RecoveryReport says what the attach that built an engine found and did.
 type RecoveryReport struct {
-	Duration    time.Duration // of attach itself; allocating the engine is not in it
-	HeapWords   int           // words of image the walk read and checked
-	WordsLoaded int           // the non-zero ones among them, stored into the heap
-	Ranges      int           // goroutines the walk was split over
+	// Duration is attach from its start to its return: Walk, NullRecovery
+	// and the checks around them. Building the engine before
+	// it is not in it; on the native build that allocates no heap (a
+	// persistent engine's words are its device's pair view), on the pointer
+	// build it allocates the slab.
+	Duration     time.Duration
+	Walk         time.Duration // the image read, checked and stored into every heap word
+	NullRecovery time.Duration // helpApply of the pending transaction; 0 when none was
+	HeapWords    int           // words of image the walk read, checked and stored
+	WordsLoaded  int           // the non-zero ones among them
+	Ranges       int           // goroutines the walk was split over
 	// Pending: curTx's request was durably open, so null recovery's one
 	// action ran — the helping path applied transaction PendingSeq — and
 	// skipped StaleLogEntriesSkipped entries of its log that a later attempt
@@ -431,7 +450,12 @@ type RecoveryReport struct {
 
 // LastRecovery returns the report of the attach that built e: the zero
 // report if e formatted its device, or has none.
-func (e *Engine) LastRecovery() RecoveryReport { return e.lastRecovery }
+func (e *Engine) LastRecovery() RecoveryReport {
+	if e.lastRecovery == nil {
+		return RecoveryReport{}
+	}
+	return *e.lastRecovery
+}
 
 // attach rebuilds the volatile state from the device's persistent image and
 // performs null recovery (§III-D): if the last committed transaction's
@@ -468,17 +492,21 @@ func (e *Engine) attach() error {
 	}
 	e.curTx.Store(cur)
 	rep := RecoveryReport{HeapWords: e.cfg.HeapWords}
+	walkStart := time.Now()
 	if err := e.loadImage(seqOf(cur), &rep); err != nil {
 		return err
 	}
+	rep.Walk = time.Since(walkStart)
 	if e.pending(cur) {
 		// Null recovery: the regular helping path finishes the last
 		// committed transaction if its request is still open. Stale open
 		// requests of transactions that never became durable fail the
 		// identifier match and are ignored, exactly as during normal
 		// execution.
+		applyStart := time.Now()
 		rep.Pending, rep.PendingSeq = true, seqOf(cur)
 		rep.StaleLogEntriesSkipped = e.helpApply(cur, &e.slots[0])
+		rep.NullRecovery = time.Since(applyStart)
 	}
 	// Resume each slot's operation-tag counter from its durable tag word:
 	// a fresh counter would re-issue tags the old heap already marked
@@ -490,19 +518,22 @@ func (e *Engine) attach() error {
 		e.slots[i].opTag = val &^ opFailBit
 	}
 	rep.Duration = time.Since(start)
-	e.lastRecovery = rep
+	e.lastRecovery = &rep
 	return nil
 }
 
 // loadImage is attach's walk: one pass over the device's pair image, read in
 // place, straight into the heap. Every word's durable sequence is held to
-// curSeq; zero words are not stored, so a fresh slab's untouched pages stay
-// untouched. The walk is split into contiguous, line-aligned ranges, one per
-// P, the first on this goroutine: the image is read-only while the device is
-// quiescent, the ranges of the slab are disjoint, and the join below orders
-// every store before anything attach does next. It reports the number of
-// words stored and of ranges used in rep; if words are beyond curSeq, the
-// error names the lowest one, whichever goroutine found it.
+// curSeq, and every word is stored, zero ones too: on the native build the
+// heap is the device's pair view, which holds whatever the engine before this
+// one left in it, and the walk is the one pass that rebuilds it — nothing
+// zeroes it first. The
+// walk is split into contiguous, line-aligned ranges, one per P, the first
+// on this goroutine: the image is read-only while the device is quiescent,
+// the ranges of the heap are disjoint, and the join below orders every store
+// before anything attach does next. It reports the number of non-zero words
+// and of ranges used in rep; if words are beyond curSeq, the error names the
+// lowest one, whichever goroutine found it.
 func (e *Engine) loadImage(curSeq uint64, rep *RecoveryReport) error {
 	pairs := e.dev.ImagePairs(0, e.cfg.HeapWords)
 	procs := runtime.GOMAXPROCS(0)
@@ -539,8 +570,8 @@ func (e *Engine) loadImage(curSeq uint64, rep *RecoveryReport) error {
 	return nil
 }
 
-// loadRange stores the non-zero words of pairs, the image of heap words
-// [lo, lo+len(pairs)), into the heap. It stops at the first word whose
+// loadRange stores pairs, the image of heap words [lo, lo+len(pairs)), into
+// the heap and counts the non-zero ones. It stops at the first word whose
 // sequence is beyond curSeq and returns its index in bad, -1 if there is none.
 func (e *Engine) loadRange(pairs []pmem.Pair, lo int, curSeq uint64) (loaded, bad int) {
 	words := e.words[lo : lo+len(pairs)]
@@ -548,8 +579,8 @@ func (e *Engine) loadRange(pairs []pmem.Pair, lo int, curSeq uint64) (loaded, ba
 		if p.Seq > curSeq {
 			return loaded, lo + i
 		}
+		words[i].Store(p.Val, p.Seq)
 		if p.Val != 0 || p.Seq != 0 {
-			words[i].Store(p.Val, p.Seq)
 			loaded++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ func (w *writeSet) privateBytes() int {
 func TestOpenFootprint(t *testing.T) {
 	const heapWords, threads, stores = 1 << 16, 16, 1 << 15
 	opts := []tm.Option{tm.WithHeapWords(heapWords), tm.WithMaxThreads(threads), tm.WithMaxStores(stores)}
-	limit := uint64(16*(heapWords+1) + 256<<10) // the slab and a quarter MiB
+	limit := uint64(16*(heapWords+1) + 256<<10) // the heap (the device's pair view) and a quarter MiB
 	if !dcas.Native {
 		limit = 1 << 62 // the pointer emulation allocates one pair per stored word by design
 	}
@@ -163,6 +164,10 @@ func TestAttachParallelWalk(t *testing.T) {
 			if !rep.Pending || rep.PendingSeq != cur || rep.StaleLogEntriesSkipped != 0 {
 				t.Errorf("report %+v; want transaction %d pending, no stale log entries", rep, cur)
 			}
+			// The walk and null recovery are two parts of attach, timed apart.
+			if rep.Walk <= 0 || rep.NullRecovery <= 0 || rep.Walk+rep.NullRecovery > rep.Duration {
+				t.Errorf("report %+v; want a walk and a null recovery, together within the attach", rep)
+			}
 
 			// Two words beyond curTx, far enough apart to fall into two
 			// ranges whenever there are two; the higher one is further beyond.
@@ -203,7 +208,7 @@ func TestAttachSplitWalkThenNullRecovery(t *testing.T) {
 			t.Fatalf("k=%d: attach: %v", k, err)
 		}
 		rep := r.LastRecovery()
-		if rep.Ranges != 2 || rep.Pending != open || (open && rep.PendingSeq != seqOf(cur)) {
+		if rep.Ranges != 2 || rep.Pending != open || (open && rep.PendingSeq != seqOf(cur)) || (rep.NullRecovery > 0) != open {
 			t.Fatalf("k=%d: report %+v; image's request open = %v at sequence %d", k, rep, open, seqOf(cur))
 		}
 		sawPending, sawClosed = sawPending || rep.Pending, sawClosed || !rep.Pending
@@ -218,5 +223,126 @@ func TestAttachSplitWalkThenNullRecovery(t *testing.T) {
 	}
 	if !sawPending || !sawClosed {
 		t.Fatalf("crash points that left curTx pending: %v, not pending: %v; the sweep must reach both", sawPending, sawClosed)
+	}
+}
+
+// TestAttachRebuildsAStaleView: attach rebuilds every heap word from the
+// image, whatever the device's pair view held — on the native build the view
+// is the heap, and Crash leaves it as it is. Before the crash a DCAS lands in
+// a chunk of the heap the image never wrote and is never flushed; after it,
+// junk is written through the view over every other pair line. Every word
+// must then read what the image holds, on both persistent engines.
+func TestAttachRebuildsAStaleView(t *testing.T) {
+	const heapWords = 1 << 14
+	for _, wf := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wf=%v", wf), func(t *testing.T) {
+			e, dev := newPTM(t, wf, pmem.StrictMode, 1)
+			for round := uint64(1); round <= 3; round++ {
+				e.Update(func(tx tm.Tx) uint64 {
+					p := tx.Alloc(40)
+					for i := tm.Ptr(0); i < 40; i++ {
+						tx.Store(p+i, round<<32|uint64(i)+1)
+					}
+					tx.Store(tm.Root(int(round)), uint64(p))
+					return 0
+				})
+			}
+			// The chunk: the heap's last four pair lines, never allocated.
+			stale := heapWords - 2*pmem.PairLineWords - 1
+			for i := heapWords - 4*pmem.PairLineWords; i < heapWords; i++ {
+				if v, s := dev.ImagePair(i); v != 0 || s != 0 {
+					t.Fatalf("image word %d = (%d,%d) before the crash, want the chunk unwritten", i, v, s)
+				}
+			}
+			if !e.words[stale].CompareAndSwap(0, 0, 0xdead, e.CurSeq()) {
+				t.Fatal("DCAS on an unwritten word failed")
+			}
+			e.Close()
+			dev.Crash()
+			view, _ := dev.PairView()
+			for i := range view[:heapWords] {
+				if i/pmem.PairLineWords%2 == 1 {
+					view[i] = pmem.Pair{Val: 0xbad<<32 | uint64(i), Seq: 1}
+				}
+			}
+			r, err := newPTMOn(dev, wf, true)
+			if err != nil {
+				t.Fatalf("attach: %v", err)
+			}
+			for i := 0; i < heapWords; i++ {
+				iv, is := dev.ImagePair(i)
+				if v, s := r.words[i].Load(); v != iv || s != is {
+					t.Fatalf("heap word %d = (%d,%d) after attach, image (%d,%d)", i, v, s, iv, is)
+				}
+			}
+		})
+	}
+}
+
+// TestFormatClearsAUsedView: format over a device whose pair view an engine
+// has used gives the heap format gives over a fresh device: every word format
+// does not write reads zero.
+func TestFormatClearsAUsedView(t *testing.T) {
+	for _, wf := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wf=%v", wf), func(t *testing.T) {
+			used, dev := newPTM(t, wf, pmem.StrictMode, 1)
+			used.Update(func(tx tm.Tx) uint64 {
+				p := tx.Alloc(200)
+				for i := tm.Ptr(0); i < 200; i++ {
+					tx.Store(p+i, uint64(i)+1)
+				}
+				tx.Store(tm.Root(0), uint64(p))
+				return 0
+			})
+			used.Close()
+			if view, _ := dev.PairView(); dcas.Native && !slices.ContainsFunc(view, func(p pmem.Pair) bool { return p != pmem.Pair{} }) {
+				t.Fatal("the used engine left its device's pair view all zero")
+			}
+			e, err := newPTMOn(dev, wf, false)
+			if err != nil {
+				t.Fatalf("format over a used device: %v", err)
+			}
+			fresh, _ := newPTM(t, wf, pmem.StrictMode, 2)
+			for i := range e.words {
+				v, s := e.words[i].Load()
+				if fv, fs := fresh.words[i].Load(); v != fv || s != fs {
+					t.Fatalf("heap word %d = (%d,%d) after format over a used device, (%d,%d) over a fresh one", i, v, s, fv, fs)
+				}
+			}
+		})
+	}
+}
+
+// TestReattachAllocatesNoHeap: on the native build a persistent engine's heap
+// is its device's pair view, so re-attaching to a device of txn-wf's size
+// (2²¹ words) allocates less than a MiB, where it allocated the heap's 32 MiB
+// when the engine had a slab of its own.
+func TestReattachAllocatesNoHeap(t *testing.T) {
+	if !dcas.Native {
+		t.Skip("the pointer emulation's heap is a slab of its own")
+	}
+	opts := []tm.Option{tm.WithHeapWords(1 << 21), tm.WithMaxThreads(16), tm.WithMaxStores(1 << 15)}
+	dev, err := pmem.New(DeviceConfig(pmem.StrictMode, 1, opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewPersistentLF(dev, false, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Update(func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 1); return 0 })
+	e.Close()
+	dev.Crash()
+	got := allocatedBy(func() {
+		if e, err = NewPersistentLF(dev, true, opts...); err != nil {
+			t.Fatalf("attach: %v", err)
+		}
+	})
+	t.Logf("attach allocated %d bytes", got)
+	if got >= 1<<20 {
+		t.Errorf("attach allocated %d bytes, want less than 1 MiB", got)
+	}
+	if v := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(0)) }); v != 1 {
+		t.Errorf("root 0 = %d after attach, want 1", v)
 	}
 }

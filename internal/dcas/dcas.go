@@ -32,6 +32,12 @@ type Pair struct {
 	Seq uint64
 }
 
+// Image is the layout of a TM word's image kept outside this package — the
+// device's volatile pair view (pmem.Pair) — named by its underlying type, so
+// that this package imports nothing to name it: the value, then the sequence,
+// 16 bytes, no pointer. SlabOver lays TM words over memory of this type.
+type Image interface{ ~struct{ Val, Seq uint64 } }
+
 // Zero is the canonical {0,0} pair returned by Snapshot for never-written
 // words. It is shared by every Word and must never be mutated.
 var Zero = &Pair{}

@@ -26,6 +26,27 @@ type TMWord struct {
 	seq uint64
 }
 
+// A TMWord is an Image's 16 bytes, which is what lets SlabOver lay one over
+// the other; anything else fails to compile here.
+var _ [0]struct{} = [unsafe.Sizeof(TMWord{}) - 16]struct{}{}
+
+// SlabOver returns n TM words laid over the first n entries of the memory view
+// returns — the device's volatile pair view, which keeps the words alive and
+// whose layout, value then sequence, is the word's — and passes on view's
+// report that the memory holds only zeros. It panics unless the memory holds
+// n entries and starts on a 16-byte boundary, which the DCAS needs.
+func SlabOver[P Image](n int, view func() ([]P, bool)) (words []TMWord, zeroed bool) {
+	mem, zeroed := view()
+	if len(mem) < n {
+		panic("dcas: pair view holds fewer words than the slab")
+	}
+	p := unsafe.Pointer(unsafe.SliceData(mem))
+	if uintptr(p)%16 != 0 {
+		panic("dcas: pair view is not 16-byte aligned")
+	}
+	return unsafe.Slice((*TMWord)(p), n), zeroed
+}
+
 // NewSlab returns n zeroed TM words, 16-byte aligned, in one pointer-free
 // allocation, advised onto huge pages (package hugepage): a heap is read at
 // random, and on 4 KiB pages most of its misses also miss the TLB.

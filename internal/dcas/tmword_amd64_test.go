@@ -48,7 +48,9 @@ func TestAlign16Shifts(t *testing.T) {
 // TestSlabOnHugePages: a slab of txn-wf's size (2²¹ words, 32 MiB), once
 // used, is backed by transparent huge pages where the kernel has them
 // (package hugepage); skipped where THP is off. Used: where MADV_COLLAPSE is
-// refused, huge pages come only as the advised range is faulted in.
+// refused, huge pages come only as the advised range is faulted in. A slab is
+// the volatile engines' heap; a persistent engine's words are its device's
+// pair view, which pmem's TestImagesOnHugePages holds to the same.
 func TestSlabOnHugePages(t *testing.T) {
 	s := NewSlab(1 << 21)
 	for i := 0; i < len(s); i += 4096 / 16 {

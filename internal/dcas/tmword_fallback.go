@@ -17,6 +17,13 @@ type TMWord struct {
 // NewSlab returns n TM words at {0, 0}.
 func NewSlab(n int) []TMWord { return make([]TMWord, n) }
 
+// SlabOver returns NewSlab(n), which holds only zeros. These words hold
+// pointers, and memory of an Image type may hold none, so view is never
+// called: a device whose engine runs on this build allocates no pair view.
+func SlabOver[P Image](n int, view func() ([]P, bool)) (words []TMWord, zeroed bool) {
+	return NewSlab(n), true
+}
+
 // Load returns the current value and sequence.
 func (w *TMWord) Load() (val, seq uint64) { return w.w.Load() }
 
@@ -39,5 +46,12 @@ func (w *TMWord) CompareAndSwap(oldVal, oldSeq, newVal, newSeq uint64) bool {
 }
 
 // Store unconditionally sets the word. Single-threaded initialisation and
-// recovery only.
-func (w *TMWord) Store(val, seq uint64) { w.w.Store(val, seq) }
+// recovery only. {0, 0} is the shared zero pair, so recovery's walk, which
+// stores every word, allocates nothing for the words the image holds zero.
+func (w *TMWord) Store(val, seq uint64) {
+	if val == 0 && seq == 0 {
+		w.w.Reset()
+		return
+	}
+	w.w.Store(val, seq)
+}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTMWordZeroAndStore(t *testing.T) {
@@ -113,5 +114,49 @@ func TestTMWordStress(t *testing.T) {
 		if v, s := slab[i].Load(); v != 0 || s != 0 {
 			t.Fatalf("neighbour %d = (%d,%d), want (0,0)", i, v, s)
 		}
+	}
+}
+
+// TestSlabOver: on the native build the words are the view's memory, entry for
+// entry, and the view's zero report is passed on; a view too short or off a
+// 16-byte boundary panics. On the pointer build the view is never asked for
+// and the words are a zeroed slab of their own.
+func TestSlabOver(t *testing.T) {
+	mem := make([]Pair, 64)
+	asked := false
+	view := func() ([]Pair, bool) { asked = true; return mem, false }
+	words, zeroed := SlabOver(8, view)
+	if len(words) != 8 {
+		t.Fatalf("SlabOver(8) has %d words", len(words))
+	}
+	if !Native {
+		if asked || !zeroed {
+			t.Fatalf("pointer build: view asked for %v, zeroed %v; want false, true", asked, zeroed)
+		}
+		return
+	}
+	if !asked || zeroed || unsafe.Pointer(&words[0]) != unsafe.Pointer(&mem[0]) {
+		t.Fatalf("native build: view asked for %v, zeroed %v, words at %p, view at %p", asked, zeroed, &words[0], &mem[0])
+	}
+	words[3].Store(7, 9)
+	mem[5] = Pair{Val: 1, Seq: 2}
+	if v, s := words[5].Load(); mem[3] != (Pair{Val: 7, Seq: 9}) || v != 1 || s != 2 {
+		t.Fatalf("word 3 wrote %+v to the view, word 5 read (%d,%d) from it", mem[3], v, s)
+	}
+	odd := unsafe.Slice((*Pair)(unsafe.Add(unsafe.Pointer(&mem[0]), 8)), 8)
+	for name, fn := range map[string]func(){
+		"a view shorter than the slab": func() { SlabOver(len(mem)+1, view) },
+		"a view off a 16-byte boundary": func() {
+			SlabOver(8, func() ([]Pair, bool) { return odd, false })
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SlabOver over %s did not panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }

@@ -107,6 +107,11 @@ type Device interface {
 	RawWords() int
 	// PairWords returns the number of TM words in the pair region.
 	PairWords() int
+	// PairView returns the volatile pair view, PairWords entries the engine
+	// keeps its TM words in, allocated zeroed by the first call (fresh)
+	// and the same memory on every later one. The device never touches it;
+	// Crash does not, so attach must rebuild all of it from the image.
+	PairView() (view []Pair, fresh bool)
 
 	io.WriterTo
 	io.ReaderFrom

@@ -15,13 +15,15 @@
 //     logs, replica data and hand-made persistent structures live here.
 //   - the pair region: the persistent image of two-word TM words
 //     ({value, sequence} pairs, see package dcas). The volatile truth for
-//     these lives in the owning engine; the device keeps only the image
-//     (copied by value — the device never retains engine pointers), guarded
-//     by the sequence so a delayed flusher can never regress it — exactly
-//     the behaviour of flushing a cache line that a newer DCAS already
-//     updated. A pair is 16 bytes, so PairLineWords (4) TM words share one
-//     cache line, and FlushPairLine persists up to a whole line of them for
-//     a single pwb — the paper's §IV one-pwb-per-modified-line accounting.
+//     these is the owning engine's; the device keeps the image (copied by
+//     value — the device never retains engine pointers), guarded by the
+//     sequence so a delayed flusher can never regress it — exactly the
+//     behaviour of flushing a cache line that a newer DCAS already updated.
+//     A pair is 16 bytes, so PairLineWords (4) TM words share one cache
+//     line, and FlushPairLine persists up to a whole line of them for a
+//     single pwb — the paper's §IV one-pwb-per-modified-line accounting.
+//     The device also owns memory for the volatile words (PairView), which
+//     it hands to the engine and never reads or writes itself.
 //
 // A pwb is posted, not waited for: FlushPair and FlushPairLine append the
 // line's snapshot to the issuing slot's staging buffer, and the slot's next
@@ -208,6 +210,9 @@ type Sim struct {
 
 	pending []slotBuf // per-slot staged flushes
 
+	viewMu sync.Mutex
+	view   []Pair // the volatile pair view (PairView); nil until first asked for
+
 	backing Backing                   // nil: the images are all there is
 	syncErr atomic.Pointer[SyncError] // first failed Backing.Sync; never cleared
 
@@ -284,6 +289,34 @@ var _ [0]struct{} = [unsafe.Sizeof(atomic.Uint64{}) - 8]struct{}{}
 // back to its users afterwards orders the copy before their atomic accesses.
 func (d *Sim) loadRaw() {
 	copy(unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(d.rawVol))), len(d.rawVol)), d.rawImg)
+}
+
+// PairView returns the device's volatile pair view: PairWords entries in the
+// image's layout, in which the engine that owns the pair region keeps its
+// volatile TM words, so that an engine re-attached to the device rebuilds its
+// heap in memory that is already there instead of allocating and zeroing a
+// new heap and then filling it. The device never reads or writes the view:
+// Crash leaves it as it is — DRAM holds garbage after a power failure — and
+// whoever attaches must rebuild every word of it from the image.
+//
+// The view is allocated by the first call, so a device whose engine never
+// asks for one carries none: zeroed, starting on a cache line, and advised
+// onto huge pages (package hugepage) without over-allocating for a 2 MiB
+// boundary. fresh reports that this call allocated it: the view holds only
+// zeros. Every call returns the same memory.
+func (d *Sim) PairView() (view []Pair, fresh bool) {
+	d.viewMu.Lock()
+	defer d.viewMu.Unlock()
+	if d.view != nil || d.cfg.PairWords == 0 {
+		return d.view, false
+	}
+	// Words, not Pairs, so the start can move by 8 bytes onto the line.
+	raw := make([]uint64, 2*d.cfg.PairWords+LineWords-1)
+	off := uintptr(unsafe.Pointer(unsafe.SliceData(raw))) % (8 * LineWords)
+	skip := int((8*LineWords - off) % (8 * LineWords) / 8)
+	d.view = unsafe.Slice((*Pair)(unsafe.Pointer(&raw[skip])), d.cfg.PairWords)
+	hugepage.Advise(d.view)
+	return d.view, true
 }
 
 // Mode returns the device's durability model.
@@ -657,7 +690,8 @@ func (d *Sim) Drain(slot int) {
 // pair-line flush is one unit. Then every volatile raw word is reloaded from
 // the persistent image. The caller must guarantee quiescence. After Crash the
 // pair image is the only record of TM words; engines rebuild their volatile
-// words from it via ImagePairs.
+// words from it via ImagePairs. The pair view (PairView) is left as it is:
+// what it holds is no record of anything.
 //
 // With a mapped file as the image this is the in-process simulation of that
 // failure. A real whole-process kill needs no call: reopening the file lands

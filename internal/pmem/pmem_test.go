@@ -28,21 +28,76 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 // TestImagesOnHugePages: New's pair image of a txn-wf-sized device (2²¹ TM
 // words, 32 MiB), once written, is backed by transparent huge pages where
-// the kernel has them (package hugepage); skipped where THP is off. Under
-// the race detector it also shows that the advice passes checkptr.
+// the kernel has them (package hugepage), and so is the device's pair view —
+// a persistent engine's heap on the native build — once used; skipped where
+// THP is off. Under the race detector it also shows that the advice passes
+// checkptr.
 func TestImagesOnHugePages(t *testing.T) {
 	d, err := New(Config{RawWords: LineWords, PairWords: 1 << 21, MaxSlots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < len(d.pairImg); i += 4096 / 8 {
-		d.pairImg[i] = 1
+	view, _ := d.PairView()
+	// The two may share a mapping, so each is held to what touching it adds.
+	for _, m := range []struct {
+		name  string
+		words []uint64
+	}{
+		{"pair image", d.pairImg},
+		{"pair view", unsafe.Slice(&view[0].Val, 2*len(view))},
+	} {
+		start := uintptr(unsafe.Pointer(&m.words[0]))
+		first := (start + hugepage.Size - 1) &^ (hugepage.Size - 1) // the first whole huge page
+		before := testutil.AnonHugeKB(t, first)
+		for i := 0; i < len(m.words); i += 4096 / 8 {
+			m.words[i] = 1
+		}
+		kb := testutil.AnonHugeKB(t, first) - before
+		t.Logf("writing the %s put %d kB of its mapping on huge pages", m.name, kb)
+		if kb <= 0 {
+			t.Errorf("a %d MiB %s, once written, has no huge page", len(m.words)*8>>20, m.name)
+		}
 	}
-	start := uintptr(unsafe.Pointer(&d.pairImg[0]))
-	first := (start + hugepage.Size - 1) &^ (hugepage.Size - 1) // the first whole huge page
-	kb := testutil.AnonHugeKB(t, first)
-	t.Logf("the mapping holding the image's first whole huge page has %d kB on huge pages", kb)
-	if kb == 0 {
-		t.Errorf("a %d MiB pair image has no huge page", len(d.pairImg)*8>>20)
+}
+
+// TestPairView: the view is allocated by the first call — PairWords entries,
+// all zero, starting on a cache line whatever the size — and every later call
+// returns the same memory, not fresh; the device never writes it, Crash
+// included, and the image is not the view.
+func TestPairView(t *testing.T) {
+	for _, n := range []int{1, 3, 5, 8, 1<<10 + 3} {
+		d, err := New(Config{RawWords: LineWords, PairWords: n, MaxSlots: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.view != nil {
+			t.Fatalf("PairWords=%d: the view is allocated before anyone asked for it", n)
+		}
+		v, fresh := d.PairView()
+		if len(v) != n || !fresh {
+			t.Fatalf("PairWords=%d: first PairView has %d entries, fresh %v", n, len(v), fresh)
+		}
+		if a := uintptr(unsafe.Pointer(&v[0])); a%(8*LineWords) != 0 {
+			t.Errorf("PairWords=%d: the view starts at %#x, not on a cache line", n, a)
+		}
+		for i, p := range v {
+			if p != (Pair{}) {
+				t.Fatalf("PairWords=%d: fresh view entry %d = %+v", n, i, p)
+			}
+		}
+		v[n-1] = Pair{Val: 3, Seq: 4}
+		d.FlushPair(0, 0, 9, 9)
+		d.Fence(0)
+		d.Crash()
+		w, fresh := d.PairView()
+		if fresh || &w[0] != &v[0] || len(w) != n {
+			t.Fatalf("PairWords=%d: second PairView is other memory or fresh (%v)", n, fresh)
+		}
+		if w[n-1] != (Pair{Val: 3, Seq: 4}) || (n > 1 && w[0] != Pair{}) {
+			t.Errorf("PairWords=%d: Crash or a flush changed the view: %+v … %+v", n, w[0], w[n-1])
+		}
+		if val, seq := d.ImagePair(n - 1); n > 1 && (val != 0 || seq != 0) {
+			t.Errorf("PairWords=%d: a store to the view reached the image: (%d,%d)", n, val, seq)
+		}
 	}
 }
