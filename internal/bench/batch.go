@@ -27,7 +27,8 @@ import (
 //     scheduling and dedupe effects.
 //
 // The solo-latency pair measures the other side of the bargain: a lone
-// AsyncUpdate, a batch of one, must stay at parity with Update.
+// AsyncUpdate, which is Update with its failure returned, must stay at
+// parity with Update.
 
 // BatchEngines are the engines the sweep runs: the four OneFile variants
 // (only they implement tm.Combining).
@@ -177,8 +178,8 @@ func BatchSweep(name string, windows []int, cfg BatchConfig) ([]BatchPoint, erro
 }
 
 // BatchSoloLatency measures single-submitter latency in ns/op for the named
-// engine: direct Update versus a lone AsyncUpdate (a batch of one, which
-// must stay at parity). Interleaved
+// engine: direct Update versus a lone AsyncUpdate (Update with its failure
+// returned, which must stay at parity). Interleaved
 // repetitions, median of each side.
 func BatchSoloLatency(name string, cfg BatchConfig, iters, reps int) (direct, combined float64, err error) {
 	if reps < 1 {

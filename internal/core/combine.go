@@ -15,8 +15,9 @@ import (
 // executed back-to-back as the bodies of ONE engine transaction: one curTx
 // advance, one apply pass whose write-set dedupe collapses repeated writes
 // to a word into one DCAS and one pwb per cache line, and one persistence
-// round for the whole batch. AsyncUpdate is a batch of one, and its future
-// is resolved before it is returned.
+// round for the whole batch. An operation with no batchmates — AsyncUpdate's,
+// a chunk of one, or one retried alone — runs as Update's body does, and its
+// failure comes back from run as a value: the operation's error.
 //
 // A batch belongs to one caller. Concurrent callers' operations merge the
 // way concurrent Updates do: a wait-free engine's aggregate executes every
@@ -31,8 +32,7 @@ import (
 // stores (writeSet.rollbackTo) and becomes its error; its batchmates are
 // unaffected. A write-set overflow caused by the batch (not the operation)
 // falls back to a retry alone after the batch commits, so batching never
-// turns a fitting transaction into ErrTooManyStores. A batch of one has no
-// batchmates: its failure fails the transaction, exactly as Update's does.
+// turns a fitting transaction into ErrTooManyStores.
 
 // combineBatchMax bounds how many operations one batch transaction
 // executes — the constant in the progress argument and the cap on
@@ -98,34 +98,15 @@ func newLFBatch() *lfBatch {
 	return b
 }
 
-// opFailure carries a batch of one's body panic out of its transaction, so
-// that the transaction fails as Update's does — it commits nothing and is
-// counted as nothing — while runBatch can tell it from a panic of the
-// commit machinery.
-type opFailure struct{ pv any }
-
 // runOps is the batch transaction's body: every operation in turn, each
 // contained on its own. It runs under the engine's usual retry/helping
 // regime, so it may execute several times; each execution re-arms the undo
-// log for its own slot's write-set.
-//
-// A batch of one re-raises its operation's failure. An overflow goes out as
-// it is: inside a wait-free aggregate, only the aggregate's contain knows
-// whether other published operations filled the write-set (it then drops
-// the batch for a later, smaller aggregate) or the operation overflows
-// alone. Any other panic goes out as an opFailure. Longer batches keep each
-// verdict in x: a panic is the operation's error, an overflow a retry
-// alone.
+// log for its own slot's write-set. Each verdict is kept in x: a panic is the
+// operation's error, an overflow a retry alone.
 func (x *batchExec) runOps(u *uTx, fns []func(tm.Tx) uint64) {
 	u.s.ws.beginUndo()
 	for i, fn := range fns {
 		res, pv := contain(u, fn)
-		if pv != nil && len(fns) == 1 {
-			if isOverflow(pv) {
-				panic(pv)
-			}
-			panic(opFailure{pv})
-		}
 		x.res[i], x.errs[i], x.solo[i] = res, nil, isOverflow(pv)
 		if pv != nil && !x.solo[i] {
 			x.errs[i] = tm.PanicError(pv)
@@ -162,14 +143,21 @@ func isOverflow(pv any) bool {
 
 var _ tm.Combining = (*Engine)(nil)
 
-// AsyncUpdate implements tm.Combining: fn runs on the caller as a batch of
-// one, and the returned future is resolved.
+// AsyncUpdate implements tm.Combining: fn runs on the caller as Update's
+// body does, and its failure is the returned future's error. It counts as a
+// batch of one, and its call→resolve time is SoloLat.
 func (e *Engine) AsyncUpdate(fn func(tm.Tx) uint64) *tm.Future {
-	fns := [1]func(tm.Tx) uint64{fn}
-	var out [1]tm.BatchResult
-	e.execBatch(fns[:], out[:], e.callStart(), true)
+	start := e.callStart()
+	r, ran := e.runAlone(fn)
+	if ran {
+		e.comb.batches.Add(1)
+		e.comb.batchedOps.Add(1)
+		if o := e.obsv.Load(); o != nil && start != 0 {
+			o.SoloLat.Record(uint64(max(time.Now().UnixNano()-start, 0)))
+		}
+	}
 	f := new(tm.Future)
-	f.Resolve(out[0].Val, out[0].Err)
+	f.Resolve(r.Val, r.Err)
 	return f
 }
 
@@ -180,7 +168,11 @@ func (e *Engine) BatchUpdate(fns []func(tm.Tx) uint64) []tm.BatchResult {
 	start := e.callStart()
 	for i := 0; i < len(fns); i += combineBatchMax {
 		j := min(i+combineBatchMax, len(fns))
-		e.execBatch(fns[i:j], out[i:j], start, false)
+		if j-i == 1 {
+			out[i] = e.batchAlone(fns[i], start)
+			continue
+		}
+		e.execBatch(fns[i:j], out[i:j], start)
 	}
 	return out
 }
@@ -194,110 +186,111 @@ func (e *Engine) callStart() int64 {
 	return time.Now().UnixNano()
 }
 
+// runAlone runs fn as its own transaction, through run as Update does, and
+// returns its result or its failure as the operation's. ran is false on a
+// closed engine, where nothing ran.
+func (e *Engine) runAlone(fn func(tm.Tx) uint64) (r tm.BatchResult, ran bool) {
+	res, fail := e.run(fn, modeFull)
+	switch {
+	case fail == tm.ErrEngineClosed && e.closed.Load():
+		return tm.BatchResult{Err: tm.ErrEngineClosed}, false
+	case fail != nil:
+		return tm.BatchResult{Err: tm.PanicError(fail)}, true
+	}
+	return tm.BatchResult{Val: res}, true
+}
+
+// batchAlone is runAlone for a BatchUpdate operation, counted as a batch of
+// one.
+func (e *Engine) batchAlone(fn func(tm.Tx) uint64, start int64) tm.BatchResult {
+	r, ran := e.runAlone(fn)
+	if ran {
+		e.countBatch(1, 1, start)
+	}
+	return r
+}
+
+// countBatch accounts for a BatchUpdate transaction of n operations that
+// ran: the Stats counters and, with a sink attached, its size and one
+// call→resolve sample for each of the timed operations.
+func (e *Engine) countBatch(n, timed int, start int64) {
+	e.comb.batches.Add(1)
+	e.comb.batchedOps.Add(uint64(n))
+	o := e.obsv.Load()
+	if o == nil {
+		return
+	}
+	o.BatchSize.Record(uint64(n))
+	if start == 0 {
+		return
+	}
+	// One clock read per batch, not per op. A wall-clock step back counts
+	// the op and loses the latency.
+	d := uint64(max(time.Now().UnixNano()-start, 0))
+	for range timed {
+		o.BatchLat.Record(d)
+	}
+}
+
 // execBatch runs fns as one engine transaction — the pipeline's run stage
-// with len(fns) bodies — and stores each operation's result in out. solo
-// marks AsyncUpdate's batch of one: its call→resolve time is SoloLat, not
-// BatchLat. Operations that overflowed the batch's write-set are retried
-// alone once it has committed.
-func (e *Engine) execBatch(fns []func(tm.Tx) uint64, out []tm.BatchResult, start int64, solo bool) {
-	var b *lfBatch
-	if !e.waitFree {
-		b, _ = e.comb.lf.Get().(*lfBatch)
+// with len(fns) bodies — and stores each operation's result in out.
+// Operations that overflowed the batch's write-set are retried alone once
+// it has committed, and timed by their retry.
+//
+// On a lock-free engine the attempts run one after another on the caller,
+// through one pooled record. On a wait-free one the body may run
+// concurrently on helper goroutines (§III-E), and still be running on one
+// after this call has returned: it owns its copy of the operations, each
+// execution builds its own record, and the engine's committed return value
+// selects the one whose effects committed (tm.Collect).
+func (e *Engine) execBatch(fns []func(tm.Tx) uint64, out []tm.BatchResult, start int64) {
+	var x *batchExec
+	var fail any
+	if e.waitFree {
+		own := slices.Clone(fns)
+		x = tm.Collect(func(body func(tm.Tx) uint64) (res uint64) {
+			res, fail = e.run(body, modeFull)
+			return res
+		}, func(tx tm.Tx) *batchExec {
+			x := newBatchExec(len(own))
+			x.runOps(tx.(*uTx), own)
+			return x
+		})
+	} else {
+		b, _ := e.comb.lf.Get().(*lfBatch)
 		if b == nil {
 			b = newLFBatch()
 		}
-		defer e.putLF(b)
+		defer func() {
+			clear(b.fns) // the pool keeps no operation alive
+			e.comb.lf.Put(b)
+		}()
+		b.x.grow(len(fns))
+		b.fns = append(b.fns[:0], fns...)
+		_, fail = e.run(b.body, modeFull)
+		x = &b.x
 	}
-	x, closed := e.runBatch(fns, b)
-	if closed {
+	if fail != nil {
+		// runOps contains every operation's failure, so this is the
+		// transaction's own — a closed engine, before anything ran — and
+		// it is every operation's.
 		for i := range out {
-			out[i] = tm.BatchResult{Err: tm.ErrEngineClosed}
+			out[i] = tm.BatchResult{Err: tm.PanicError(fail)}
 		}
 		return
 	}
-	e.comb.batches.Add(1)
-	e.comb.batchedOps.Add(uint64(len(fns)))
-	if o := e.obsv.Load(); o != nil {
-		lat := o.BatchLat
-		if solo {
-			lat = o.SoloLat
-		} else {
-			o.BatchSize.Record(uint64(len(fns)))
-		}
-		// One clock read per batch, not per op.
-		now := time.Now().UnixNano()
-		for i := range fns {
-			if start != 0 && !(x.solo[i] && len(fns) > 1) { // an op retried alone is timed by its retry
-				lat.Record(uint64(max(now-start, 0))) // a wall-clock step back counts the op, loses the latency
-			}
+	timed := len(fns)
+	for _, alone := range x.solo {
+		if alone {
+			timed--
 		}
 	}
+	e.countBatch(len(fns), timed, start)
 	for i := range out {
-		switch {
-		case !x.solo[i]:
-			out[i] = tm.BatchResult{Val: x.res[i], Err: x.errs[i]}
-		case len(fns) == 1:
-			out[i] = tm.BatchResult{Err: tm.ErrTooManyStores} // already alone: the op itself overflows
-		default:
-			e.execBatch(fns[i:i+1], out[i:i+1], start, false)
-		}
-	}
-}
-
-// putLF returns a lock-free record to the pool, without the operations it
-// ran.
-func (e *Engine) putLF(b *lfBatch) {
-	clear(b.fns)
-	e.comb.lf.Put(b)
-}
-
-// runBatch runs fns as one transaction, through b on a lock-free engine
-// and collectWF on a wait-free one, and returns the committed execution's
-// record. A batch of one's failure (runOps) comes back as its verdict.
-// closed reports ErrEngineClosed: Close raced the call. Any other panic
-// from the commit machinery — there are none in normal operation, but the
-// crash-simulation harness injects them — propagates, exactly like a
-// process death.
-func (e *Engine) runBatch(fns []func(tm.Tx) uint64, b *lfBatch) (x *batchExec, closed bool) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if err, ok := r.(error); ok && errors.Is(err, tm.ErrEngineClosed) {
-			closed = true
-			return
-		}
-		op, failed := r.(opFailure)
-		if len(fns) > 1 || !failed && !isOverflow(r) {
-			panic(r)
-		}
-		x = newBatchExec(1)
-		if failed {
-			x.errs[0] = tm.PanicError(op.pv)
+		if x.solo[i] {
+			out[i] = e.batchAlone(fns[i], start)
 		} else {
-			x.solo[0] = true
+			out[i] = tm.BatchResult{Val: x.res[i], Err: x.errs[i]}
 		}
-	}()
-	if b == nil {
-		return e.collectWF(fns), false
 	}
-	b.x.grow(len(fns))
-	b.fns = append(b.fns[:0], fns...)
-	e.Update(b.body)
-	return &b.x, false
-}
-
-// collectWF runs fns as one transaction on a wait-free engine. The body may
-// run concurrently on helper goroutines (§III-E), and still be running on
-// one after this call has returned: it owns its copy of the operations,
-// each execution builds its own record, and the engine's committed return
-// value selects the one whose effects committed.
-func (e *Engine) collectWF(fns []func(tm.Tx) uint64) *batchExec {
-	own := slices.Clone(fns)
-	return tm.Collect(e.Update, func(tx tm.Tx) *batchExec {
-		x := newBatchExec(len(own))
-		x.runOps(tx.(*uTx), own)
-		return x
-	})
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"onefile/internal/obs"
-	"onefile/internal/tm"
 )
 
 // This file is the engine's contention-management layer. The paper's
@@ -140,8 +139,9 @@ func (e *Engine) tryClaim(start int) *slot {
 
 // park blocks the acquiring goroutine until a slot release wakes it (or the
 // engine closes), then re-scans once. A nil return sends the caller back to
-// its bounded-spin loop: the wakeup is a hint that one slot was freed, not
-// a hand-off, and a concurrently spinning acquirer may have claimed it.
+// its bounded-spin loop — the wakeup is a hint that one slot was freed, not
+// a hand-off, and a concurrently spinning acquirer may have claimed it — or,
+// on a closed engine, out of acquire.
 func (e *Engine) park(start int) *slot {
 	c := &e.cm
 	ch := make(chan struct{})
@@ -161,14 +161,14 @@ func (e *Engine) park(start int) *slot {
 	// just before we appended.
 	if e.closed.Load() {
 		e.cancelPark(ch)
-		panic(tm.ErrEngineClosed)
+		return nil
 	}
 	c.parks.Add(1)
 	e.obsEvent(obs.EvPark, -1, uint64(c.waiters.Load()))
 	<-ch
 	e.obsEvent(obs.EvUnpark, -1, uint64(c.waiters.Load()))
 	if e.closed.Load() {
-		panic(tm.ErrEngineClosed)
+		return nil
 	}
 	return e.tryClaim(start)
 }

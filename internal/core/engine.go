@@ -112,6 +112,7 @@ const (
 	hdrMagic    = 0              // raw offset of the magic word
 	hdrGeometry = 1              // raw offset of the first of the three geometry words
 	magicVal    = 0x0F11E_60_0001
+	formatVal   = 0x0F11E_60_F0F0 // the magic word while a format over a heap runs
 )
 
 // geometry returns what format records at hdrGeometry and attach compares.
@@ -207,7 +208,7 @@ type opDesc struct {
 	birth uint64
 
 	// fail parks the panic value of a terminally failed execution until
-	// the submitter re-raises it (updateWF). Racing executions may each
+	// the submitter collects it (runPublished). Racing executions may each
 	// store one — a body can panic differently per run — but any stored
 	// value is the genuine outcome of one execution, and the store
 	// sequenced before the commit that tagged opFailBit is visible to the
@@ -392,7 +393,9 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 		}
 		return e, nil
 	}
-	e.format(zeroed)
+	if err := e.format(zeroed); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
@@ -400,21 +403,57 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 // words — a device's pair view that an engine used before — is cleared
 // first; a fresh one already reads zero everywhere, and clearing it would
 // be a second pass over the whole heap.
-func (e *Engine) format(zeroed bool) {
+//
+// The heap's words are at sequence 0 and curTx at 1, in the image too unless
+// it already holds a heap. Its words and curTx are durable at sequences the
+// device's guard never lets a lower one replace, so then every word of the
+// image is written one past every sequence it holds, at base. The magic word
+// says formatVal until format ends: attach refuses the device, and a format
+// after a crash still finds the heap. A fresh device pays one read of its
+// header for this.
+func (e *Engine) format(zeroed bool) error {
 	if !zeroed {
 		clear(e.words)
 	}
+	var base, magic uint64
+	if e.dev != nil {
+		magic = e.dev.ImageRaw(hdrMagic)
+	}
+	if magic == magicVal || magic == formatVal {
+		if err := e.checkGeometry(); err != nil {
+			return err
+		}
+		cur, _ := e.dev.ImagePair(e.curTxImg)
+		base = seqOf(cur)
+		for _, p := range e.dev.ImagePairs(0, e.cfg.HeapWords) {
+			base = max(base, p.Seq)
+		}
+		base++
+		e.dev.RawStore(hdrMagic, formatVal)
+		e.dev.Flush(0, hdrMagic, 1)
+		e.dev.Fence(0)
+	}
 	store := func(p tm.Ptr, v uint64) {
 		e.words[p].Store(v, 0)
-		if e.dev != nil {
+		if e.dev != nil && base == 0 {
 			e.dev.FlushPair(0, int(p), v, 0)
 		}
 	}
 	talloc.InitDirect(store, e.dynBase, e.cfg.HeapWords)
-	init0 := makeTx(1, 0)
+	for i := 0; base != 0 && i < len(e.words); i++ {
+		v, _ := e.words[i].Load()
+		e.dev.FlushPair(0, i, v, base)
+		if i%4096 == 4095 { // bounds what the device stages
+			e.dev.Fence(0)
+		}
+	}
+	init0 := makeTx(base+1, 0)
 	e.curTx.Store(init0)
 	if e.dev != nil {
 		e.dev.FlushPair(0, e.curTxImg, init0, init0)
+		if base != 0 {
+			e.dev.Fence(0) // the new heap is durable before the header says so
+		}
 		e.dev.RawStore(hdrMagic, magicVal)
 		for i, v := range geometry(e.cfg) {
 			e.dev.RawStore(hdrGeometry+i, v)
@@ -423,6 +462,7 @@ func (e *Engine) format(zeroed bool) {
 		e.dev.Fence(0)
 		e.dev.ResetStats() // formatting traffic is not part of any experiment
 	}
+	return nil
 }
 
 // RecoveryReport says what the attach that built an engine found and did.
@@ -469,15 +509,8 @@ func (e *Engine) attach() error {
 	if e.dev.ImageRaw(hdrMagic) != magicVal {
 		return ErrNotFormatted
 	}
-	var formatted [3]uint64
-	for i := range formatted {
-		formatted[i] = e.dev.ImageRaw(hdrGeometry + i)
-	}
-	// All zero is an image from before format recorded its geometry: taken
-	// on trust, as it always was.
-	if want := geometry(e.cfg); formatted != want && formatted != [3]uint64{} {
-		return fmt.Errorf("%w: formatted with HeapWords=%d MaxThreads=%d MaxStores=%d, opened with HeapWords=%d MaxThreads=%d MaxStores=%d",
-			ErrBadDevice, formatted[0], formatted[1], formatted[2], want[0], want[1], want[2])
+	if err := e.checkGeometry(); err != nil {
+		return err
 	}
 	cur, _ := e.dev.ImagePair(e.curTxImg)
 	if cur == 0 {
@@ -519,6 +552,22 @@ func (e *Engine) attach() error {
 	}
 	rep.Duration = time.Since(start)
 	e.lastRecovery = &rep
+	return nil
+}
+
+// checkGeometry holds the geometry the device's header records to the
+// engine's configuration.
+func (e *Engine) checkGeometry() error {
+	var formatted [3]uint64
+	for i := range formatted {
+		formatted[i] = e.dev.ImageRaw(hdrGeometry + i)
+	}
+	// All zero is an image from before format recorded its geometry: taken
+	// on trust, as it always was.
+	if want := geometry(e.cfg); formatted != want && formatted != [3]uint64{} {
+		return fmt.Errorf("%w: formatted with HeapWords=%d MaxThreads=%d MaxStores=%d, opened with HeapWords=%d MaxThreads=%d MaxStores=%d",
+			ErrBadDevice, formatted[0], formatted[1], formatted[2], want[0], want[1], want[2])
+	}
 	return nil
 }
 
@@ -629,7 +678,7 @@ func (e *Engine) Stats() tm.Stats {
 func (e *Engine) DynBase() tm.Ptr { return e.dynBase }
 
 // Close implements tm.Engine. The engine must be idle. Transactions begun
-// after Close panic with tm.ErrEngineClosed (acquire checks the flag, and
+// after Close fail with tm.ErrEngineClosed (acquire checks the flag, and
 // the wake-all empties the parking list so no goroutine sleeps forever on a
 // slot that will never be released).
 func (e *Engine) Close() error {
@@ -660,7 +709,7 @@ func (e *Engine) Recover() error {
 // claim word no other P touches in steady state; then one load of the
 // rotation hint (no RMW on it: a solo caller reuses the same slot run after
 // run) and one claim CAS on that slot; claimSlow owns everything off the
-// happy path. Transactions begun after Close fail fast.
+// happy path. Transactions begun after Close fail fast: acquire returns nil.
 //
 // bypassGate is the exclusivity holder's own admission (UpdateExclusive);
 // everyone else backs off a claimed slot the moment the gate is observed
@@ -671,7 +720,7 @@ func (e *Engine) Recover() error {
 // so the exclusive drain orders itself behind the claim.
 func (e *Engine) acquire(bypassGate bool) *slot {
 	if e.closed.Load() {
-		panic(tm.ErrEngineClosed)
+		return nil
 	}
 	s, _ := e.cm.slotCache.Get().(*slot)
 	if s == nil || !s.claimed.CompareAndSwap(0, 1) {
@@ -681,12 +730,12 @@ func (e *Engine) acquire(bypassGate bool) *slot {
 		}
 	}
 	pass := false
-	for !bypassGate && !pass && e.excl.gate.v.Load() != 0 {
+	for s != nil && !bypassGate && !pass && e.excl.gate.v.Load() != 0 {
 		e.release(s)
 		pass = e.gateWait()
 		s = e.claimSlow()
 	}
-	if pass {
+	if pass && s != nil {
 		e.excl.passes.Add(-1)
 	}
 	return s
@@ -696,7 +745,7 @@ func (e *Engine) acquire(bypassGate bool) *slot {
 // and scans from it: spinBudget passes with a yield between them, then the
 // engine's wait list until a release wakes it (contention.go) — goroutines
 // beyond MaxThreads sleep instead of timeslicing against the workers they
-// are waiting on.
+// are waiting on. It returns nil once the engine is closed.
 func (e *Engine) claimSlow() *slot {
 	// Load then store, not an RMW: racing rotations may pick the same start,
 	// which costs them a longer scan, never a slot. The hint is stored
@@ -705,11 +754,11 @@ func (e *Engine) claimSlow() *slot {
 	e.claimHint.Store(start)
 	for {
 		for spin := 0; spin <= e.cm.spinBudget; spin++ {
+			if e.closed.Load() {
+				return nil
+			}
 			if s := e.tryClaim(int(start)); s != nil {
 				return s
-			}
-			if e.closed.Load() {
-				panic(tm.ErrEngineClosed)
 			}
 			runtime.Gosched()
 		}

@@ -202,11 +202,11 @@ func TestWaitFreeOverflowAggregationInnocent(t *testing.T) {
 }
 
 // TestWaitFreeOverflowBatchOfOneInnocent is the same promise for an
-// AsyncUpdate, a batch of one, which runs inside the aggregate as one
-// operation that contains its own: when it overflows only because another
-// published operation filled the write-set, the aggregate drops it for a
-// later, smaller one instead of resolving it with ErrTooManyStores; when it
-// overflows alone, that is still its error.
+// AsyncUpdate, whose body runs inside the aggregate as its operation: when
+// it overflows only because another published operation filled the
+// write-set, the aggregate drops it for a later, smaller one instead of
+// resolving it with ErrTooManyStores; when it overflows alone, that is still
+// its error.
 func TestWaitFreeOverflowBatchOfOneInnocent(t *testing.T) {
 	e := NewWF(tm.WithHeapWords(1<<14), tm.WithMaxThreads(4), tm.WithMaxStores(16))
 	defer e.Close()
@@ -219,14 +219,14 @@ func TestWaitFreeOverflowBatchOfOneInnocent(t *testing.T) {
 		}
 	}
 	// Slot 0 holds a published operation of 6 stores, placed by hand; the
-	// batch's submitter is admitted on slot 1, so its aggregate executes
-	// slot 0's operation first: 2+6 entries, then 2+10 of the batch's, and
-	// 20 > 16.
+	// AsyncUpdate's submitter is admitted on slot 1, so its aggregate
+	// executes slot 0's operation first: 2+6 entries, then 2+10 of the
+	// AsyncUpdate's, and 20 > 16.
 	e.slots[0].claimed.Store(1)
 	e.published.Add(1)
 	e.slots[0].opSlot.Store(&opDesc{fn: stores(32, 6, 1), tag: 1, birth: seqOf(e.curTx.Load())})
 	if v, err := e.AsyncUpdate(stores(8, 10, 2)).Wait(); err != nil || v != 10 {
-		t.Fatalf("batch of one beside another operation: (%d, %v), want (10, nil)", v, err)
+		t.Fatalf("AsyncUpdate beside another operation: (%d, %v), want (10, nil)", v, err)
 	}
 	_, tagW := e.resultWord(0)
 	got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tagW)<<32 | tx.Load(tm.Root(37))<<16 | tx.Load(tm.Root(17)) })
@@ -235,13 +235,13 @@ func TestWaitFreeOverflowBatchOfOneInnocent(t *testing.T) {
 	}
 	e.slots[0].opSlot.Store(nil)
 
-	// Still published, so the batch is aggregated, alone: 2+15 entries.
+	// Still published, so the AsyncUpdate is aggregated, alone: 2+15 entries.
 	if _, err := e.AsyncUpdate(stores(8, 15, 3)).Wait(); !errors.Is(err, tm.ErrTooManyStores) {
-		t.Fatalf("batch of one overflowing alone: err %v, want ErrTooManyStores", err)
+		t.Fatalf("AsyncUpdate overflowing alone: err %v, want ErrTooManyStores", err)
 	}
 	e.published.Add(-1)
 	if got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(8)) }); got != 2 {
-		t.Fatalf("Root(8) = %d after the failed batch, want 2", got)
+		t.Fatalf("Root(8) = %d after the failed AsyncUpdate, want 2", got)
 	}
 }
 

@@ -156,8 +156,8 @@ func (e *Engine) EndExclusive() {
 // claim through a closed gate; the caller must decrement passes after its
 // claim CAS). A pass may be taken by an acquirer that arrives between the
 // grant and the intended waiter's wakeup — that changes who gets through,
-// not whether someone does. Fails fast when the engine closes while
-// parked (Close broadcasts the condition).
+// not whether someone does. Returns at once when the engine closes while
+// parked (Close broadcasts the condition); acquire checks for that.
 func (e *Engine) gateWait() bool {
 	x := &e.excl
 	pass := false
@@ -176,9 +176,6 @@ func (e *Engine) gateWait() bool {
 		x.parked--
 	}
 	x.waitMu.Unlock()
-	if e.closed.Load() {
-		panic(tm.ErrEngineClosed)
-	}
 	return pass
 }
 
@@ -202,7 +199,7 @@ func (e *Engine) gateBroadcast() {
 // operation publication exists to bound interference from concurrent
 // committers, of which there are none here.
 func (e *Engine) UpdateExclusive(fn func(tx tm.Tx) uint64) uint64 {
-	return e.run(fn, modeExclusive)
+	return raise(e.run(fn, modeExclusive))
 }
 
 // LoadDirect returns the committed value of heap word p. Only valid while

@@ -126,8 +126,9 @@ func BenchmarkReadTx(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncUpdate is a lone AsyncUpdate, a batch of one on the
-// caller. On LF-PTM its one allocation is the future (CI fails above it).
+// BenchmarkAsyncUpdate is a lone AsyncUpdate: Update's transaction on the
+// caller, with the failure returned. Its one allocation is the future (CI
+// fails above it).
 func BenchmarkAsyncUpdate(b *testing.B) {
 	for _, wf := range []bool{false, true} {
 		b.Run(map[bool]string{false: "LF-PTM", true: "WF-PTM"}[wf], func(b *testing.B) {

@@ -102,7 +102,7 @@ func TestWaitFreeProgressBound(t *testing.T) {
 				go func() {
 					// The test releases sub once it has read the tag word:
 					// the next claimant of the slot would publish over it.
-					done <- e.update(sub, func(tx tm.Tx) uint64 {
+					done <- raise(e.update(sub, func(tx tm.Tx) uint64 {
 						visible.CompareAndSwap(0, seqOf(e.curTx.Load()))
 						if tx.(*uTx).s == sub && parkOnce.CompareAndSwap(false, true) {
 							close(parked)
@@ -110,7 +110,7 @@ func TestWaitFreeProgressBound(t *testing.T) {
 						}
 						tx.Store(tm.Root(0), tx.Load(tm.Root(0))+1)
 						return 42
-					}, modePublished)
+					}, modePublished))
 				}()
 				var res uint64
 				select {

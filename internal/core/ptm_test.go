@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"onefile/internal/pmem"
@@ -373,5 +374,102 @@ func TestPTMKilledWorkerIsHelped(t *testing.T) {
 	e.Update(func(tx tm.Tx) uint64 { tx.Store(tm.Root(1), 1); return 0 })
 	if v := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(1)) }); v != 1 {
 		t.Fatalf("engine wedged after worker death: root1=%d", v)
+	}
+}
+
+// TestAsyncUpdateMachineryPanicEscapes: AsyncUpdate delivers a body's
+// failure as its future's error, and nothing else. A panic of the
+// persistence machinery — here an injected crash at every persistence event
+// of one AsyncUpdate — reaches the caller as a panic, as it does from
+// Update, and recovery finds the transaction all or nothing.
+func TestAsyncUpdateMachineryPanicEscapes(t *testing.T) {
+	for _, wf := range []bool{false, true} {
+		for _, mode := range []pmem.Mode{pmem.StrictMode, pmem.RelaxedMode} {
+			t.Run(fmt.Sprintf("wf=%v/mode=%d", wf, mode), func(t *testing.T) {
+				for k := 1; k < 200; k++ {
+					e, dev := newPTM(t, wf, mode, int64(k))
+					e.Update(func(tx tm.Tx) uint64 {
+						tx.Store(tm.Root(0), 100)
+						tx.Store(crossLineRoot, 200)
+						return 0
+					})
+					acked := runUntilCrash(dev, k, func() {
+						_, err := e.AsyncUpdate(func(tx tm.Tx) uint64 {
+							tx.Store(tm.Root(0), 111)
+							tx.Store(crossLineRoot, 222)
+							return 0
+						}).Wait()
+						if err != nil {
+							t.Fatalf("k=%d: the machinery's panic became the future's error: %v", k, err)
+						}
+					})
+					dev.Crash()
+					r, err := newPTMOn(dev, wf, true)
+					if err != nil {
+						t.Fatalf("k=%d: attach: %v", k, err)
+					}
+					a := r.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(0)) })
+					b := r.Read(func(tx tm.Tx) uint64 { return tx.Load(crossLineRoot) })
+					if !(a == 100 && b == 200) && !(a == 111 && b == 222) {
+						t.Fatalf("k=%d acked=%v: recovered torn state (%d,%d)", k, acked, a, b)
+					}
+					if acked {
+						if a != 111 {
+							t.Fatalf("k=%d: acknowledged AsyncUpdate lost", k)
+						}
+						return // crash point beyond the transaction: sweep done
+					}
+				}
+				t.Fatal("sweep never completed a transaction; raise the bound")
+			})
+		}
+	}
+}
+
+// crossLineRoot is a root on another pair cache line than Root(0), so a
+// transaction storing both is persisted by two pwbs.
+var crossLineRoot = tm.Root(0) + pmem.PairLineWords
+
+// failingBacking is a device backing whose Sync fails once armed.
+type failingBacking struct{ armed atomic.Bool }
+
+var errBackingLost = errors.New("backing lost")
+
+func (b *failingBacking) Dirtied(pmem.Region, int, int) {}
+
+func (b *failingBacking) Sync() error {
+	if b.armed.Load() {
+		return errBackingLost
+	}
+	return nil
+}
+
+// TestAsyncUpdateSyncErrorEscapes: a backing that cannot sync makes the
+// commit's ordering point panic with a *pmem.SyncError, and that panic
+// reaches AsyncUpdate's caller, never its future.
+func TestAsyncUpdateSyncErrorEscapes(t *testing.T) {
+	for _, wf := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wf=%v", wf), func(t *testing.T) {
+			cfg := DeviceConfig(pmem.StrictMode, 1, smallOpts()...)
+			backing := &failingBacking{}
+			dev, err := pmem.NewOver(cfg, make([]uint64, cfg.RawWords), make([]uint64, 2*cfg.PairWords), backing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := newPTMOn(dev, wf, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			backing.armed.Store(true)
+			defer func() {
+				err, _ := recover().(error)
+				var se *pmem.SyncError
+				if !errors.As(err, &se) || !errors.Is(err, errBackingLost) {
+					t.Fatalf("recovered %v, want a *pmem.SyncError wrapping %v", err, errBackingLost)
+				}
+			}()
+			_, err = e.AsyncUpdate(func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 1); return 0 }).Wait()
+			t.Fatalf("AsyncUpdate returned (future error %v): a lost sync was reported through the future", err)
+		})
 	}
 }

@@ -116,7 +116,7 @@ func TestPublishedOperationClosesBeforeItReturns(t *testing.T) {
 	oldTx := e.curTx.Load()
 	app.ws.reset()
 	app.utx.startSeq = seqOf(oldTx)
-	if _, ok := runBody(e.aggregateBody, &app.utx); !ok {
+	if _, _, ok := runBody(e.aggregateBody, &app.utx); !ok {
 		t.Fatal("the aggregate aborted on an idle engine")
 	}
 	newTx := makeTx(seqOf(oldTx)+1, app.id)
@@ -133,11 +133,11 @@ func TestPublishedOperationClosesBeforeItReturns(t *testing.T) {
 		}
 	}
 
-	res, failed := e.runPublished(sub, d)
+	res, fail := e.runPublished(sub, d)
 	sub.opSlot.Store(nil)
 	e.published.Add(-1)
-	if res != 42 || failed {
-		t.Fatalf("runPublished = (%d, %v), want (42, false)", res, failed)
+	if res != 42 || fail != nil {
+		t.Fatalf("runPublished = (%d, %v), want (42, nil)", res, fail)
 	}
 	if got := e.Read(func(tx tm.Tx) uint64 { return tx.Load(a)<<8 | tx.Load(b) }); got != 7<<8|9 {
 		t.Errorf("the submitter's Read after its operation returned a<<8|b = %#x, want %#x: it returned before the transaction that executed it closed",

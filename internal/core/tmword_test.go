@@ -73,12 +73,14 @@ func TestEngineLayout(t *testing.T) {
 // TestUpdateSteadyStateAllocs: a steady-state update transaction allocates
 // nothing on any variant — a lone wait-free update runs unpublished, with no
 // descriptor. The published path allocates the operation descriptor
-// (§III-E), one whether the body writes one word or sixteen.
+// (§III-E), one whether the body writes one word or sixteen. AsyncUpdate is
+// Update with its failure returned: it allocates its future and nothing
+// else.
 func TestUpdateSteadyStateAllocs(t *testing.T) {
 	if !dcas.Native {
 		t.Skip("the pointer emulation allocates one pair per DCAS by design")
 	}
-	const wfDescriptorAllocs = 1
+	const wfDescriptorAllocs, futureAllocs = 1, 1
 	narrow := func(tx tm.Tx) uint64 {
 		tx.Store(tm.Root(0), tx.Load(tm.Root(0))+1)
 		return 0
@@ -112,9 +114,13 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 				for i := 0; i < 200; i++ {
 					e.Update(body) // warm up: scratch slices
 					e.UpdatePublished(body)
+					e.AsyncUpdate(body)
 				}
 				if got := testing.AllocsPerRun(200, func() { e.Update(body) }); got != 0 {
 					t.Errorf("%s: %v allocs per update, want 0", name, got)
+				}
+				if got := testing.AllocsPerRun(200, func() { e.AsyncUpdate(body) }); got != futureAllocs {
+					t.Errorf("%s: %v allocs per AsyncUpdate, want %v", name, got, futureAllocs)
 				}
 				if !tc.waitFree {
 					continue

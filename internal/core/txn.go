@@ -122,25 +122,34 @@ func (t *rTx) Store(tm.Ptr, uint64) { panic(tm.ErrUpdateInReadTx) }
 func (t *rTx) Alloc(int) tm.Ptr     { panic(tm.ErrUpdateInReadTx) }
 func (t *rTx) Free(tm.Ptr)          { panic(tm.ErrUpdateInReadTx) }
 
-// runBody executes fn against tx and reports whether it completed (ok) or
-// aborted on seq validation. The deferred recover captures nothing, so the
-// whole call is allocation-free — unlike wrapping the body in a fresh
-// closure, which costs one heap allocation per attempt.
-func runBody(fn func(tm.Tx) uint64, tx tm.Tx) (res uint64, ok bool) {
+// runBody executes fn against tx and reports whether it completed (ok),
+// aborted on seq validation, or failed: fail is what it panicked with. The
+// deferred recover captures nothing but the results, so the whole call is
+// allocation-free — unlike wrapping the body in a fresh closure, which costs
+// one heap allocation per attempt.
+func runBody(fn func(tm.Tx) uint64, tx tm.Tx) (res uint64, fail any, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, isAbort := r.(abortSignal); !isAbort {
-				panic(r)
+				fail = r
 			}
 		}
 	}()
-	return fn(tx), true
+	return fn(tx), nil, true
+}
+
+// raise re-raises a failure on the caller: the tm.Tx contract of the entries
+// that return a bare value.
+func raise(res uint64, fail any) uint64 {
+	if fail != nil {
+		panic(fail)
+	}
+	return res
 }
 
 // The update pipeline (DESIGN.md §4). Every public update entry — Update,
-// UpdateExclusive, UpdatePublished, and AsyncUpdate/BatchUpdate through
-// execBatch — is an adapter over run, which walks the
-// stages
+// UpdateExclusive, UpdatePublished, AsyncUpdate and BatchUpdate — is an
+// adapter over run, which walks the stages
 //
 //	admit → run the body into the slot's write-set → commit → apply →
 //	persist → resolve
@@ -150,7 +159,8 @@ func runBody(fn func(tm.Tx) uint64, tx tm.Tx) (res uint64, ok bool) {
 // path, at most fastRounds times unpublished on the wait-free one, and once
 // per aggregate by the wait-free publication loop (runPublished). There is
 // one commit, the paper's ten steps; the entries differ only in the mode
-// they pass.
+// they pass. A body's failure comes back through the stages as a value, and
+// each entry delivers it as its contract says (raise, or combine.go).
 type updateMode uint8
 
 const (
@@ -180,12 +190,13 @@ const (
 	roundRetry     roundStatus = iota // helped a pending transaction, aborted on validation, or lost the commit CAS
 	roundEmpty                        // the body stored nothing: there is nothing to commit
 	roundCommitted                    // committed through the ten steps
+	roundFailed                       // the body failed: nothing commits, nothing retries
 )
 
 // Update implements tm.Engine: a mutative transaction with lock-free
 // (NewLF/NewPersistentLF) or bounded wait-free (NewWF/NewPersistentWF)
 // progress.
-func (e *Engine) Update(fn func(tx tm.Tx) uint64) uint64 { return e.run(fn, modeFull) }
+func (e *Engine) Update(fn func(tx tm.Tx) uint64) uint64 { return raise(e.run(fn, modeFull)) }
 
 // UpdateSmall is Update plus a zero outcome.
 //
@@ -198,30 +209,34 @@ func (e *Engine) UpdateSmall(fn func(tx tm.Tx) uint64) (uint64, tm.SmallOutcome)
 
 // run is the pipeline's admission and resolution around update: claim a
 // slot, drive fn to a commit, release. It is also the one place begin→commit
-// timing attaches — UpdateLat and one commit event. A body panic propagates
-// through it (the deferred release still runs); only the wait-free path
-// re-raises on the submitter what a helper's execution caught (updateWF).
-func (e *Engine) run(fn func(tm.Tx) uint64, mode updateMode) uint64 {
+// timing attaches — UpdateLat and one commit event, unless it failed. fail
+// is the body's, wherever it ran, or tm.ErrEngineClosed if nothing ran.
+func (e *Engine) run(fn func(tm.Tx) uint64, mode updateMode) (res uint64, fail any) {
 	s := e.acquire(mode == modeExclusive)
+	if s == nil {
+		return 0, tm.ErrEngineClosed
+	}
 	defer e.release(s)
 	o := e.obsv.Load()
 	var start time.Time
 	if o != nil {
 		start = time.Now()
 	}
-	res := e.update(s, fn, mode)
-	if o != nil {
+	res, fail = e.update(s, fn, mode)
+	if o != nil && fail == nil {
 		o.UpdateLat.RecordSince(start)
 		o.Rec.Record(obs.EvCommit, s.id, seqOf(e.curTx.Load()))
 	}
-	return res
+	return res, fail
 }
 
 // UpdatePublished is Update without the unpublished rounds: on a wait-free
 // engine it publishes fn at once and runs the paper's §III-E path alone, so
 // Table I and the single-engine crash matrix keep measuring that path. A
 // lock-free engine publishes nothing; there it is Update.
-func (e *Engine) UpdatePublished(fn func(tx tm.Tx) uint64) uint64 { return e.run(fn, modePublished) }
+func (e *Engine) UpdatePublished(fn func(tx tm.Tx) uint64) uint64 {
+	return raise(e.run(fn, modePublished))
+}
 
 // update drives fn to a commit on the claimed slot s by looping rounds until
 // one commits: without bound on a lock-free engine and for UpdateExclusive.
@@ -230,7 +245,7 @@ func (e *Engine) UpdatePublished(fn func(tx tm.Tx) uint64) uint64 { return e.run
 // counter is read before every round, so once one is, each other slot
 // finishes at most the one unpublished commit it had begun. Then it
 // publishes (updateWF). modePublished publishes at once.
-func (e *Engine) update(s *slot, fn func(tm.Tx) uint64, mode updateMode) uint64 {
+func (e *Engine) update(s *slot, fn func(tm.Tx) uint64, mode updateMode) (uint64, any) {
 	wf := e.waitFree && mode != modeExclusive
 	limit := fastRounds
 	if mode == modePublished {
@@ -238,7 +253,7 @@ func (e *Engine) update(s *slot, fn func(tm.Tx) uint64, mode updateMode) uint64 
 	}
 	for attempt := 0; !wf || attempt < limit && e.published.Load() == 0; attempt++ {
 		oldTx := e.curTx.Load() // step 1
-		res, st := e.round(s, oldTx, fn, attempt)
+		res, st, fail := e.round(s, oldTx, fn, attempt)
 		switch st {
 		case roundRetry:
 			continue
@@ -247,7 +262,7 @@ func (e *Engine) update(s *slot, fn func(tm.Tx) uint64, mode updateMode) uint64 
 			// a read commit, never an update commit.
 			s.st.readCommits.Add(1)
 		}
-		return res
+		return res, fail
 	}
 	return e.updateWF(s, fn)
 }
@@ -256,29 +271,32 @@ func (e *Engine) update(s *slot, fn func(tm.Tx) uint64, mode updateMode) uint64 
 // caller loaded: help a pending transaction, or run the body into the
 // slot's write-set and commit it. Abort bookkeeping and the bounded pause
 // after a lost round happen here, so callers just loop.
-func (e *Engine) round(s *slot, oldTx uint64, fn func(tm.Tx) uint64, attempt int) (uint64, roundStatus) {
+func (e *Engine) round(s *slot, oldTx uint64, fn func(tm.Tx) uint64, attempt int) (uint64, roundStatus, any) {
 	if e.pending(oldTx) { // step 2: help the ongoing transaction
 		e.helpApply(oldTx, s)
-		return 0, roundRetry
+		return 0, roundRetry, nil
 	}
 	// Step 3, transform: run the body, building the write-set (redo log).
 	// The slot's embedded handle is reused: a stack-local one would escape
 	// through the tm.Tx interface and heap-allocate per attempt.
 	s.ws.reset()
 	s.utx.startSeq = seqOf(oldTx)
-	res, ok := runBody(fn, &s.utx)
+	res, fail, ok := runBody(fn, &s.utx)
+	if fail != nil {
+		return 0, roundFailed, fail
+	}
 	if !ok {
 		e.aborted(s, oldTx, attempt)
-		return 0, roundRetry
+		return 0, roundRetry, nil
 	}
 	if s.ws.n == 0 { // step 4: no stores
-		return res, roundEmpty
+		return res, roundEmpty, nil
 	}
 	if !e.commit(s, oldTx) {
 		e.aborted(s, oldTx, attempt)
-		return 0, roundRetry
+		return 0, roundRetry, nil
 	}
-	return res, roundCommitted
+	return res, roundCommitted, nil
 }
 
 // logStamp returns the stamp txid's redo-log entries carry in their address
@@ -528,6 +546,9 @@ func (e *Engine) helpApply(txid uint64, helper *slot) (stale int) {
 // transaction performs one atomic load beyond the body's own.
 func (e *Engine) Read(fn func(tx tm.Tx) uint64) uint64 {
 	s := e.acquire(false)
+	if s == nil {
+		panic(tm.ErrEngineClosed)
+	}
 	defer e.release(s)
 	if o := e.obsv.Load(); o != nil {
 		start := time.Now()
@@ -557,27 +578,31 @@ func (e *Engine) readLoop(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 	oldTx := e.curTx.Load()
 	if e.pending(oldTx) {
 		s.rtx.startSeq = seqOf(oldTx) - 1
-		if res, ok := runBody(fn, &s.rtx); ok {
+		res, fail, ok := runBody(fn, &s.rtx)
+		if ok {
 			s.st.readCommits.Add(1)
 			s.st.readsBeforePending.Add(1)
 			return res
 		}
+		raise(0, fail)
 		s.st.readAborts.Add(1)
 		e.obsEvent(obs.EvReadAbort, s.id, seqOf(oldTx))
 		e.helpApply(oldTx, s)
 	}
 	for tries := 0; ; tries++ {
 		s.rtx.startSeq = seqOf(oldTx)
-		if res, ok := runBody(fn, &s.rtx); ok {
+		res, fail, ok := runBody(fn, &s.rtx)
+		if ok {
 			s.st.readCommits.Add(1)
 			return res
 		}
+		raise(0, fail)
 		s.st.readAborts.Add(1)
 		e.obsEvent(obs.EvReadAbort, s.id, seqOf(oldTx))
 		if e.waitFree && tries+1 >= e.cfg.ReadTries {
 			// Escalate: published like an update operation, some thread
 			// executes the body within a bounded number of transactions.
-			return e.updateWF(s, fn)
+			return raise(e.updateWF(s, fn))
 		}
 		e.contendedPause(tries)
 		if oldTx = e.curTx.Load(); e.pending(oldTx) {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"onefile/internal/tm"
-)
+import "onefile/internal/tm"
 
 // opFailBit marks a committed result tag as a terminal failure: an
 // aggregate executed the operation, its body panicked with a non-retry
@@ -28,7 +24,8 @@ func (e *Engine) resultWord(tid int) (val, tag tm.Ptr) {
 // operation — including, necessarily, our own. The published counter is
 // raised before the descriptor is stored and lowered after it is cleared, so
 // while any descriptor can be seen, no slot starts an unpublished round.
-func (e *Engine) updateWF(s *slot, fn func(tx tm.Tx) uint64) uint64 {
+// fail is the operation's failure, wherever it ran.
+func (e *Engine) updateWF(s *slot, fn func(tx tm.Tx) uint64) (res uint64, fail any) {
 	s.opTag++
 	e.published.Add(1)
 	d := &opDesc{fn: fn, tag: s.opTag, birth: seqOf(e.curTx.Load())}
@@ -43,27 +40,15 @@ func (e *Engine) updateWF(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 		s.opSlot.Store(nil)
 		e.published.Add(-1)
 	}()
-	res, failed := e.runPublished(s, d)
-	if failed {
-		// A committed aggregate recorded the body's panic (aggregateBody);
-		// re-raise it here on the submitter, where the tm.Tx contract
-		// says a body panic surfaces.
-		if pv := d.fail.Load(); pv != nil {
-			panic(*pv)
-		}
-		// Unreachable: the fail tag only commits after the executing
-		// thread parked the panic value in the descriptor.
-		panic(fmt.Errorf("core: operation failed without a panic value (slot %d tag %d)", s.id, d.tag))
-	}
-	return res
+	return e.runPublished(s, d)
 }
 
 // runPublished drives a published operation to completion.
-func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, bool) {
+func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, any) {
 	for attempt := 0; ; attempt++ {
 		oldTx := e.curTx.Load()
-		if res, failed, done := e.opResult(s, d.tag); done {
-			return res, failed
+		if res, fail, done := e.opResult(s, d); done {
+			return res, fail
 		}
 		if e.curTx.Load() != oldTx {
 			// A commit landed while opResult looked: an aggregate built
@@ -75,8 +60,12 @@ func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, bool) {
 		// lets the commit that beat us, which may be about to execute our
 		// operation, finish its apply phase; the §III-E bound is untouched),
 		// committed, or empty because every published operation was already
-		// tagged done — the next iteration looks for our result.
-		e.round(s, oldTx, e.aggregateBody, attempt)
+		// tagged done — the next iteration looks for our result. The
+		// aggregate itself fails only when no operation fits beside its
+		// result words at all (aggregateBody).
+		if _, st, fail := e.round(s, oldTx, e.aggregateBody, attempt); st == roundFailed {
+			return 0, fail
+		}
 	}
 }
 
@@ -89,9 +78,10 @@ func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, bool) {
 // closure) and pulls the executing slot back out of the transaction handle.
 //
 // Each operation runs under the per-op containment batch members get
-// (contain): a body panic must not escape on whichever thread happens to be
-// aggregating — the submitter's goroutine is the only place the tm.Tx
-// contract lets it surface. Outcomes, per operation:
+// (contain), the engine's other place that learns of a body's failure
+// (runBody is the first): a body panic must not escape on whichever thread
+// happens to be aggregating — it is the submitter's outcome, and reaches the
+// submitter as a value. Outcomes, per operation:
 //   - success: result and tag stored; exactly-once via the commit CAS.
 //   - abortSignal: the whole aggregate's concern; propagates.
 //   - tm.ErrTooManyStores with other operations' stores already present:
@@ -102,7 +92,7 @@ func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, bool) {
 //     terminal. The operation's stores are rolled back, the panic value
 //     parked in the descriptor, and the tag committed with opFailBit so
 //     every racing aggregate agrees the op is done and the submitter
-//     re-raises it exactly once.
+//     receives it exactly once (runPublished).
 func (e *Engine) aggregateBody(tx tm.Tx) uint64 {
 	u := tx.(*uTx)
 	s := u.s
@@ -121,7 +111,7 @@ func (e *Engine) aggregateBody(tx tm.Tx) uint64 {
 			// aggregate cannot commit (curTx has moved past
 			// startSeq), but a run here is not invisible: a panic on
 			// the stale state would park in d.fail, where the
-			// submitter may re-raise it. A newer aggregate runs it.
+			// submitter may receive it. A newer aggregate runs it.
 			continue
 		}
 		valW, tagW := e.resultWord(t)
@@ -162,11 +152,11 @@ func (e *Engine) aggregateBody(tx tm.Tx) uint64 {
 	return 0
 }
 
-// opResult reports whether slot s's operation with the given tag has been
-// executed by a committed transaction and, if so, returns its result once
-// that transaction has closed. failed reports the terminal-failure verdict
-// (opFailBit): the body panicked, its effects were rolled back, and the
-// submitter must re-raise the parked panic value.
+// opResult reports whether slot s's operation d has been executed by a
+// committed transaction and, if so, returns its result once that transaction
+// has closed, or its failure: with the terminal-failure verdict (opFailBit)
+// the body panicked, its effects were rolled back, and the panic value is
+// parked in d — before the commit that tagged it, so it is there to load.
 //
 // The tag word is applied, so the transaction that executed the operation
 // committed at the tag's sequence, but it may still be applying the
@@ -175,17 +165,20 @@ func (e *Engine) aggregateBody(tx tm.Tx) uint64 {
 // so the submitter's next Read would miss them. If that transaction is still
 // curTx and open, the submitter helps it closed — one helpApply, which
 // returns with the request closed; if curTx has moved on, it closed before.
-func (e *Engine) opResult(s *slot, tag uint64) (res uint64, failed, done bool) {
+func (e *Engine) opResult(s *slot, d *opDesc) (res uint64, fail any, done bool) {
 	valW, tagW := e.resultWord(s.id)
 	tagVal, tagSeq, ok := e.words[tagW].Snapshot()
-	if !ok || (tagVal != tag && tagVal != tag|opFailBit) {
-		return 0, false, false
+	if !ok || (tagVal != d.tag && tagVal != d.tag|opFailBit) {
+		return 0, nil, false
 	}
 	if cur := e.curTx.Load(); seqOf(cur) == tagSeq && e.pending(cur) {
 		e.helpApply(cur, s)
 	}
+	if tagVal != d.tag {
+		return 0, *d.fail.Load(), true
+	}
 	// Closed: the value word holds what the tag's transaction stored, and no
 	// later transaction writes it before this slot publishes again.
 	res, _ = e.words[valW].Load()
-	return res, tagVal != tag, true
+	return res, nil, true
 }

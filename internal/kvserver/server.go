@@ -10,8 +10,9 @@ package kvserver
 // pipelining one. The handler turns the drain into a flat list of
 // single-shard index operations plus one in-order reply record per command,
 // runs each maximal same-shard run of that list as ONE transaction —
-// through tm.AsyncUpdate when the run holds a write, as Engine.Read when it
-// does not — then writes every reply in order and flushes. One commit CAS
+// through tm.AsyncUpdate (Update's transaction, its failure returned as the
+// future's error) when the run holds a write, as Engine.Read when it does
+// not — then writes every reply in order and flushes. One commit CAS
 // and one persistence round per run, however many commands it holds; a lone
 // command is a drain of one through the same code. Concurrent connections'
 // drains commit as concurrent Updates do: retried on a lock-free engine,
@@ -214,10 +215,12 @@ func (s *Server) Serve(ln net.Listener) error {
 			continue
 		}
 		s.conns[nc] = struct{}{}
+		// Added under mu: Shutdown sets draining before it takes mu, so its
+		// wg.Wait comes after every Add of a connection it did not refuse.
+		s.wg.Add(1)
 		s.mu.Unlock()
 		slot := int(s.connSeq.Add(1) % metricStripes)
 		s.m.conns.Inc(slot)
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			s.handle(nc, slot)

@@ -43,9 +43,9 @@ type BatchResult struct {
 // may run several times and on other goroutines.
 type Combining interface {
 	Engine
-	// AsyncUpdate runs fn as a batch of one on the caller and returns its
-	// resolved future. It has Update's progress bounds. Body panics are
-	// delivered as the future's error, not re-raised on the caller.
+	// AsyncUpdate runs fn on the caller as Update does and returns its
+	// resolved future: a body's failure is the future's error, not
+	// re-raised on the caller.
 	AsyncUpdate(fn func(Tx) uint64) *Future
 	// BatchUpdate runs every fn on the caller, in order, in as few engine
 	// transactions as the batch bound allows, and returns all results.

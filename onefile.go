@@ -74,7 +74,7 @@ type (
 // variants — one persistence-fence round; elsewhere they fall back to plain
 // Update.
 var (
-	// AsyncUpdate runs fn as a batch of one and returns its resolved
+	// AsyncUpdate runs fn as Update does and returns its resolved
 	// future: a body panic is the future's error.
 	AsyncUpdate = tm.AsyncUpdate
 	// Batch runs every fn as an update operation and returns the results

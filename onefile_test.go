@@ -74,6 +74,37 @@ func TestPublicPTMCrashCycle(t *testing.T) {
 	}
 }
 
+// TestReopenFormatsOverAHeap: OpenLockFree(false) on an NVM that held an
+// engine starts an empty heap, and only the new engine's updates survive a
+// crash.
+func TestReopenFormatsOverAHeap(t *testing.T) {
+	nvm, err := onefile.NewNVM(onefile.Strict, 1, small()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := nvm.OpenLockFree(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 50; i++ {
+		old.Update(func(tx onefile.Tx) uint64 { tx.Store(onefile.Root(0), min(i, 7)); return 0 })
+	}
+	old.Close()
+	e, err := nvm.OpenLockFree(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Update(func(tx onefile.Tx) uint64 { tx.Store(onefile.Root(0), 99); return 0 })
+	nvm.Crash()
+	r, err := nvm.OpenLockFree(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Read(func(tx onefile.Tx) uint64 { return tx.Load(onefile.Root(0)) }); got != 99 {
+		t.Fatalf("root 0 = %d after reformat, update to 99 and crash, want 99", got)
+	}
+}
+
 func Example() {
 	e := onefile.NewWaitFree()
 	balance := onefile.Root(0)
