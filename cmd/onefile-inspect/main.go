@@ -104,7 +104,7 @@ func inspect(path string, out io.Writer, o options) error {
 				len(raw), len(pairs)/2, def.Name, cfg.RawWords, cfg.PairWords)
 		}
 		// The copies ReadImage made are the inspection device's image.
-		if dev, err = pmem.NewOver(cfg, raw, pairs, nil); err != nil {
+		if dev, err = pmem.NewOver(cfg, raw, pairs, nil, false); err != nil {
 			return err
 		}
 	} else {
@@ -164,8 +164,8 @@ func inspect(path string, out io.Writer, o options) error {
 	fmt.Fprintf(out, "recovery:      null recovery complete (helps=%d)\n", s.Helps)
 	if r, ok := e.(interface{ LastRecovery() core.RecoveryReport }); ok {
 		rep := r.LastRecovery()
-		fmt.Fprintf(out, "  attach:      %v; %d heap words walked in %d range(s) in %v, %d non-zero\n",
-			rep.Duration, rep.HeapWords, rep.Ranges, rep.Walk, rep.WordsLoaded)
+		fmt.Fprintf(out, "  attach:      %v; %d heap words walked in %d range(s) in %v, %d non-zero; %d never written, zeroed unread\n",
+			rep.Duration, rep.HeapWords-rep.WordsZeroed, rep.Ranges, rep.Walk, rep.WordsLoaded, rep.WordsZeroed)
 		if rep.Pending {
 			fmt.Fprintf(out, "  pending:     transaction %d re-applied from its redo log in %v (%d stale log entries skipped)\n",
 				rep.PendingSeq, rep.NullRecovery, rep.StaleLogEntriesSkipped)

@@ -129,6 +129,7 @@ func TestInspectSnapshot(t *testing.T) {
 		"  attach:      ",
 		" heap words walked in ",
 		" range(s) in ",
+		" never written, zeroed unread",
 		"  pending:     ",
 	} {
 		if !strings.Contains(report, want) {
@@ -186,6 +187,7 @@ func TestInspectDeviceFile(t *testing.T) {
 		"slot  3 = 4242",
 		"audit:         OK",
 		" heap words walked in ",
+		"; 0 never written", // an image read from a file counts as written throughout
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)

@@ -388,7 +388,7 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 	}
 
 	if attach {
-		if err := e.attach(); err != nil {
+		if err := e.attach(zeroed); err != nil {
 			return nil, err
 		}
 		return e, nil
@@ -401,19 +401,20 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 
 // format initialises a fresh heap (single-threaded). A heap that may hold
 // words — a device's pair view that an engine used before — is cleared
-// first; a fresh one already reads zero everywhere, and clearing it would
-// be a second pass over the whole heap.
+// first, by handing its pages back (dcas.ZeroWords); a fresh one already
+// reads zero everywhere.
 //
 // The heap's words are at sequence 0 and curTx at 1, in the image too unless
 // it already holds a heap. Its words and curTx are durable at sequences the
 // device's guard never lets a lower one replace, so then every word of the
-// image is written one past every sequence it holds, at base. The magic word
-// says formatVal until format ends: attach refuses the device, and a format
-// after a crash still finds the heap. A fresh device pays one read of its
-// header for this.
+// image is written one past every sequence it holds, at base: the highest in
+// curTx and in the chunks the image ever wrote (heapSpans; the others hold
+// zeros). The magic word says formatVal until format ends: attach refuses
+// the device, and a format after a crash still finds the heap. A fresh
+// device pays one read of its header for this.
 func (e *Engine) format(zeroed bool) error {
 	if !zeroed {
-		clear(e.words)
+		dcas.ZeroWords(e.words)
 	}
 	var base, magic uint64
 	if e.dev != nil {
@@ -425,8 +426,10 @@ func (e *Engine) format(zeroed bool) error {
 		}
 		cur, _ := e.dev.ImagePair(e.curTxImg)
 		base = seqOf(cur)
-		for _, p := range e.dev.ImagePairs(0, e.cfg.HeapWords) {
-			base = max(base, p.Seq)
+		for _, sp := range e.heapSpans() {
+			for _, p := range e.dev.ImagePairs(sp.Lo, sp.Hi-sp.Lo) {
+				base = max(base, p.Seq)
+			}
 		}
 		base++
 		e.dev.RawStore(hdrMagic, formatVal)
@@ -473,10 +476,11 @@ type RecoveryReport struct {
 	// persistent engine's words are its device's pair view), on the pointer
 	// build it allocates the slab.
 	Duration     time.Duration
-	Walk         time.Duration // the image read, checked and stored into every heap word
+	Walk         time.Duration // the image read, checked and stored into the heap, and the rest zeroed
 	NullRecovery time.Duration // helpApply of the pending transaction; 0 when none was
-	HeapWords    int           // words of image the walk read, checked and stored
-	WordsLoaded  int           // the non-zero ones among them
+	HeapWords    int           // the configured heap: the words the walk read, checked and stored, and WordsZeroed
+	WordsZeroed  int           // heap words in chunks the image never wrote: zero, not read
+	WordsLoaded  int           // the non-zero words the walk read
 	Ranges       int           // goroutines the walk was split over
 	// Pending: curTx's request was durably open, so null recovery's one
 	// action ran — the helping path applied transaction PendingSeq — and
@@ -500,8 +504,9 @@ func (e *Engine) LastRecovery() RecoveryReport {
 // attach rebuilds the volatile state from the device's persistent image and
 // performs null recovery (§III-D): if the last committed transaction's
 // request is still open, apply and close it. The device must be quiescent,
-// with Crash() already invoked if a failure occurred.
-func (e *Engine) attach() error {
+// with Crash() already invoked if a failure occurred. zeroed says the heap
+// holds only zeros already.
+func (e *Engine) attach(zeroed bool) error {
 	start := time.Now()
 	if e.dev == nil {
 		return errors.New("core: attach requires a device")
@@ -526,7 +531,7 @@ func (e *Engine) attach() error {
 	e.curTx.Store(cur)
 	rep := RecoveryReport{HeapWords: e.cfg.HeapWords}
 	walkStart := time.Now()
-	if err := e.loadImage(seqOf(cur), &rep); err != nil {
+	if err := e.loadImage(seqOf(cur), zeroed, &rep); err != nil {
 		return err
 	}
 	rep.Walk = time.Since(walkStart)
@@ -571,29 +576,82 @@ func (e *Engine) checkGeometry() error {
 	return nil
 }
 
-// loadImage is attach's walk: one pass over the device's pair image, read in
-// place, straight into the heap. Every word's durable sequence is held to
-// curSeq, and every word is stored, zero ones too: on the native build the
-// heap is the device's pair view, which holds whatever the engine before this
-// one left in it, and the walk is the one pass that rebuilds it — nothing
-// zeroes it first. The
-// walk is split into contiguous, line-aligned ranges, one per P, the first
-// on this goroutine: the image is read-only while the device is quiescent,
-// the ranges of the heap are disjoint, and the join below orders every store
-// before anything attach does next. It reports the number of non-zero words
-// and of ranges used in rep; if words are beyond curSeq, the error names the
-// lowest one, whichever goroutine found it.
-func (e *Engine) loadImage(curSeq uint64, rep *RecoveryReport) error {
+// heapSpans returns the spans of the heap, ascending, that a write to the
+// device's pair image ever reached (pmem.Device.WrittenPairs): every heap
+// word outside them is {0, 0} in the image.
+func (e *Engine) heapSpans() []pmem.Span {
+	spans := e.dev.WrittenPairs()
+	heap := spans[:0]
+	for _, sp := range spans {
+		if sp.Lo < e.cfg.HeapWords {
+			heap = append(heap, pmem.Span{Lo: sp.Lo, Hi: min(sp.Hi, e.cfg.HeapWords)})
+		}
+	}
+	return heap
+}
+
+// loadImage is attach's walk: one pass over the parts of the device's pair
+// image a write ever reached (heapSpans), read in place, straight into the
+// heap, and zeros over the rest. Every word read has its durable sequence
+// held to curSeq, and every heap word is stored, zero ones too: on the native
+// build the heap is the device's pair view, which holds whatever the engine
+// before this one left in it, and the walk is the one pass that rebuilds it.
+// A word the image never wrote is zero, so it passes that check unread, and
+// its heap word is zeroed by handing the pages back (dcas.ZeroWords) — or
+// left as it is when the heap holds only zeros (zeroed: a fresh view, the
+// pointer build's slab).
+//
+// The words read are split evenly into line-aligned ranges, one per P, the
+// first on this goroutine: the image is read-only while the device is
+// quiescent, the ranges of the heap are disjoint, and the join below orders
+// every store before anything attach does next. It reports the words zeroed,
+// the non-zero words read and the ranges used in rep; if words are beyond
+// curSeq, the error names the lowest one, whichever goroutine found it.
+func (e *Engine) loadImage(curSeq uint64, zeroed bool, rep *RecoveryReport) error {
+	spans := e.heapSpans()
+	at, n := 0, 0
+	for _, sp := range spans {
+		if !zeroed {
+			dcas.ZeroWords(e.words[at:sp.Lo])
+		}
+		at, n = sp.Hi, n+sp.Hi-sp.Lo
+	}
+	if !zeroed {
+		dcas.ZeroWords(e.words[at:])
+	}
+	rep.WordsZeroed = e.cfg.HeapWords - n
+	if n == 0 {
+		return nil
+	}
 	pairs := e.dev.ImagePairs(0, e.cfg.HeapWords)
 	procs := runtime.GOMAXPROCS(0)
-	per := (len(pairs) + procs - 1) / procs
+	per := (n + procs - 1) / procs
 	per = (per + pmem.PairLineWords - 1) / pmem.PairLineWords * pmem.PairLineWords
-	ranges := (len(pairs) + per - 1) / per
+	ranges := (n + per - 1) / per
 	type result struct{ loaded, bad int }
 	res := make([]result, ranges)
 	walk := func(r int) {
-		lo, hi := r*per, min((r+1)*per, len(pairs))
-		res[r].loaded, res[r].bad = e.loadRange(pairs[lo:hi], lo, curSeq)
+		// Range r is the words read r*per onwards, span by span.
+		skip, left := r*per, min(per, n-r*per)
+		res[r].bad = -1
+		for _, sp := range spans {
+			if skip >= sp.Hi-sp.Lo {
+				skip -= sp.Hi - sp.Lo
+				continue
+			}
+			lo := sp.Lo + skip
+			hi := min(sp.Hi, lo+left)
+			loaded, bad := e.loadRange(pairs[lo:hi], lo, curSeq)
+			res[r].loaded += loaded
+			if bad >= 0 {
+				res[r].bad = bad
+				return
+			}
+			if left -= hi - lo; left == 0 {
+				return
+			}
+			skip = 0
+		}
 	}
 	var wg sync.WaitGroup
 	for r := 1; r < ranges; r++ {

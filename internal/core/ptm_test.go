@@ -452,7 +452,7 @@ func TestAsyncUpdateSyncErrorEscapes(t *testing.T) {
 		t.Run(fmt.Sprintf("wf=%v", wf), func(t *testing.T) {
 			cfg := DeviceConfig(pmem.StrictMode, 1, smallOpts()...)
 			backing := &failingBacking{}
-			dev, err := pmem.NewOver(cfg, make([]uint64, cfg.RawWords), make([]uint64, 2*cfg.PairWords), backing)
+			dev, err := pmem.NewOver(cfg, make([]uint64, cfg.RawWords), make([]uint64, 2*cfg.PairWords), backing, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,13 +3,18 @@ package core
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"onefile/internal/dcas"
+	"onefile/internal/hugepage"
 	"onefile/internal/pmem"
+	"onefile/internal/pmem/filedev"
+	"onefile/internal/testutil"
 	"onefile/internal/tm"
 )
 
@@ -276,6 +281,206 @@ func TestAttachRebuildsAStaleView(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAttachOverGarbage: recovery gives exactly the image, whatever the
+// memory it rebuilds into holds. The heap spans four chunks of the pair image
+// (pmem.PairChunkWords), of which the image writes the first and the last; the
+// raw region spans several chunks, of which the redo logs write the first.
+// Before the crash every raw word is overwritten with garbage no flush makes
+// durable, and after it every word of the pair view (on the native build the
+// heap). Crash must give raw view = raw image, and attach heap = pair image,
+// word for word — the chunks no write reached zeroed — and report those
+// chunks' words zeroed unread: on the simulator and a file device, strict and
+// relaxed, both persistent engines.
+func TestAttachOverGarbage(t *testing.T) {
+	const chunk = pmem.PairChunkWords
+	opts := []tm.Option{tm.WithHeapWords(4 * chunk), tm.WithMaxThreads(16), tm.WithMaxStores(1 << 10)}
+	devices := map[string]func(t *testing.T, cfg pmem.Config) pmem.Device{
+		"sim": func(t *testing.T, cfg pmem.Config) pmem.Device {
+			d, err := pmem.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		},
+		"file": func(t *testing.T, cfg pmem.Config) pmem.Device {
+			d, err := filedev.Create(filepath.Join(t.TempDir(), "dev.img"), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			return d
+		},
+	}
+	for name, mk := range devices {
+		for _, mode := range []pmem.Mode{pmem.StrictMode, pmem.RelaxedMode} {
+			for _, wf := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/mode=%d/wf=%v", name, mode, wf), func(t *testing.T) {
+					cfg := DeviceConfig(mode, 1, opts...)
+					dev := mk(t, cfg)
+					open := NewPersistentLF
+					if wf {
+						open = NewPersistentWF
+					}
+					e, err := open(dev, false, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for round := uint64(1); round <= 3; round++ {
+						e.Update(func(tx tm.Tx) uint64 {
+							p := tx.Alloc(40)
+							for i := tm.Ptr(0); i < 40; i++ {
+								tx.Store(p+i, round<<32|uint64(i)+1)
+							}
+							tx.Store(tm.Root(int(round)), uint64(p))
+							tx.Store(tm.Ptr(4*chunk-1-int(round)), round) // the last chunk, never allocated
+							return 0
+						})
+					}
+					e.Close()
+					for i := range dev.RawWords() {
+						dev.RawStore(i, 0xbad<<32|uint64(i))
+					}
+					dev.Crash()
+					for i := range dev.RawWords() {
+						if v, img := dev.RawLoad(i), dev.ImageRaw(i); v != img {
+							t.Fatalf("raw word %d = %#x after Crash, image %#x", i, v, img)
+						}
+					}
+					view, _ := dev.PairView()
+					for i := range view {
+						view[i] = pmem.Pair{Val: 0xbad<<32 | uint64(i), Seq: uint64(i)}
+					}
+					r, err := open(dev, true, opts...)
+					if err != nil {
+						t.Fatalf("attach: %v", err)
+					}
+					for i := range r.words {
+						iv, is := dev.ImagePair(i)
+						if v, s := r.words[i].Load(); v != iv || s != is {
+							t.Fatalf("heap word %d = (%#x,%d) after attach, image (%#x,%d)", i, v, s, iv, is)
+						}
+					}
+					if rep := r.LastRecovery(); rep.HeapWords != 4*chunk || rep.WordsZeroed != 2*chunk {
+						t.Errorf("report %+v; want %d heap words, %d of them zeroed unread", rep, 4*chunk, 2*chunk)
+					}
+					if got := r.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Ptr(4*chunk - 4)) }); got != 3 {
+						t.Errorf("the last chunk's word = %d after attach, want 3", got)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestImagesOnHugePagesAfterAttach: on the native build a persistent
+// engine's heap is its device's pair view, advised onto huge pages (pmem's
+// TestImagesOnHugePages). After a crash, the view of a txn-wf-sized heap
+// (2²¹ words, 32 MiB) is filled with garbage, and attach stores the first
+// half, which the image wrote, and hands the pages of the other half back.
+// The view may share its mapping with the control, the images and other Go
+// memory, so each half is held to what changes under it: attach may drop at
+// most the zeroed half's huge pages and the two it straddles, so the stored
+// half keeps its own; it must drop some; and writing the zeroed half again
+// must bring huge pages back, so the zeroing kept the advice. Skipped where
+// a control allocation with the same advice gets none.
+func TestImagesOnHugePagesAfterAttach(t *testing.T) {
+	if !dcas.Native {
+		t.Skip("the pointer emulation's heap is a slab of its own")
+	}
+	const heapWords, written = 1 << 21, 64
+	const kept = written * pmem.PairChunkWords
+	testutil.HugeControl(t, 16*heapWords)
+	opts := []tm.Option{tm.WithHeapWords(heapWords), tm.WithMaxThreads(2), tm.WithMaxStores(2 * written)}
+	dev, err := pmem.New(DeviceConfig(pmem.StrictMode, 1, opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewPersistentLF(dev, false, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Update(func(tx tm.Tx) uint64 {
+		for c := range written {
+			tx.Store(tm.Ptr(c*pmem.PairChunkWords+pmem.PairChunkWords/2), uint64(c)+1)
+		}
+		return 0
+	})
+	e.Close()
+	dev.Crash()
+	view, _ := dev.PairView()
+	for i := range view {
+		view[i] = pmem.Pair{Val: uint64(i) + 1, Seq: 1}
+	}
+	wholePage := func(p *pmem.Pair) uintptr {
+		return (uintptr(unsafe.Pointer(p)) + hugepage.Size - 1) &^ (hugepage.Size - 1)
+	}
+	storedAt, zeroedAt := wholePage(&view[0]), wholePage(&view[kept])
+	storedFull, zeroedFull := testutil.AnonHugeKB(t, storedAt), testutil.AnonHugeKB(t, zeroedAt)
+	r, err := NewPersistentLF(dev, true, opts...)
+	if err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	storedDrop := storedFull - testutil.AnonHugeKB(t, storedAt)
+	zeroedDrop := zeroedFull - testutil.AnonHugeKB(t, zeroedAt)
+	zeroed := unsafe.Slice(&view[kept].Val, 2*(heapWords-kept))
+	regained := testutil.HugeKBOnWrite(t, zeroed)
+	t.Logf("attach took %d kB of huge pages from the mapping holding the stored half and %d kB from the one holding the zeroed half; writing the zeroed half again put back %d kB",
+		storedDrop, zeroedDrop, regained)
+	if limit := (heapWords-kept)*16>>10 + 2*hugepage.Size>>10; storedDrop > limit {
+		t.Errorf("attach took %d kB of huge pages, more than the %d kB of the half it zeroed and the two pages at its ends: the half it stored lost its own", storedDrop, limit)
+	}
+	if zeroedDrop <= 0 {
+		t.Errorf("attach zeroed %d MiB of view the image never wrote, and its mapping kept every huge page", (heapWords-kept)*16>>20)
+	}
+	if regained <= 0 {
+		t.Errorf("the half attach zeroed, written again, got no huge page: the zeroing lost the advice")
+	}
+	if rep := r.LastRecovery(); rep.WordsZeroed != heapWords-kept {
+		t.Errorf("report %+v; want %d words zeroed unread", rep, heapWords-kept)
+	}
+}
+
+// TestFormatOverAHeapWritesEveryChunk: the old heap's image holds its first
+// chunk only, but a format over it writes every heap word above the old
+// sequences, so the device then reports the whole heap written and the next
+// attach reads all of it, zeroing nothing.
+func TestFormatOverAHeapWritesEveryChunk(t *testing.T) {
+	const chunk = pmem.PairChunkWords
+	opts := []tm.Option{tm.WithHeapWords(3 * chunk), tm.WithMaxThreads(2), tm.WithMaxStores(16)}
+	dev, err := pmem.New(DeviceConfig(pmem.StrictMode, 1, opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := NewPersistentLF(dev, false, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Update(func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 7); return 0 })
+	old.Close()
+	if w := dev.WrittenPairs(); len(w) == 0 || w[0].Hi > chunk {
+		t.Fatalf("the old heap wrote %v, want its first chunk and curTx's only", w)
+	}
+	e, err := NewPersistentLF(dev, false, opts...)
+	if err != nil {
+		t.Fatalf("format over a heap: %v", err)
+	}
+	if w, want := dev.WrittenPairs(), []pmem.Span{{Lo: 0, Hi: 3*chunk + 1}}; !slices.Equal(w, want) {
+		t.Fatalf("after a format over a heap the device reports %v written, want %v", w, want)
+	}
+	e.Update(func(tx tm.Tx) uint64 { tx.Store(tm.Root(0), 8); return 0 })
+	dev.Crash()
+	r, err := NewPersistentLF(dev, true, opts...)
+	if err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	if rep := r.LastRecovery(); rep.WordsZeroed != 0 {
+		t.Errorf("report %+v; want no word zeroed unread", rep)
+	}
+	if got := r.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(0)) }); got != 8 {
+		t.Errorf("root 0 = %d, want 8", got)
 	}
 }
 

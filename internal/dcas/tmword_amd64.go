@@ -56,6 +56,11 @@ func NewSlab(n int) []TMWord {
 	return s
 }
 
+// ZeroWords sets every word of s to {0, 0} through hugepage.Zero: the pages
+// inside it go back to the kernel, so words no one touched cost nothing to
+// zero. Single-threaded initialisation and recovery only, as Store.
+func ZeroWords(s []TMWord) { hugepage.Zero(s) }
+
 // align16 returns the n 16-byte-aligned words inside raw, which holds n+1:
 // the allocator hands out 16-byte-aligned blocks for this size class today,
 // and the spare word is what makes that an observation, not a requirement.

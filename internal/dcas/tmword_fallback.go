@@ -24,6 +24,10 @@ func SlabOver[P Image](n int, view func() ([]P, bool)) (words []TMWord, zeroed b
 	return NewSlab(n), true
 }
 
+// ZeroWords sets every word of s to {0, 0}. These words hold pointers, which
+// the garbage collector must see go, so they are cleared with stores.
+func ZeroWords(s []TMWord) { clear(s) }
+
 // Load returns the current value and sequence.
 func (w *TMWord) Load() (val, seq uint64) { return w.w.Load() }
 

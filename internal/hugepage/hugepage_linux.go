@@ -22,14 +22,48 @@ const madvCollapse = 25
 // The addresses go to the raw system call as uintptr and are never turned
 // back into a pointer, which the race detector's checkptr would reject.
 func Advise[T any](s []T) {
-	var zero T
-	start := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
-	lo := (start + Size - 1) &^ (Size - 1)
-	hi := (start + uintptr(len(s))*unsafe.Sizeof(zero)) &^ (Size - 1)
+	lo, hi := interior(s, Size)
 	if hi <= lo {
 		return
 	}
 	syscall.Syscall(syscall.SYS_MADVISE, lo, hi-lo, syscall.MADV_HUGEPAGE)
 	syscall.Syscall(syscall.SYS_MADVISE, lo, hi-lo, madvCollapse)
 	runtime.KeepAlive(s)
+}
+
+// Zero sets every element of s to its zero value. The pages wholly inside s
+// go back to the kernel (MADV_DONTNEED): they read as zeros from then on and
+// cost nothing until written again, so zeroing memory that is already zero
+// and gone costs a system call, not a pass over it. Only the elements on the
+// partial pages at either end are cleared with stores; so is all of s if the
+// kernel refuses. s must be pointer-free — the garbage collector does not see
+// the pages go — and no other goroutine may use it meanwhile. A range that
+// had the huge-page advice keeps it.
+func Zero[T any](s []T) {
+	page := uintptr(syscall.Getpagesize())
+	lo, hi := interior(s, page)
+	if hi <= lo {
+		clear(s)
+		return
+	}
+	if _, _, errno := syscall.Syscall(syscall.SYS_MADVISE, lo, hi-lo, syscall.MADV_DONTNEED); errno != 0 {
+		clear(s)
+		return
+	}
+	var zero T
+	size := unsafe.Sizeof(zero)
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	clear(s[:(lo-start+size-1)/size]) // the elements that reach below lo
+	clear(s[(hi-start)/size:])        // and those that reach above hi
+	runtime.KeepAlive(s)
+}
+
+// interior returns the bounds [lo, hi) of the align-aligned part of the
+// memory under s; hi ≤ lo when no whole aligned block lies inside it.
+func interior[T any](s []T, align uintptr) (lo, hi uintptr) {
+	var zero T
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	lo = (start + align - 1) &^ (align - 1)
+	hi = (start + uintptr(len(s))*unsafe.Sizeof(zero)) &^ (align - 1)
+	return lo, hi
 }

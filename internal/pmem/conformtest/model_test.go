@@ -164,7 +164,7 @@ func TestDirtiedCoversEveryImageWrite(t *testing.T) {
 
 		raw, pairs := make([]uint64, cfg.RawWords), make([]uint64, 2*cfg.PairWords)
 		b := newRecordingBacking(raw, pairs)
-		d, err := pmem.NewOver(cfg, raw, pairs, b)
+		d, err := pmem.NewOver(cfg, raw, pairs, b, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestSyncFailureIsSticky(t *testing.T) {
 	cfg := smallCfg(pmem.StrictMode)
 	raw, pairs := make([]uint64, cfg.RawWords), make([]uint64, 2*cfg.PairWords)
 	b := newRecordingBacking(raw, pairs)
-	d, err := pmem.NewOver(cfg, raw, pairs, b)
+	d, err := pmem.NewOver(cfg, raw, pairs, b, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -331,7 +331,7 @@ func TestStrictStagingIsBounded(t *testing.T) {
 	})
 	t.Run("counted", func(t *testing.T) {
 		b := &lineCounter{}
-		d, err := pmem.NewOver(cfg, make([]uint64, cfg.RawWords), make([]uint64, 2*cfg.PairWords), b)
+		d, err := pmem.NewOver(cfg, make([]uint64, cfg.RawWords), make([]uint64, 2*cfg.PairWords), b, true)
 		if err != nil {
 			t.Fatal(err)
 		}

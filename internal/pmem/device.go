@@ -48,9 +48,15 @@ import (
 //     ordering point and not before; a Crash keeps a random subset of the
 //     ones still staged.
 //   - Crash simulates a power failure: everything not durable is lost and
-//     the volatile views reload from the persistent image. It requires
+//     the volatile raw view reloads from the persistent image. It requires
 //     quiescence, as a real whole-process crash would provide, and so do
-//     ImagePair, ImagePairs, ImageRaw, WriteTo/ReadFrom and Close.
+//     ImagePair, ImagePairs, ImageRaw, WrittenPairs, WriteTo/ReadFrom and
+//     Close.
+//   - The device knows which chunks of each image a write ever reached
+//     (WrittenPairs): the others hold only zeros. Crash copies the raw chunks
+//     that were written into the raw view and zeroes the rest, and attach
+//     reads the pair chunks that were written into the pair view and zeroes
+//     the rest; neither reads what the image never held.
 //   - WriteTo/ReadFrom serialise exactly the durable image (the snapshot
 //     format of this package), portable across backends.
 //   - Close is an orderly shutdown: buffered flushes are written back and
@@ -101,6 +107,11 @@ type Device interface {
 	// place (quiescence required): recovery's bulk read. The view is
 	// read-only and valid until the device is next written or closed.
 	ImagePairs(lo, n int) []Pair
+	// WrittenPairs returns the spans of TM words, in whole chunks
+	// (PairChunkWords), that a write has reached since the pair image was
+	// all zeros; every word outside them is {0, 0} in the image (quiescence
+	// required). A device opened over an existing image reports all of it.
+	WrittenPairs() []Span
 	// ImageRaw returns the persistent image of raw word off.
 	ImageRaw(off int) uint64
 	// RawWords returns the size of the raw region in words.
@@ -110,7 +121,8 @@ type Device interface {
 	// PairView returns the volatile pair view, PairWords entries the engine
 	// keeps its TM words in, allocated zeroed by the first call (fresh)
 	// and the same memory on every later one. The device never touches it;
-	// Crash does not, so attach must rebuild all of it from the image.
+	// Crash does not, so attach must rebuild all of it: the chunks
+	// WrittenPairs reports from the image, zeros over the rest.
 	PairView() (view []Pair, fresh bool)
 
 	io.WriterTo

@@ -226,7 +226,8 @@ func ReadImage(path string) (Info, []uint64, []uint64, error) {
 }
 
 // Create formats a fresh device file at path (which must not exist) sized
-// for cfg and returns it open. The image starts zeroed — a fresh DIMM.
+// for cfg and returns it open. The image starts zeroed — a fresh DIMM — and
+// the device counts no chunk of it as written (pmem.Sim.WrittenPairs).
 func Create(path string, cfg pmem.Config) (*Device, error) {
 	if cfg.RawWords < 0 || cfg.PairWords < 0 {
 		return nil, pmem.ErrBadConfig // before the sizes lay out a file
@@ -255,6 +256,8 @@ func Create(path string, cfg pmem.Config) (*Device, error) {
 // superblock's, or be both zero to adopt the file's own sizes. A device
 // whose superblock says "dirty" opens fine — that is the crash-recovery
 // path (WasClean reports which) — but a malformed superblock never does.
+// Every chunk of the image counts as written: what the file holds is not
+// read until recovery reads it.
 func Open(path string, cfg pmem.Config) (*Device, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -324,7 +327,7 @@ func attach(f *os.File, path string, cfg pmem.Config, create bool) (*Device, err
 	m := &mapping{f: f, data: data, sb: sb, rawOff: rawOff, pairOff: pairOff, lo: 1}
 	sim, err := pmem.NewOver(cfg,
 		wordsOf(data[rawOff:rawOff+cfg.RawWords*8]),
-		wordsOf(data[pairOff:pairOff+cfg.PairWords*16]), m)
+		wordsOf(data[pairOff:pairOff+cfg.PairWords*16]), m, create)
 	if err != nil {
 		return fail(err)
 	}

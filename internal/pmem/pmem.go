@@ -37,9 +37,10 @@
 //     a per-word maximum by sequence — commutative and idempotent, equal
 //     sequence meaning equal value — so when a staged line merges does not
 //     change any image an observer can see, and every image observer (Crash,
-//     ImagePair, ImagePairs, WriteTo, ReadFrom, Close) merges first. A raw-region Flush
-//     does write through: a raw line is overwritten by its snapshot, not
-//     max-merged, so the order of two slots' flushes of one line matters.
+//     ImagePair, ImagePairs, WrittenPairs, WriteTo, ReadFrom, Close) merges
+//     first. A raw-region Flush does write through: a raw line is overwritten
+//     by its snapshot, not max-merged, so the order of two slots' flushes of
+//     one line matters.
 //   - RelaxedMode: every flush, raw or pair, is staged until the next Fence
 //     or Drain by its slot; Crash applies a random subset of the still-staged
 //     flushes (a pwb may complete early on real hardware) and drops the rest —
@@ -68,6 +69,21 @@ const LineWords = 8
 // PairLineWords is the number of TM words ({value, sequence} pairs, 16
 // bytes each) that share one cache line.
 const PairLineWords = LineWords / 2
+
+// The device remembers, per chunk of each image, whether any write ever
+// reached it (WrittenPairs): a chunk no write reached holds only zeros, so
+// recovery copies the chunks that were written and zeroes the others without
+// reading them. A chunk is a whole number of cache lines, and small enough
+// that a heap filled to a quarter leaves three quarters unread.
+const (
+	// PairChunkWords is the chunk of the pair image, in TM words (256 KiB).
+	PairChunkWords = 1 << 14
+	// rawChunkWords is the chunk of the raw image, in words (64 KiB).
+	rawChunkWords = 1 << 13
+)
+
+// Span is the range of words [Lo, Hi).
+type Span struct{ Lo, Hi int }
 
 // Mode selects the durability model.
 type Mode int
@@ -208,6 +224,12 @@ type Sim struct {
 	pairImg []uint64
 	pairMu  []sync.Mutex
 
+	// One flag per chunk of each image (PairChunkWords, rawChunkWords): set by
+	// the first write that reaches the chunk, and never cleared but by
+	// ReadFrom, which finds the chunk all zero.
+	pairHeld []atomic.Bool
+	rawHeld  []atomic.Bool
+
 	pending []slotBuf // per-slot staged flushes
 
 	viewMu sync.Mutex
@@ -240,7 +262,7 @@ func New(cfg Config) (*Sim, error) {
 	raw, pairs := make([]uint64, cfg.RawWords), make([]uint64, 2*cfg.PairWords)
 	hugepage.Advise(raw)
 	hugepage.Advise(pairs)
-	return NewOver(cfg, raw, pairs, nil)
+	return NewOver(cfg, raw, pairs, nil, true)
 }
 
 // NewOver runs the device model over a persistent image the caller owns: raw
@@ -248,8 +270,10 @@ func New(cfg Config) (*Sim, error) {
 // sequence} — cfg's sizes must be theirs. The model writes nothing else and
 // keeps no copy; the volatile view starts from the image, as after Crash.
 // backing, if not nil, is told of every image write and synced at every
-// ordering point.
-func NewOver(cfg Config, raw, pairs []uint64, backing Backing) (*Sim, error) {
+// ordering point. zeroed says the image holds only zeros, as a fresh one
+// does: then the device counts no chunk as written until a write reaches it
+// (WrittenPairs); otherwise it counts every chunk as written.
+func NewOver(cfg Config, raw, pairs []uint64, backing Backing, zeroed bool) (*Sim, error) {
 	if len(raw) != cfg.RawWords || len(pairs) != 2*cfg.PairWords || len(raw)+len(pairs) == 0 {
 		return nil, ErrBadConfig
 	}
@@ -265,17 +289,26 @@ func NewOver(cfg Config, raw, pairs []uint64, backing Backing) (*Sim, error) {
 	nLines := (cfg.RawWords + LineWords - 1) / LineWords
 	nPairLines := (cfg.PairWords + PairLineWords - 1) / PairLineWords
 	d := &Sim{
-		cfg:     cfg,
-		rawVol:  make([]atomic.Uint64, cfg.RawWords),
-		rawImg:  raw,
-		rawMu:   make([]sync.Mutex, min(nLines, 1024)+1),
-		pairImg: pairs,
-		pairMu:  make([]sync.Mutex, min(nPairLines, 1024)+1),
-		pending: make([]slotBuf, cfg.MaxSlots),
-		backing: backing,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		cfg:      cfg,
+		rawVol:   make([]atomic.Uint64, cfg.RawWords),
+		rawImg:   raw,
+		rawMu:    make([]sync.Mutex, min(nLines, 1024)+1),
+		pairImg:  pairs,
+		pairMu:   make([]sync.Mutex, min(nPairLines, 1024)+1),
+		pairHeld: make([]atomic.Bool, (cfg.PairWords+PairChunkWords-1)/PairChunkWords),
+		rawHeld:  make([]atomic.Bool, (cfg.RawWords+rawChunkWords-1)/rawChunkWords),
+		pending:  make([]slotBuf, cfg.MaxSlots),
+		backing:  backing,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
-	d.loadRaw()
+	if !zeroed { // over a zeroed image the raw view is right as allocated
+		for _, held := range [][]atomic.Bool{d.pairHeld, d.rawHeld} {
+			for i := range held {
+				held[i].Store(true)
+			}
+		}
+		d.loadRaw()
+	}
 	return d, nil
 }
 
@@ -283,12 +316,60 @@ func NewOver(cfg Config, raw, pairs []uint64, backing Backing) (*Sim, error) {
 // of them as the words they hold); anything else fails to compile here.
 var _ [0]struct{} = [unsafe.Sizeof(atomic.Uint64{}) - 8]struct{}{}
 
-// loadRaw sets the volatile raw view to the image in one copy, with plain
-// stores: its callers are the constructor, which has not published the device
-// yet, and Crash, whose contract is quiescence — whatever hands the device
-// back to its users afterwards orders the copy before their atomic accesses.
+// loadRaw sets the volatile raw view to the image with plain stores: a copy
+// of every chunk a write reached, and zeros over the others, whose pages go
+// back to the kernel (hugepage.Zero) — a redo log no slot used costs nothing.
+// Its callers are the constructor, which has not published the device yet,
+// and Crash and ReadFrom, whose contract is quiescence: whatever hands the
+// device back to its users afterwards orders the stores before their atomic
+// accesses.
 func (d *Sim) loadRaw() {
-	copy(unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(d.rawVol))), len(d.rawVol)), d.rawImg)
+	vol := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(d.rawVol))), len(d.rawVol))
+	at := 0
+	for _, sp := range heldSpans(d.rawHeld, rawChunkWords, len(vol)) {
+		hugepage.Zero(vol[at:sp.Lo])
+		copy(vol[sp.Lo:sp.Hi], d.rawImg[sp.Lo:sp.Hi])
+		at = sp.Hi
+	}
+	hugepage.Zero(vol[at:])
+}
+
+// heldSpans returns the runs of set flags in held, which has one flag per
+// chunk words of an image of n words, as ascending, disjoint spans of words
+// that do not touch.
+func heldSpans(held []atomic.Bool, chunk, n int) []Span {
+	var spans []Span
+	for c := range held {
+		if !held[c].Load() {
+			continue
+		}
+		lo, hi := c*chunk, min((c+1)*chunk, n)
+		if k := len(spans) - 1; k >= 0 && spans[k].Hi == lo {
+			spans[k].Hi = hi
+		} else {
+			spans = append(spans, Span{lo, hi})
+		}
+	}
+	return spans
+}
+
+// hold sets chunk c's flag. It reads the flag first: set once, a flag is only
+// read, and its line stays shared by every core that merges into the image.
+func hold(held []atomic.Bool, c int) {
+	if !held[c].Load() {
+		held[c].Store(true)
+	}
+}
+
+// WrittenPairs returns the parts of the pair image that a write has reached
+// since the image was all zeros, as ascending, disjoint TM-word spans that do
+// not touch, each made of whole chunks (PairChunkWords) but at the image's
+// end. Every word outside them holds {0, 0}. A device made over an image of
+// unknown content (NewOver without zeroed, filedev.Open) reports all of it.
+// Callers must be quiescent.
+func (d *Sim) WrittenPairs() []Span {
+	d.settle()
+	return heldSpans(d.pairHeld, PairChunkWords, d.cfg.PairWords)
 }
 
 // PairView returns the device's volatile pair view: PairWords entries in the
@@ -297,7 +378,8 @@ func (d *Sim) loadRaw() {
 // heap in memory that is already there instead of allocating and zeroing a
 // new heap and then filling it. The device never reads or writes the view:
 // Crash leaves it as it is — DRAM holds garbage after a power failure — and
-// whoever attaches must rebuild every word of it from the image.
+// whoever attaches must rebuild every word of it: the chunks WrittenPairs
+// reports from the image, and zeros over the others.
 //
 // The view is allocated by the first call, so a device whose engine never
 // asks for one carries none: zeroed, starting on a cache line, and advised
@@ -416,6 +498,7 @@ func (d *Sim) commitRawLine(p pendingRaw) {
 	n := min(LineWords, len(d.rawImg)-base)
 	copy(d.rawImg[base:base+n], p.vals[:n])
 	mu.Unlock()
+	hold(d.rawHeld, base/rawChunkWords)
 	if d.backing != nil {
 		d.backing.Dirtied(RawImage, base, n)
 	}
@@ -447,7 +530,8 @@ func (d *Sim) Flush(slot, off, n int) {
 
 // mergeLine advances the persistent image of the TM words in p, skipping any
 // word whose image already holds a newer sequence (monotonic guard), and
-// reports whether it wrote. The caller holds the line's lock.
+// reports whether it wrote; a line that wrote marks its chunk written
+// (WrittenPairs). The caller holds the line's lock.
 //
 // Store order inside a word is value THEN sequence. Failure atomicity is 8
 // bytes (one aligned word store, the paper's NVM model), and when the image
@@ -467,6 +551,9 @@ func (d *Sim) mergeLine(p *pendingPairs) (wrote bool) {
 			d.pairImg[at+1] = p.seqs[i]
 			wrote = true
 		}
+	}
+	if wrote {
+		hold(d.pairHeld, p.idx[0]/PairChunkWords) // a line lies in one chunk
 	}
 	return wrote
 }
@@ -688,10 +775,11 @@ func (d *Sim) Drain(slot int) {
 // pair line. In RelaxedMode staged flushes are independently kept (the pwb
 // happened to complete) or dropped with equal probability — a coalesced
 // pair-line flush is one unit. Then every volatile raw word is reloaded from
-// the persistent image. The caller must guarantee quiescence. After Crash the
-// pair image is the only record of TM words; engines rebuild their volatile
-// words from it via ImagePairs. The pair view (PairView) is left as it is:
-// what it holds is no record of anything.
+// the persistent image: the chunks a write ever reached are copied, the
+// others zeroed unread (loadRaw). The caller must guarantee quiescence.
+// After Crash the pair image is the only record of TM words; engines rebuild
+// their volatile words from it via WrittenPairs and ImagePairs. The pair view
+// (PairView) is left as it is: what it holds is no record of anything.
 //
 // With a mapped file as the image this is the in-process simulation of that
 // failure. A real whole-process kill needs no call: reopening the file lands

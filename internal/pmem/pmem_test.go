@@ -4,7 +4,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"onefile/internal/hugepage"
 	"onefile/internal/testutil"
 )
 
@@ -29,11 +28,17 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // TestImagesOnHugePages: New's pair image of a txn-wf-sized device (2²¹ TM
 // words, 32 MiB), once written, is backed by transparent huge pages where
 // the kernel has them (package hugepage), and so is the device's pair view —
-// a persistent engine's heap on the native build — once used; skipped where
-// THP is off. Under the race detector it also shows that the advice passes
-// checkptr.
+// a persistent engine's heap on the native build — once used. A control
+// allocation of the same size with the same advice comes first: where the
+// kernel gives it no huge page (THP off, or none free on the host at that
+// moment) the test is skipped, since it could tell nothing about the code.
+// Under the race detector it also shows that the advice passes checkptr.
+// internal/core's TestImagesOnHugePagesAfterAttach holds the view to the same
+// across a crash and an attach.
 func TestImagesOnHugePages(t *testing.T) {
-	d, err := New(Config{RawWords: LineWords, PairWords: 1 << 21, MaxSlots: 1})
+	const words = 1 << 21
+	testutil.HugeControl(t, 16*words)
+	d, err := New(Config{RawWords: LineWords, PairWords: words, MaxSlots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +51,7 @@ func TestImagesOnHugePages(t *testing.T) {
 		{"pair image", d.pairImg},
 		{"pair view", unsafe.Slice(&view[0].Val, 2*len(view))},
 	} {
-		start := uintptr(unsafe.Pointer(&m.words[0]))
-		first := (start + hugepage.Size - 1) &^ (hugepage.Size - 1) // the first whole huge page
-		before := testutil.AnonHugeKB(t, first)
-		for i := 0; i < len(m.words); i += 4096 / 8 {
-			m.words[i] = 1
-		}
-		kb := testutil.AnonHugeKB(t, first) - before
+		kb := testutil.HugeKBOnWrite(t, m.words)
 		t.Logf("writing the %s put %d kB of its mapping on huge pages", m.name, kb)
 		if kb <= 0 {
 			t.Errorf("a %d MiB %s, once written, has no huge page", len(m.words)*8>>20, m.name)

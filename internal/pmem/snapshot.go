@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync/atomic"
 )
 
 // Snapshot format: the durable image only — exactly what would be on the
@@ -82,14 +84,17 @@ func (d *Sim) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom loads a snapshot into the device's image (which must have
 // matching region sizes; quiescence required), drops the buffered flushes,
-// resets the volatile view to the image, as after Crash, and syncs the
-// backing. It does all of that on a decode error too: a stream that passes
-// the header check and then ends short has already overwritten part of the
-// image, and the device is left consistent with whatever the image now
-// holds. It implements io.ReaderFrom.
+// counts as written exactly the chunks of the image that now hold a non-zero
+// word (WrittenPairs), resets the volatile view to the image, as after Crash,
+// and syncs the backing. It does all of that on a decode error too: a stream
+// that passes the header check and then ends short has already overwritten
+// part of the image, and the device is left consistent with whatever the
+// image now holds. It implements io.ReaderFrom.
 func (d *Sim) ReadFrom(r io.Reader) (int64, error) {
 	d.settle() // a stream refused at its header leaves the image as it was
 	n, err := DecodeImage(r, d.rawImg, d.pairImg)
+	holdNonZero(d.rawHeld, d.rawImg, rawChunkWords)
+	holdNonZero(d.pairHeld, d.pairImg, 2*PairChunkWords)
 	d.reload()
 	if d.backing != nil {
 		d.backing.Dirtied(RawImage, 0, len(d.rawImg))
@@ -99,6 +104,15 @@ func (d *Sim) ReadFrom(r io.Reader) (int64, error) {
 		}
 	}
 	return n, err
+}
+
+// holdNonZero sets the flag of every chunk of img (chunk words each) that
+// holds a non-zero word and clears the others'.
+func holdNonZero(held []atomic.Bool, img []uint64, chunk int) {
+	for c := range held {
+		part := img[c*chunk : min((c+1)*chunk, len(img))]
+		held[c].Store(slices.ContainsFunc(part, func(w uint64) bool { return w != 0 }))
+	}
 }
 
 type countWriter struct {

@@ -3,9 +3,13 @@ package testutil
 import (
 	"bufio"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"onefile/internal/hugepage"
 )
 
 // AnonHugeKB returns the AnonHugePages, in kB, of the mapping in
@@ -52,4 +56,37 @@ func AnonHugeKB(tb testing.TB, addr uintptr) int {
 	}
 	tb.Fatalf("no mapping in /proc/self/smaps holds %#x", addr)
 	return 0
+}
+
+// HugeKBOnWrite writes one word in every 4 KiB of words and returns the kB of
+// huge pages that adds to the mapping holding the first whole huge page
+// inside words. Skips as AnonHugeKB does.
+func HugeKBOnWrite(tb testing.TB, words []uint64) int {
+	tb.Helper()
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(words)))
+	first := (start + hugepage.Size - 1) &^ (hugepage.Size - 1)
+	before := AnonHugeKB(tb, first)
+	for i := 0; i < len(words); i += 4096 / 8 {
+		words[i] = 1
+	}
+	return AnonHugeKB(tb, first) - before
+}
+
+// HugeControl asks for huge pages under a control allocation of the given
+// size, as package hugepage asks for them under the images, writes it, and
+// skips tb if the kernel put none of it on huge pages: the host has none to
+// give at that moment (THP on, but its 2 MiB frames taken), and a test of the
+// code's advice can tell nothing then. The control lives until tb ends, so
+// that the memory under it, already on huge pages, is not what the test
+// allocates next.
+func HugeControl(tb testing.TB, bytes int) {
+	tb.Helper()
+	control := make([]uint64, bytes/8)
+	tb.Cleanup(func() { runtime.KeepAlive(control) })
+	hugepage.Advise(control)
+	kb := HugeKBOnWrite(tb, control)
+	tb.Logf("writing a %d MiB control with the same advice put %d kB of it on huge pages", bytes>>20, kb)
+	if kb <= 0 {
+		tb.Skipf("the kernel gave a %d MiB control allocation no huge page: none to give on this host now", bytes>>20)
+	}
 }
