@@ -173,5 +173,14 @@ func inspect(path string, out io.Writer, o options) error {
 			fmt.Fprintln(out, "  pending:     none (curTx's request was durably closed)")
 		}
 	}
+	fmt.Fprintf(out, "image memory:  pair %s; raw %s\n",
+		heldLine(dev.ImageMemory(pmem.PairImage)), heldLine(dev.ImageMemory(pmem.RawImage)))
 	return nil
+}
+
+// heldLine says what one image holds in memory against what is configured:
+// the simulator allocates a unit of it at the first write that reaches it, a
+// device file's image is all there from the start.
+func heldLine(m pmem.ImageMem) string {
+	return fmt.Sprintf("%d of %d bytes held, %d of %d units", m.Bytes, m.BytesMax, m.Units, m.UnitsMax)
 }

@@ -46,7 +46,8 @@ type crashPanic struct{}
 // transactions (direct and combined), kill the process mid-commit, save the
 // durable image, and check the inspector's report on it.
 func TestInspectSnapshot(t *testing.T) {
-	dev, err := pmem.New(core.DeviceConfig(pmem.StrictMode, 1, testOpts()...))
+	cfg := core.DeviceConfig(pmem.StrictMode, 1, testOpts()...)
+	dev, err := pmem.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +132,12 @@ func TestInspectSnapshot(t *testing.T) {
 		" range(s) in ",
 		" never written, zeroed unread",
 		"  pending:     ",
+		// The snapshot loads into a simulator, which holds a unit of an image
+		// only where the snapshot has a non-zero word: the pair image's one
+		// unit, and the first of the raw image's two — the second holds only
+		// the log of a slot no transaction ran on.
+		fmt.Sprintf("image memory:  pair %d of %[1]d bytes held, 1 of 1 units; raw %d of %d bytes held, 1 of 2 units\n",
+			16*cfg.PairWords, 8<<13, 8*cfg.RawWords),
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)
@@ -159,7 +166,8 @@ func TestInspectBadPath(t *testing.T) {
 // the image dirty, show the committed roots, and leave the file untouched.
 func TestInspectDeviceFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dev.img")
-	dev, err := filedev.Create(path, core.DeviceConfig(pmem.StrictMode, 1, testOpts()...))
+	cfg := core.DeviceConfig(pmem.StrictMode, 1, testOpts()...)
+	dev, err := filedev.Create(path, cfg)
 	if err != nil {
 		t.Skipf("file device unavailable: %v", err)
 	}
@@ -188,6 +196,9 @@ func TestInspectDeviceFile(t *testing.T) {
 		"audit:         OK",
 		" heap words walked in ",
 		"; 0 never written", // an image read from a file counts as written throughout
+		// and is held in memory whole: every unit is a slice of the copy read.
+		fmt.Sprintf("image memory:  pair %d of %[1]d bytes held, 1 of 1 units; raw %d of %[2]d bytes held, 2 of 2 units\n",
+			16*cfg.PairWords, 8*cfg.RawWords),
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)

@@ -591,8 +591,8 @@ func (e *Engine) heapSpans() []pmem.Span {
 }
 
 // loadImage is attach's walk: one pass over the parts of the device's pair
-// image a write ever reached (heapSpans), read in place, straight into the
-// heap, and zeros over the rest. Every word read has its durable sequence
+// image a write ever reached (heapSpans), each read in place (ImagePairs of a
+// span), straight into the heap, and zeros over the rest. Every word read has its durable sequence
 // held to curSeq, and every heap word is stored, zero ones too: on the native
 // build the heap is the device's pair view, which holds whatever the engine
 // before this one left in it, and the walk is the one pass that rebuilds it.
@@ -623,7 +623,10 @@ func (e *Engine) loadImage(curSeq uint64, zeroed bool, rep *RecoveryReport) erro
 	if n == 0 {
 		return nil
 	}
-	pairs := e.dev.ImagePairs(0, e.cfg.HeapWords)
+	views := make([][]pmem.Pair, len(spans))
+	for i, sp := range spans {
+		views[i] = e.dev.ImagePairs(sp.Lo, sp.Hi-sp.Lo)
+	}
 	procs := runtime.GOMAXPROCS(0)
 	per := (n + procs - 1) / procs
 	per = (per + pmem.PairLineWords - 1) / pmem.PairLineWords * pmem.PairLineWords
@@ -634,14 +637,14 @@ func (e *Engine) loadImage(curSeq uint64, zeroed bool, rep *RecoveryReport) erro
 		// Range r is the words read r*per onwards, span by span.
 		skip, left := r*per, min(per, n-r*per)
 		res[r].bad = -1
-		for _, sp := range spans {
+		for i, sp := range spans {
 			if skip >= sp.Hi-sp.Lo {
 				skip -= sp.Hi - sp.Lo
 				continue
 			}
 			lo := sp.Lo + skip
 			hi := min(sp.Hi, lo+left)
-			loaded, bad := e.loadRange(pairs[lo:hi], lo, curSeq)
+			loaded, bad := e.loadRange(views[i][lo-sp.Lo:hi-sp.Lo], lo, curSeq)
 			res[r].loaded += loaded
 			if bad >= 0 {
 				res[r].bad = bad
@@ -668,8 +671,9 @@ func (e *Engine) loadImage(curSeq uint64, zeroed bool, rep *RecoveryReport) erro
 			// The commit protocol makes curTx durable before any word of
 			// its sequence, so no image it wrote looks like this — and an
 			// engine built on one would abort every load of the word.
+			_, seq := e.dev.ImagePair(bad)
 			return fmt.Errorf("%w: heap word %d is durable at sequence %d, beyond the durable curTx sequence %d",
-				ErrCorrupt, bad, pairs[bad].Seq, curSeq)
+				ErrCorrupt, bad, seq, curSeq)
 		}
 		rep.WordsLoaded += res[r].loaded
 	}

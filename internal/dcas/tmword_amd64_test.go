@@ -7,7 +7,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"onefile/internal/hugepage"
 	"onefile/internal/testutil"
 )
 
@@ -47,21 +46,22 @@ func TestAlign16Shifts(t *testing.T) {
 
 // TestSlabOnHugePages: a slab of txn-wf's size (2²¹ words, 32 MiB), once
 // used, is backed by transparent huge pages where the kernel has them
-// (package hugepage); skipped where THP is off. Used: where MADV_COLLAPSE is
-// refused, huge pages come only as the advised range is faulted in. A slab is
-// the volatile engines' heap; a persistent engine's words are its device's
-// pair view, which pmem's TestImagesOnHugePages holds to the same.
+// (package hugepage). Used: where MADV_COLLAPSE is refused, huge pages come
+// only as the advised range is faulted in. A control allocation of the same
+// size with the same advice comes first: where the kernel gives it no huge
+// page (THP off, or none free on the host at that moment) the test is
+// skipped, since it could tell nothing about the code. The slab is held to
+// the huge pages writing it adds to its mapping, which the control may share.
+// A slab is the volatile engines' heap; a persistent engine's words are its
+// device's pair view, which pmem's TestImagesOnHugePages holds to the same.
 func TestSlabOnHugePages(t *testing.T) {
-	s := NewSlab(1 << 21)
-	for i := 0; i < len(s); i += 4096 / 16 {
-		s[i].Store(1, 1)
-	}
-	start := uintptr(unsafe.Pointer(&s[0]))
-	first := (start + hugepage.Size - 1) &^ (hugepage.Size - 1) // the first whole huge page
-	kb := testutil.AnonHugeKB(t, first)
-	t.Logf("the mapping holding the slab's first whole huge page has %d kB on huge pages", kb)
-	if kb == 0 {
-		t.Errorf("a %d MiB slab has no huge page", len(s)*16>>20)
+	const words = 1 << 21
+	testutil.HugeControl(t, 16*words)
+	s := NewSlab(words)
+	kb := testutil.HugeKBOnWrite(t, unsafe.Slice(&s[0].val, 2*len(s)))
+	t.Logf("writing the slab put %d kB of its mapping on huge pages", kb)
+	if kb <= 0 {
+		t.Errorf("a %d MiB slab, once written, has no huge page", len(s)*16>>20)
 	}
 	runtime.KeepAlive(s)
 }

@@ -17,8 +17,9 @@ import (
 // sequence guard, per-slot staging of posted write-backs, a seeded
 // RelaxedMode that reorders them — and it runs over an image it is given:
 //
-//   - New: fresh memory. The in-process simulator, the adversarial backend
-//     for crash enumeration; its durability dies with the process.
+//   - New: fresh memory, allocated a unit at a time by the first write that
+//     reaches it. The in-process simulator, the adversarial backend for
+//     crash enumeration; its durability dies with the process.
 //   - filedev.Create/Open (internal/pmem/filedev): the regions of an
 //     mmap-backed file, so the image survives whole-process crashes and
 //     re-execs. filedev.Device is a Sim plus the file: superblock, dirty
@@ -103,14 +104,16 @@ type Device interface {
 	// ImagePair returns the persistent image of TM word idx (quiescence
 	// required).
 	ImagePair(idx int) (val, seq uint64)
-	// ImagePairs returns the persistent image of TM words [lo, lo+n) in
-	// place (quiescence required): recovery's bulk read. The view is
-	// read-only and valid until the device is next written or closed.
+	// ImagePairs returns the persistent image of TM words [lo, lo+n)
+	// (quiescence required): recovery's bulk read, in place for every span
+	// WrittenPairs reports. The view is read-only and valid until the device
+	// is next written or closed.
 	ImagePairs(lo, n int) []Pair
 	// WrittenPairs returns the spans of TM words, in whole chunks
 	// (PairChunkWords), that a write has reached since the pair image was
-	// all zeros; every word outside them is {0, 0} in the image (quiescence
-	// required). A device opened over an existing image reports all of it.
+	// all zeros, each inside one unit of the image; every word outside them
+	// is {0, 0} in the image (quiescence required). A device opened over an
+	// existing image reports all of it.
 	WrittenPairs() []Span
 	// ImageRaw returns the persistent image of raw word off.
 	ImageRaw(off int) uint64
