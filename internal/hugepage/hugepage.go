@@ -8,9 +8,11 @@
 // they are gone (Zero).
 //
 // Neither moves an address or changes an allocation: the slice stays an
-// ordinary Go object with the lifetime the garbage collector gives it. Only
-// the aligned interior of the slice is advised, because advice is per page
-// and the head and tail pages may hold other objects.
+// ordinary Go object with the lifetime the garbage collector gives it. Advise
+// takes the aligned interior of the slice, the huge pages wholly inside it;
+// AdviseWhole takes every huge page the slice reaches into, sharing the two at
+// its ends with whatever lies beside it — the choice for slices of a few huge
+// pages each, which the runtime lays side by side at any offset.
 package hugepage
 
 // Size is the huge page size Advise aligns to: 2 MiB, the PMD size of x86-64

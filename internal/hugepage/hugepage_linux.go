@@ -22,13 +22,33 @@ const madvCollapse = 25
 // The addresses go to the raw system call as uintptr and are never turned
 // back into a pointer, which the race detector's checkptr would reject.
 func Advise[T any](s []T) {
-	lo, hi := interior(s, Size)
+	advise(interior(s, Size))
+	runtime.KeepAlive(s)
+}
+
+// AdviseWhole is Advise over every huge page s reaches into, the two at its
+// ends too, where Advise takes only those wholly inside it. For a slice of a
+// few huge pages that is the difference between all of it and as little as
+// half: the runtime lays large allocations side by side with no regard for
+// huge-page boundaries, so the pages at the ends are shared with whatever
+// lies next to s — often the slice allocated just before or after it. The
+// advice and the collapse change no byte's content, so extending them over a
+// neighbour's bytes changes nothing the neighbour can observe; it only lets
+// those bytes share a huge page with s.
+func AdviseWhole[T any](s []T) {
+	if len(s) > 0 {
+		advise(outer(s, Size))
+	}
+	runtime.KeepAlive(s)
+}
+
+// advise applies both advices to [lo, hi), which is Size-aligned.
+func advise(lo, hi uintptr) {
 	if hi <= lo {
 		return
 	}
 	syscall.Syscall(syscall.SYS_MADVISE, lo, hi-lo, syscall.MADV_HUGEPAGE)
 	syscall.Syscall(syscall.SYS_MADVISE, lo, hi-lo, madvCollapse)
-	runtime.KeepAlive(s)
 }
 
 // Zero sets every element of s to its zero value. The pages wholly inside s
@@ -56,6 +76,16 @@ func Zero[T any](s []T) {
 	clear(s[:(lo-start+size-1)/size]) // the elements that reach below lo
 	clear(s[(hi-start)/size:])        // and those that reach above hi
 	runtime.KeepAlive(s)
+}
+
+// outer returns the bounds [lo, hi) of the align-aligned blocks that the
+// memory under s reaches into.
+func outer[T any](s []T, align uintptr) (lo, hi uintptr) {
+	var zero T
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	lo = start &^ (align - 1)
+	hi = (start + uintptr(len(s))*unsafe.Sizeof(zero) + align - 1) &^ (align - 1)
+	return lo, hi
 }
 
 // interior returns the bounds [lo, hi) of the align-aligned part of the

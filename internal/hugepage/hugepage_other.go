@@ -6,5 +6,8 @@ package hugepage
 // equivalent.
 func Advise[T any](s []T) {}
 
+// AdviseWhole does nothing off Linux, as Advise.
+func AdviseWhole[T any](s []T) {}
+
 // Zero sets every element of s to its zero value.
 func Zero[T any](s []T) { clear(s) }

@@ -18,13 +18,7 @@ import (
 // kernel's THP mode is "never".
 func AnonHugeKB(tb testing.TB, addr uintptr) int {
 	tb.Helper()
-	mode, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled")
-	if err != nil {
-		tb.Skipf("no transparent huge pages here: %v", err)
-	}
-	if strings.Contains(string(mode), "[never]") {
-		tb.Skip("transparent huge pages are off (mode never)")
-	}
+	thpOn(tb)
 	f, err := os.Open("/proc/self/smaps")
 	if err != nil {
 		tb.Skipf("no /proc/self/smaps: %v", err)
@@ -56,6 +50,18 @@ func AnonHugeKB(tb testing.TB, addr uintptr) int {
 	}
 	tb.Fatalf("no mapping in /proc/self/smaps holds %#x", addr)
 	return 0
+}
+
+// thpOn skips tb unless the kernel has transparent huge pages on.
+func thpOn(tb testing.TB) {
+	tb.Helper()
+	mode, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled")
+	if err != nil {
+		tb.Skipf("no transparent huge pages here: %v", err)
+	}
+	if strings.Contains(string(mode), "[never]") {
+		tb.Skip("transparent huge pages are off (mode never)")
+	}
 }
 
 // HugeKBOnWrite writes one word in every 4 KiB of words and returns the kB of
