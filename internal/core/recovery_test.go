@@ -385,12 +385,12 @@ func TestAttachOverGarbage(t *testing.T) {
 // TestImagesOnHugePages). After a crash, the view of a txn-wf-sized heap
 // (2²¹ words, 32 MiB) is filled with garbage, and attach stores the first
 // half, which the image wrote, and hands the pages of the other half back.
-// The view may share its mapping with the control, the images and other Go
-// memory, so each half is held to what changes under it: attach may drop at
-// most the zeroed half's huge pages and the two it straddles, so the stored
-// half keeps its own; it must drop some; and writing the zeroed half again
-// must bring huge pages back, so the zeroing kept the advice. Skipped where
-// a control allocation with the same advice gets none.
+// Each half is held to the bytes under it that the kernel reports on huge
+// pages (testutil.HugeBytes): the stored half keeps its own but for the one
+// it shares with the zeroed half; the zeroed half keeps none but the two at
+// its ends; and written again, it gets huge pages back, so the zeroing kept
+// the advice. Skipped where a control allocation with the same advice gets
+// none.
 func TestImagesOnHugePagesAfterAttach(t *testing.T) {
 	if !dcas.Native {
 		t.Skip("the pointer emulation's heap is a slab of its own")
@@ -419,26 +419,22 @@ func TestImagesOnHugePagesAfterAttach(t *testing.T) {
 	for i := range view {
 		view[i] = pmem.Pair{Val: uint64(i) + 1, Seq: 1}
 	}
-	wholePage := func(p *pmem.Pair) uintptr {
-		return (uintptr(unsafe.Pointer(p)) + hugepage.Size - 1) &^ (hugepage.Size - 1)
-	}
-	storedAt, zeroedAt := wholePage(&view[0]), wholePage(&view[kept])
-	storedFull, zeroedFull := testutil.AnonHugeKB(t, storedAt), testutil.AnonHugeKB(t, zeroedAt)
+	stored := unsafe.Slice(&view[0].Val, 2*kept)
+	zeroed := unsafe.Slice(&view[kept].Val, 2*(heapWords-kept))
+	storedBefore, zeroedBefore := testutil.HugeBytes(t, stored), testutil.HugeBytes(t, zeroed)
 	r, err := NewPersistentLF(dev, true, opts...)
 	if err != nil {
 		t.Fatalf("attach: %v", err)
 	}
-	storedDrop := storedFull - testutil.AnonHugeKB(t, storedAt)
-	zeroedDrop := zeroedFull - testutil.AnonHugeKB(t, zeroedAt)
-	zeroed := unsafe.Slice(&view[kept].Val, 2*(heapWords-kept))
-	regained := testutil.HugeKBOnWrite(t, zeroed)
-	t.Logf("attach took %d kB of huge pages from the mapping holding the stored half and %d kB from the one holding the zeroed half; writing the zeroed half again put back %d kB",
-		storedDrop, zeroedDrop, regained)
-	if limit := (heapWords-kept)*16>>10 + 2*hugepage.Size>>10; storedDrop > limit {
-		t.Errorf("attach took %d kB of huge pages, more than the %d kB of the half it zeroed and the two pages at its ends: the half it stored lost its own", storedDrop, limit)
+	storedAfter, zeroedAfter := testutil.HugeBytes(t, stored), testutil.HugeBytes(t, zeroed)
+	regained := testutil.HugeBytesWritten(t, zeroed)
+	t.Logf("bytes on huge pages: the stored half %d before attach, %d after; the zeroed half %d before, %d after, %d written again",
+		storedBefore, storedAfter, zeroedBefore, zeroedAfter, regained)
+	if storedAfter < storedBefore-hugepage.Size {
+		t.Errorf("attach took %d bytes of huge pages from the half it stored, more than the one page it shares with the half it zeroed", storedBefore-storedAfter)
 	}
-	if zeroedDrop <= 0 {
-		t.Errorf("attach zeroed %d MiB of view the image never wrote, and its mapping kept every huge page", (heapWords-kept)*16>>20)
+	if zeroedAfter >= zeroedBefore || zeroedAfter > 2*hugepage.Size {
+		t.Errorf("attach zeroed %d MiB of view the image never wrote, and %d of its bytes stayed on huge pages (%d before)", (heapWords-kept)*16>>20, zeroedAfter, zeroedBefore)
 	}
 	if regained <= 0 {
 		t.Errorf("the half attach zeroed, written again, got no huge page: the zeroing lost the advice")

@@ -16,7 +16,7 @@ import (
 // the property that takes the heap out of GC mark work.
 func TestHeapSlabPointerFree(t *testing.T) {
 	if !dcas.Native {
-		t.Skip("pointer-emulated TM words (race build or no 128-bit CAS)")
+		t.Skip("pointer-emulated TM words (no 128-bit CAS on this GOARCH)")
 	}
 	e := NewLF(smallOpts()...)
 	defer e.Close()

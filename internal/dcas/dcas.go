@@ -3,13 +3,14 @@
 //
 // Two types live here:
 //
-//   - TMWord is the engine's TM word. On amd64 (without the race detector)
-//     it is the paper's layout — two adjacent 64-bit words, 16 bytes, no
-//     pointer — and CompareAndSwap is one LOCK CMPXCHG16B (tmword_amd64.go,
-//     tmword_amd64.s). On every other build it is the pointer emulation
-//     below with a fresh Pair per DCAS left to the garbage collector
-//     (tmword_fallback.go). The API is identical; the build constraint
-//     chooses.
+//   - TMWord is the engine's TM word. On amd64 it is the paper's layout —
+//     two adjacent 64-bit words, 16 bytes, no pointer — and CompareAndSwap
+//     is one LOCK CMPXCHG16B (tmword_amd64.go, tmword_amd64.s), under the
+//     race detector too, which is shown each DCAS as a release on the
+//     word's sequence (race.go). On every other architecture it is the
+//     pointer emulation below with a fresh Pair per DCAS left to the
+//     garbage collector (tmword_fallback.go). The API is identical; the
+//     architecture chooses.
 //   - Word is the pointer emulation itself: an atomic.Pointer to an
 //     immutable Pair. Swinging the pointer with a single-word CAS changes
 //     value and sequence together with exactly the atomicity of a hardware

@@ -1,4 +1,4 @@
-//go:build amd64 && !race
+//go:build amd64
 
 package dcas
 
@@ -19,8 +19,8 @@ const Native = true
 // aligns this struct to 8 only, so TM words must come from NewSlab — never
 // from a variable, a struct field or make.
 //
-// The race detector cannot see the assembly's write, which is why race
-// builds take the emulation instead.
+// Race builds run this same word. The detector cannot see the assembly's
+// write, so CompareAndSwap shows it one of its own (raceEnabled).
 type TMWord struct {
 	val uint64
 	seq uint64
@@ -101,7 +101,20 @@ func (w *TMWord) Snapshot() (val, seq uint64, ok bool) {
 
 // CompareAndSwap atomically replaces {oldVal, oldSeq} with {newVal, newSeq}
 // and reports whether it did: the DCAS of Alg. 1 line 14.
+//
+// Under the race detector it first swaps the sequence for itself, an atomic
+// write the detector sees as a release on the word. Every reader acquires
+// the word through the atomic load of its sequence (Load, Snapshot), so what
+// the caller wrote before the DCAS happens before whatever a reader does
+// once it sees the new pair. The release comes before the DCAS, so no reader
+// sees the pair without it. It happens only while the sequence is still
+// oldSeq; a DCAS that then loses to another writer has released for nothing,
+// which can hide a race but never reports a false one. Release builds
+// compile the branch away.
 func (w *TMWord) CompareAndSwap(oldVal, oldSeq, newVal, newSeq uint64) bool {
+	if raceEnabled {
+		atomic.CompareAndSwapUint64(&w.seq, oldSeq, oldSeq)
+	}
 	return cas128(w, oldVal, oldSeq, newVal, newSeq)
 }
 

@@ -1,4 +1,4 @@
-//go:build amd64 && !race
+//go:build amd64
 
 package dcas
 
@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"onefile/internal/hugepage"
 	"onefile/internal/testutil"
 )
 
@@ -45,23 +46,25 @@ func TestAlign16Shifts(t *testing.T) {
 }
 
 // TestSlabOnHugePages: a slab of txn-wf's size (2²¹ words, 32 MiB), once
-// used, is backed by transparent huge pages where the kernel has them
-// (package hugepage). Used: where MADV_COLLAPSE is refused, huge pages come
+// used, lies on transparent huge pages where the kernel has them (package
+// hugepage), but for at most the huge page at either end: NewSlab advises its
+// aligned interior. Used: where MADV_COLLAPSE is refused, huge pages come
 // only as the advised range is faulted in. A control allocation of the same
 // size with the same advice comes first: where the kernel gives it no huge
 // page (THP off, or none free on the host at that moment) the test is
 // skipped, since it could tell nothing about the code. The slab is held to
-// the huge pages writing it adds to its mapping, which the control may share.
-// A slab is the volatile engines' heap; a persistent engine's words are its
-// device's pair view, which pmem's TestImagesOnHugePages holds to the same.
+// the bytes under it that the kernel reports on huge pages
+// (testutil.HugeBytes). A slab is the volatile engines' heap; a persistent
+// engine's words are its device's pair view, which pmem's
+// TestImagesOnHugePages holds to the same.
 func TestSlabOnHugePages(t *testing.T) {
 	const words = 1 << 21
 	testutil.HugeControl(t, 16*words)
 	s := NewSlab(words)
-	kb := testutil.HugeKBOnWrite(t, unsafe.Slice(&s[0].val, 2*len(s)))
-	t.Logf("writing the slab put %d kB of its mapping on huge pages", kb)
-	if kb <= 0 {
-		t.Errorf("a %d MiB slab, once written, has no huge page", len(s)*16>>20)
+	got := testutil.HugeBytesWritten(t, unsafe.Slice(&s[0].val, 2*len(s)))
+	t.Logf("the slab, once written, has %d of its %d bytes on huge pages", got, 16*len(s))
+	if least := 16*len(s) - 2*hugepage.Size; got < least {
+		t.Errorf("a %d MiB slab, once written, has %d of its bytes on huge pages, want at least %d", len(s)*16>>20, got, least)
 	}
 	runtime.KeepAlive(s)
 }

@@ -1,6 +1,7 @@
 package dcas
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,6 +114,41 @@ func TestTMWordStress(t *testing.T) {
 	for _, i := range []int{0, 2} {
 		if v, s := slab[i].Load(); v != 0 || s != 0 {
 			t.Fatalf("neighbour %d = (%d,%d), want (0,0)", i, v, s)
+		}
+	}
+}
+
+// TestDCASPublishes: memory written with plain stores and published only by
+// a DCAS is whole for a goroutine that sees the new pair, and ordered for it
+// under the race detector. The detector cannot see the assembly's write, so
+// without the release CompareAndSwap gives it (raceEnabled) the reader's
+// plain loads are reported as a race with the writer's stores.
+func TestDCASPublishes(t *testing.T) {
+	for round := range 20 {
+		w := &NewSlab(1)[0]
+		data := make([]uint64, 64)
+		sum := make(chan uint64)
+		go func() {
+			for {
+				if _, seq := w.Load(); seq == 1 {
+					break
+				}
+				runtime.Gosched()
+			}
+			var s uint64
+			for _, v := range data {
+				s += v
+			}
+			sum <- s
+		}()
+		for i := range data {
+			data[i] = uint64(i) + 1
+		}
+		if !w.CompareAndSwap(0, 0, 1, 1) {
+			t.Fatalf("round %d: the DCAS from {0, 0} failed", round)
+		}
+		if got, want := <-sum, uint64(len(data)*(len(data)+1)/2); got != want {
+			t.Fatalf("round %d: the reader summed %d, want %d", round, got, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ package kvserver
 // command the read buffer holds (server.go states the contract).
 
 import (
+	"math"
 	"net"
 	"slices"
 	"sort"
@@ -343,10 +344,14 @@ func (c *connState) dispatch(args [][]byte) {
 			break
 		}
 		if len(args) == 4 {
-			if count, err = strconv.Atoi(string(args[3])); err != nil || count <= 0 {
+			// COUNT is any positive int64; on a 32-bit build one above the
+			// largest int asks for every key, as the largest does.
+			n, err := strconv.ParseInt(string(args[3]), 10, 64)
+			if err != nil || n <= 0 {
 				r.kind, r.msg = replyError, "ERR value is not an integer or out of range"
 				break
 			}
+			count = int(min(n, math.MaxInt))
 		}
 		if sh := cursor >> 32; sh < uint64(c.s.be.Shards()) {
 			c.ops = append(c.ops, op{kind: opScan, shard: int32(sh), cmd: int32(len(c.replies)), h: cursor & 0xFFFFFFFF, n: int64(count)})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -28,8 +29,9 @@ type pmScanArg struct {
 type pageRegion struct{ start, end, categories uint64 }
 
 // HugeBytes returns how many bytes of the memory under words lie on huge
-// pages, asking the kernel about exactly that range — where AnonHugeKB can
-// only tell a whole mapping, which other allocations may share. It skips tb
+// pages, asking the kernel about exactly that range — where a mapping's
+// AnonHugePages in /proc/self/smaps would also count the other allocations
+// that share it. It skips tb
 // where the kernel cannot say (no PAGEMAP_SCAN: before Linux 6.7) or THP is
 // off.
 func HugeBytes(tb testing.TB, words []uint64) int {
@@ -74,4 +76,16 @@ func HugeBytes(tb testing.TB, words []uint64) int {
 	}
 	runtime.KeepAlive(words)
 	return total
+}
+
+// thpOn skips tb unless the kernel has transparent huge pages on.
+func thpOn(tb testing.TB) {
+	tb.Helper()
+	mode, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled")
+	if err != nil {
+		tb.Skipf("no transparent huge pages here: %v", err)
+	}
+	if strings.Contains(string(mode), "[never]") {
+		tb.Skip("transparent huge pages are off (mode never)")
+	}
 }
